@@ -22,6 +22,7 @@ from . import corpus as corpus_io
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
 from .evaluation import RESULTS_CSV_HEADER, cross_validate, stratified_kfold
 from .features import (
+    DesignMatrix,
     FeatureVector,
     build_design_matrix,
     combine,
@@ -29,7 +30,7 @@ from .features import (
     node_features,
     path_features,
 )
-from .kernels import GkParams, RwkParams, gram_matrix
+from .kernels import GkParams, KernelColumns, RwkParams, gram_matrix
 from .mir import MirError, lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method, labels_to_csv
 from .svm import SvmModel, SvmParams, decision_value, train_svm
@@ -223,6 +224,11 @@ def cmd_evaluate(args) -> int:
     return 1 if skipped else 0
 
 
+def _context_hash(context: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(context, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def cmd_train(args) -> int:
     root = _root_seed(args)
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
@@ -241,8 +247,7 @@ def cmd_train(args) -> int:
         seed=stage_seed(root, "svm"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    context_hash = hashlib.sha256(
-        json.dumps(context, sort_keys=True).encode()).hexdigest()[:16]
+    context_hash = _context_hash(context)
     skipped = []
     for mr in _selected_mrs(args.mr):
         y = [1 if e.labels[mr] else -1 for e in entries]
@@ -263,57 +268,65 @@ def cmd_train(args) -> int:
     return 1 if skipped else 0
 
 
-def _predict_decision(bundle: dict, cfg: AnnotatedCfg) -> float:
-    featurization = bundle["featurization"]
-    context = bundle["context"]
-    model = SvmModel.from_json(json.dumps(bundle["model"]))
+def _sample_function(featurization: str, context: dict):
+    """CFG -> the feature row (nf-pf) or kernel column (rwk, gk) that every
+    MR model of one context scores; the training side is built once here."""
     if featurization == "nf-pf":
-        vec = combine(node_features(cfg, omit_exit=context["omit_exit_nf"]),
-                      path_features(cfg))
-        index = context["feature_index"]
-        lookup = {k: i for i, k in enumerate(index)}
-        row = np.zeros(len(index))
-        unseen = 0
-        for key, count in vec.entries.items():
-            if key in lookup:
-                row[lookup[key]] = count
-            else:
-                unseen += 1
-        if unseen:
-            print(f"warning: {cfg.name}: {unseen} unseen feature keys "
-                  "treated as zero columns", file=sys.stderr)
-        return decision_value(model, row)
-    train_graphs = [parse_dot(text) for text in context["training_graphs"]]
+        omit_exit = context["omit_exit_nf"]
+        index = tuple(context["feature_index"])
+        space = DesignMatrix(feature_index=index, method_ids=(),
+                             rows=np.zeros((0, len(index))))
+
+        def row(cfg: AnnotatedCfg) -> np.ndarray:
+            out, unseen = space.vectorize(combine(*_featurize(cfg, omit_exit)))
+            if unseen:
+                print(f"warning: {cfg.name}: {unseen} unseen feature keys "
+                      "treated as zero columns", file=sys.stderr)
+            return out
+        return row
+    graphs = [parse_dot(text) for text in context["training_graphs"]]
     if featurization == "rwk":
-        from .kernels import random_walk_kernel
-        p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
-        column = [random_walk_kernel(g, cfg, p) for g in train_graphs]
-    else:
-        from .kernels import graphlet_kernel
-        p = GkParams(k=context["k"])
-        column = [graphlet_kernel(g, cfg, p) for g in train_graphs]
-    return decision_value(model, np.asarray(column))
+        rwk = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
+        return KernelColumns(graphs, "rwk", rwk=rwk).column
+    return KernelColumns(graphs, "gk", gk=GkParams(k=context["k"])).column
 
 
 def cmd_predict(args) -> int:
     models_dir = Path(args.models)
-    bundles = {}
-    for mr in MR_IDS:
-        path = models_dir / f"{mr}.json"
-        if not path.exists():
-            print(f"error: missing model file {path}", file=sys.stderr)
+    models = {}
+    feats, hashes = set(), set()
+    try:
+        # decode each bundle as it is read, so one raw bundle is alive at a
+        # time; once every hash is verified and all agree, the contexts are
+        # equal and the last one read serves all six models
+        for mr in MR_IDS:
+            path = models_dir / f"{mr}.json"
+            if not path.exists():
+                print(f"error: missing model file {path}", file=sys.stderr)
+                return 2
+            bundle = json.loads(path.read_text())
+            context = bundle["context"]
+            if _context_hash(context) != bundle["context_hash"]:
+                print(f"error: {path}: featurization context does not match "
+                      "its hash; refusing to predict", file=sys.stderr)
+                return 2
+            feats.add(bundle["featurization"])
+            hashes.add(bundle["context_hash"])
+            models[mr] = SvmModel.from_json(json.dumps(bundle.pop("model")))
+        if len(feats) != 1 or len(hashes) != 1:
+            print("error: model files disagree on featurization context; "
+                  "refusing to predict", file=sys.stderr)
             return 2
-        bundles[mr] = json.loads(path.read_text())
-    feats = {b["featurization"] for b in bundles.values()}
-    hashes = {b["context_hash"] for b in bundles.values()}
-    if len(feats) != 1 or len(hashes) != 1:
-        print("error: model files disagree on featurization context; refusing "
+        featurization = feats.pop()
+        if args.features and args.features != featurization:
+            print(f"error: models were trained with featurization "
+                  f"{featurization!r}, not {args.features!r}; refusing to "
+                  "predict", file=sys.stderr)
+            return 2
+        sample_of = _sample_function(featurization, context)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: {models_dir}: malformed model file ({exc!r}); refusing "
               "to predict", file=sys.stderr)
-        return 2
-    if args.features and args.features != next(iter(feats)):
-        print(f"error: models were trained with featurization "
-              f"{next(iter(feats))!r}, not {args.features!r}; refusing to "
-              "predict", file=sys.stderr)
         return 2
 
     lines = ["method," + ",".join(MR_IDS) + ","
@@ -322,10 +335,10 @@ def cmd_predict(args) -> int:
     for raw in args.inputs:
         try:
             for cfg in _load_method_cfgs(Path(raw)):
-                decisions = {mr: _predict_decision(bundles[mr], cfg)
-                             for mr in MR_IDS}
-                bits = ",".join("1" if decisions[mr] >= 0 else "0" for mr in MR_IDS)
-                vals = ",".join(repr(decisions[mr]) for mr in MR_IDS)
+                sample = sample_of(cfg)
+                decisions = [decision_value(models[mr], sample) for mr in MR_IDS]
+                bits = ",".join("1" if d >= 0 else "0" for d in decisions)
+                vals = ",".join(repr(d) for d in decisions)
                 lines.append(f"{cfg.name},{bits},{vals}")
         except Exception as exc:
             failures += 1

@@ -1,7 +1,8 @@
 """Dataset manifests, the bundled labelled corpus, and corpus statistics.
 
-The package ships a 100-method reference label set, mini-IR sources for 62
-of the methods, one externally-shaped ``.dot`` CFG, and an anomaly
+The package ships a 100-method reference label set, mini-IR sources for 68
+of the methods (the bundled manifest has no ``dot`` rows), one
+externally-shaped ``.dot`` CFG of the worked example, and an anomaly
 register naming the bundled methods whose reference labels are not
 reproducible by execution (with the offending relations and the reason).
 File formats are documented in ``docs/formats.md``.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,19 +140,28 @@ class DesignMatrix:
     def row(self, method_id: str) -> np.ndarray:
         return self.rows[self.method_ids.index(method_id)]
 
-    def vectorize(self, vector: FeatureVector) -> np.ndarray:
-        """Project a new method's features onto this matrix's key space;
-        unseen keys are dropped (they correspond to all-zero columns)."""
+    @cached_property
+    def key_index(self) -> dict[str, int]:
+        return {k: i for i, k in enumerate(self.feature_index)}
+
+    def vectorize(self, vector: FeatureVector) -> tuple[np.ndarray, int]:
+        """Project a new method's features onto this matrix's key space.
+
+        Returns the row and the number of unseen keys, which are dropped
+        (they correspond to all-zero columns)."""
         out = np.zeros(len(self.feature_index))
-        lookup = {k: i for i, k in enumerate(self.feature_index)}
+        lookup = self.key_index
+        unseen = 0
         for key, count in vector.entries.items():
             if key in lookup:
                 out[lookup[key]] = count
+            else:
+                unseen += 1
         if self.l2_normalized:
             norm = np.linalg.norm(out)
             if norm > 0:
                 out = out / norm
-        return out
+        return out, unseen
 
 
 def build_design_matrix(

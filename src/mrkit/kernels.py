@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,6 +209,56 @@ class KernelMatrix:
         return "\n".join(lines) + "\n"
 
 
+class KernelColumns:
+    """Kernel columns of new graphs against fixed training graphs.
+
+    The training side, each graph's self-value k(g, g) and, for the graphlet
+    kernel, its distribution, is computed once here; a column then costs only
+    the new graph's own terms plus one cross term per training graph.  Entry
+    i equals ``random_walk_kernel(graphs[i], g)`` or
+    ``graphlet_kernel(graphs[i], g)`` bit for bit: the same float
+    expressions in the same summation order.
+    """
+
+    def __init__(self, graphs: list[AnnotatedCfg], kernel: str,
+                 rwk: RwkParams = RwkParams(), gk: GkParams = GkParams()) -> None:
+        if kernel not in ("rwk", "gk"):
+            raise ValueError(f"unknown kernel {kernel!r}")
+        self.graphs = list(graphs)
+        self.kernel = kernel
+        self.params = rwk if kernel == "rwk" else gk
+        self.terms = [self.own_terms(g) for g in self.graphs]
+
+    def own_terms(self, g: AnnotatedCfg) -> tuple[dict[int, float] | None, float]:
+        """(graphlet distribution or None, unnormalised self-value k(g, g))."""
+        if self.kernel == "rwk":
+            return None, _rwk_raw(g, g, self.params)
+        dist = graphlet_distribution(g, self.params)
+        return dist, sum(v * v for v in dist.values())
+
+    def normalized(self, raw: float, k11: float, k22: float) -> float:
+        """``raw`` scaled by the two self-values, if the kernel normalises."""
+        if not self.params.normalize:
+            return raw
+        if k11 <= 0.0 or k22 <= 0.0:
+            return 0.0
+        return raw / float(np.sqrt(k11) * np.sqrt(k22))
+
+    def value(self, i: int, g: AnnotatedCfg, terms) -> float:
+        """k(graphs[i], g) given ``terms = own_terms(g)``."""
+        if self.kernel == "rwk":
+            raw = _rwk_raw(self.graphs[i], g, self.params)
+        else:
+            f1, f2 = self.terms[i][0], terms[0]
+            raw = sum(f1[t] * f2.get(t, 0.0) for t in f1)
+        return self.normalized(raw, self.terms[i][1], terms[1])
+
+    def column(self, g: AnnotatedCfg) -> np.ndarray:
+        """k(graphs[i], g) for every training graph i."""
+        terms = self.own_terms(g)
+        return np.array([self.value(i, g, terms) for i in range(len(self.graphs))])
+
+
 def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
                 rwk: RwkParams = RwkParams(),
                 gk: GkParams = GkParams()) -> KernelMatrix:
@@ -217,44 +267,18 @@ def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
     is reported as a diagnostic, never repaired."""
     if len(graphs) < 2:
         raise ValueError("gram matrix needs at least two graphs")
-    if kernel not in ("rwk", "gk"):
-        raise ValueError(f"unknown kernel {kernel!r}")
+    columns = KernelColumns(graphs, kernel, rwk=rwk, gk=gk)
     n = len(graphs)
     values = np.zeros((n, n))
-    if kernel == "rwk":
-        raw = np.zeros((n, n))
-        selfs = [_rwk_raw(g, g, rwk) for g in graphs]
-        for i in range(n):
-            raw[i, i] = selfs[i]
-            for j in range(i + 1, n):
-                raw[i, j] = raw[j, i] = _rwk_raw(graphs[i], graphs[j], rwk)
-        if rwk.normalize:
-            for i in range(n):
-                for j in range(i, n):
-                    denom = float(np.sqrt(selfs[i]) * np.sqrt(selfs[j]))
-                    v = raw[i, j] / denom if denom > 0 else 0.0
-                    values[i, j] = values[j, i] = v
-        else:
-            values = raw
-    else:
-        dists = [graphlet_distribution(g, gk) for g in graphs]
-        norms = [sum(v * v for v in d.values()) for d in dists]
-        for i in range(n):
-            for j in range(i, n):
-                v = sum(dists[i][t] * dists[j].get(t, 0.0) for t in dists[i])
-                if gk.normalize:
-                    denom = float(np.sqrt(norms[i]) * np.sqrt(norms[j]))
-                    v = v / denom if denom > 0 else 0.0
-                values[i, j] = values[j, i] = v
+    for j, (g, terms) in enumerate(zip(graphs, columns.terms)):
+        values[j, j] = columns.normalized(terms[1], terms[1], terms[1])
+        for i in range(j):
+            values[i, j] = values[j, i] = columns.value(i, g, terms)
 
-    diagnostics: list[str] = []
-    min_eig = float(np.linalg.eigvalsh((values + values.T) / 2.0).min())
+    matrix = KernelMatrix(method_ids=tuple(g.name for g in graphs),
+                          values=values, kernel=kernel)
+    min_eig = matrix.min_eigenvalue()
     if min_eig < PSD_TOLERANCE:
-        diagnostics.append(
-            f"gram matrix is not PSD within tolerance: min eigenvalue {min_eig:.3e}")
-    return KernelMatrix(
-        method_ids=tuple(g.name for g in graphs),
-        values=values,
-        kernel=kernel,
-        diagnostics=tuple(diagnostics),
-    )
+        return replace(matrix, diagnostics=(
+            f"gram matrix is not PSD within tolerance: min eigenvalue {min_eig:.3e}",))
+    return matrix

@@ -1,10 +1,16 @@
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mrkit.cli import main
+from mrkit.cfg import parse_dot
+from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
+from mrkit.kernels import GkParams, RwkParams, graphlet_kernel, random_walk_kernel
+from mrkit.oracle import MR_IDS
+from mrkit.svm import SvmModel, decision_value
 
 
 def corpus_path(name: str) -> str:
@@ -218,7 +224,88 @@ def test_predict_warns_on_unseen_keys(tmp_path, capsys):
         "  w = z % 2\n  q = w % 2\n  return q % 2\n}\n")
     assert main(["predict", str(novel), "--models", str(models)]) == 0
     err = capsys.readouterr().err
-    assert "unseen feature keys" in err
+    assert err.count("unseen feature keys") == 1  # once per method, not per MR
+
+
+def test_predict_refuses_context_edited_without_hash(tmp_path, capsys):
+    models = tmp_path / "models"
+    assert main(["train", "--features", "nf-pf", "--out", str(models),
+                 "--seed", "42"]) == 0
+    path = models / "PER.json"
+    bundle = json.loads(path.read_text())
+    bundle["context"]["omit_exit_nf"] = not bundle["context"]["omit_exit_nf"]
+    path.write_text(json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
+    capsys.readouterr()
+    code = main(["predict", corpus_path("sum"), "--models", str(models)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "refusing" in err and "PER.json" in err
+
+
+def test_predict_refuses_malformed_context(tmp_path, capsys):
+    models = tmp_path / "models"
+    assert main(["train", "--features", "nf-pf", "--out", str(models),
+                 "--seed", "42"]) == 0
+    for path in models.glob("*.json"):
+        bundle = json.loads(path.read_text())
+        del bundle["context"]["feature_index"]
+        bundle["context_hash"] = hashlib.sha256(
+            json.dumps(bundle["context"], sort_keys=True).encode()).hexdigest()[:16]
+        path.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+# every MR has both classes among these seven, so train writes all six models
+MIXED = ["cal_Diff", "add_values", "cnt_zeroes", "find_min",
+         "sequential_search", "dec_array", "get_array_value"]
+HELD = ["square", "find_max", "average"]
+
+
+def write_bundled_manifest(tmp_path, names) -> Path:
+    rows = {line.split(",")[1]: line
+            for line in (data_dir() / "manifest.csv").read_text().splitlines()[1:]}
+    man = tmp_path / "manifest.csv"
+    man.write_text("method_id,name,source_kind,source_path\n"
+                   + "".join(rows[n] + "\n" for n in names))
+    (tmp_path / "labels.csv").write_text((data_dir() / "labels.csv").read_text())
+    (tmp_path / "corpus").mkdir()
+    for n in names:
+        (tmp_path / "corpus" / f"{n}.mir").write_text(Path(corpus_path(n)).read_text())
+    return man
+
+
+@pytest.mark.parametrize("features", [
+    ["--features", "rwk", "--walk-len", "6", "--lambda", "0.3"],
+    ["--features", "gk", "--graphlet-k", "3"],
+])
+def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    models = tmp_path / "models"
+    assert main(["train", "--manifest", str(man), "--out", str(models),
+                 "--seed", "42", *features]) == 0
+    out = tmp_path / "pred.csv"
+    assert main(["predict", *map(corpus_path, HELD), "--models", str(models),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == HELD
+
+    for mr_pos, mr in enumerate(MR_IDS):
+        bundle = json.loads((models / f"{mr}.json").read_text())
+        context = bundle["context"]
+        model = SvmModel.from_json(json.dumps(bundle["model"]))
+        train_graphs = [parse_dot(t) for t in context["training_graphs"]]
+        assert len(train_graphs) == len(MIXED)
+        for row, name in zip(rows, HELD):
+            cfg = _load_method_cfgs(Path(corpus_path(name)))[0]
+            if context["featurization"] == "rwk":
+                p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
+                column = [random_walk_kernel(g, cfg, p) for g in train_graphs]
+            else:
+                p = GkParams(k=context["k"])
+                column = [graphlet_kernel(g, cfg, p) for g in train_graphs]
+            assert float(row[7 + mr_pos]) == decision_value(model, np.asarray(column))
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

@@ -191,8 +191,9 @@ def test_vectorize_drops_unseen_keys(worked_example):
     nf = node_features(worked_example)
     dm = build_design_matrix([("average", nf)])
     other = FeatureVector("NF", {"add-1-1": 2, "xor-9-9": 5})
-    row = dm.vectorize(other)
+    row, unseen = dm.vectorize(other)
     assert row.sum() == 2.0
+    assert unseen == 1
 
 
 def test_csv_dumps(worked_example):

@@ -6,6 +6,7 @@ import pytest
 from mrkit.cfg import AnnotatedCfg, NodeOp
 from mrkit.kernels import (
     GkParams,
+    KernelColumns,
     RwkParams,
     _rwk_raw,
     gram_matrix,
@@ -177,6 +178,32 @@ def test_gram_psd_and_symmetric_small(corpus_graphs):
         assert np.array_equal(km.values, km.values.T)
         assert km.min_eigenvalue() >= -1e-8
         assert km.diagnostics == ()
+
+
+@pytest.mark.parametrize("kernel,params", [
+    ("rwk", RwkParams()),
+    ("rwk", RwkParams(walk_len=4, decay=0.3, normalize=False)),
+    ("gk", GkParams(k=3)),
+    ("gk", GkParams(k=3, normalize=False)),
+    ("gk", GkParams(k=4)),
+])
+def test_kernel_columns_bitwise_equal_per_pair(corpus_graphs, kernel, params):
+    names = ["sum", "average", "find_max", "cal_Diff", "square", "get_array_value"]
+    train = [corpus_graphs[n] for n in names]
+    new = [corpus_graphs[n] for n in ("count_k", "polevl", "sum")] + [PATH3]
+    if kernel == "rwk":
+        columns = KernelColumns(train, "rwk", rwk=params)
+        pair = random_walk_kernel
+    else:
+        columns = KernelColumns(train, "gk", gk=params)
+        pair = graphlet_kernel
+    for g in new:
+        assert columns.column(g).tolist() == [pair(t, g, params) for t in train]
+
+
+def test_kernel_columns_unknown_kernel():
+    with pytest.raises(ValueError):
+        KernelColumns([PATH3], "wl")
 
 
 def test_gram_requires_two_graphs():
