@@ -3,7 +3,9 @@
 evaluated by stratified 10-fold cross-validation on the bundled corpus.
 
 Prints one results table per featurization in the layout of the study's
-results tables (metrics averaged over folds).
+results tables (metrics averaged over folds).  Every featurization is a
+Gram matrix: NF/PF counts through the linear kernel, the graphs through
+the graphlet and random-walk kernels.
 """
 
 import numpy as np
@@ -22,13 +24,12 @@ print(f"corpus: {len(entries)} methods with mini-IR sources")
 datasets = {
     "nf-pf": build_design_matrix(
         [(e.name, combine(node_features(g), path_features(g)))
-         for e, g in zip(entries, graphs)]),
+         for e, g in zip(entries, graphs)]).gram(),
     "gk": gram_matrix(graphs, "gk"),
     "rwk": gram_matrix(graphs, "rwk"),
 }
 
-for featurization, data in datasets.items():
-    kernel = "linear" if featurization == "nf-pf" else "precomputed"
+for featurization, gram in datasets.items():
     print()
     print(f"=== {featurization} ===")
     print(f"{'MR':4s} {'acc':>6s} {'prec':>6s} {'rec':>6s} {'f1':>6s} "
@@ -37,8 +38,7 @@ for featurization, data in datasets.items():
     for mr in MR_IDS:
         labels = [1 if e.labels[mr] else 0 for e in entries]
         folds = stratified_kfold(labels, 10, seed=42)
-        report = cross_validate(data, labels, folds,
-                                SvmParams(kernel=kernel, seed=42),
+        report = cross_validate(gram, labels, folds, SvmParams(seed=42),
                                 mr=mr, featurization=featurization)
         m = report.aggregate
 

@@ -33,7 +33,7 @@ print(f"{'MR':4s} {'decision':>9s} {'predicted':>9s} {'reference':>9s} {'oracle'
 oracle_labels = label_method(ds.load_function(held))
 for mr in MR_IDS:
     y = [1 if e.labels[mr] else -1 for e in train_entries]
-    model = train_svm(gram, y, SvmParams(kernel="precomputed", seed=42))
+    model = train_svm(gram.values, y, SvmParams(seed=42))
     f = decision_value(model, column)
     predicted = 1 if f >= 0 else 0
     print(f"{mr:4s} {f:9.4f} {predicted:9d} {int(held.labels[mr]):9d} "

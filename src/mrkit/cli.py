@@ -145,18 +145,23 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _nf_pf_matrix(ids, graphs: list[AnnotatedCfg], omit_exit: bool) -> DesignMatrix:
+    """NF-PF count rows of ``graphs``; train and predict both build their
+    training side here, so the two cannot drift."""
+    return build_design_matrix([(i, combine(*_featurize(g, omit_exit)))
+                                for i, g in zip(ids, graphs)])
+
+
 def _corpus_features(ds, featurization: str, args, root: int):
-    """Featurize every sourced entry; returns (entries, data, context)."""
+    """Featurize every sourced entry; returns (entries, graphs, gram,
+    context), where ``gram`` is the KernelMatrix every SVM trains on."""
     entries = [e for e in ds.entries if e.source_kind != "none"]
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
-        pairs = [(e.name, combine(node_features(g, omit_exit=args.omit_exit_nf),
-                                  path_features(g)))
-                 for e, g in zip(entries, graphs)]
-        matrix = build_design_matrix(pairs)
+        matrix = _nf_pf_matrix([e.name for e in entries], graphs, args.omit_exit_nf)
         context = {"featurization": "nf-pf", "omit_exit_nf": args.omit_exit_nf,
                    "feature_index": list(matrix.feature_index)}
-        return entries, graphs, matrix, context
+        return entries, graphs, matrix.gram(), context
     if featurization == "rwk":
         params = RwkParams(walk_len=args.walk_len, decay=getattr(args, "lambda"))
         km = gram_matrix(graphs, "rwk", rwk=params)
@@ -181,14 +186,12 @@ def cmd_evaluate(args) -> int:
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     featurization = args.features
-    entries, graphs, data, context = _corpus_features(ds, featurization, args, root)
+    entries, graphs, gram, context = _corpus_features(ds, featurization, args, root)
     unlabelled = [e.name for e in entries if e.labels is None]
     if unlabelled:
         print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
         return 2
-    svm_params = SvmParams(
-        C=args.C, kernel="linear" if featurization == "nf-pf" else "precomputed",
-        seed=stage_seed(root, "svm"))
+    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
 
     reports = []
     skipped = []
@@ -199,7 +202,7 @@ def cmd_evaluate(args) -> int:
             print(f"diagnostic: {mr}: single-class corpus, skipped", file=sys.stderr)
             continue
         folds = stratified_kfold(labels, args.k, seed=stage_seed(root, "folds"))
-        reports.append(cross_validate(data, labels, folds, svm_params,
+        reports.append(cross_validate(gram, labels, folds, svm_params,
                                       mr=mr, featurization=featurization))
 
     payload = {
@@ -217,8 +220,8 @@ def cmd_evaluate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(report_json)
         (out_dir / "results.csv").write_text(results_csv)
-        if args.dump_gram and hasattr(data, "to_csv"):
-            (out_dir / "gram.csv").write_text(data.to_csv())
+        if args.dump_gram:
+            (out_dir / "gram.csv").write_text(gram.to_csv())
     else:
         sys.stdout.write(results_csv)
     return 1 if skipped else 0
@@ -234,17 +237,13 @@ def cmd_train(args) -> int:
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     featurization = args.features
-    entries, graphs, data, context = _corpus_features(ds, featurization, args, root)
+    entries, graphs, gram, context = _corpus_features(ds, featurization, args, root)
     unlabelled = [e.name for e in entries if e.labels is None]
     if unlabelled:
         print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
         return 2
-    if featurization in ("rwk", "gk"):
-        context = dict(context)
-        context["training_graphs"] = [emit_dot(g) for g in graphs]
-    svm_params = SvmParams(
-        C=args.C, kernel="linear" if featurization == "nf-pf" else "precomputed",
-        seed=stage_seed(root, "svm"))
+    context["training_graphs"] = [emit_dot(g) for g in graphs]
+    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     context_hash = _context_hash(context)
@@ -255,36 +254,37 @@ def cmd_train(args) -> int:
             skipped.append(mr)
             print(f"diagnostic: {mr}: single-class corpus, skipped", file=sys.stderr)
             continue
-        model = train_svm(data, y, svm_params)
+        model = train_svm(gram.values, y, svm_params)
         payload = {
             "mr": mr,
             "featurization": featurization,
             "context": context,
             "context_hash": context_hash,
-            "model": json.loads(model.to_json()),
+            "model": model.to_dict(),
         }
         (out_dir / f"{mr}.json").write_text(
             json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     return 1 if skipped else 0
 
 
-def _sample_function(featurization: str, context: dict):
-    """CFG -> the feature row (nf-pf) or kernel column (rwk, gk) that every
-    MR model of one context scores; the training side is built once here."""
+def _column_function(featurization: str, context: dict):
+    """CFG -> the kernel column against the training graphs that every MR
+    model of one context scores; the training side is built once here."""
+    graphs = [parse_dot(text) for text in context["training_graphs"]]
     if featurization == "nf-pf":
         omit_exit = context["omit_exit_nf"]
-        index = tuple(context["feature_index"])
-        space = DesignMatrix(feature_index=index, method_ids=(),
-                             rows=np.zeros((0, len(index))))
+        train = _nf_pf_matrix([str(i) for i in range(len(graphs))], graphs,
+                              omit_exit)
+        if list(train.feature_index) != context["feature_index"]:
+            raise ValueError("training graphs do not reproduce the feature index")
 
-        def row(cfg: AnnotatedCfg) -> np.ndarray:
-            out, unseen = space.vectorize(combine(*_featurize(cfg, omit_exit)))
+        def column(cfg: AnnotatedCfg) -> np.ndarray:
+            row, unseen = train.vectorize(combine(*_featurize(cfg, omit_exit)))
             if unseen:
                 print(f"warning: {cfg.name}: {unseen} unseen feature keys "
                       "treated as zero columns", file=sys.stderr)
-            return out
-        return row
-    graphs = [parse_dot(text) for text in context["training_graphs"]]
+            return train.rows @ row
+        return column
     if featurization == "rwk":
         rwk = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
         return KernelColumns(graphs, "rwk", rwk=rwk).column
@@ -312,7 +312,7 @@ def cmd_predict(args) -> int:
                 return 2
             feats.add(bundle["featurization"])
             hashes.add(bundle["context_hash"])
-            models[mr] = SvmModel.from_json(json.dumps(bundle.pop("model")))
+            models[mr] = SvmModel.from_dict(bundle["model"])
         if len(feats) != 1 or len(hashes) != 1:
             print("error: model files disagree on featurization context; "
                   "refusing to predict", file=sys.stderr)
@@ -323,7 +323,7 @@ def cmd_predict(args) -> int:
                   f"{featurization!r}, not {args.features!r}; refusing to "
                   "predict", file=sys.stderr)
             return 2
-        sample_of = _sample_function(featurization, context)
+        column_of = _column_function(featurization, context)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {models_dir}: malformed model file ({exc!r}); refusing "
               "to predict", file=sys.stderr)
@@ -335,8 +335,8 @@ def cmd_predict(args) -> int:
     for raw in args.inputs:
         try:
             for cfg in _load_method_cfgs(Path(raw)):
-                sample = sample_of(cfg)
-                decisions = [decision_value(models[mr], sample) for mr in MR_IDS]
+                column = column_of(cfg)
+                decisions = [decision_value(models[mr], column) for mr in MR_IDS]
                 bits = ",".join("1" if d >= 0 else "0" for d in decisions)
                 vals = ",".join(repr(d) for d in decisions)
                 lines.append(f"{cfg.name},{bits},{vals}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .kernels import KernelMatrix
 from .svm import SvmParams, train_svm, decision_value
 
 
@@ -235,23 +236,21 @@ class EvalReport:
 RESULTS_CSV_HEADER = "mr,featurization,accuracy,precision,recall,f_measure,auc,bsr"
 
 
-def cross_validate(data, labels01, folds: FoldPlan,
-                   svm_params: SvmParams | None = None,
+def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
+                   svm_params: SvmParams = SvmParams(),
                    mr: str = "", featurization: str = "") -> EvalReport:
     """Train and evaluate one binary problem across all folds.
 
-    ``data`` is a DesignMatrix (linear kernel) or KernelMatrix
-    (precomputed); ``labels01`` uses 1 for "MR applies".  Folds whose
-    training split is single-class are skipped with a diagnostic.
-    Aggregates are means over folds where each metric is defined.
+    Each fold trains on the training block of ``gram`` and scores a test
+    sample from its column against the training split; ``labels01`` uses 1
+    for "MR applies".  Folds whose training split is single-class are
+    skipped with a diagnostic.  Aggregates are means over folds where each
+    metric is defined.
     """
     labels01 = list(labels01)
     n = len(labels01)
     if len(folds.assignments) != n:
         raise EvaluationError("fold plan does not match label count")
-    is_kernel = hasattr(data, "values")
-    if svm_params is None:
-        svm_params = SvmParams(kernel="precomputed" if is_kernel else "linear")
     y = np.asarray([1.0 if lab == 1 else -1.0 for lab in labels01])
 
     fold_results: list[FoldResult] = []
@@ -268,19 +267,9 @@ def cross_validate(data, labels01, folds: FoldPlan,
             fold_results.append(FoldResult(
                 fold, None, None, ("single-class training data; fold aborted",)))
             continue
-        if is_kernel:
-            sub = data.values[np.ix_(train_idx, train_idx)]
-            model = train_svm(sub, train_y, svm_params)
-        else:
-            model = train_svm(data.rows[train_idx], train_y, svm_params)
-
-        decisions = []
-        for t in test_idx:
-            if is_kernel:
-                col = data.values[np.asarray(train_idx), t]
-            else:
-                col = data.rows[t]
-            decisions.append(decision_value(model, col))
+        model = train_svm(gram.submatrix(train_idx, train_idx), train_y, svm_params)
+        decisions = [decision_value(model, gram.values[train_idx, t])
+                     for t in test_idx]
         predicted01 = [1 if d >= 0 else 0 for d in decisions]
         truth01 = [labels01[t] for t in test_idx]
         cm = confusion(predicted01, truth01)
@@ -321,7 +310,6 @@ def cross_validate(data, labels01, folds: FoldPlan,
             "C": svm_params.C,
             "kkt_tol": svm_params.kkt_tol,
             "max_passes": svm_params.max_passes,
-            "kernel": svm_params.kernel,
             "seed": svm_params.seed,
         },
     }

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .cfg import AnnotatedCfg, NodeOp
+from .kernels import KernelMatrix
 
 
 class FeatureError(ValueError):
@@ -135,10 +136,16 @@ class DesignMatrix:
     method_ids: tuple[str, ...]
     rows: np.ndarray = field(repr=False)
     kind: str = "NF-PF"
-    l2_normalized: bool = False
 
     def row(self, method_id: str) -> np.ndarray:
         return self.rows[self.method_ids.index(method_id)]
+
+    def gram(self) -> KernelMatrix:
+        """Linear-kernel Gram ``rows @ rows.T``; the rows are integer
+        counts, so every entry is exact in float64 and a fold's block
+        equals its own ``x @ x.T``."""
+        return KernelMatrix(method_ids=self.method_ids,
+                            values=self.rows @ self.rows.T, kernel="linear")
 
     @cached_property
     def key_index(self) -> dict[str, int]:
@@ -157,17 +164,10 @@ class DesignMatrix:
                 out[lookup[key]] = count
             else:
                 unseen += 1
-        if self.l2_normalized:
-            norm = np.linalg.norm(out)
-            if norm > 0:
-                out = out / norm
         return out, unseen
 
 
-def build_design_matrix(
-    features: list[tuple[str, FeatureVector]],
-    l2_normalize: bool = False,
-) -> DesignMatrix:
+def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatrix:
     if not features:
         raise FeatureError("no feature vectors given")
     kinds = {vec.kind for _, vec in features}
@@ -184,16 +184,11 @@ def build_design_matrix(
     for r, (_, vec) in enumerate(features):
         for key, count in vec.entries.items():
             rows[r, index[key]] = count
-    if l2_normalize:
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        rows = rows / norms
     return DesignMatrix(
         feature_index=tuple(keys),
         method_ids=tuple(ids),
         rows=rows,
         kind=kinds.pop(),
-        l2_normalized=l2_normalize,
     )
 
 
@@ -210,7 +205,6 @@ def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:
 def design_matrix_to_csv(matrix: DesignMatrix) -> str:
     lines = ["method_id," + ",".join(matrix.feature_index)]
     for mid, row in zip(matrix.method_ids, matrix.rows):
-        cells = ",".join(repr(float(v)) if matrix.l2_normalized else str(int(v))
-                         for v in row)
+        cells = ",".join(str(int(v)) for v in row)
         lines.append(f"{mid},{cells}")
     return "\n".join(lines) + "\n"

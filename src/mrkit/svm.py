@@ -1,9 +1,11 @@
 """Binary soft-margin SVM trained with SMO.
 
-Works either on design-matrix rows (linear kernel) or on a precomputed
-Gram matrix.  The working pair is the maximum KKT violator paired with the
-sample maximizing |E_i - E_j|; ties are broken by a seeded RNG, so a fixed
-seed gives byte-identical serialized models.
+Trains on a square Gram matrix of kernel values and scores a new sample
+from its kernel column against the training set.  Every featurization is
+a kernel: NF/PF counts give the linear Gram ``X @ X.T``, the graph kernels
+give theirs directly.  The working pair is the maximum KKT violator paired
+with the sample maximizing |E_i - E_j|; ties are broken by a seeded RNG, so
+a fixed seed gives byte-identical serialized models.
 """
 
 from __future__ import annotations
@@ -11,12 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .features import DesignMatrix
-from .kernels import KernelMatrix
 
 
 class SvmError(ValueError):
@@ -28,7 +27,6 @@ class SvmParams:
     C: float = 1.0
     kkt_tol: float = 1e-3
     max_passes: int = 100
-    kernel: str = "linear"  # or "precomputed"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -36,47 +34,43 @@ class SvmParams:
             raise SvmError("C must be positive")
         if self.kkt_tol <= 0:
             raise SvmError("kkt_tol must be positive")
-        if self.kernel not in ("linear", "precomputed"):
-            raise SvmError(f"unknown kernel {self.kernel!r}")
 
 
 @dataclass(frozen=True)
 class SvmModel:
-    kernel: str
     coef: tuple[float, ...]            # alpha_i * y_i per support sample
     support: tuple[int, ...]           # training-set indices
     bias: float
     n_train: int
-    support_vectors: np.ndarray | None = field(repr=False, default=None)
     params_hash: str = ""
 
-    def to_json(self) -> str:
-        payload = {
-            "kernel": self.kernel,
+    def to_dict(self) -> dict:
+        return {
             "coef": list(self.coef),
             "support": list(self.support),
             "bias": self.bias,
             "n_train": self.n_train,
-            "support_vectors": (None if self.support_vectors is None
-                                else [list(map(float, row))
-                                      for row in self.support_vectors]),
             "params_hash": self.params_hash,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "SvmModel":
-        payload = json.loads(text)
-        vectors = payload["support_vectors"]
-        return cls(
-            kernel=payload["kernel"],
-            coef=tuple(payload["coef"]),
-            support=tuple(payload["support"]),
-            bias=payload["bias"],
-            n_train=payload["n_train"],
-            support_vectors=None if vectors is None else np.asarray(vectors),
-            params_hash=payload["params_hash"],
+    def from_dict(cls, payload: dict) -> "SvmModel":
+        """Decode ``to_dict`` output (for instance, parsed from JSON);
+        missing fields raise KeyError, ill-typed or inconsistent ones
+        TypeError or ValueError."""
+        model = cls(
+            coef=tuple(float(c) for c in payload["coef"]),
+            support=tuple(int(i) for i in payload["support"]),
+            bias=float(payload["bias"]),
+            n_train=int(payload["n_train"]),
+            params_hash=str(payload["params_hash"]),
         )
+        if len(model.coef) != len(model.support):
+            raise SvmError("model has different numbers of coefficients "
+                           "and support indices")
+        if any(not 0 <= i < model.n_train for i in model.support):
+            raise SvmError(f"support index outside 0..{model.n_train - 1}")
+        return model
 
 
 def params_hash(params: SvmParams, context: dict | None = None) -> str:
@@ -86,7 +80,6 @@ def params_hash(params: SvmParams, context: dict | None = None) -> str:
         "C": params.C,
         "kkt_tol": params.kkt_tol,
         "max_passes": params.max_passes,
-        "kernel": params.kernel,
         "seed": params.seed,
         "context": context or {},
     }
@@ -94,20 +87,11 @@ def params_hash(params: SvmParams, context: dict | None = None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _as_gram_and_vectors(data, params: SvmParams):
-    if isinstance(data, DesignMatrix):
-        x = np.asarray(data.rows, dtype=float)
-        return x @ x.T, x
-    if isinstance(data, KernelMatrix):
-        if params.kernel != "precomputed":
-            raise SvmError("a KernelMatrix requires kernel='precomputed'")
-        return np.asarray(data.values, dtype=float), None
-    x = np.asarray(data, dtype=float)
-    if params.kernel == "precomputed":
-        if x.shape[0] != x.shape[1]:
-            raise SvmError("precomputed kernel needs a square matrix")
-        return x, None
-    return x @ x.T, x
+def _square(gram) -> np.ndarray:
+    gram = np.asarray(gram, dtype=float)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise SvmError(f"Gram matrix must be square, got shape {gram.shape}")
+    return gram
 
 
 def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
@@ -124,9 +108,9 @@ def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
     return np.where(viol > tol, viol, 0.0)
 
 
-def kkt_report(data, labels, model: SvmModel, params: SvmParams) -> float:
-    """Maximum raw KKT violation of a trained model on its training set."""
-    gram, _ = _as_gram_and_vectors(data, params)
+def kkt_report(gram, labels, model: SvmModel, params: SvmParams) -> float:
+    """Maximum raw KKT violation of a trained model on its training Gram."""
+    gram = _square(gram)
     y = np.asarray(labels, dtype=float)
     alpha = np.zeros(len(y))
     for idx, c in zip(model.support, model.coef):
@@ -180,13 +164,14 @@ def _update_pair(gram, y, alpha, i: int, j: int, C: float, e, b: float) -> float
     return float((b1 + b2) / 2.0)
 
 
-def train_svm(data, labels, params: SvmParams = SvmParams()) -> SvmModel:
-    """Train a binary SVM; labels are +1/-1 and both classes must appear.
+def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
+    """Train a binary SVM on a square Gram matrix; labels are +1/-1 and both
+    classes must appear.
 
     Terminates when no sample violates the KKT conditions beyond
     ``kkt_tol`` or after ``max_passes`` sweeps of pair updates.
     """
-    gram, vectors = _as_gram_and_vectors(data, params)
+    gram = _square(gram)
     y = np.asarray(labels, dtype=float)
     n = len(y)
     if gram.shape[0] != n:
@@ -238,45 +223,28 @@ def train_svm(data, labels, params: SvmParams = SvmParams()) -> SvmModel:
         if alpha[idx] > 1e-12:
             support.append(idx)
             coef.append(float(alpha[idx] * y[idx]))
-    sv = vectors[support] if vectors is not None else None
     return SvmModel(
-        kernel=params.kernel,
         coef=tuple(coef),
         support=tuple(support),
         bias=float(b),
         n_train=n,
-        support_vectors=sv,
         params_hash=params_hash(params),
     )
 
 
-def decision_value(model: SvmModel, sample) -> float:
-    """f(x) = sum_i alpha_i y_i k(x_i, x) + b.
-
-    For linear models ``sample`` is a feature row; for precomputed-kernel
-    models it is the kernel column k(x_i, x) over the full training set.
-    """
-    sample = np.asarray(sample, dtype=float)
+def decision_value(model: SvmModel, column) -> float:
+    """f(x) = sum_i alpha_i y_i k(x_i, x) + b, where ``column`` is the
+    kernel column k(x_i, x) over the full training set."""
+    column = np.asarray(column, dtype=float)
     coef = np.asarray(model.coef)
-    if model.kernel == "linear":
-        if model.support_vectors is None:
-            raise SvmError("linear model is missing its support vectors")
-        vectors = np.asarray(model.support_vectors)
-        if len(coef) == 0:
-            return float(model.bias)
-        if sample.shape != (vectors.shape[1],):
-            raise SvmError(
-                f"sample has dimension {sample.shape}, expected "
-                f"({vectors.shape[1]},)")
-        return float(coef @ (vectors @ sample) + model.bias)
     if len(coef) == 0:
         return float(model.bias)
-    if sample.shape != (model.n_train,):
+    if column.shape != (model.n_train,):
         raise SvmError(
-            f"kernel column has length {sample.shape}, expected ({model.n_train},)")
-    return float(coef @ sample[list(model.support)] + model.bias)
+            f"kernel column has length {column.shape}, expected ({model.n_train},)")
+    return float(coef @ column[list(model.support)] + model.bias)
 
 
-def predict(model: SvmModel, sample) -> int:
+def predict(model: SvmModel, column) -> int:
     """Sign of the decision value, with sign(0) = +1."""
-    return 1 if decision_value(model, sample) >= 0.0 else -1
+    return 1 if decision_value(model, column) >= 0.0 else -1

@@ -154,10 +154,11 @@ def test_criterion_5_kernel_properties(rwk_gram, gk_gram):
 def test_criterion_6_learner_sanity():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 3.0], [3.0, 4.0]])
     y = [-1, -1, 1, 1]
+    K = X @ X.T  # linear kernel
     params = SvmParams(seed=42)
-    model = train_svm(X, y, params)
-    acc = float(np.mean([predict(model, row) == t for row, t in zip(X, y)]))
-    kkt = kkt_report(X, y, model, params)
+    model = train_svm(K, y, params)
+    acc = float(np.mean([predict(model, X @ row) == t for row, t in zip(X, y)]))
+    kkt = kkt_report(K, y, model, params)
 
     from test_svm import brute_force_dual
 
@@ -165,7 +166,7 @@ def test_criterion_6_learner_sanity():
     y3 = [-1, 1, 1]
     K3 = X3 @ X3.T
     oracle = brute_force_dual(K3, y3, C=1.0)
-    m3 = train_svm(K3, y3, SvmParams(kernel="precomputed", seed=42))
+    m3 = train_svm(K3, y3, SvmParams(seed=42))
     diff = max(abs(decision_value(m3, K3[:, j]) - oracle[j]) for j in range(3))
     ok = acc == 1.0 and kkt <= 1e-3 and diff <= 1e-4
     _verdict(6, ok, f"separable accuracy {acc}, KKT violation {kkt:.1e}, "
@@ -180,7 +181,7 @@ def test_criterion_7_end_to_end_replication(sourced, rwk_gram):
         labels = [1 if e.labels[mr] else 0 for e in entries]
         folds = stratified_kfold(labels, 10, seed=42)
         report = cross_validate(rwk_gram, labels, folds,
-                                SvmParams(kernel="precomputed", seed=42),
+                                SvmParams(seed=42),
                                 mr=mr, featurization="rwk")
         aucs[mr] = report.aggregate.auc
     mean_auc = float(np.mean([aucs[mr] for mr in MR_IDS]))

@@ -8,6 +8,7 @@ import pytest
 from mrkit.cfg import parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
+from mrkit.features import build_design_matrix, combine, node_features, path_features
 from mrkit.kernels import GkParams, RwkParams, graphlet_kernel, random_walk_kernel
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, decision_value
@@ -279,6 +280,7 @@ def write_bundled_manifest(tmp_path, names) -> Path:
 @pytest.mark.parametrize("features", [
     ["--features", "rwk", "--walk-len", "6", "--lambda", "0.3"],
     ["--features", "gk", "--graphlet-k", "3"],
+    ["--features", "nf-pf"],
 ])
 def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
     man = write_bundled_manifest(tmp_path, MIXED)
@@ -291,15 +293,27 @@ def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [r[0] for r in rows] == HELD
 
+    def nf_pf(cfg):
+        return combine(node_features(cfg), path_features(cfg))
+
+    # nf-pf columns are X_train @ x over the training sources themselves
+    sources = [_load_method_cfgs(Path(corpus_path(n)))[0] for n in MIXED]
+    design = build_design_matrix([(g.name, nf_pf(g)) for g in sources])
     for mr_pos, mr in enumerate(MR_IDS):
         bundle = json.loads((models / f"{mr}.json").read_text())
         context = bundle["context"]
-        model = SvmModel.from_json(json.dumps(bundle["model"]))
+        model = SvmModel.from_dict(bundle["model"])
         train_graphs = [parse_dot(t) for t in context["training_graphs"]]
         assert len(train_graphs) == len(MIXED)
         for row, name in zip(rows, HELD):
             cfg = _load_method_cfgs(Path(corpus_path(name)))[0]
-            if context["featurization"] == "rwk":
+            if context["featurization"] == "nf-pf":
+                assert context["feature_index"] == list(design.feature_index)
+                entries = nf_pf(cfg).entries
+                x = np.array([entries.get(k, 0) for k in design.feature_index],
+                             dtype=float)
+                column = design.rows @ x
+            elif context["featurization"] == "rwk":
                 p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
                 column = [random_walk_kernel(g, cfg, p) for g in train_graphs]
             else:

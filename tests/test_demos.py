@@ -1,0 +1,31 @@
+"""Smoke test: the narrative demos run to completion on the bundled corpus.
+
+``demos/03_graph_kernels.py`` is left out: its sampled-graphlet section
+alone takes about 33 s on a 2-CPU host. It joins this list once graphlet
+sampled mode and that section are deleted (ROADMAP item 4).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", [
+    "01_cfg_and_features.py",
+    "02_dynamic_labelling.py",
+    "04_cross_validation.py",
+    "05_predict_new_method.py",
+])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                            cwd=ROOT, env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -218,7 +218,7 @@ def test_auc_monotone_transform_invariance():
     assert auc([v ** 3 for v in values], truth) == pytest.approx(base, abs=1e-12)
 
 
-def _synthetic_matrix(n, rng, informative=True):
+def _synthetic_gram(n, rng, informative=True):
     """Corpus where the presence of one key decides the label."""
     rows = []
     labels = []
@@ -234,33 +234,33 @@ def _synthetic_matrix(n, rng, informative=True):
         labels[0] = 1 - labels[0]
         if informative and labels[0]:
             rows[0] = ("m0", FeatureVector("NF", {"assi-1-1": 1, "div-1-1": 1}))
-    return build_design_matrix(rows), labels
+    return build_design_matrix(rows).gram(), labels
 
 
 def test_cross_validate_learnable_corpus():
     rng = random.Random(0)
-    dm, labels = _synthetic_matrix(60, rng)
+    gram, labels = _synthetic_gram(60, rng)
     folds = stratified_kfold(labels, 10, seed=42)
-    report = cross_validate(dm, labels, folds, SvmParams(seed=42),
+    report = cross_validate(gram, labels, folds, SvmParams(seed=42),
                             mr="SYN", featurization="nf-pf")
     assert report.aggregate.accuracy >= 0.95
 
 
 def test_cross_validate_permutation_null():
     rng = random.Random(1)
-    dm, labels = _synthetic_matrix(60, rng, informative=True)
+    gram, labels = _synthetic_gram(60, rng, informative=True)
     shuffled = list(labels)
     random.Random(123).shuffle(shuffled)
     folds = stratified_kfold(shuffled, 10, seed=42)
-    report = cross_validate(dm, shuffled, folds, SvmParams(seed=42))
+    report = cross_validate(gram, shuffled, folds, SvmParams(seed=42))
     assert 0.3 <= report.aggregate.auc <= 0.7
 
 
 def test_cross_validate_leave_one_out():
     rng = random.Random(2)
-    dm, labels = _synthetic_matrix(12, rng)
+    gram, labels = _synthetic_gram(12, rng)
     folds = stratified_kfold(labels, len(labels), seed=0)
-    report = cross_validate(dm, labels, folds, SvmParams(seed=0))
+    report = cross_validate(gram, labels, folds, SvmParams(seed=0))
     assert len(report.folds) == len(labels)
 
 
@@ -268,9 +268,9 @@ def test_cross_validate_single_class_training_fold_aborts():
     # one positive in two folds: the fold holding it out trains single-class
     labels = [1, 0, 0, 0]
     rows = [(f"m{i}", FeatureVector("NF", {"assi-1-1": i + 1})) for i in range(4)]
-    dm = build_design_matrix(rows)
+    gram = build_design_matrix(rows).gram()
     plan = FoldPlan(k=2, assignments=(0, 0, 1, 1), seed=0)
-    report = cross_validate(dm, labels, plan, SvmParams(seed=0))
+    report = cross_validate(gram, labels, plan, SvmParams(seed=0))
     aborted = [fr for fr in report.folds if fr.cm is None]
     assert len(aborted) == 1
     assert any("single-class" in d for d in aborted[0].diagnostics)
@@ -279,11 +279,11 @@ def test_cross_validate_single_class_training_fold_aborts():
 
 def test_report_json_and_csv_row_deterministic():
     rng = random.Random(5)
-    dm, labels = _synthetic_matrix(20, rng)
+    gram, labels = _synthetic_gram(20, rng)
     folds = stratified_kfold(labels, 4, seed=4)
-    r1 = cross_validate(dm, labels, folds, SvmParams(seed=4), mr="ADD",
+    r1 = cross_validate(gram, labels, folds, SvmParams(seed=4), mr="ADD",
                         featurization="nf-pf")
-    r2 = cross_validate(dm, labels, folds, SvmParams(seed=4), mr="ADD",
+    r2 = cross_validate(gram, labels, folds, SvmParams(seed=4), mr="ADD",
                         featurization="nf-pf")
     assert r1.to_json() == r2.to_json()
     row = r1.csv_row()

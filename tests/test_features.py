@@ -164,6 +164,7 @@ def test_design_matrix_disjoint_rows_orthogonal():
     b = FeatureVector("NF", {"sub-1-1": 3})
     dm = build_design_matrix([("a", a), ("b", b)])
     assert float(dm.rows[0] @ dm.rows[1]) == 0.0
+    assert dm.gram().values.tolist() == [[4.0, 0.0], [0.0, 9.0]]
 
 
 def test_design_matrix_duplicate_id():
@@ -178,13 +179,6 @@ def test_design_matrix_mixed_kinds():
             ("a", FeatureVector("NF", {"add-1-1": 1})),
             ("b", FeatureVector("PF", {"start": 1})),
         ])
-
-
-def test_design_matrix_l2_flag_recorded():
-    v = FeatureVector("NF", {"add-1-1": 3, "sub-1-1": 4})
-    dm = build_design_matrix([("m", v)], l2_normalize=True)
-    assert dm.l2_normalized
-    assert float((dm.rows[0] ** 2).sum()) == pytest.approx(1.0)
 
 
 def test_vectorize_drops_unseen_keys(worked_example):

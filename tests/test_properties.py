@@ -43,7 +43,7 @@ def test_normalized_kernels_stay_in_unit_interval(corpus_graphs):
 def test_kkt_audit_on_corpus_models(sourced, corpus_graphs):
     graphs = [corpus_graphs[e.name] for e in sourced.entries]
     gram = gram_matrix(graphs, "rwk")
-    params = SvmParams(kernel="precomputed", seed=42)
+    params = SvmParams(seed=42)
     for mr in MR_IDS:
         y = [1 if e.labels[mr] else -1 for e in sourced.entries]
         model = train_svm(gram.values, y, params)
@@ -77,9 +77,9 @@ def test_interpreter_pure_across_threads(corpus_functions):
 
 
 def test_model_json_round_trip_with_empty_support():
-    model = SvmModel(kernel="linear", coef=(), support=(), bias=0.25,
-                     n_train=0, support_vectors=np.zeros((0, 3)))
-    restored = SvmModel.from_json(model.to_json())
+    model = SvmModel(coef=(), support=(), bias=0.25, n_train=3)
+    restored = SvmModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert restored == model
     assert decision_value(restored, np.ones(3)) == 0.25
 
 
@@ -92,11 +92,10 @@ def test_cross_validate_report_embeds_configuration(sourced, corpus_graphs):
     labels = [1 if e.labels["PER"] else 0 for e in entries]
     folds = stratified_kfold(labels, 4, seed=11)
     report = cross_validate(gram, labels, folds,
-                            SvmParams(kernel="precomputed", seed=5), mr="PER",
+                            SvmParams(seed=5), mr="PER",
                             featurization="rwk")
     payload = json.loads(report.to_json())
     assert payload["config"]["k"] == 4
     assert payload["config"]["fold_seed"] == 11
     assert payload["config"]["svm"] == {
-        "C": 1.0, "kkt_tol": 1e-3, "max_passes": 100,
-        "kernel": "precomputed", "seed": 5}
+        "C": 1.0, "kkt_tol": 1e-3, "max_passes": 100, "seed": 5}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from mrkit.svm import (
     train_svm,
 )
 
+# linear kernel in Gram form: K = X @ X.T, a new point x scores by X @ x
 X_SEP = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 3.0], [3.0, 4.0]])
+K_SEP = X_SEP @ X_SEP.T
 Y_SEP = [-1, -1, 1, 1]
 
 
@@ -37,24 +41,24 @@ def brute_force_dual(K, y, C, grid=401):
 
 
 def test_separable_clouds_perfect_training_accuracy():
-    model = train_svm(X_SEP, Y_SEP, SvmParams(seed=42))
-    preds = [predict(model, row) for row in X_SEP]
+    model = train_svm(K_SEP, Y_SEP, SvmParams(seed=42))
+    preds = [predict(model, X_SEP @ row) for row in X_SEP]
     assert preds == Y_SEP
-    assert kkt_report(X_SEP, Y_SEP, model, SvmParams(seed=42)) <= 1e-3
+    assert kkt_report(K_SEP, Y_SEP, model, SvmParams(seed=42)) <= 1e-3
 
 
 def test_xor_not_separable_by_linear_kernel():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = [1, 1, -1, -1]
-    model = train_svm(X, y, SvmParams(seed=42))
-    acc = np.mean([predict(model, r) == t for r, t in zip(X, y)])
+    model = train_svm(X @ X.T, y, SvmParams(seed=42))
+    acc = np.mean([predict(model, X @ r) == t for r, t in zip(X, y)])
     assert acc <= 0.75
 
 
 def test_identity_gram_every_sample_supports_itself():
     K = np.eye(6)
     y = [1, 1, 1, -1, -1, -1]
-    model = train_svm(K, y, SvmParams(kernel="precomputed", seed=42))
+    model = train_svm(K, y, SvmParams(seed=42))
     assert model.support == (0, 1, 2, 3, 4, 5)
     preds = [predict(model, K[:, j]) for j in range(6)]
     assert preds == y
@@ -65,13 +69,13 @@ def test_three_point_decisions_match_brute_force_dual():
     y = [-1, 1, 1]
     K = X @ X.T
     oracle = brute_force_dual(K, y, C=1.0)
-    model = train_svm(K, y, SvmParams(kernel="precomputed", seed=42))
+    model = train_svm(K, y, SvmParams(seed=42))
     ours = [decision_value(model, K[:, j]) for j in range(3)]
     assert np.max(np.abs(np.asarray(ours) - oracle)) <= 1e-4
 
 
 def test_kkt_invariants_and_dual_balance():
-    model = train_svm(X_SEP, Y_SEP, SvmParams(seed=3))
+    model = train_svm(K_SEP, Y_SEP, SvmParams(seed=3))
     # sum of alpha_i y_i vanishes and every alpha is inside the box
     assert abs(sum(model.coef)) <= 1e-6
     for c in model.coef:
@@ -81,66 +85,77 @@ def test_kkt_invariants_and_dual_balance():
 def test_midpoint_of_symmetric_pair_is_on_the_boundary():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     y = [-1, 1]
-    model = train_svm(X, y, SvmParams(seed=0))
-    assert abs(decision_value(model, np.zeros(2))) <= 1e-6
+    model = train_svm(X @ X.T, y, SvmParams(seed=0))
+    assert abs(decision_value(model, X @ np.zeros(2))) <= 1e-6
 
 
 def test_sign_zero_is_positive():
-    model = SvmModel(kernel="linear", coef=(), support=(), bias=0.0,
-                     n_train=0, support_vectors=np.zeros((0, 2)))
+    model = SvmModel(coef=(), support=(), bias=0.0, n_train=2)
     assert decision_value(model, np.zeros(2)) == 0.0
     assert predict(model, np.zeros(2)) == 1
 
 
 def test_tiny_perturbation_keeps_prediction():
-    model = train_svm(X_SEP, Y_SEP, SvmParams(seed=42))
+    model = train_svm(K_SEP, Y_SEP, SvmParams(seed=42))
     base = X_SEP[2]
     wiggled = base + 1e-12
-    assert predict(model, base) == predict(model, wiggled)
+    assert predict(model, X_SEP @ base) == predict(model, X_SEP @ wiggled)
 
 
 def test_single_class_rejected():
     with pytest.raises(SvmError, match="single class"):
-        train_svm(X_SEP, [1, 1, 1, 1], SvmParams())
+        train_svm(K_SEP, [1, 1, 1, 1], SvmParams())
 
 
 def test_bad_labels_rejected():
     with pytest.raises(SvmError, match=r"\+1/-1"):
-        train_svm(X_SEP, [0, 1, 0, 1], SvmParams())
+        train_svm(K_SEP, [0, 1, 0, 1], SvmParams())
 
 
 def test_dimension_mismatch_rejected():
-    model = train_svm(X_SEP, Y_SEP, SvmParams(seed=42))
-    with pytest.raises(SvmError, match="dimension"):
-        decision_value(model, np.zeros(5))
-    kmodel = train_svm(np.eye(4), [1, -1, 1, -1],
-                       SvmParams(kernel="precomputed", seed=42))
+    # a design matrix is not a Gram matrix: train_svm takes only square input
+    with pytest.raises(SvmError, match="square"):
+        train_svm(X_SEP, Y_SEP, SvmParams(seed=42))
+    with pytest.raises(SvmError, match="square"):
+        kkt_report(X_SEP, Y_SEP, SvmModel((), (), 0.0, 4), SvmParams())
+    kmodel = train_svm(np.eye(4), [1, -1, 1, -1], SvmParams(seed=42))
     with pytest.raises(SvmError, match="length"):
         decision_value(kmodel, np.zeros(7))
 
 
 def test_label_count_mismatch_rejected():
     with pytest.raises(SvmError, match="label count"):
-        train_svm(X_SEP, [1, -1], SvmParams())
+        train_svm(K_SEP, [1, -1], SvmParams())
 
 
 def test_deterministic_serialization():
-    a = train_svm(X_SEP, Y_SEP, SvmParams(seed=7)).to_json()
-    b = train_svm(X_SEP, Y_SEP, SvmParams(seed=7)).to_json()
+    a = json.dumps(train_svm(K_SEP, Y_SEP, SvmParams(seed=7)).to_dict())
+    b = json.dumps(train_svm(K_SEP, Y_SEP, SvmParams(seed=7)).to_dict())
     assert a == b
-    restored = SvmModel.from_json(a)
-    assert restored.to_json() == a
+    restored = SvmModel.from_dict(json.loads(a))
+    assert json.dumps(restored.to_dict()) == a
+
+
+def test_model_decoder_rejects_bad_fields():
+    good = train_svm(K_SEP, Y_SEP, SvmParams(seed=7)).to_dict()
+    with pytest.raises(KeyError):
+        SvmModel.from_dict({k: v for k, v in good.items() if k != "bias"})
+    with pytest.raises(SvmError, match="numbers"):
+        SvmModel.from_dict({**good, "coef": good["coef"][:-1]})
+    with pytest.raises(SvmError, match="support index"):
+        SvmModel.from_dict({**good, "support": [4] * len(good["support"])})
 
 
 def test_scaling_property_preserves_predictions():
-    base = train_svm(X_SEP, Y_SEP, SvmParams(C=1.0, seed=42))
-    preds = [predict(base, r) for r in X_SEP]
-    scaled = train_svm(X_SEP * 2.0, Y_SEP, SvmParams(C=0.25, seed=42))
-    assert [predict(scaled, r) for r in X_SEP * 2.0] == preds
+    base = train_svm(K_SEP, Y_SEP, SvmParams(C=1.0, seed=42))
+    preds = [predict(base, X_SEP @ r) for r in X_SEP]
+    X2 = X_SEP * 2.0
+    scaled = train_svm(X2 @ X2.T, Y_SEP, SvmParams(C=0.25, seed=42))
+    assert [predict(scaled, X2 @ r) for r in X2] == preds
 
 
 def test_params_validation():
     with pytest.raises(SvmError):
         SvmParams(C=0.0)
     with pytest.raises(SvmError):
-        SvmParams(kernel="rbf")
+        SvmParams(kkt_tol=0.0)
