@@ -42,11 +42,3 @@ for kernel in ("rwk", "gk"):
           f"min eigenvalue {km.min_eigenvalue():.2e}, "
           f"diagnostics: {list(km.diagnostics) or 'none'}")
 
-print()
-print("sampled graphlets converge to the exhaustive distribution:")
-g1, g2 = graphs["average"], graphs["variance"]
-exact = graphlet_kernel(g1, g2, GkParams(mode="exhaustive"))
-for count in (500, 5000, 50000):
-    approx = graphlet_kernel(g1, g2, GkParams(mode="sampled",
-                                              sample_count=count, seed=0))
-    print(f"  {count:6d} samples: {approx:.4f}   (exhaustive {exact:.4f})")

@@ -31,7 +31,7 @@ from .features import (
     path_features,
 )
 from .kernels import GkParams, KernelColumns, RwkParams, gram_matrix
-from .mir import MirError, lower_to_cfg, parse_program
+from .mir import lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method, labels_to_csv
 from .svm import SvmModel, SvmParams, decision_value, train_svm
 
@@ -98,12 +98,11 @@ def cmd_label(args) -> int:
             continue
         attempted += 1
         try:
-            fn = ds.load_function(entry)
-        except MirError as exc:
+            report = label_method(ds.load_function(entry), params)
+        except Exception as exc:
             failures += 1
             print(f"error: {entry.name}: {exc}", file=sys.stderr)
             continue
-        report = label_method(fn, params)
         reports[entry.name] = report
         rows.append((str(entry.method_id), report.labels))
         trap_causes = [o.witness.cause for o in report.outcomes.values()
@@ -152,7 +151,7 @@ def _nf_pf_matrix(ids, graphs: list[AnnotatedCfg], omit_exit: bool) -> DesignMat
                                 for i, g in zip(ids, graphs)])
 
 
-def _corpus_features(ds, featurization: str, args, root: int):
+def _corpus_features(ds, featurization: str, args):
     """Featurize every sourced entry; returns (entries, graphs, gram,
     context), where ``gram`` is the KernelMatrix every SVM trains on."""
     entries = [e for e in ds.entries if e.source_kind != "none"]
@@ -168,7 +167,7 @@ def _corpus_features(ds, featurization: str, args, root: int):
         context = {"featurization": "rwk", "walk_len": params.walk_len,
                    "decay": params.decay}
         return entries, graphs, km, context
-    params = GkParams(k=args.graphlet_k, seed=stage_seed(root, "graphlets"))
+    params = GkParams(k=args.graphlet_k)
     km = gram_matrix(graphs, "gk", gk=params)
     context = {"featurization": "gk", "k": params.k, "mode": params.mode}
     return entries, graphs, km, context
@@ -186,7 +185,7 @@ def cmd_evaluate(args) -> int:
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     featurization = args.features
-    entries, graphs, gram, context = _corpus_features(ds, featurization, args, root)
+    entries, graphs, gram, context = _corpus_features(ds, featurization, args)
     unlabelled = [e.name for e in entries if e.labels is None]
     if unlabelled:
         print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
@@ -237,7 +236,7 @@ def cmd_train(args) -> int:
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     featurization = args.features
-    entries, graphs, gram, context = _corpus_features(ds, featurization, args, root)
+    entries, graphs, gram, context = _corpus_features(ds, featurization, args)
     unlabelled = [e.name for e in entries if e.labels is None]
     if unlabelled:
         print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
@@ -357,24 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Predict applicable metamorphic relations from CFG features.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, features=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="root seed (default: MRKIT_SEED or 42)")
-        if features:
-            p.add_argument("--features", choices=["nf-pf", "gk", "rwk"],
-                           default="rwk")
-            p.add_argument("--C", type=float, default=1.0)
-            p.add_argument("--lambda", dest="lambda", type=float, default=0.5,
-                           help="random-walk decay")
-            p.add_argument("--walk-len", type=int, default=10)
-            p.add_argument("--graphlet-k", type=int, default=3)
-            p.add_argument("--omit-exit-nf", action="store_true")
+        p.add_argument("--features", choices=["nf-pf", "gk", "rwk"],
+                       default="rwk")
+        p.add_argument("--C", type=float, default=1.0)
+        p.add_argument("--lambda", dest="lambda", type=float, default=0.5,
+                       help="random-walk decay")
+        p.add_argument("--walk-len", type=int, default=10)
+        p.add_argument("--graphlet-k", type=int, default=3)
+        p.add_argument("--omit-exit-nf", action="store_true")
 
     p = sub.add_parser("extract", help="lower methods to DOT + feature CSVs")
     p.add_argument("inputs", nargs="*", help=".mir or .dot files")
     p.add_argument("--out", required=True)
     p.add_argument("--omit-exit-nf", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("label", help="dynamic MR labelling of a manifest")
@@ -386,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="per-MR match counts and histogram")
     p.add_argument("--manifest")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train per-MR models")
@@ -410,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True)
     p.add_argument("--features", choices=["nf-pf", "gk", "rwk"], default=None)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_predict)
 
     return parser

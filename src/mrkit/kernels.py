@@ -5,14 +5,17 @@ sequences, one walk per graph, weighted lambda^length and truncated at a
 maximum length; it is evaluated on the label-matched direct-product graph,
 so the count for length l is the sum of the l-th power of the product
 adjacency.  The graphlet kernel compares relative frequency distributions
-of weakly connected induced k-node subgraphs classified by directed
-isomorphism type, ignoring labels.
+of weakly connected induced k-node subgraphs (k = 3 or 4) classified by
+directed isomorphism type, ignoring labels.  The count is exact: ESU
+enumeration yields exactly the connected node subsets, and each subset's
+type is the minimum adjacency bitmask over node permutations, memoised per
+bitmask.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,18 +39,14 @@ class RwkParams:
 @dataclass(frozen=True)
 class GkParams:
     k: int = 3
-    mode: str = "exhaustive"  # or "sampled"
-    sample_count: int = 5000
-    seed: int = 0
+    mode: str = "exhaustive"  # the only mode; recorded in the gk context
     normalize: bool = True
 
     def __post_init__(self) -> None:
         if self.k not in (3, 4):
             raise ValueError("graphlet size must be 3 or 4")
-        if self.mode not in ("exhaustive", "sampled"):
+        if self.mode != "exhaustive":
             raise ValueError(f"unknown graphlet mode {self.mode!r}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
 
 
 def _product_adjacency(g1: AnnotatedCfg, g2: AnnotatedCfg) -> np.ndarray | None:
@@ -99,74 +98,57 @@ def random_walk_kernel(g1: AnnotatedCfg, g2: AnnotatedCfg,
     return value / float(np.sqrt(k11) * np.sqrt(k22))
 
 
-def _canonical_type(positions: list[tuple[int, int]], k: int) -> int:
-    """Canonical form of a k-node directed graph given by position edges:
-    the minimum adjacency bitmask over all node permutations."""
-    best = None
-    for perm in itertools.permutations(range(k)):
-        mask = 0
-        for a, b in positions:
-            mask |= 1 << (perm[a] * k + perm[b])
-        if best is None or mask < best:
-            best = mask
-    return best if best is not None else 0
+@functools.cache
+def _canonical_type(mask: int, k: int) -> int:
+    """Canonical form of a k-node directed graph given by its adjacency
+    bitmask (bit ``a * k + b`` set for edge a -> b): the minimum bitmask
+    over all node permutations.  The cache holds at most 2^(k(k-1)) ints."""
+    positions = [(a, b) for a in range(k) for b in range(k)
+                 if mask >> (a * k + b) & 1]
+    return min(sum(1 << (perm[a] * k + perm[b]) for a, b in positions)
+               for perm in itertools.permutations(range(k)))
 
 
-def _is_weakly_connected(nodes: tuple[int, ...],
-                         positions: list[tuple[int, int]]) -> bool:
-    k = len(nodes)
-    seen = {0}
-    frontier = [0]
-    undirected = {(a, b) for a, b in positions} | {(b, a) for a, b in positions}
-    while frontier:
-        u = frontier.pop()
-        for v in range(k):
-            if v not in seen and (u, v) in undirected:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == k
+def _connected_subsets(neighbours: list[set[int]], k: int):
+    """Every connected k-node subset of an undirected graph, once each, by
+    ESU (Wernicke, "Efficient detection of network motifs", TCBB 2006).
 
+    A subset grown from its smallest node ``v`` is extended only by nodes
+    above ``v`` that neighbour the newest member and no earlier one, so no
+    subset is reached twice and none that is disconnected is built."""
 
-def _induced_positions(nodes: tuple[int, ...], edge_set: set) -> list[tuple[int, int]]:
-    out = []
-    for a, na in enumerate(nodes):
-        for b, nb in enumerate(nodes):
-            if a != b and (na, nb) in edge_set:
-                out.append((a, b))
-    return out
+    def extend(subset, closed, extension, v):
+        if len(subset) == k:
+            yield subset
+            return
+        while extension:
+            w = extension.pop()
+            grown = extension | {u for u in neighbours[w] if u > v and u not in closed}
+            yield from extend(subset + (w,), closed | neighbours[w], grown, v)
+
+    for v, around in enumerate(neighbours):
+        yield from extend((v,), around | {v}, {u for u in around if u > v}, v)
 
 
 def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> dict[int, float]:
-    """Relative frequencies of connected induced k-subgraph types."""
-    n = g.node_count
-    if n < p.k:
-        return {}
-    edge_set = set(g.edges)
+    """Relative frequencies of weakly connected induced k-subgraph types.
+
+    Subsets are counted in lexicographic node order, so the dict's keys
+    appear in the order of their first occurrence among
+    ``itertools.combinations(range(n), k)``."""
+    k = p.k
+    edge_set = {(a, b) for a, b in g.edges if a != b}
+    neighbours: list[set[int]] = [set() for _ in g.ops]
+    for a, b in edge_set:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
     counts: dict[int, int] = {}
-    total = 0
-    if p.mode == "exhaustive":
-        for nodes in itertools.combinations(range(n), p.k):
-            positions = _induced_positions(nodes, edge_set)
-            if not _is_weakly_connected(nodes, positions):
-                continue
-            t = _canonical_type(positions, p.k)
-            counts[t] = counts.get(t, 0) + 1
-            total += 1
-    else:
-        rng = random.Random(p.seed)
-        attempts = 0
-        max_attempts = 50 * p.sample_count
-        while total < p.sample_count and attempts < max_attempts:
-            attempts += 1
-            nodes = tuple(sorted(rng.sample(range(n), p.k)))
-            positions = _induced_positions(nodes, edge_set)
-            if not _is_weakly_connected(nodes, positions):
-                continue
-            t = _canonical_type(positions, p.k)
-            counts[t] = counts.get(t, 0) + 1
-            total += 1
-    if total == 0:
-        return {}
+    for nodes in sorted(tuple(sorted(s)) for s in _connected_subsets(neighbours, k)):
+        mask = sum(1 << (a * k + b) for a, na in enumerate(nodes)
+                   for b, nb in enumerate(nodes) if (na, nb) in edge_set)
+        t = _canonical_type(mask, k)
+        counts[t] = counts.get(t, 0) + 1
+    total = sum(counts.values())
     return {t: c / total for t, c in counts.items()}
 
 

@@ -57,7 +57,7 @@ class MirError(ValueError):
 
 class Trap(RuntimeError):
     """Runtime fault raised by the interpreter (division by zero, bad
-    index, math domain error, or exhausted step budget)."""
+    index, math domain error, overflow, or exhausted step budget)."""
 
     def __init__(self, kind: str, message: str, line: int | None = None):
         self.kind = kind
@@ -673,8 +673,9 @@ def _compile(fn: Function) -> _Compiled:
 def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> float:
     """Run a function on one input array; deterministic, side-effect free.
 
-    Raises :class:`Trap` for division by zero, out-of-range or fractional
-    indices, math domain errors, and when ``step_budget`` is exhausted.
+    Raises :class:`Trap` for division by zero, out-of-range, fractional or
+    non-finite indices, math domain errors, overflow, and when
+    ``step_budget`` is exhausted; every runtime fault is a Trap.
     """
     compiled = _compile(fn)
     code = compiled.code
@@ -683,138 +684,145 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
     n = len(arr)
     pc = 0
     steps = 0
-    while True:
-        steps += 1
-        if steps > step_budget:
-            raise Trap("step-budget", f"exceeded {step_budget} steps in {fn.name!r}")
-        op = code[pc]
-        kind = op[0]
-        if kind == _BIN:
-            a = op[4] if op[3] == 0 else slots[op[4]]
-            b = op[6] if op[5] == 0 else slots[op[6]]
-            o = op[2]
-            if o == 0:
-                slots[op[1]] = a + b
-            elif o == 1:
-                slots[op[1]] = a - b
-            elif o == 2:
-                slots[op[1]] = a * b
-            elif o == 3:
+    try:
+        while True:
+            steps += 1
+            if steps > step_budget:
+                raise Trap("step-budget", f"exceeded {step_budget} steps in {fn.name!r}")
+            op = code[pc]
+            kind = op[0]
+            if kind == _BIN:
+                a = op[4] if op[3] == 0 else slots[op[4]]
+                b = op[6] if op[5] == 0 else slots[op[6]]
+                o = op[2]
+                if o == 0:
+                    slots[op[1]] = a + b
+                elif o == 1:
+                    slots[op[1]] = a - b
+                elif o == 2:
+                    slots[op[1]] = a * b
+                elif o == 3:
+                    if b == 0.0:
+                        raise Trap("division-by-zero", f"{a} / 0", op[7])
+                    slots[op[1]] = a / b
+                else:
+                    if b == 0.0:
+                        raise Trap("division-by-zero", f"{a} % 0", op[7])
+                    slots[op[1]] = math.fmod(a, b)
+                pc += 1
+            elif kind == _LOAD:
+                idx = op[3] if op[2] == 0 else slots[op[3]]
+                i = int(idx)
+                if idx != i:
+                    raise Trap("bad-index", f"fractional index {idx}", op[4])
+                if not 0 <= i < n:
+                    raise Trap("bad-index", f"index {i} out of range for length {n}", op[4])
+                slots[op[1]] = arr[i]
+                pc += 1
+            elif kind == _JIF:
+                a = op[3] if op[2] == 0 else slots[op[3]]
+                b = op[5] if op[4] == 0 else slots[op[5]]
+                o = op[1]
+                if o == 0:
+                    taken = a == b
+                elif o == 1:
+                    taken = a != b
+                elif o == 2:
+                    taken = a <= b
+                elif o == 3:
+                    taken = a >= b
+                elif o == 4:
+                    taken = a < b
+                else:
+                    taken = a > b
+                pc = op[6] if taken else pc + 1
+            elif kind == _MOV:
+                slots[op[1]] = slots[op[2]]
+                pc += 1
+            elif kind == _MOVC:
+                slots[op[1]] = op[2]
+                pc += 1
+            elif kind == _CMP:
+                a = op[4] if op[3] == 0 else slots[op[4]]
+                b = op[6] if op[5] == 0 else slots[op[6]]
+                o = op[2]
+                if o == 0:
+                    r = a == b
+                elif o == 1:
+                    r = a != b
+                elif o == 2:
+                    r = a <= b
+                elif o == 3:
+                    r = a >= b
+                elif o == 4:
+                    r = a < b
+                else:
+                    r = a > b
+                slots[op[1]] = 1.0 if r else 0.0
+                pc += 1
+            elif kind == _STORE:
+                idx = op[2] if op[1] == 0 else slots[op[2]]
+                i = int(idx)
+                if idx != i:
+                    raise Trap("bad-index", f"fractional index {idx}", op[5])
+                if not 0 <= i < n:
+                    raise Trap("bad-index", f"index {i} out of range for length {n}", op[5])
+                arr[i] = op[4] if op[3] == 0 else slots[op[4]]
+                pc += 1
+            elif kind == _LEN:
+                slots[op[1]] = float(n)
+                pc += 1
+            elif kind == _CALL:
+                a = op[4] if op[3] == 0 else slots[op[4]]
+                fname = op[2]
+                if fname == "sqrt":
+                    if a < 0:
+                        raise Trap("math-domain", f"sqrt({a})", op[5])
+                    slots[op[1]] = math.sqrt(a)
+                elif fname == "log":
+                    if a <= 0:
+                        raise Trap("math-domain", f"log({a})", op[5])
+                    slots[op[1]] = math.log(a)
+                elif fname == "exp":
+                    slots[op[1]] = math.exp(a)
+                elif fname == "abs":
+                    slots[op[1]] = abs(a)
+                else:
+                    slots[op[1]] = math.floor(a)
+                pc += 1
+            elif kind == _POW:
+                a = op[3] if op[2] == 0 else slots[op[3]]
+                b = op[5] if op[4] == 0 else slots[op[5]]
+                if a == 0.0 and b < 0:
+                    raise Trap("math-domain", "pow(0, negative)", op[6])
+                if a < 0 and b != int(b):
+                    raise Trap("math-domain", f"pow({a}, {b})", op[6])
+                slots[op[1]] = math.pow(a, b)
+                pc += 1
+            elif kind == _JMP:
+                pc = op[1]
+            elif kind == _RET:
+                return op[2] if op[1] == 0 else slots[op[2]]
+            else:  # _RETBIN
+                a = op[3] if op[2] == 0 else slots[op[3]]
+                b = op[5] if op[4] == 0 else slots[op[5]]
+                o = op[1]
+                if o == 0:
+                    return a + b
+                if o == 1:
+                    return a - b
+                if o == 2:
+                    return a * b
+                if o == 3:
+                    if b == 0.0:
+                        raise Trap("division-by-zero", f"{a} / 0", op[6])
+                    return a / b
                 if b == 0.0:
-                    raise Trap("division-by-zero", f"{a} / 0", op[7])
-                slots[op[1]] = a / b
-            else:
-                if b == 0.0:
-                    raise Trap("division-by-zero", f"{a} % 0", op[7])
-                slots[op[1]] = math.fmod(a, b)
-            pc += 1
-        elif kind == _LOAD:
-            idx = op[3] if op[2] == 0 else slots[op[3]]
-            i = int(idx)
-            if idx != i:
-                raise Trap("bad-index", f"fractional index {idx}", op[4])
-            if not 0 <= i < n:
-                raise Trap("bad-index", f"index {i} out of range for length {n}", op[4])
-            slots[op[1]] = arr[i]
-            pc += 1
-        elif kind == _JIF:
-            a = op[3] if op[2] == 0 else slots[op[3]]
-            b = op[5] if op[4] == 0 else slots[op[5]]
-            o = op[1]
-            if o == 0:
-                taken = a == b
-            elif o == 1:
-                taken = a != b
-            elif o == 2:
-                taken = a <= b
-            elif o == 3:
-                taken = a >= b
-            elif o == 4:
-                taken = a < b
-            else:
-                taken = a > b
-            pc = op[6] if taken else pc + 1
-        elif kind == _MOV:
-            slots[op[1]] = slots[op[2]]
-            pc += 1
-        elif kind == _MOVC:
-            slots[op[1]] = op[2]
-            pc += 1
-        elif kind == _CMP:
-            a = op[4] if op[3] == 0 else slots[op[4]]
-            b = op[6] if op[5] == 0 else slots[op[6]]
-            o = op[2]
-            if o == 0:
-                r = a == b
-            elif o == 1:
-                r = a != b
-            elif o == 2:
-                r = a <= b
-            elif o == 3:
-                r = a >= b
-            elif o == 4:
-                r = a < b
-            else:
-                r = a > b
-            slots[op[1]] = 1.0 if r else 0.0
-            pc += 1
-        elif kind == _STORE:
-            idx = op[2] if op[1] == 0 else slots[op[2]]
-            i = int(idx)
-            if idx != i:
-                raise Trap("bad-index", f"fractional index {idx}", op[5])
-            if not 0 <= i < n:
-                raise Trap("bad-index", f"index {i} out of range for length {n}", op[5])
-            arr[i] = op[4] if op[3] == 0 else slots[op[4]]
-            pc += 1
-        elif kind == _LEN:
-            slots[op[1]] = float(n)
-            pc += 1
-        elif kind == _CALL:
-            a = op[4] if op[3] == 0 else slots[op[4]]
-            fname = op[2]
-            if fname == "sqrt":
-                if a < 0:
-                    raise Trap("math-domain", f"sqrt({a})", op[5])
-                slots[op[1]] = math.sqrt(a)
-            elif fname == "log":
-                if a <= 0:
-                    raise Trap("math-domain", f"log({a})", op[5])
-                slots[op[1]] = math.log(a)
-            elif fname == "exp":
-                slots[op[1]] = math.exp(a)
-            elif fname == "abs":
-                slots[op[1]] = abs(a)
-            else:
-                slots[op[1]] = math.floor(a)
-            pc += 1
-        elif kind == _POW:
-            a = op[3] if op[2] == 0 else slots[op[3]]
-            b = op[5] if op[4] == 0 else slots[op[5]]
-            if a == 0.0 and b < 0:
-                raise Trap("math-domain", "pow(0, negative)", op[6])
-            if a < 0 and b != int(b):
-                raise Trap("math-domain", f"pow({a}, {b})", op[6])
-            slots[op[1]] = math.pow(a, b)
-            pc += 1
-        elif kind == _JMP:
-            pc = op[1]
-        elif kind == _RET:
-            return op[2] if op[1] == 0 else slots[op[2]]
-        else:  # _RETBIN
-            a = op[3] if op[2] == 0 else slots[op[3]]
-            b = op[5] if op[4] == 0 else slots[op[5]]
-            o = op[1]
-            if o == 0:
-                return a + b
-            if o == 1:
-                return a - b
-            if o == 2:
-                return a * b
-            if o == 3:
-                if b == 0.0:
-                    raise Trap("division-by-zero", f"{a} / 0", op[6])
-                return a / b
-            if b == 0.0:
-                raise Trap("division-by-zero", f"{a} % 0", op[6])
-            return math.fmod(a, b)
+                    raise Trap("division-by-zero", f"{a} % 0", op[6])
+                return math.fmod(a, b)
+    except (OverflowError, ValueError) as exc:
+        # int() of a non-finite index, exp/pow/floor overflow, fmod(inf, b);
+        # every op that can fault carries its source line last
+        trap = ("bad-index" if kind == _LOAD or kind == _STORE else
+                "overflow" if isinstance(exc, OverflowError) else "math-domain")
+        raise Trap(trap, str(exc), op[-1]) from None

@@ -73,15 +73,16 @@ class SvmModel:
         return model
 
 
-def params_hash(params: SvmParams, context: dict | None = None) -> str:
-    """Stable fingerprint of the training configuration; prediction refuses
-    inputs whose featurization context does not match the model's."""
+def params_hash(params: SvmParams) -> str:
+    """Stable fingerprint of the SVM training configuration (predict checks
+    the model file's ``context_hash`` instead); the empty ``context`` entry
+    keeps existing fingerprints unchanged."""
     payload = {
         "C": params.C,
         "kkt_tol": params.kkt_tol,
         "max_passes": params.max_passes,
         "seed": params.seed,
-        "context": context or {},
+        "context": {},
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -117,6 +117,24 @@ def test_label_partial_parse_failure_is_diagnostic_not_error(tmp_path, capsys):
     assert "NOWHERE" in capsys.readouterr().err
 
 
+def test_label_overflowing_method_does_not_abort_the_run(tmp_path, capsys):
+    good = tmp_path / "sum.mir"
+    good.write_text(Path(corpus_path("sum")).read_text())
+    boom = tmp_path / "expexp.mir"
+    boom.write_text("fn expexp(a) {\n  x = a[0]\n  x = x + 800\n"
+                    "  y = exp(x)\n  z = exp(y)\n  return z\n}\n")
+    man = tmp_path / "manifest.csv"
+    man.write_text("method_id,name,source_kind,source_path\n"
+                   "90,sum,mir,sum.mir\n3,expexp,mir,expexp.mir\n")
+    out = tmp_path / "labels.csv"
+    assert main(["label", "--manifest", str(man), "--out", str(out),
+                 "--trials", "5"]) == 0
+    lines = out.read_text().splitlines()
+    assert "90,1,1,1,1,1,1" in lines
+    assert "3,0,0,0,0,0,0" in lines
+    assert "trap: overflow" in capsys.readouterr().err
+
+
 def test_label_total_failure_is_error(tmp_path, capsys):
     bad = tmp_path / "bad.mir"
     bad.write_text("fn bad(a) {\n  goto NOWHERE\n  return 0\n}\n")

@@ -1,9 +1,5 @@
-"""Smoke test: the narrative demos run to completion on the bundled corpus.
-
-``demos/03_graph_kernels.py`` is left out: its sampled-graphlet section
-alone takes about 33 s on a 2-CPU host. It joins this list once graphlet
-sampled mode and that section are deleted (ROADMAP item 4).
-"""
+"""Smoke test: every narrative demo runs to completion on the bundled
+corpus."""
 
 import os
 import subprocess
@@ -18,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", [
     "01_cfg_and_features.py",
     "02_dynamic_labelling.py",
+    "03_graph_kernels.py",
     "04_cross_validation.py",
     "05_predict_new_method.py",
 ])

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrkit.cfg import AnnotatedCfg, NodeOp
 from mrkit.kernels import (
     GkParams,
     KernelColumns,
     RwkParams,
+    _connected_subsets,
     _rwk_raw,
     gram_matrix,
     graphlet_distribution,
@@ -134,20 +137,70 @@ def test_gk_permutation_invariant(corpus_graphs):
     assert graphlet_distribution(permuted) == graphlet_distribution(g)
 
 
-def test_gk_sampled_converges_to_exhaustive(corpus_graphs):
-    small = [g for g in corpus_graphs.values() if g.node_count <= 20][:2]
-    g1, g2 = small
-    exact = graphlet_kernel(g1, g2, GkParams(mode="exhaustive"))
-    for seed in (0, 1, 2):
-        approx = graphlet_kernel(
-            g1, g2, GkParams(mode="sampled", sample_count=50000, seed=seed))
-        assert abs(approx - exact) <= 0.05
+def brute_force_graphlets(g, k):
+    """Reference for graphlet_distribution: every k-subset in
+    itertools.combinations order, kept if weakly connected, typed by the
+    minimum adjacency bitmask over all node permutations; (type, frequency)
+    pairs in order of first occurrence."""
+    edges = set(g.edges)
+    counts = {}
+    for nodes in itertools.combinations(range(g.node_count), k):
+        pos = [(a, b) for a in range(k) for b in range(k)
+               if a != b and (nodes[a], nodes[b]) in edges]
+        if not weakly_connected(range(k), pos):
+            continue
+        t = min(sum(1 << (perm[a] * k + perm[b]) for a, b in pos)
+                for perm in itertools.permutations(range(k)))
+        counts[t] = counts.get(t, 0) + 1
+    total = sum(counts.values())
+    return [(t, c / total) for t, c in counts.items()]
 
 
-def test_gk_sampled_deterministic(corpus_graphs):
-    g1, g2 = corpus_graphs["average"], corpus_graphs["sum"]
-    p = GkParams(mode="sampled", sample_count=500, seed=9)
-    assert graphlet_kernel(g1, g2, p) == graphlet_kernel(g1, g2, p)
+def weakly_connected(nodes, edges):
+    nodes = set(nodes)
+    seen = {min(nodes)}
+    frontier = [min(nodes)]
+    while frontier:
+        u = frontier.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y in nodes and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return seen == nodes
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(node, node), max_size=3 * n))
+    return AnnotatedCfg("g", (NodeOp.ASSI,) * n, tuple(sorted(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(), st.sampled_from([3, 4]))
+def test_esu_yields_exactly_the_connected_subsets(g, k):
+    neighbours = [set() for _ in range(g.node_count)]
+    for a, b in g.edges:
+        if a != b:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    found = sorted(tuple(sorted(s)) for s in _connected_subsets(neighbours, k))
+    expected = [c for c in itertools.combinations(range(g.node_count), k)
+                if weakly_connected(c, g.edges)]
+    assert found == expected
+    assert list(graphlet_distribution(g, GkParams(k=k)).items()) \
+        == brute_force_graphlets(g, k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gk_distribution_matches_brute_force_on_corpus(corpus_graphs, k):
+    # same keys, same floats, same insertion order, so every Gram entry and
+    # every kernel column sums its terms in the same order
+    p = GkParams(k=k)
+    for g in corpus_graphs.values():
+        assert list(graphlet_distribution(g, p).items()) == brute_force_graphlets(g, k)
 
 
 def test_gram_identical_pair():
@@ -229,3 +282,5 @@ def test_param_validation():
         GkParams(k=5)
     with pytest.raises(ValueError):
         GkParams(mode="nope")
+    with pytest.raises(ValueError):
+        GkParams(mode="sampled")  # deleted: graphlet counts are exact

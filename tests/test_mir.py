@@ -159,6 +159,30 @@ def test_interpret_math_traps():
         interpret(fn, [-4])
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("body,x,kind,line", [
+    (["y = exp(x)", "z = exp(y)", "return z"], 400.0, "overflow", 4),
+    (["y = exp(x)", "return y"], 800.0, "overflow", 3),
+    (["y = pow(x, 400)", "return y"], 10.0, "overflow", 3),
+    (["y = floor(x)", "return y"], INF, "overflow", 3),
+    (["y = floor(x)", "return y"], NAN, "math-domain", 3),
+    (["y = x % 3", "return y"], INF, "math-domain", 3),
+    (["return x % 3"], INF, "math-domain", 3),
+    (["y = a[x]", "return y"], INF, "bad-index", 3),
+    (["y = a[x]", "return y"], NAN, "bad-index", 3),
+    (["a[x] = 1", "return x"], INF, "bad-index", 3),
+    (["a[x] = 1", "return x"], NAN, "bad-index", 3),
+])
+def test_interpret_float_faults_trap_with_kind_and_line(body, x, kind, line):
+    src = "fn f(a) {\n  x = a[0]\n" + "".join(f"  {s}\n" for s in body) + "}\n"
+    fn = parse_program(src).functions[0]
+    with pytest.raises(Trap) as info:
+        interpret(fn, [x])
+    assert (info.value.kind, info.value.line) == (kind, line)
+
+
 def test_interpret_rem_is_floating():
     fn = parse_program("fn f(a) {\n  x = a[0]\n  return x % 2.5\n}\n").functions[0]
     assert interpret(fn, [6]) == pytest.approx(1.0)
