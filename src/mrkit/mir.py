@@ -26,6 +26,15 @@ with the increment node carrying the back edge to the ``if``, which is the
 shape feature extraction expects for loop headers.  The interpreter runs
 the standard desugaring (test re-evaluated each iteration; a ``len`` bound
 is loop-invariant either way).
+
+The interpreter compiles a function to bytecode, one op per statement plus
+the init, bound read, increment and back jump of each ``for``; one step of
+the budget is one op.  On the first call, ``codegen.generate`` turns the
+bytecode into Python source with one straight-line branch per basic block,
+charged for all its ops on entry, and every call runs that.  ``_run``, the
+bytecode dispatch loop, has two jobs: it finishes a call whose next block
+would end past the budget, from that block's first op, and it is the
+reference the tests compare the generated code against.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .cfg import AnnotatedCfg, NodeOp, classify_statement
 
@@ -558,10 +568,11 @@ _BIN_INDEX = {op: i for i, op in enumerate(_BIN_OPS)}
 _CMP_INDEX = {op: i for i, op in enumerate(_CMP_OPS)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Compiled:
     code: list[tuple]
     n_slots: int
+    run: Callable  # from codegen.generate: run(fn, arr, budget) -> float
 
 
 class _Compiler:
@@ -659,15 +670,24 @@ class _Compiler:
 
 
 def _compile(fn: Function) -> _Compiled:
-    if fn._compiled is None:
+    # Built on the first call, then published by one assignment, so a thread
+    # that races the first call sees either None or a complete _Compiled.
+    compiled = fn._compiled
+    if compiled is None:
         comp = _Compiler(fn)
         comp.compile_block(fn.body)
         for pc, label in comp.fixups:
             target = comp.label_pcs[label]
             op = comp.code[pc]
             comp.code[pc] = op[:-1] + (target,) if op[0] == _JIF else (_JMP, target)
-        fn._compiled = _Compiled(code=comp.code, n_slots=len(comp.slots))
-    return fn._compiled
+        # imported on first use, so commands that never run a function do
+        # not load the generator
+        from .codegen import generate
+
+        compiled = _Compiled(comp.code, len(comp.slots),
+                             generate(comp.code, len(comp.slots), fn.name))
+        fn._compiled = compiled
+    return compiled
 
 
 def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> float:
@@ -676,19 +696,39 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
     Raises :class:`Trap` for division by zero, out-of-range, fractional or
     non-finite indices, math domain errors, overflow, and when
     ``step_budget`` is exhausted; every runtime fault is a Trap.
+
+    The call runs the function's generated Python (``codegen.generate``),
+    which charges the budget once per basic block.  A block that would end
+    past the budget resumes the reference loop :func:`_run` at its first op
+    with the current slots, so the budget trap, and any fault before it,
+    come from the same op as if ``_run`` had run the whole call.
     """
-    compiled = _compile(fn)
-    code = compiled.code
-    slots = [0.0] * compiled.n_slots
-    arr = [float(v) for v in values]
+    return _compile(fn).run(fn, [float(v) for v in values], step_budget)
+
+
+def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:
+    # int() of a non-finite index, exp/pow/floor overflow, fmod(inf, b);
+    # every op that can fault carries its source line last
+    kind = op[0]
+    trap = ("bad-index" if kind == _LOAD or kind == _STORE else
+            "overflow" if isinstance(exc, OverflowError) else "math-domain")
+    return Trap(trap, str(exc), op[-1])
+
+
+def _run(fn: Function, code: list[tuple], slots: list, arr: list[float],
+         pc: int, steps: int, budget: int) -> float:
+    """Reference dispatch loop: run ``code`` from ``pc`` with ``steps`` spent.
+
+    One step is one bytecode op.  ``interpret`` resumes here for the last
+    block of a call that reaches the budget, and the tests compare the
+    generated code against this loop run from pc 0.
+    """
     n = len(arr)
-    pc = 0
-    steps = 0
     try:
         while True:
             steps += 1
-            if steps > step_budget:
-                raise Trap("step-budget", f"exceeded {step_budget} steps in {fn.name!r}")
+            if steps > budget:
+                raise Trap("step-budget", f"exceeded {budget} steps in {fn.name!r}")
             op = code[pc]
             kind = op[0]
             if kind == _BIN:
@@ -788,7 +828,7 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
                 elif fname == "abs":
                     slots[op[1]] = abs(a)
                 else:
-                    slots[op[1]] = math.floor(a)
+                    slots[op[1]] = float(math.floor(a))
                 pc += 1
             elif kind == _POW:
                 a = op[3] if op[2] == 0 else slots[op[3]]
@@ -821,8 +861,4 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
                     raise Trap("division-by-zero", f"{a} % 0", op[6])
                 return math.fmod(a, b)
     except (OverflowError, ValueError) as exc:
-        # int() of a non-finite index, exp/pow/floor overflow, fmod(inf, b);
-        # every op that can fault carries its source line last
-        trap = ("bad-index" if kind == _LOAD or kind == _STORE else
-                "overflow" if isinstance(exc, OverflowError) else "math-domain")
-        raise Trap(trap, str(exc), op[-1]) from None
+        raise _fault(exc, op) from None

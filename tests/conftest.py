@@ -1,6 +1,9 @@
+import struct
+
 import pytest
 
 from mrkit.corpus import bundled_dataset
+from mrkit.mir import Trap, _compile, _run, interpret
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +25,27 @@ def corpus_graphs(sourced):
 @pytest.fixture(scope="session")
 def corpus_functions(sourced):
     return {e.name: sourced.load_function(e) for e in sourced.entries}
+
+
+def _outcome(call) -> tuple:
+    """A call's double bit for bit (sign of zero, NaN equal to NaN), or its
+    trap's kind, line and text."""
+    try:
+        value = call()
+    except Trap as trap:
+        return ("trap", trap.kind, trap.line, str(trap))
+    assert type(value) is float, value
+    return ("value", struct.pack("<d", value))
+
+
+@pytest.fixture(scope="session")
+def both_paths():
+    """``(fn, values, budget) -> (generated, reference)``: the outcome of
+    ``interpret`` and of the reference loop ``_run`` from pc 0."""
+    def run(fn, values, budget):
+        generated = _outcome(lambda: interpret(fn, values, budget))
+        compiled = _compile(fn)
+        return generated, _outcome(lambda: _run(
+            fn, compiled.code, [0.0] * compiled.n_slots, [float(v) for v in values],
+            0, 0, budget))
+    return run

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -150,6 +151,20 @@ def test_interpret_step_budget():
         interpret(fn, [1], step_budget=1000)
 
 
+@pytest.mark.parametrize("src,steps", [
+    # s = 0, init, len read, 4 tests, 3 x (2 body + increment + jump), return
+    ("  s = 0\n  for i = 0; i < len(v); i = i + 1 {\n    x = v[i]\n    s = s + x\n  }\n"
+     "  return s\n", 20),
+    # s = 0, init, 4 tests, 3 x (increment + jump), return
+    ("  s = 0\n  for i = 0; i < 3; i = i + 1 {\n  }\n  return s\n", 13),
+])
+def test_step_cost_of_a_for_loop(src, steps):
+    fn = parse_program("fn f(v) {\n" + src + "}\n").functions[0]
+    assert interpret(fn, [1, 2, 3], step_budget=steps) == (6.0 if "x" in src else 0.0)
+    with pytest.raises(Trap, match="step-budget"):
+        interpret(fn, [1, 2, 3], step_budget=steps - 1)
+
+
 def test_interpret_math_traps():
     fn = parse_program("fn f(a) {\n  x = a[0]\n  r = log(x)\n  return r\n}\n").functions[0]
     with pytest.raises(Trap, match="math-domain"):
@@ -186,6 +201,12 @@ def test_interpret_float_faults_trap_with_kind_and_line(body, x, kind, line):
 def test_interpret_rem_is_floating():
     fn = parse_program("fn f(a) {\n  x = a[0]\n  return x % 2.5\n}\n").functions[0]
     assert interpret(fn, [6]) == pytest.approx(1.0)
+
+
+def test_floor_yields_a_double():
+    fn = parse_program("fn f(a) {\n  x = a[0]\n  y = floor(x)\n  return y\n}\n").functions[0]
+    result = interpret(fn, [-2.5])
+    assert type(result) is float and result == -3.0
 
 
 def test_interpret_pure_and_deterministic():
@@ -264,3 +285,38 @@ def test_fuzz_lowering_always_validates():
         cfg = lower_to_cfg(prog.functions[0])
         assert validate(cfg) == [], src
         interpret(prog.functions[0], [1.0, 2.0, 3.0])
+
+
+# The generated per-block code against the reference dispatch loop `_run`.
+# Small budgets end calls inside blocks, so the resume into `_run` runs too.
+STEP_BUDGETS = (1, 2, 3, 5, 8, 13, 40, 100, 1_000_000)
+SPECIAL_VALUES = (0.0, -0.0, 1e308, INF, NAN)
+
+
+def _draw_values(rng: random.Random) -> list[float]:
+    values = []
+    for _ in range(rng.randint(0, 12)):
+        pick = rng.random()
+        if pick < 0.5:
+            values.append(float(rng.randint(-20, 20)))
+        elif pick < 0.8:
+            values.append(rng.uniform(-100.0, 100.0))
+        else:
+            values.append(rng.choice(SPECIAL_VALUES))
+    return values
+
+
+def test_generated_code_matches_reference_loop_on_corpus(corpus_functions, both_paths):
+    rng = random.Random(2024)
+    kinds = collections.Counter()
+    for name in sorted(corpus_functions):
+        fn = corpus_functions[name]
+        for _ in range(40):
+            values = _draw_values(rng)
+            for budget in STEP_BUDGETS:
+                generated, reference = both_paths(fn, values, budget)
+                assert generated == reference, (name, values, budget)
+                kinds[generated[1] if generated[0] == "trap" else "value"] += 1
+    # every path is exercised: returns, budget traps and value faults
+    assert {"value", "step-budget", "bad-index", "division-by-zero",
+            "math-domain"} <= set(kinds), kinds

@@ -1,16 +1,19 @@
 """Cross-module invariants checked on the real bundled corpus."""
 
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mrkit.cfg import parse_dot
+from mrkit.cfg import emit_dot, parse_dot, validate
 from mrkit.corpus import data_dir
-from mrkit.features import node_features
+from mrkit.features import node_features, path_features
 from mrkit.kernels import gram_matrix, random_walk_kernel
-from mrkit.mir import interpret
+from mrkit.mir import interpret, lower_to_cfg, parse_program
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, SvmParams, decision_value, kkt_report, train_svm
 
@@ -76,6 +79,41 @@ def test_interpreter_pure_across_threads(corpus_functions):
     assert all(r == expected for r in results)
 
 
+def test_interpreter_first_calls_race_safely(sourced):
+    # Code is generated on a function's first call; six threads make that
+    # first call at once on a freshly parsed function, in each of 20 rounds
+    # (one round alone missed a half-published function in 3 of 5 tries).
+    entry = next(e for e in sourced.entries if e.name == "shell_sort")
+    data = [9.0, 3.0, 7.0, 1.0, 4.0, 8.0]
+    expected = interpret(sourced.load_function(entry), data)
+    results = []
+    errors = []
+
+    def worker(fn, start):
+        try:
+            start.wait(timeout=10)
+            for _ in range(5):
+                results.append(interpret(fn, data))
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            fn, start = sourced.load_function(entry), threading.Barrier(6)
+            threads = [threading.Thread(target=worker, args=(fn, start)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert results == [expected] * 600
+
+
 def test_model_json_round_trip_with_empty_support():
     model = SvmModel(coef=(), support=(), bias=0.25, n_train=3)
     restored = SvmModel.from_dict(json.loads(json.dumps(model.to_dict())))
@@ -99,3 +137,108 @@ def test_cross_validate_report_embeds_configuration(sourced, corpus_graphs):
     assert payload["config"]["fold_seed"] == 11
     assert payload["config"]["svm"] == {
         "C": 1.0, "kkt_tol": 1e-3, "max_passes": 100, "seed": 5}
+
+
+# ---------------------------------------------------------------------------
+# Program fuzzer: well-formed functions from the grammar in docs/formats.md.
+
+_VARS = ("x", "y", "z", "i")
+# a literal of 400 nines parses to inf, one of -0 to -0.0
+_CONSTS = ("0", "1", "2", "3", "-1", "0.5", "2.5", "-0", "9" * 400)
+_CMPS = ("==", "!=", "<=", ">=", "<", ">")
+_ARITH = ("+", "-", "*", "/", "%")
+_CALLS = ("sqrt", "log", "exp", "abs", "floor")
+_FUZZ_BUDGETS = (1, 2, 3, 5, 8, 13, 40, 100, 2_000)
+_FUZZ_VALUES = st.one_of(
+    st.integers(-5, 12).map(float),
+    st.sampled_from((0.5, -0.0, 1e308, -1e308, float("inf"), float("nan"))),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def mir_programs(draw) -> str:
+    """Source of one function: assigns of every rhs kind, loads and stores,
+    ``for`` over ``len(a)`` and over atoms, forward ``if … goto`` and a
+    final return of an atom or of a binary op."""
+    assigned: set[str] = set()
+    read: set[str] = set()
+    labels = iter(f"L{k}" for k in range(1000))
+
+    def atom() -> str:
+        token = draw(st.one_of(st.sampled_from(_VARS), st.sampled_from(_CONSTS)))
+        if token in _VARS:
+            read.add(token)
+        return token
+
+    def assign() -> list[str]:
+        kind = draw(st.sampled_from(("atom", "load", "store", "len", "bin", "cmp",
+                                     "call", "pow")))
+        if kind == "store":
+            return [f"a[{atom()}] = {atom()}"]
+        dst = draw(st.sampled_from(_VARS))
+        assigned.add(dst)
+        rhs = {"atom": lambda: atom(),
+               "load": lambda: f"a[{atom()}]",
+               "len": lambda: "len(a)",
+               "bin": lambda: f"{atom()} {draw(st.sampled_from(_ARITH))} {atom()}",
+               "cmp": lambda: f"{atom()} {draw(st.sampled_from(_CMPS))} {atom()}",
+               "call": lambda: f"{draw(st.sampled_from(_CALLS))}({atom()})",
+               "pow": lambda: f"pow({atom()}, {atom()})"}[kind]()
+        return [f"{dst} = {rhs}"]
+
+    def loop(depth: int) -> list[str]:
+        var = draw(st.sampled_from(_VARS))
+        assigned.add(var)
+        init = atom()
+        bound = "len(a)" if draw(st.booleans()) else atom()
+        head = (f"for {var} = {init}; {var} {draw(st.sampled_from(_CMPS))} {bound}; "
+                f"{var} = {var} {draw(st.sampled_from(_ARITH))} {atom()} {{")
+        return [head] + ["  " + line for line in block(depth + 1, None)] + ["}"]
+
+    def block(depth: int, tail: list[str] | None) -> list[str]:
+        # items are [labels, lines]; an "if" item gets its target afterwards
+        items = []
+        for _ in range(draw(st.integers(0 if tail is None else 1, 4))):
+            kind = draw(st.sampled_from(("assign", "assign", "if", "for")))
+            if kind == "for" and depth < 2:
+                items.append([[], loop(depth)])
+            elif kind == "if":
+                items.append([[], None])
+            else:
+                items.append([[], assign()])
+        if tail is not None:
+            items.append([[], tail])
+        for k, item in enumerate(items):
+            if item[1] is not None:
+                continue
+            if k + 2 >= len(items):  # no target past the fall-through
+                item[1] = assign()
+                continue
+            target = items[draw(st.integers(k + 2, len(items) - 1))]
+            if not target[0]:
+                target[0].append(next(labels))
+            item[1] = [f"if {atom()} {draw(st.sampled_from(_CMPS))} {atom()} "
+                       f"goto {target[0][0]}"]
+        return [line for lbls, body in items for line in [f"{l}:" for l in lbls] + body]
+
+    ret = (f"return {atom()}" if draw(st.booleans())
+           else f"return {atom()} {draw(st.sampled_from(_ARITH))} {atom()}")
+    body = block(0, [ret])
+    prelude = [f"{v} = {draw(st.sampled_from(_CONSTS))}" for v in sorted(read - assigned)]
+    return "fn f(a) {\n" + "".join(f"  {line}\n" for line in prelude + body) + "}\n"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(mir_programs(), st.lists(_FUZZ_VALUES, max_size=6), st.sampled_from(_FUZZ_BUDGETS))
+def test_generated_programs_parse_lower_and_run_alike(both_paths, source, values, budget):
+    program = parse_program(source)
+    fn = program.functions[0]
+    cfg = lower_to_cfg(fn)
+    assert validate(cfg) == [], source
+    assert parse_dot(emit_dot(cfg)) == cfg
+    assert node_features(cfg).total() == cfg.node_count
+    assert path_features(cfg).total() == 2 * cfg.node_count
+
+    generated, reference = both_paths(fn, values, budget)
+    assert generated == reference, source
