@@ -6,6 +6,11 @@ a kernel: NF/PF counts give the linear Gram ``X @ X.T``, the graph kernels
 give theirs directly.  The working pair is the maximum KKT violator paired
 with the sample maximizing |E_i - E_j|; ties are broken by a seeded RNG, so
 a fixed seed gives byte-identical serialized models.
+
+The pair update runs on Python floats taken from the numpy arrays.  Both
+are IEEE doubles, and scalar +, -, *, / and comparisons round the same way
+in either type, so this is bit-exact with the same arithmetic on numpy
+scalars; only the interpreter's cost per operation is lower.
 """
 
 from __future__ import annotations
@@ -92,20 +97,21 @@ def _square(gram) -> np.ndarray:
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise SvmError(f"Gram matrix must be square, got shape {gram.shape}")
+    if not np.isfinite(gram).all():
+        raise SvmError("Gram matrix has non-finite entries")
     return gram
 
 
 def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
                     tol: float) -> np.ndarray:
     """Per-sample violation magnitude of the KKT case analysis; entries at
-    or below tol are zeroed."""
-    viol = np.zeros(len(alpha))
-    at_lower = alpha <= 1e-12
-    at_upper = alpha >= C - 1e-12
-    interior = ~(at_lower | at_upper)
-    viol[at_lower] = np.maximum(0.0, 1.0 - yf[at_lower])
-    viol[at_upper] = np.maximum(0.0, yf[at_upper] - 1.0)
-    viol[interior] = np.abs(yf[interior] - 1.0)
+    or below tol are zeroed.  A sample at both bounds (C <= 2e-12) counts
+    as at the upper one.  At the lower bound the violation is 1 - yf, which
+    IEEE subtraction makes exactly -(yf - 1); a side that does not violate
+    comes out negative and the tol filter zeroes it."""
+    d = yf - 1.0
+    viol = np.where(alpha >= C - 1e-12, d,
+                    np.where(alpha <= 1e-12, -d, np.abs(d)))
     return np.where(viol > tol, viol, 0.0)
 
 
@@ -123,30 +129,35 @@ def kkt_report(gram, labels, model: SvmModel, params: SvmParams) -> float:
 
 def _seeded_order(rng: random.Random, scores: np.ndarray,
                   exclude: int | None = None) -> list[int]:
-    """Indices by descending score; exact ties at the top are shuffled with
-    the seeded RNG, the remainder stays in stable order."""
-    order = [int(t) for t in np.argsort(-scores, kind="stable")
-             if exclude is None or int(t) != exclude]
-    if not order:
-        return order
-    top = scores[order[0]]
-    head = [t for t in order if scores[t] >= top - 1e-12]
-    tail = [t for t in order if scores[t] < top - 1e-12]
+    """Indices by descending score; the ones within 1e-12 of the top are
+    shuffled with the seeded RNG, the remainder stays in stable order.  A
+    NaN score is left out."""
+    order = (-scores).argsort(kind="stable")
+    if exclude is not None:
+        order = order[order != exclude]
+    if not len(order):
+        return []
+    ranked = scores[order]
+    cut = ranked[0] - 1e-12
+    head = order[ranked >= cut].tolist()
     rng.shuffle(head)
-    return head + tail
+    return head + order[ranked < cut].tolist()
 
 
-def _update_pair(gram, y, alpha, i: int, j: int, C: float, e, b: float) -> float | None:
-    """One SMO step on (i, j); mutates alpha and returns the new bias, or
-    None if the pair cannot make progress."""
-    ai, aj = alpha[i], alpha[j]
+def _update_pair(gram: list, y: list, alpha: np.ndarray, i: int, j: int,
+                 C: float, e: list, b: float) -> float | None:
+    """One SMO step on (i, j) over ``gram``, ``y`` and ``e`` as Python
+    lists; mutates alpha and returns the new bias, or None if the pair
+    cannot make progress."""
+    ai, aj = float(alpha[i]), float(alpha[j])
     if y[i] != y[j]:
         low, high = max(0.0, aj - ai), min(C, C + aj - ai)
     else:
         low, high = max(0.0, ai + aj - C), min(C, ai + aj)
     if high - low < 1e-12:
         return None
-    eta = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
+    gi, gj = gram[i], gram[j]
+    eta = gi[i] + gj[j] - 2.0 * gi[j]
     if eta <= 1e-12:
         return None
     aj_new = aj + y[j] * (e[i] - e[j]) / eta
@@ -156,21 +167,38 @@ def _update_pair(gram, y, alpha, i: int, j: int, C: float, e, b: float) -> float
     ai_new = ai + y[i] * y[j] * (aj - aj_new)
     alpha[i], alpha[j] = ai_new, aj_new
 
-    b1 = b - e[i] - y[i] * (ai_new - ai) * gram[i, i] - y[j] * (aj_new - aj) * gram[i, j]
-    b2 = b - e[j] - y[i] * (ai_new - ai) * gram[i, j] - y[j] * (aj_new - aj) * gram[j, j]
+    b1 = b - e[i] - y[i] * (ai_new - ai) * gi[i] - y[j] * (aj_new - aj) * gi[j]
+    b2 = b - e[j] - y[i] * (ai_new - ai) * gi[j] - y[j] * (aj_new - aj) * gj[j]
     if 1e-12 < ai_new < C - 1e-12:
-        return float(b1)
+        return b1
     if 1e-12 < aj_new < C - 1e-12:
-        return float(b2)
-    return float((b1 + b2) / 2.0)
+        return b2
+    return (b1 + b2) / 2.0
+
+
+def _step(rng: random.Random, gram: list, y: list, alpha: np.ndarray,
+          viol: np.ndarray, e: np.ndarray, C: float, b: float) -> float | None:
+    """Update the first movable pair: violators by descending violation,
+    each paired with partners by descending |E_i - E_j|.  Returns the new
+    bias, or None if no pair can move."""
+    e_list = e.tolist()
+    for i in _seeded_order(rng, viol):
+        if viol[i] <= 0.0:
+            return None
+        for j in _seeded_order(rng, np.abs(e[i] - e), exclude=i):
+            new_b = _update_pair(gram, y, alpha, i, j, C, e_list, b)
+            if new_b is not None:
+                return new_b
+    return None
 
 
 def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
-    """Train a binary SVM on a square Gram matrix; labels are +1/-1 and both
-    classes must appear.
+    """Train a binary SVM on a square, finite Gram matrix; labels are +1/-1
+    and both classes must appear.
 
-    Terminates when no sample violates the KKT conditions beyond
-    ``kkt_tol`` or after ``max_passes`` sweeps of pair updates.
+    Runs at most ``max_passes`` sweeps of n pair updates each, and stops
+    early when no sample violates the KKT conditions beyond ``kkt_tol`` or
+    when no pair of samples can move.
     """
     gram = _square(gram)
     y = np.asarray(labels, dtype=float)
@@ -185,65 +213,35 @@ def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
 
     rng = random.Random(params.seed)
     C = float(params.C)
-    tol = params.kkt_tol
+    gram_list, y_list = gram.tolist(), y.tolist()
     alpha = np.zeros(n)
     b = 0.0
+    for _ in range(params.max_passes * n):
+        e = gram @ (alpha * y) + b - y
+        viol = _kkt_violations(alpha, y * (e + y), C, params.kkt_tol)
+        if viol.max(initial=0.0) <= 0.0:
+            break  # KKT converged
+        new_b = _step(rng, gram_list, y_list, alpha, viol, e, C, b)
+        if new_b is None:
+            break  # no movable pair
+        b = new_b
 
-    done = False
-    for _ in range(params.max_passes):
-        progressed = False
-        for _ in range(n):
-            e = gram @ (alpha * y) + b - y
-            viol = _kkt_violations(alpha, y * (e + y), C, tol)
-            if viol.max(initial=0.0) <= 0.0:
-                done = True
-                break
-            updated = False
-            for i in _seeded_order(rng, viol):
-                if viol[i] <= 0.0:
-                    break
-                gaps = np.abs(e[i] - e)
-                for j in _seeded_order(rng, gaps, exclude=i):
-                    new_b = _update_pair(gram, y, alpha, i, j, C, e, b)
-                    if new_b is not None:
-                        b = new_b
-                        updated = True
-                        break
-                if updated:
-                    break
-            if not updated:
-                done = True  # no pair can move; fixed point reached
-                break
-            progressed = True
-        if done or not progressed:
-            break
-
-    coef = []
-    support = []
-    for idx in range(n):
-        if alpha[idx] > 1e-12:
-            support.append(idx)
-            coef.append(float(alpha[idx] * y[idx]))
-    return SvmModel(
-        coef=tuple(coef),
-        support=tuple(support),
-        bias=float(b),
-        n_train=n,
-        params_hash=params_hash(params),
-    )
+    support = tuple(idx for idx in range(n) if alpha[idx] > 1e-12)
+    return SvmModel(coef=tuple(float(alpha[idx] * y[idx]) for idx in support),
+                    support=support, bias=b, n_train=n,
+                    params_hash=params_hash(params))
 
 
 def decision_value(model: SvmModel, column) -> float:
     """f(x) = sum_i alpha_i y_i k(x_i, x) + b, where ``column`` is the
     kernel column k(x_i, x) over the full training set."""
     column = np.asarray(column, dtype=float)
-    coef = np.asarray(model.coef)
-    if len(coef) == 0:
-        return float(model.bias)
     if column.shape != (model.n_train,):
         raise SvmError(
             f"kernel column has length {column.shape}, expected ({model.n_train},)")
-    return float(coef @ column[list(model.support)] + model.bias)
+    if not model.coef:
+        return float(model.bias)
+    return float(np.asarray(model.coef) @ column[list(model.support)] + model.bias)
 
 
 def predict(model: SvmModel, column) -> int:

@@ -123,6 +123,23 @@ def test_dimension_mismatch_rejected():
         decision_value(kmodel, np.zeros(7))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gram_rejected(bad):
+    gram = [[1.0, bad], [bad, 1.0]]
+    with pytest.raises(SvmError, match="non-finite"):
+        train_svm(gram, [1, -1], SvmParams(seed=42))
+    with pytest.raises(SvmError, match="non-finite"):
+        kkt_report(gram, [1, -1], SvmModel((), (), 0.0, 2), SvmParams())
+
+
+def test_empty_model_checks_column_length():
+    # no support vectors: the value is the bias, but only for a valid column
+    model = SvmModel(coef=(), support=(), bias=0.5, n_train=3)
+    assert decision_value(model, np.zeros(3)) == 0.5
+    with pytest.raises(SvmError, match="length"):
+        decision_value(model, np.zeros(2))
+
+
 def test_label_count_mismatch_rejected():
     with pytest.raises(SvmError, match="label count"):
         train_svm(K_SEP, [1, -1], SvmParams())
