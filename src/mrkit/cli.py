@@ -33,7 +33,7 @@ from .features import (
 from .kernels import GkParams, KernelColumns, RwkParams, gram_matrix
 from .mir import lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method, labels_to_csv
-from .svm import SvmModel, SvmParams, decision_value, train_svm
+from .svm import SvmModel, SvmParams, decision_value, short_stop, train_svm
 
 _MR_CHOICES = [mr.lower() for mr in MR_IDS] + ["all"]
 
@@ -182,6 +182,7 @@ def cmd_evaluate(args) -> int:
         print("error: --k must be at least 2", file=sys.stderr)
         return 2
     root = _root_seed(args)
+    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     featurization = args.features
@@ -190,7 +191,6 @@ def cmd_evaluate(args) -> int:
     if unlabelled:
         print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
         return 2
-    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
 
     reports = []
     skipped = []
@@ -209,7 +209,7 @@ def cmd_evaluate(args) -> int:
         "featurization": context,
         "k": args.k,
         "skipped": skipped,
-        "reports": [json.loads(r.to_json()) for r in reports],
+        "reports": [r.to_dict() for r in reports],
     }
     report_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     csv_lines = [RESULTS_CSV_HEADER] + [r.csv_row() for r in reports]
@@ -233,6 +233,7 @@ def _context_hash(context: dict) -> str:
 
 def cmd_train(args) -> int:
     root = _root_seed(args)
+    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     featurization = args.features
@@ -242,7 +243,6 @@ def cmd_train(args) -> int:
         print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
         return 2
     context["training_graphs"] = [emit_dot(g) for g in graphs]
-    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     context_hash = _context_hash(context)
@@ -254,6 +254,9 @@ def cmd_train(args) -> int:
             print(f"diagnostic: {mr}: single-class corpus, skipped", file=sys.stderr)
             continue
         model = train_svm(gram.values, y, svm_params)
+        stop = short_stop(gram.values, y, model, svm_params)
+        if stop is not None:
+            print(f"diagnostic: {mr}: {stop}", file=sys.stderr)
         payload = {
             "mr": mr,
             "featurization": featurization,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .kernels import KernelMatrix
-from .svm import SvmParams, train_svm, decision_value
+from .svm import SvmParams, decision_value, short_stop, train_svm
 
 
 class EvaluationError(ValueError):
@@ -202,8 +202,8 @@ class EvalReport:
     defined_counts: dict[str, int]
     diagnostics: tuple[str, ...] = ()
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "mr": self.mr,
             "featurization": self.featurization,
             "config": self.config,
@@ -220,7 +220,9 @@ class EvalReport:
             "defined_counts": dict(sorted(self.defined_counts.items())),
             "diagnostics": list(self.diagnostics),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def csv_row(self) -> str:
         def cell(v):
@@ -244,8 +246,9 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
     Each fold trains on the training block of ``gram`` and scores a test
     sample from its column against the training split; ``labels01`` uses 1
     for "MR applies".  Folds whose training split is single-class are
-    skipped with a diagnostic.  Aggregates are means over folds where each
-    metric is defined.
+    skipped with a diagnostic; a fit that stops at ``max_passes`` short of
+    ``kkt_tol`` is kept and carries ``short_stop``'s.  Aggregates are means
+    over folds where each metric is defined.
     """
     labels01 = list(labels01)
     n = len(labels01)
@@ -267,14 +270,16 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
             fold_results.append(FoldResult(
                 fold, None, None, ("single-class training data; fold aborted",)))
             continue
-        model = train_svm(gram.submatrix(train_idx, train_idx), train_y, svm_params)
+        train_gram = gram.submatrix(train_idx, train_idx)
+        model = train_svm(train_gram, train_y, svm_params)
+        stop = short_stop(train_gram, train_y, model, svm_params)
+        diags = [] if stop is None else [stop]
         decisions = [decision_value(model, gram.values[train_idx, t])
                      for t in test_idx]
         predicted01 = [1 if d >= 0 else 0 for d in decisions]
         truth01 = [labels01[t] for t in test_idx]
         cm = confusion(predicted01, truth01)
         fold_metrics = metrics(cm)
-        diags: list[str] = []
         if len(set(truth01)) == 2:
             fold_auc = auc(decisions, truth01)
             fold_metrics = EvalMetrics(

@@ -1,6 +1,7 @@
-"""The SMO solver of mrkit 0.1 before its pair search ran on numpy
-orderings and Python floats, kept verbatim as the reference that
-``test_svm_differential.py`` compares ``mrkit.svm`` against bit for bit.
+"""The SMO solver of mrkit 0.1: the maximum KKT violator paired with the
+partner of largest |E_i - E_j|, ties shuffled by a seeded RNG, and Platt's
+bias.  ``test_svm_differential.py`` requires ``mrkit.svm`` to reach at
+least this solver's dual objective.
 
 Only the solver loop lives here; the model type, the fingerprint and the
 Gram validation are shared with ``mrkit.svm``.

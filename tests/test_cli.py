@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -5,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mrkit import cli
 from mrkit.cfg import parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
 from mrkit.features import build_design_matrix, combine, node_features, path_features
 from mrkit.kernels import GkParams, RwkParams, graphlet_kernel, random_walk_kernel
 from mrkit.oracle import MR_IDS
-from mrkit.svm import SvmModel, decision_value
+from mrkit.svm import SvmModel, SvmParams, decision_value
 
 
 def corpus_path(name: str) -> str:
@@ -154,6 +156,24 @@ def test_stats_prints_published_counts(capsys):
 
 def test_evaluate_usage_error_on_k_below_two(tmp_path, capsys):
     assert main(["evaluate", "--k", "1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_evaluate_refuses_non_finite_c(tmp_path, capsys, bad):
+    assert main(["evaluate", "--features", "gk", "--mr", "add", "--C", bad,
+                 "--out", str(tmp_path)]) == 2
+    assert "C must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_train_reports_a_max_passes_stop(tmp_path, capsys, monkeypatch):
+    args = ["train", "--features", "nf-pf", "--mr", "per", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert "SMO stopped" not in capsys.readouterr().err
+    monkeypatch.setattr(cli, "SvmParams", functools.partial(SvmParams, max_passes=1))
+    assert main(args) == 0
+    assert "diagnostic: PER: SMO stopped at max_passes: KKT violation " \
+        in capsys.readouterr().err
 
 
 def test_evaluate_deterministic_outputs(tmp_path):

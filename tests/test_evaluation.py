@@ -1,3 +1,5 @@
+import argparse
+import json
 import random
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrkit.cli import _corpus_features
 from mrkit.evaluation import (
     ConfusionMatrix,
     EvaluationError,
@@ -275,6 +278,24 @@ def test_cross_validate_single_class_training_fold_aborts():
     assert len(aborted) == 1
     assert any("single-class" in d for d in aborted[0].diagnostics)
     assert any("skipped" in d for d in report.diagnostics)
+
+
+def test_cross_validate_reports_a_max_passes_stop(dataset):
+    # an nf-pf fit takes about 150 pair updates, more than one pass of n
+    args = argparse.Namespace(omit_exit_nf=False)
+    entries, _, gram, _ = _corpus_features(dataset, "nf-pf", args)
+    labels = [1 if e.labels["PER"] else 0 for e in entries]
+    folds = stratified_kfold(labels, 10, seed=42)
+    short = cross_validate(gram, labels, folds, SvmParams(max_passes=1))
+    stops = [d for fr in short.folds for d in fr.diagnostics]
+    assert stops
+    for d in stops:
+        head, violation = d.rsplit(" ", 1)
+        assert head == "SMO stopped at max_passes: KKT violation"
+        assert float(violation) > SvmParams().kkt_tol
+    assert json.loads(short.to_json()) == short.to_dict()
+    full = cross_validate(gram, labels, folds, SvmParams())
+    assert not any(fr.diagnostics for fr in full.folds)
 
 
 def test_report_json_and_csv_row_deterministic():

@@ -36,7 +36,12 @@ def brute_force_dual(K, y, C, grid=401):
                 best_obj, best_alpha = obj, alpha
     f = (best_alpha * y) @ K
     margin = [i for i in range(3) if 1e-6 < best_alpha[i] < C - 1e-6]
-    bias = float(np.mean([y[i] - f[i] for i in margin]))
+    if margin:
+        bias = float(np.mean([y[i] - f[i] for i in margin]))
+    else:  # every dual at a bound only brackets b: take the midpoint
+        on_margin = y - f  # the bias that puts each sample on its margin
+        from_below = (best_alpha <= 1e-6) == (y > 0)
+        bias = float(on_margin[from_below].max() + on_margin[~from_below].min()) / 2
     return f + bias
 
 
@@ -72,6 +77,19 @@ def test_three_point_decisions_match_brute_force_dual():
     model = train_svm(K, y, SvmParams(seed=42))
     ours = [decision_value(model, K[:, j]) for j in range(3)]
     assert np.max(np.abs(np.asarray(ours) - oracle)) <= 1e-4
+
+
+def test_identical_rows_with_opposite_labels_converge():
+    # samples 0 and 1 are one point under both labels, so the pair's
+    # curvature K_00 + K_11 - 2 K_01 is 0 and the step uses tau instead
+    X = np.array([[1.0], [1.0], [3.0]])
+    y = [-1, 1, 1]
+    K = X @ X.T
+    params = SvmParams()
+    model = train_svm(K, y, params)
+    assert kkt_report(K, y, model, params) <= params.kkt_tol
+    ours = [decision_value(model, K[:, j]) for j in range(3)]
+    assert np.max(np.abs(np.asarray(ours) - brute_force_dual(K, y, C=1.0))) <= 1e-4
 
 
 def test_kkt_invariants_and_dual_balance():
@@ -176,3 +194,9 @@ def test_params_validation():
         SvmParams(C=0.0)
     with pytest.raises(SvmError):
         SvmParams(kkt_tol=0.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SvmError, match="finite"):
+            SvmParams(C=bad)
+    with pytest.raises(SvmError, match="max_passes"):
+        SvmParams(max_passes=0)
+    SvmParams(C=1e300, max_passes=1)

@@ -1,14 +1,12 @@
 """``mrkit.svm`` against the solver it replaced (``svm_reference.py``).
 
-The pair search now orders candidates with numpy and updates pairs on
-Python floats; it must visit the same pairs, draw the same random numbers
-and reach the same alphas and bias, bit for bit.
+The WSS2 solver takes other working pairs than the reference, so its
+alphas differ in the last digits; a fit must instead reach at least the
+reference's dual objective, up to a relative 1e-4, and stop within
+``kkt_tol`` of the KKT conditions.
 """
 
 import argparse
-import json
-import math
-import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,38 +16,7 @@ import svm_reference as ref
 from mrkit import svm
 from mrkit.cli import _corpus_features, stage_seed
 from mrkit.evaluation import stratified_kfold
-
-
-def _tied_scores(draw, n: int) -> list[float]:
-    base = draw(st.sampled_from([0.0, 1.0, 0.5, 1e-3, 37.25, -2.0]))
-    if draw(st.booleans()):
-        return [base] * n  # every gap ties
-    value = st.one_of(
-        st.just(base),  # exact tie with the top
-        st.integers(-30, 30).map(lambda k: base + k * 1e-13),  # around the 1e-12 cut
-        st.floats(-3.0, 3.0),
-        st.sampled_from([math.nan, math.inf, -math.inf]),
-    )
-    return draw(st.lists(value, min_size=n, max_size=n))
-
-
-@st.composite
-def order_cases(draw):
-    n = draw(st.integers(1, 14))
-    scores = np.asarray(_tied_scores(draw, n))
-    exclude = draw(st.one_of(st.none(), st.integers(0, n - 1)))
-    return scores, exclude, draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(order_cases())
-def test_seeded_order_matches_list_reference(case):
-    scores, exclude, seed = case
-    ours_rng, ref_rng = random.Random(seed), random.Random(seed)
-    ours = svm._seeded_order(ours_rng, scores, exclude)
-    assert ours == ref._seeded_order(ref_rng, scores, exclude)
-    assert all(type(t) is int for t in ours)
-    assert ours_rng.getstate() == ref_rng.getstate()
+from mrkit.oracle import MR_IDS
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -68,11 +35,19 @@ def test_kkt_violations_match_mask_reference(C, data):
     assert ours.tobytes() == theirs.tobytes()
 
 
+def _dual(model: svm.SvmModel, gram: np.ndarray) -> float:
+    """sum(alpha) - c' K c / 2 over the support, with c = alpha * y."""
+    coef, support = np.asarray(model.coef), list(model.support)
+    return float(np.abs(coef).sum() - coef @ gram[np.ix_(support, support)] @ coef / 2)
+
+
 def _same_fit(gram, y, params: svm.SvmParams) -> None:
-    ours = svm.train_svm(gram, y, params).to_dict()
-    theirs = ref.train_svm(gram, y, params).to_dict()
-    # json text compares floats by repr, so a flipped last bit shows
-    assert json.dumps(ours) == json.dumps(theirs)
+    gram = np.asarray(gram, dtype=float)
+    ours = svm.train_svm(gram, y, params)
+    theirs = _dual(ref.train_svm(gram, y, params), gram)
+    assert _dual(ours, gram) >= theirs - 1e-4 * max(1.0, abs(theirs))
+    assert all(0.0 < abs(c) <= params.C for c in ours.coef)
+    assert svm.kkt_report(gram, y, ours, params) <= params.kkt_tol
 
 
 @st.composite
@@ -103,16 +78,18 @@ def test_train_svm_matches_reference_on_duplicate_rows(problem):
 
 
 def test_train_svm_matches_reference_on_corpus_folds(dataset):
-    """Every fold's training Gram of PER, for nf-pf and gk k=4, at the
-    seed-42 fold plan and SVM seed that ``mrkit evaluate`` uses; seven gk
-    folds stop with no movable pair, short of the KKT tolerance."""
-    args = argparse.Namespace(omit_exit_nf=False, graphlet_k=4)
+    """Every fold's training Gram of every MR, for nf-pf, rwk and gk k=3
+    and k=4, at the seed-42 fold plan and SVM seed that ``mrkit evaluate``
+    uses; the reference stops short of ``kkt_tol`` on 16 of the gk folds."""
     params = svm.SvmParams(seed=stage_seed(42, "svm"))
-    for featurization in ("nf-pf", "gk"):
+    for featurization, k in (("nf-pf", 3), ("rwk", 3), ("gk", 3), ("gk", 4)):
+        args = argparse.Namespace(omit_exit_nf=False, graphlet_k=k, walk_len=10,
+                                  **{"lambda": 0.5})
         entries, _, gram, _ = _corpus_features(dataset, featurization, args)
-        labels = [1 if e.labels["PER"] else 0 for e in entries]
-        folds = stratified_kfold(labels, 10, seed=stage_seed(42, "folds"))
-        for fold in range(folds.k):
-            train = [i for i, f in enumerate(folds.assignments) if f != fold]
-            _same_fit(gram.submatrix(train, train),
-                      [1 if labels[i] else -1 for i in train], params)
+        for mr in MR_IDS:
+            labels = [1 if e.labels[mr] else 0 for e in entries]
+            folds = stratified_kfold(labels, 10, seed=stage_seed(42, "folds"))
+            for fold in range(folds.k):
+                train = [i for i, f in enumerate(folds.assignments) if f != fold]
+                _same_fit(gram.submatrix(train, train),
+                          [1 if labels[i] else -1 for i in train], params)
