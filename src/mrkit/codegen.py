@@ -1,7 +1,8 @@
 """Generated Python for mini-IR bytecode, one function per mini-IR function.
 
-``generate`` turns the bytecode that ``mir._Compiler`` emits into the
-source of one Python function and compiles it; ``mir.interpret`` runs it.
+``generate`` turns the bytecode that ``mir._Lowerer`` emits at parse time
+into the source of one Python function and compiles it; ``mir.interpret``
+runs it.
 Every op does what it does in ``mir._run``, the reference dispatch loop,
 with the same values, trap kinds, lines and messages.
 """

@@ -137,9 +137,6 @@ class DesignMatrix:
     rows: np.ndarray = field(repr=False)
     kind: str = "NF-PF"
 
-    def row(self, method_id: str) -> np.ndarray:
-        return self.rows[self.method_ids.index(method_id)]
-
     def gram(self) -> KernelMatrix:
         """Linear-kernel Gram ``rows @ rows.T``; the rows are integer
         counts, so every entry is exact in float64 and a fold's block

@@ -27,14 +27,16 @@ shape feature extraction expects for loop headers.  The interpreter runs
 the standard desugaring (test re-evaluated each iteration; a ``len`` bound
 is loop-invariant either way).
 
-The interpreter compiles a function to bytecode, one op per statement plus
-the init, bound read, increment and back jump of each ``for``; one step of
-the budget is one op.  On the first call, ``codegen.generate`` turns the
-bytecode into Python source with one straight-line branch per basic block,
-charged for all its ops on entry, and every call runs that.  ``_run``, the
-bytecode dispatch loop, has two jobs: it finishes a call whose next block
-would end past the budget, from that block's first op, and it is the
-reference the tests compare the generated code against.
+``parse_program`` lowers each function in one walk over its statements,
+which builds the CFG and the bytecode together and checks names, labels
+and structure.  The bytecode has one op per statement plus the init, bound
+read, increment and back jump of each ``for``; one step of the budget is
+one op.  Only code generation waits for the first call: ``codegen.generate``
+then turns the bytecode into Python source with one straight-line branch
+per basic block, charged for all its ops on entry, and every call runs
+that.  ``_run``, the bytecode dispatch loop, has two jobs: it finishes a
+call whose next block would end past the budget, from that block's first
+op, and it is the reference the tests compare the generated code against.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cfg import AnnotatedCfg, NodeOp, classify_statement
+from .cfg import AnnotatedCfg, NodeOp, classify_statement, validate
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -143,7 +145,9 @@ class Function:
     param: str
     body: list
     line: int
-    _compiled: "_Compiled | None" = field(default=None, repr=False, compare=False)
+    # CFG and bytecode: set by parse_program, or on first use for a
+    # Function built by hand
+    _lowered: "_Lowered | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -318,11 +322,11 @@ class _FunctionParser:
 
 
 def parse_program(text: str) -> Program:
-    """Parse mini-IR source into a validated Program.
+    """Parse mini-IR source into a validated, lowered Program.
 
     Besides syntax, this checks label resolution, variable usage and the
     structural contract (every path ends in ``return``, no unreachable
-    statements), so any parsed function lowers to a valid CFG.
+    statements) while lowering each function to its CFG and bytecode.
     """
     lines: list[tuple[int, str]] = []
     for idx, raw in enumerate(text.splitlines(), start=1):
@@ -345,106 +349,52 @@ def parse_program(text: str) -> Program:
         body = parser.parse_block(line_no)
         pos = parser.pos
         fn = Function(name=name, param=param, body=body, line=line_no)
-        _check_function(fn)
+        _lower(fn)
         functions.append(fn)
     return Program(functions)
 
 
-def _walk(stmts: list, visit) -> None:
-    for stmt in stmts:
-        visit(stmt)
-        if isinstance(stmt, For):
-            _walk(stmt.body, visit)
-
-
-def _check_function(fn: Function) -> None:
-    labels: dict[str, Statement] = {}
-    assigned: set[str] = {fn.param}
-    read: list[tuple[str, int]] = []
-
-    def note_atom(atom: tuple, line: int) -> None:
-        if atom[0] == "v":
-            read.append((atom[1], line))
-
-    def visit(stmt: Statement) -> None:
-        for lbl in stmt.labels:
-            if lbl in labels:
-                raise MirError(f"duplicate label {lbl!r}", stmt.line)
-            labels[lbl] = stmt
-        if isinstance(stmt, Assign):
-            assigned.add(stmt.dst)
-            rhs = stmt.rhs
-            if rhs[0] == "atom":
-                note_atom(rhs[1], stmt.line)
-            elif rhs[0] == "load":
-                note_atom(rhs[1], stmt.line)
-            elif rhs[0] in ("bin", "cmp"):
-                note_atom(rhs[2], stmt.line)
-                note_atom(rhs[3], stmt.line)
-            elif rhs[0] == "call":
-                note_atom(rhs[2], stmt.line)
-            elif rhs[0] == "pow":
-                note_atom(rhs[1], stmt.line)
-                note_atom(rhs[2], stmt.line)
-        elif isinstance(stmt, Store):
-            note_atom(stmt.index, stmt.line)
-            note_atom(stmt.value, stmt.line)
-        elif isinstance(stmt, IfGoto):
-            note_atom(stmt.left, stmt.line)
-            note_atom(stmt.right, stmt.line)
-        elif isinstance(stmt, Return):
-            rhs = stmt.rhs
-            if rhs[0] == "atom":
-                note_atom(rhs[1], stmt.line)
-            else:
-                note_atom(rhs[2], stmt.line)
-                note_atom(rhs[3], stmt.line)
-        elif isinstance(stmt, For):
-            assigned.add(stmt.var)
-            note_atom(stmt.init, stmt.line)
-            if stmt.bound[0] == "atom":
-                note_atom(stmt.bound[1], stmt.line)
-            note_atom(stmt.incr_arg, stmt.line)
-
-    _walk(fn.body, visit)
-
-    targets: list[tuple[str, int]] = []
-
-    def collect_targets(stmt: Statement) -> None:
-        if isinstance(stmt, (IfGoto, Goto)):
-            targets.append((stmt.target, stmt.line))
-
-    _walk(fn.body, collect_targets)
-    for target, line in targets:
-        if target not in labels:
-            raise MirError(f"undefined label {target!r}", line)
-
-    for name, line in read:
-        if name == fn.param:
-            raise MirError(f"array {name!r} used as a scalar", line)
-        if name not in assigned:
-            raise MirError(f"variable {name!r} is never assigned", line)
-
-    # Structural contract: lower and interpret the diagnostics in source
-    # terms. _lower raises MirError for falls-off-end and unreachable code.
-    _lower(fn)
-
-
 # ---------------------------------------------------------------------------
-# Lowering to AnnotatedCfg
+# Lowering: one walk builds the CFG and the bytecode
+
+_MOVC, _MOV, _LOAD, _STORE, _LEN, _BIN, _CMP, _CALL, _POW, _JMP, _JIF, _RET, _RETBIN = range(13)
+
+_BIN_INDEX = {op: i for i, op in enumerate(_BIN_OPS)}
+_CMP_INDEX = {op: i for i, op in enumerate(_CMP_OPS)}
+_NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+@dataclass
+class _Lowered:
+    cfg: AnnotatedCfg
+    code: list[tuple]
+    n_slots: int
+    # codegen.generate's run(fn, arr, budget), made on the first call and
+    # published by one assignment, so a thread that races the first call
+    # sees either None or a complete function
+    run: Callable | None = None
 
 
 class _Lowerer:
+    """Walks a function's statements once.  Per statement it emits the CFG
+    node(s) and edges and the bytecode op(s), records its labels as
+    ``(node, pc)`` and notes the names it reads and writes; ``lower`` then
+    checks the function, resolves the jumps and validates the CFG."""
+
     def __init__(self, fn: Function):
         self.fn = fn
         self.ops: list[NodeOp] = []
         self.lines: list[int | None] = []
         self.edges: list[tuple[int, int]] = []
-        self.label_nodes: dict[str, int] = {}
-        self.jump_fixups: list[tuple[int, str, int, bool]] = []  # node, label, line, conditional
-        self.return_nodes: list[int] = []
+        self.code: list[tuple] = []
+        self.slots: dict[str, int] = {}
+        self.labels: dict[str, tuple[int, int]] = {}
+        self.jumps: list[tuple[int, int, str, int]] = []  # node, pc, label, line
+        self.returns: list[int] = []
+        self.assigned: set[str] = {fn.param}
+        self.reads: list[tuple[str, int]] = []
 
-    def emit(self, token: str, line: int | None) -> int:
+    def node(self, token: str, line: int | None) -> int:
         self.ops.append(classify_statement(token))
         self.lines.append(line)
         return len(self.ops) - 1
@@ -452,242 +402,191 @@ class _Lowerer:
     def edge(self, a: int, b: int) -> None:
         self.edges.append((a, b))
 
-    def lower_block(self, stmts: list) -> tuple[int | None, list[int]]:
-        entry: int | None = None
-        open_tails: list[int] = []
-        first = True
-        for stmt in stmts:
-            stmt_entry, tails = self.lower_statement(stmt)
-            for lbl in stmt.labels:
-                self.label_nodes[lbl] = stmt_entry
-            for t in open_tails:
-                self.edge(t, stmt_entry)
-            if first:
-                entry = stmt_entry
-                first = False
-            open_tails = tails
-        return entry, open_tails
-
-    def lower_statement(self, stmt: Statement) -> tuple[int, list[int]]:
-        if isinstance(stmt, Assign):
-            rhs = stmt.rhs
-            if rhs[0] == "bin":
-                node = self.emit(rhs[1], stmt.line)
-            elif rhs[0] == "cmp":
-                node = self.emit(rhs[1], stmt.line)
-            elif rhs[0] in ("call", "pow"):
-                node = self.emit("invoke", stmt.line)
-            else:
-                node = self.emit("=", stmt.line)
-            return node, [node]
-        if isinstance(stmt, Store):
-            node = self.emit("=", stmt.line)
-            return node, [node]
-        if isinstance(stmt, IfGoto):
-            node = self.emit("if", stmt.line)
-            self.jump_fixups.append((node, stmt.target, stmt.line, True))
-            return node, [node]
-        if isinstance(stmt, Goto):
-            node = self.emit("goto", stmt.line)
-            self.jump_fixups.append((node, stmt.target, stmt.line, False))
-            return node, []
-        if isinstance(stmt, Return):
-            rhs = stmt.rhs
-            node = self.emit("return" if rhs[0] == "atom" else rhs[1], stmt.line)
-            self.return_nodes.append(node)
-            return node, []
-        if isinstance(stmt, For):
-            init = self.emit("=", stmt.line)
-            goto = self.emit("goto", stmt.line)
-            self.edge(init, goto)
-            prep = None
-            if stmt.bound[0] == "len":
-                prep = self.emit("=", stmt.line)
-                self.edge(goto, prep)
-            if_node = self.emit("if", stmt.line)
-            self.edge(prep if prep is not None else goto, if_node)
-            body_entry, body_tails = self.lower_block(stmt.body)
-            incr = self.emit(stmt.incr_op, stmt.line)
-            self.edge(if_node, body_entry if body_entry is not None else incr)
-            for t in body_tails:
-                self.edge(t, incr)
-            self.edge(incr, if_node)
-            return init, [if_node]
-        raise AssertionError(f"unhandled statement {stmt!r}")
-
-
-def _lower(fn: Function) -> tuple[AnnotatedCfg, list[int | None]]:
-    low = _Lowerer(fn)
-    start = low.emit(":=", fn.line)
-    entry, tails = low.lower_block(fn.body)
-    if entry is None:
-        raise MirError(f"function {fn.name!r} has an empty body", fn.line)
-    low.edge(start, entry)
-    if tails:
-        raise MirError(
-            f"control can fall off the end of function {fn.name!r}",
-            low.lines[tails[0]])
-    if not low.return_nodes:
-        raise MirError(f"function {fn.name!r} never returns", fn.line)
-    for node, label, line, conditional in low.jump_fixups:
-        target = low.label_nodes.get(label)
-        if target is None:
-            raise MirError(f"undefined label {label!r}", line)
-        if (node, target) in low.edges:
-            raise MirError("conditional jump to its own fall-through", line)
-        low.edge(node, target)
-    exit_node = low.emit("exit", None)
-    for node in low.return_nodes:
-        low.edge(node, exit_node)
-
-    cfg = AnnotatedCfg(name=fn.name, ops=tuple(low.ops), edges=tuple(low.edges))
-
-    from .cfg import validate
-
-    for diag in validate(cfg):
-        line = low.lines[diag.node] if diag.node is not None else None
-        if "unreachable from start" in diag.message:
-            raise MirError("unreachable statement", line)
-        if "exit unreachable" in diag.message:
-            raise MirError("statement cannot reach a return", line)
-        raise MirError(f"invalid control flow: {diag.message}", line)
-    return cfg, low.lines
-
-
-def lower_to_cfg(fn: Function) -> AnnotatedCfg:
-    """Lower a parsed function to its annotated CFG (always valid)."""
-    return _lower(fn)[0]
-
-
-# ---------------------------------------------------------------------------
-# Interpreter
-
-_MOVC, _MOV, _LOAD, _STORE, _LEN, _BIN, _CMP, _CALL, _POW, _JMP, _JIF, _RET, _RETBIN = range(13)
-
-_BIN_INDEX = {op: i for i, op in enumerate(_BIN_OPS)}
-_CMP_INDEX = {op: i for i, op in enumerate(_CMP_OPS)}
-
-
-@dataclass(frozen=True)
-class _Compiled:
-    code: list[tuple]
-    n_slots: int
-    run: Callable  # from codegen.generate: run(fn, arr, budget) -> float
-
-
-class _Compiler:
-    def __init__(self, fn: Function):
-        self.fn = fn
-        self.slots: dict[str, int] = {}
-        self.code: list[tuple] = []
-        self.label_pcs: dict[str, int] = {}
-        self.fixups: list[tuple[int, str]] = []
-
     def slot(self, name: str) -> int:
         if name not in self.slots:
             self.slots[name] = len(self.slots)
         return self.slots[name]
 
-    def operand(self, atom: tuple) -> tuple[int, float | int]:
+    def write(self, name: str) -> int:
+        self.assigned.add(name)
+        return self.slot(name)
+
+    def operand(self, atom: tuple, line: int) -> tuple[int, float | int]:
         if atom[0] == "c":
             return 0, atom[1]
+        self.reads.append((atom[1], line))
         return 1, self.slot(atom[1])
 
-    def compile_block(self, stmts: list) -> None:
+    def block(self, stmts: list) -> tuple[int | None, list[int]]:
+        """Lower statements in order; returns the entry node and the nodes
+        that fall through past the last one."""
+        entry = len(self.ops) if stmts else None
+        tails: list[int] = []
         for stmt in stmts:
-            at = len(self.code)
+            node = len(self.ops)  # every statement enters at its first node
             for lbl in stmt.labels:
-                self.label_pcs[lbl] = at
-            self.compile_statement(stmt)
+                if lbl in self.labels:
+                    raise MirError(f"duplicate label {lbl!r}", stmt.line)
+                self.labels[lbl] = (node, len(self.code))
+            new_tails = self.statement(stmt)
+            for t in tails:
+                self.edge(t, node)
+            tails = new_tails
+        return entry, tails
 
-    def compile_statement(self, stmt: Statement) -> None:
-        code = self.code
+    def statement(self, stmt: Statement) -> list[int]:
+        # Slots go to a statement's destination before its operands, and to
+        # a for's increment operand after its body.
+        code, line = self.code, stmt.line
         if isinstance(stmt, Assign):
-            dst = self.slot(stmt.dst)
             rhs = stmt.rhs
+            node = self.node(rhs[1] if rhs[0] in ("bin", "cmp") else
+                             "invoke" if rhs[0] in ("call", "pow") else "=", line)
+            dst = self.write(stmt.dst)
             if rhs[0] == "atom":
-                kind, val = self.operand(rhs[1])
+                kind, val = self.operand(rhs[1], line)
                 code.append((_MOVC, dst, val) if kind == 0 else (_MOV, dst, val))
             elif rhs[0] == "load":
-                code.append((_LOAD, dst) + self.operand(rhs[1]) + (stmt.line,))
+                code.append((_LOAD, dst) + self.operand(rhs[1], line) + (line,))
             elif rhs[0] == "len":
                 code.append((_LEN, dst))
             elif rhs[0] == "bin":
-                code.append((_BIN, dst, _BIN_INDEX[rhs[1]])
-                            + self.operand(rhs[2]) + self.operand(rhs[3]) + (stmt.line,))
+                code.append((_BIN, dst, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
+                            + self.operand(rhs[3], line) + (line,))
             elif rhs[0] == "cmp":
-                code.append((_CMP, dst, _CMP_INDEX[rhs[1]])
-                            + self.operand(rhs[2]) + self.operand(rhs[3]))
+                code.append((_CMP, dst, _CMP_INDEX[rhs[1]]) + self.operand(rhs[2], line)
+                            + self.operand(rhs[3], line))
             elif rhs[0] == "call":
-                code.append((_CALL, dst, rhs[1]) + self.operand(rhs[2]) + (stmt.line,))
-            elif rhs[0] == "pow":
-                code.append((_POW, dst) + self.operand(rhs[1])
-                            + self.operand(rhs[2]) + (stmt.line,))
-        elif isinstance(stmt, Store):
-            code.append((_STORE,) + self.operand(stmt.index)
-                        + self.operand(stmt.value) + (stmt.line,))
-        elif isinstance(stmt, IfGoto):
-            pc = len(code)
-            self.fixups.append((pc, stmt.target))
-            code.append((_JIF, _CMP_INDEX[stmt.op])
-                        + self.operand(stmt.left) + self.operand(stmt.right) + (-1,))
-        elif isinstance(stmt, Goto):
-            pc = len(code)
-            self.fixups.append((pc, stmt.target))
+                code.append((_CALL, dst, rhs[1]) + self.operand(rhs[2], line) + (line,))
+            else:
+                code.append((_POW, dst) + self.operand(rhs[1], line)
+                            + self.operand(rhs[2], line) + (line,))
+            return [node]
+        if isinstance(stmt, Store):
+            node = self.node("=", line)
+            code.append((_STORE,) + self.operand(stmt.index, line)
+                        + self.operand(stmt.value, line) + (line,))
+            return [node]
+        if isinstance(stmt, IfGoto):
+            node = self.node("if", line)
+            self.jumps.append((node, len(code), stmt.target, line))
+            code.append((_JIF, _CMP_INDEX[stmt.op]) + self.operand(stmt.left, line)
+                        + self.operand(stmt.right, line) + (-1,))
+            return [node]
+        if isinstance(stmt, Goto):
+            node = self.node("goto", line)
+            self.jumps.append((node, len(code), stmt.target, line))
             code.append((_JMP, -1))
-        elif isinstance(stmt, Return):
+            return []
+        if isinstance(stmt, Return):
             rhs = stmt.rhs
+            self.returns.append(self.node("return" if rhs[0] == "atom" else rhs[1], line))
             if rhs[0] == "atom":
-                code.append((_RET,) + self.operand(rhs[1]))
+                code.append((_RET,) + self.operand(rhs[1], line))
             else:
-                code.append((_RETBIN, _BIN_INDEX[rhs[1]])
-                            + self.operand(rhs[2]) + self.operand(rhs[3]) + (stmt.line,))
-        elif isinstance(stmt, For):
-            var = self.slot(stmt.var)
-            kind, val = self.operand(stmt.init)
+                code.append((_RETBIN, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
+                            + self.operand(rhs[3], line) + (line,))
+            return []
+        if isinstance(stmt, For):
+            var = self.write(stmt.var)
+            init = self.node("=", line)
+            kind, val = self.operand(stmt.init, line)
             code.append((_MOVC, var, val) if kind == 0 else (_MOV, var, val))
+            test = self.node("goto", line)
+            self.edge(init, test)
             if stmt.bound[0] == "len":
-                bound_slot = self.slot(f"$bound{len(code)}")
-                code.append((_LEN, bound_slot))
-                bound_operand: tuple = (1, bound_slot)
+                prep = self.node("=", line)
+                self.edge(test, prep)
+                test = prep
+                bound: tuple = (1, self.slot(f"$bound{len(code)}"))
+                code.append((_LEN, bound[1]))
             else:
-                bound_operand = self.operand(stmt.bound[1])
+                bound = self.operand(stmt.bound[1], line)
+            if_node = self.node("if", line)
+            self.edge(test, if_node)
+            # the negated test jumps past the loop, patched after the body
             test_pc = len(code)
-            # Negated test jumps past the loop; payload patched after the body.
-            neg = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-            exit_jump_pc = len(code)
-            code.append((_JIF, _CMP_INDEX[neg[stmt.cmp]], 1, var)
-                        + bound_operand + (-1,))
-            self.compile_block(stmt.body)
+            code.append((_JIF, _CMP_INDEX[_NEGATED[stmt.cmp]], 1, var) + bound + (-1,))
+            body_entry, body_tails = self.block(stmt.body)
+            incr = self.node(stmt.incr_op, line)
+            self.edge(if_node, body_entry if body_entry is not None else incr)
+            for t in body_tails:
+                self.edge(t, incr)
+            self.edge(incr, if_node)
             code.append((_BIN, var, _BIN_INDEX[stmt.incr_op], 1, var)
-                        + self.operand(stmt.incr_arg) + (stmt.line,))
+                        + self.operand(stmt.incr_arg, line) + (line,))
             code.append((_JMP, test_pc))
-            after = len(code)
-            op = code[exit_jump_pc]
-            code[exit_jump_pc] = op[:-1] + (after,)
-        else:
-            raise AssertionError(f"unhandled statement {stmt!r}")
+            code[test_pc] = code[test_pc][:-1] + (len(code),)
+            return [if_node]
+        raise AssertionError(f"unhandled statement {stmt!r}")
+
+    def lower(self) -> _Lowered:
+        fn = self.fn
+        start = self.node(":=", fn.line)
+        entry, tails = self.block(fn.body)
+        for _, _, label, line in self.jumps:
+            if label not in self.labels:
+                raise MirError(f"undefined label {label!r}", line)
+        # by line, stably: a for's increment read comes before its body's
+        for name, line in sorted(self.reads, key=lambda read: read[1]):
+            if name == fn.param:
+                raise MirError(f"array {name!r} used as a scalar", line)
+            if name not in self.assigned:
+                raise MirError(f"variable {name!r} is never assigned", line)
+        if entry is None:
+            raise MirError(f"function {fn.name!r} has an empty body", fn.line)
+        self.edge(start, entry)
+        if tails:
+            raise MirError(f"control can fall off the end of function {fn.name!r}",
+                           self.lines[tails[0]])
+        if not self.returns:
+            raise MirError(f"function {fn.name!r} never returns", fn.line)
+        for node, pc, label, line in self.jumps:
+            target, target_pc = self.labels[label]
+            if (node, target) in self.edges:
+                raise MirError("conditional jump to its own fall-through", line)
+            self.edge(node, target)
+            self.code[pc] = self.code[pc][:-1] + (target_pc,)
+        exit_node = self.node("exit", None)
+        for node in self.returns:
+            self.edge(node, exit_node)
+
+        cfg = AnnotatedCfg(name=fn.name, ops=tuple(self.ops), edges=tuple(self.edges))
+        for diag in validate(cfg):
+            line = self.lines[diag.node] if diag.node is not None else None
+            if "unreachable from start" in diag.message:
+                raise MirError("unreachable statement", line)
+            if "exit unreachable" in diag.message:
+                raise MirError("statement cannot reach a return", line)
+            raise MirError(f"invalid control flow: {diag.message}", line)
+        return _Lowered(cfg, self.code, len(self.slots))
 
 
-def _compile(fn: Function) -> _Compiled:
-    # Built on the first call, then published by one assignment, so a thread
-    # that races the first call sees either None or a complete _Compiled.
-    compiled = fn._compiled
-    if compiled is None:
-        comp = _Compiler(fn)
-        comp.compile_block(fn.body)
-        for pc, label in comp.fixups:
-            target = comp.label_pcs[label]
-            op = comp.code[pc]
-            comp.code[pc] = op[:-1] + (target,) if op[0] == _JIF else (_JMP, target)
+def _lower(fn: Function) -> _Lowered:
+    if fn._lowered is None:  # a Function built without parse_program
+        fn._lowered = _Lowerer(fn).lower()
+    return fn._lowered
+
+
+def lower_to_cfg(fn: Function) -> AnnotatedCfg:
+    """The function's annotated CFG (always valid), built when it was parsed."""
+    return _lower(fn).cfg
+
+
+# ---------------------------------------------------------------------------
+# Interpreter
+
+
+def _compile(fn: Function) -> _Lowered:
+    """The function's bytecode, with its generated Python made on first use."""
+    lowered = _lower(fn)
+    if lowered.run is None:
         # imported on first use, so commands that never run a function do
         # not load the generator
         from .codegen import generate
 
-        compiled = _Compiled(comp.code, len(comp.slots),
-                             generate(comp.code, len(comp.slots), fn.name))
-        fn._compiled = compiled
-    return compiled
+        lowered.run = generate(lowered.code, lowered.n_slots, fn.name)
+    return lowered
 
 
 def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> float:

@@ -240,9 +240,6 @@ class AuditReport:
     discrepancies: tuple[Discrepancy, ...]
     unmatched: tuple[str, ...]
 
-    def for_method(self, name: str) -> list[Discrepancy]:
-        return [d for d in self.discrepancies if d.method == name]
-
 
 def audit_labels(dynamic: dict[str, LabelReport],
                  reference: dict[str, MrLabelSet]) -> AuditReport:

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from mrkit.cfg import NodeOp, validate
-from mrkit.mir import MirError, Trap, interpret, lower_to_cfg, parse_program
+from mrkit.mir import (Assign, Function, MirError, Return, Trap, interpret, lower_to_cfg,
+                       parse_program)
 
 AVG_SOURCE = """
 fn avg(input) {
@@ -74,6 +75,39 @@ def test_array_as_scalar_rejected():
 def test_unknown_array_rejected():
     with pytest.raises(MirError, match="unknown array"):
         parse_program("fn f(a) {\n  x = b[0]\n  return x\n}\n")
+
+
+@pytest.mark.parametrize("body,message", [
+    # a duplicate label wins over an undefined label, even an earlier one
+    (["x = 1", "if x > 0 goto M", "L: x = 2", "L: return x"],
+     "line 5: duplicate label 'L'"),
+    # an undefined label wins over a variable that is never assigned
+    (["x = y", "goto M"], "line 3: undefined label 'M'"),
+    # a for's increment is checked before its body
+    (["for i = 0; i < 3; i = i + k {", "  x = z", "}", "return 0"],
+     "line 2: variable 'k' is never assigned"),
+    # name checks come before the structural ones
+    (["x = y"], "line 2: variable 'y' is never assigned"),
+    (["return 0", "x = y", "return x"], "line 3: variable 'y' is never assigned"),
+])
+def test_first_of_two_faults_is_reported(body, message):
+    src = "fn f(a) {\n" + "".join(f"  {line}\n" for line in body) + "}\n"
+    with pytest.raises(MirError) as info:
+        parse_program(src)
+    assert str(info.value) == message
+
+
+def test_function_built_without_the_parser():
+    src = "fn f(a) {\n  x = 2\n  return x\n}\n"
+    built = Function("f", "a", [Assign("x", ("atom", ("c", 2.0)), 2),
+                                Return(("atom", ("v", "x")), 3)], 1)
+    assert lower_to_cfg(built) == lower_to_cfg(parse_program(src).functions[0])
+    assert interpret(built, [1.0]) == 2.0
+    broken = Function("g", "a", [Return(("atom", ("v", "y")), 2)], 1)
+    with pytest.raises(MirError, match="never assigned"):
+        lower_to_cfg(broken)
+    with pytest.raises(MirError, match="never assigned"):
+        interpret(broken, [1.0])
 
 
 def test_lower_avg_label_multiset():
