@@ -56,8 +56,10 @@ def _load_method_cfgs(path: Path) -> list[AnnotatedCfg]:
         return [parse_dot(path.read_text())]
     if path.suffix == ".mir":
         program = parse_program(path.read_text())
+        if not program.functions:
+            raise ValueError("no function defined")
         return [lower_to_cfg(fn) for fn in program.functions]
-    raise ValueError(f"{path}: expected a .mir or .dot file")
+    raise ValueError("expected a .mir or .dot file")
 
 
 def _featurize(cfg: AnnotatedCfg, omit_exit: bool) -> tuple[FeatureVector, FeatureVector]:
@@ -158,8 +160,7 @@ def _corpus_features(ds, featurization: str, args):
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
         matrix = _nf_pf_matrix([e.name for e in entries], graphs, args.omit_exit_nf)
-        context = {"featurization": "nf-pf", "omit_exit_nf": args.omit_exit_nf,
-                   "feature_index": list(matrix.feature_index)}
+        context = {"featurization": "nf-pf", "omit_exit_nf": args.omit_exit_nf}
         return entries, graphs, matrix.gram(), context
     if featurization == "rwk":
         params = RwkParams(walk_len=args.walk_len, decay=getattr(args, "lambda"))
@@ -201,6 +202,8 @@ def cmd_evaluate(args) -> int:
             print(f"diagnostic: {mr}: single-class corpus, skipped", file=sys.stderr)
             continue
         folds = stratified_kfold(labels, args.k, seed=stage_seed(root, "folds"))
+        for warning in folds.warnings:
+            print(f"diagnostic: {mr}: {warning}", file=sys.stderr)
         reports.append(cross_validate(gram, labels, folds, svm_params,
                                       mr=mr, featurization=featurization))
 
@@ -231,13 +234,16 @@ def _context_hash(context: dict) -> str:
         json.dumps(context, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def cmd_train(args) -> int:
     root = _root_seed(args)
     svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
-    featurization = args.features
-    entries, graphs, gram, context = _corpus_features(ds, featurization, args)
+    entries, graphs, gram, context = _corpus_features(ds, args.features, args)
     unlabelled = [e.name for e in entries if e.labels is None]
     if unlabelled:
         print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
@@ -246,6 +252,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     context_hash = _context_hash(context)
+    _write_json(out_dir / "context.json",
+                {"context": context, "context_hash": context_hash})
     skipped = []
     for mr in _selected_mrs(args.mr):
         y = [1 if e.labels[mr] else -1 for e in entries]
@@ -257,28 +265,19 @@ def cmd_train(args) -> int:
         stop = short_stop(gram.values, y, model, svm_params)
         if stop is not None:
             print(f"diagnostic: {mr}: {stop}", file=sys.stderr)
-        payload = {
-            "mr": mr,
-            "featurization": featurization,
-            "context": context,
-            "context_hash": context_hash,
-            "model": model.to_dict(),
-        }
-        (out_dir / f"{mr}.json").write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _write_json(out_dir / f"{mr}.json",
+                    {"mr": mr, "context_hash": context_hash, "model": model.to_dict()})
     return 1 if skipped else 0
 
 
-def _column_function(featurization: str, context: dict):
+def _column_function(context: dict):
     """CFG -> the kernel column against the training graphs that every MR
     model of one context scores; the training side is built once here."""
     graphs = [parse_dot(text) for text in context["training_graphs"]]
-    if featurization == "nf-pf":
+    if context["featurization"] == "nf-pf":
         omit_exit = context["omit_exit_nf"]
         train = _nf_pf_matrix([str(i) for i in range(len(graphs))], graphs,
                               omit_exit)
-        if list(train.feature_index) != context["feature_index"]:
-            raise ValueError("training graphs do not reproduce the feature index")
 
         def column(cfg: AnnotatedCfg) -> np.ndarray:
             row, unseen = train.vectorize(combine(*_featurize(cfg, omit_exit)))
@@ -287,7 +286,7 @@ def _column_function(featurization: str, context: dict):
                       "treated as zero columns", file=sys.stderr)
             return train.rows @ row
         return column
-    if featurization == "rwk":
+    if context["featurization"] == "rwk":
         rwk = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
         return KernelColumns(graphs, "rwk", rwk=rwk).column
     return KernelColumns(graphs, "gk", gk=GkParams(k=context["k"])).column
@@ -295,37 +294,39 @@ def _column_function(featurization: str, context: dict):
 
 def cmd_predict(args) -> int:
     models_dir = Path(args.models)
+    context_path = models_dir / "context.json"
+    if not context_path.exists():
+        print(f"error: missing {context_path}: not a model directory, or one "
+              "that predates the one-context.json layout and must be retrained",
+              file=sys.stderr)
+        return 2
     models = {}
-    feats, hashes = set(), set()
     try:
-        # decode each bundle as it is read, so one raw bundle is alive at a
-        # time; once every hash is verified and all agree, the contexts are
-        # equal and the last one read serves all six models
+        saved = json.loads(context_path.read_text())
+        context, context_hash = saved["context"], saved["context_hash"]
+        if _context_hash(context) != context_hash:
+            print(f"error: {context_path}: featurization context does not "
+                  "match its hash; refusing to predict", file=sys.stderr)
+            return 2
+        featurization = context["featurization"]
+        if args.features and args.features != featurization:
+            print(f"error: models were trained with featurization "
+                  f"{featurization!r}, not {args.features!r}; refusing to "
+                  "predict", file=sys.stderr)
+            return 2
         for mr in MR_IDS:
             path = models_dir / f"{mr}.json"
             if not path.exists():
                 print(f"error: missing model file {path}", file=sys.stderr)
                 return 2
             bundle = json.loads(path.read_text())
-            context = bundle["context"]
-            if _context_hash(context) != bundle["context_hash"]:
-                print(f"error: {path}: featurization context does not match "
-                      "its hash; refusing to predict", file=sys.stderr)
+            if bundle["context_hash"] != context_hash:
+                print(f"error: {path}: trained on context "
+                      f"{bundle['context_hash']}, not {context_hash} of "
+                      f"{context_path}; refusing to predict", file=sys.stderr)
                 return 2
-            feats.add(bundle["featurization"])
-            hashes.add(bundle["context_hash"])
             models[mr] = SvmModel.from_dict(bundle["model"])
-        if len(feats) != 1 or len(hashes) != 1:
-            print("error: model files disagree on featurization context; "
-                  "refusing to predict", file=sys.stderr)
-            return 2
-        featurization = feats.pop()
-        if args.features and args.features != featurization:
-            print(f"error: models were trained with featurization "
-                  f"{featurization!r}, not {args.features!r}; refusing to "
-                  "predict", file=sys.stderr)
-            return 2
-        column_of = _column_function(featurization, context)
+        column_of = _column_function(context)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {models_dir}: malformed model file ({exc!r}); refusing "
               "to predict", file=sys.stderr)

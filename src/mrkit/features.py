@@ -128,6 +128,21 @@ def combine(nf: FeatureVector, pf: FeatureVector) -> FeatureVector:
     return FeatureVector("NF-PF", merged)
 
 
+def project(vector: FeatureVector,
+            key_index: dict[str, int]) -> tuple[np.ndarray, int]:
+    """The count row of ``vector`` over ``key_index`` and the number of its
+    keys missing from the index, which are dropped (they correspond to
+    all-zero columns)."""
+    row = np.zeros(len(key_index))
+    unseen = 0
+    for key, count in vector.entries.items():
+        if key in key_index:
+            row[key_index[key]] = count
+        else:
+            unseen += 1
+    return row, unseen
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Dense count matrix over the lexicographically sorted key union."""
@@ -135,7 +150,6 @@ class DesignMatrix:
     feature_index: tuple[str, ...]
     method_ids: tuple[str, ...]
     rows: np.ndarray = field(repr=False)
-    kind: str = "NF-PF"
 
     def gram(self) -> KernelMatrix:
         """Linear-kernel Gram ``rows @ rows.T``; the rows are integer
@@ -149,19 +163,8 @@ class DesignMatrix:
         return {k: i for i, k in enumerate(self.feature_index)}
 
     def vectorize(self, vector: FeatureVector) -> tuple[np.ndarray, int]:
-        """Project a new method's features onto this matrix's key space.
-
-        Returns the row and the number of unseen keys, which are dropped
-        (they correspond to all-zero columns)."""
-        out = np.zeros(len(self.feature_index))
-        lookup = self.key_index
-        unseen = 0
-        for key, count in vector.entries.items():
-            if key in lookup:
-                out[lookup[key]] = count
-            else:
-                unseen += 1
-        return out, unseen
+        """Project a new method's features onto this matrix's key space."""
+        return project(vector, self.key_index)
 
 
 def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatrix:
@@ -177,16 +180,8 @@ def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatr
 
     keys = sorted({key for _, vec in features for key in vec.entries})
     index = {key: i for i, key in enumerate(keys)}
-    rows = np.zeros((len(features), len(keys)))
-    for r, (_, vec) in enumerate(features):
-        for key, count in vec.entries.items():
-            rows[r, index[key]] = count
-    return DesignMatrix(
-        feature_index=tuple(keys),
-        method_ids=tuple(ids),
-        rows=rows,
-        kind=kinds.pop(),
-    )
+    rows = np.array([project(vec, index)[0] for _, vec in features])
+    return DesignMatrix(feature_index=tuple(keys), method_ids=tuple(ids), rows=rows)
 
 
 def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:

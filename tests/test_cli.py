@@ -60,6 +60,24 @@ def test_extract_empty_inputs_warns(tmp_path, capsys):
     assert "no inputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "predict"])
+@pytest.mark.parametrize("text", ["", "# only a comment\n"])
+def test_mir_file_without_a_function_is_an_error(tmp_path, capsys, command, text):
+    empty = tmp_path / "empty.mir"
+    empty.write_text(text)
+    if command == "extract":
+        args = ["extract", str(empty), "--out", str(tmp_path / "out")]
+    else:
+        models = tmp_path / "models"
+        assert main(["train", "--features", "nf-pf", "--out", str(models)]) == 0
+        args = ["predict", str(empty), "--models", str(models)]
+    capsys.readouterr()
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {empty}: no function defined\n"
+    assert "empty" not in out
+
+
 def test_extract_continues_past_bad_files(tmp_path, capsys):
     bad = tmp_path / "broken.dot"
     bad.write_text("digraph g {\n  a [label=\"nope\"];\n}\n")
@@ -203,6 +221,15 @@ def test_evaluate_writes_schema(tmp_path):
     assert (out / "gram.csv").exists()
 
 
+def test_evaluate_prints_fold_plan_warnings(tmp_path, capsys):
+    args = ["evaluate", "--features", "nf-pf", "--mr", "exc", "--seed", "42"]
+    assert main(args + ["--k", "30", "--out", str(tmp_path / "k30")]) == 0
+    err = capsys.readouterr().err
+    assert "diagnostic: EXC: class 1 has only 19 members for 30 folds\n" in err
+    assert main(args + ["--k", "10", "--out", str(tmp_path / "k10")]) == 0
+    assert "diagnostic" not in capsys.readouterr().err
+
+
 def test_evaluate_single_class_mr_skipped(tmp_path, capsys):
     man = write_mini_manifest(tmp_path, TRIO)
     code = main(["evaluate", "--manifest", str(man), "--features", "nf-pf",
@@ -227,7 +254,8 @@ def test_train_predict_round_trip(tmp_path, capsys):
     assert main(["train", "--manifest", str(man), "--features", "nf-pf",
                  "--out", str(models), "--seed", "42"]) == 0
     assert sorted(p.name for p in models.glob("*.json")) == [
-        "ADD.json", "EXC.json", "INC.json", "INV.json", "MUL.json", "PER.json"]
+        "ADD.json", "EXC.json", "INC.json", "INV.json", "MUL.json", "PER.json",
+        "context.json"]
 
     out = tmp_path / "pred.csv"
     assert main(["predict", corpus_path("sum"), "--models", str(models),
@@ -270,30 +298,76 @@ def test_predict_refuses_context_edited_without_hash(tmp_path, capsys):
     models = tmp_path / "models"
     assert main(["train", "--features", "nf-pf", "--out", str(models),
                  "--seed", "42"]) == 0
-    path = models / "PER.json"
-    bundle = json.loads(path.read_text())
-    bundle["context"]["omit_exit_nf"] = not bundle["context"]["omit_exit_nf"]
-    path.write_text(json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n")
+    path = models / "context.json"
+    saved = json.loads(path.read_text())
+    saved["context"]["omit_exit_nf"] = not saved["context"]["omit_exit_nf"]
+    path.write_text(json.dumps(saved, sort_keys=True, separators=(",", ":")) + "\n")
     capsys.readouterr()
     code = main(["predict", corpus_path("sum"), "--models", str(models)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "refusing" in err and "PER.json" in err
+    assert "refusing" in err and "context.json" in err
 
 
 def test_predict_refuses_malformed_context(tmp_path, capsys):
+    for key in ("omit_exit_nf", "training_graphs"):
+        models = tmp_path / key
+        assert main(["train", "--features", "nf-pf", "--out", str(models),
+                     "--seed", "42"]) == 0
+        # re-hash the context and every model's reference to it, so that
+        # only the missing key is wrong
+        path = models / "context.json"
+        saved = json.loads(path.read_text())
+        del saved["context"][key]
+        saved["context_hash"] = hashlib.sha256(
+            json.dumps(saved["context"], sort_keys=True).encode()).hexdigest()[:16]
+        path.write_text(json.dumps(saved))
+        for mr in MR_IDS:
+            bundle = json.loads((models / f"{mr}.json").read_text())
+            bundle["context_hash"] = saved["context_hash"]
+            (models / f"{mr}.json").write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
+        assert "malformed" in capsys.readouterr().err
+
+
+def test_predict_refuses_a_directory_without_context_json(tmp_path, capsys):
     models = tmp_path / "models"
-    assert main(["train", "--features", "nf-pf", "--out", str(models),
-                 "--seed", "42"]) == 0
-    for path in models.glob("*.json"):
+    assert main(["train", "--features", "rwk", "--out", str(models)]) == 0
+    # the layout before context.json: every model file embeds the context
+    saved = json.loads((models / "context.json").read_text())
+    for mr in MR_IDS:
+        path = models / f"{mr}.json"
         bundle = json.loads(path.read_text())
-        del bundle["context"]["feature_index"]
-        bundle["context_hash"] = hashlib.sha256(
-            json.dumps(bundle["context"], sort_keys=True).encode()).hexdigest()[:16]
+        bundle.update(featurization="rwk", context=saved["context"])
         path.write_text(json.dumps(bundle))
+    (models / "context.json").unlink()
     capsys.readouterr()
     assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
-    assert "malformed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "context.json" in err and "retrained" in err
+
+
+def test_predict_refuses_a_model_of_another_context(tmp_path, capsys):
+    models = tmp_path / "models"
+    assert main(["train", "--features", "nf-pf", "--out", str(models)]) == 0
+    assert main(["train", "--features", "rwk", "--mr", "per", "--out",
+                 str(models)]) == 0
+    capsys.readouterr()
+    assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
+    err = capsys.readouterr().err
+    assert "refusing" in err and "ADD.json" in err
+
+
+def test_model_files_hold_no_context(tmp_path):
+    models = tmp_path / "models"
+    assert main(["train", "--features", "nf-pf", "--out", str(models)]) == 0
+    context = json.loads((models / "context.json").read_text())["context"]
+    assert "training_graphs" in context and "feature_index" not in context
+    for mr in MR_IDS:
+        text = (models / f"{mr}.json").read_text()
+        assert set(json.loads(text)) == {"mr", "context_hash", "model"}
+        assert "training_graphs" not in text and "feature_index" not in text
 
 
 # every MR has both classes among these seven, so train writes all six models
@@ -337,16 +411,15 @@ def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
     # nf-pf columns are X_train @ x over the training sources themselves
     sources = [_load_method_cfgs(Path(corpus_path(n)))[0] for n in MIXED]
     design = build_design_matrix([(g.name, nf_pf(g)) for g in sources])
+    context = json.loads((models / "context.json").read_text())["context"]
+    train_graphs = [parse_dot(t) for t in context["training_graphs"]]
+    assert [g.name for g in train_graphs] == MIXED
     for mr_pos, mr in enumerate(MR_IDS):
-        bundle = json.loads((models / f"{mr}.json").read_text())
-        context = bundle["context"]
-        model = SvmModel.from_dict(bundle["model"])
-        train_graphs = [parse_dot(t) for t in context["training_graphs"]]
-        assert len(train_graphs) == len(MIXED)
+        model = SvmModel.from_dict(
+            json.loads((models / f"{mr}.json").read_text())["model"])
         for row, name in zip(rows, HELD):
             cfg = _load_method_cfgs(Path(corpus_path(name)))[0]
             if context["featurization"] == "nf-pf":
-                assert context["feature_index"] == list(design.feature_index)
                 entries = nf_pf(cfg).entries
                 x = np.array([entries.get(k, 0) for k in design.feature_index],
                              dtype=float)
