@@ -38,7 +38,7 @@ for featurization, gram in datasets.items():
     for mr in MR_IDS:
         labels = [1 if e.labels[mr] else 0 for e in entries]
         folds = stratified_kfold(labels, 10, seed=42)
-        report = cross_validate(gram, labels, folds, SvmParams(seed=42),
+        report = cross_validate(gram, labels, folds, SvmParams(),
                                 mr=mr, featurization=featurization)
         m = report.aggregate
 

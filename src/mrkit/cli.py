@@ -62,6 +62,14 @@ def _load_method_cfgs(path: Path) -> list[AnnotatedCfg]:
     raise ValueError("expected a .mir or .dot file")
 
 
+def _reason(exc: Exception, path: Path) -> str:
+    """The message for an ``error: <path>:`` line; an OSError about
+    ``path`` itself gives only its strerror, so the path is not repeated."""
+    if isinstance(exc, OSError) and exc.strerror and exc.filename == str(path):
+        return exc.strerror
+    return str(exc)
+
+
 def _featurize(cfg: AnnotatedCfg, omit_exit: bool) -> tuple[FeatureVector, FeatureVector]:
     return node_features(cfg, omit_exit=omit_exit), path_features(cfg)
 
@@ -83,7 +91,7 @@ def cmd_extract(args) -> int:
                     features_to_csv(cfg.name, [nf, pf]))
         except Exception as exc:
             failures += 1
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            print(f"error: {path}: {_reason(exc, path)}", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -155,23 +163,26 @@ def _nf_pf_matrix(ids, graphs: list[AnnotatedCfg], omit_exit: bool) -> DesignMat
 
 def _corpus_features(ds, featurization: str, args):
     """Featurize every sourced entry; returns (entries, graphs, gram,
-    context), where ``gram`` is the KernelMatrix every SVM trains on."""
+    context), where ``gram`` is the KernelMatrix every SVM trains on.  The
+    Gram's diagnostics go to stderr."""
     entries = [e for e in ds.entries if e.source_kind != "none"]
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
         matrix = _nf_pf_matrix([e.name for e in entries], graphs, args.omit_exit_nf)
+        gram = matrix.gram()
         context = {"featurization": "nf-pf", "omit_exit_nf": args.omit_exit_nf}
-        return entries, graphs, matrix.gram(), context
-    if featurization == "rwk":
+    elif featurization == "rwk":
         params = RwkParams(walk_len=args.walk_len, decay=getattr(args, "lambda"))
-        km = gram_matrix(graphs, "rwk", rwk=params)
+        gram = gram_matrix(graphs, "rwk", rwk=params)
         context = {"featurization": "rwk", "walk_len": params.walk_len,
                    "decay": params.decay}
-        return entries, graphs, km, context
-    params = GkParams(k=args.graphlet_k)
-    km = gram_matrix(graphs, "gk", gk=params)
-    context = {"featurization": "gk", "k": params.k, "mode": params.mode}
-    return entries, graphs, km, context
+    else:
+        params = GkParams(k=args.graphlet_k)
+        gram = gram_matrix(graphs, "gk", gk=params)
+        context = {"featurization": "gk", "k": params.k, "mode": params.mode}
+    for note in gram.diagnostics:
+        print(f"diagnostic: {featurization}: {note}", file=sys.stderr)
+    return entries, graphs, gram, context
 
 
 def _selected_mrs(arg: str) -> list[str]:
@@ -183,7 +194,7 @@ def cmd_evaluate(args) -> int:
         print("error: --k must be at least 2", file=sys.stderr)
         return 2
     root = _root_seed(args)
-    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
+    svm_params = SvmParams(C=args.C)
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     featurization = args.features
@@ -239,8 +250,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    root = _root_seed(args)
-    svm_params = SvmParams(C=args.C, seed=stage_seed(root, "svm"))
+    svm_params = SvmParams(C=args.C)
     ds = corpus_io.load_manifest(args.manifest) if args.manifest \
         else corpus_io.bundled_dataset()
     entries, graphs, gram, context = _corpus_features(ds, args.features, args)
@@ -345,7 +355,7 @@ def cmd_predict(args) -> int:
                 lines.append(f"{cfg.name},{bits},{vals}")
         except Exception as exc:
             failures += 1
-            print(f"error: {raw}: {exc}", file=sys.stderr)
+            print(f"error: {raw}: {_reason(exc, Path(raw))}", file=sys.stderr)
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -3,7 +3,7 @@ cross-validated experiment driver.
 
 Metric conventions: accuracy = (tp+tn)/total, precision = tp/(tp+fp),
 recall = tp/(tp+fn), f-measure = harmonic mean of precision and recall,
-BSR = mean of per-class recall, AUC = rank-based (ties count half).  A
+BSR = mean of per-class recall, AUC = Mann-Whitney U (ties count half).  A
 zero-denominator ratio is reported as absent with a cause code rather than
 silently zero; aggregates average the defined folds only and say how many
 they were.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -119,8 +119,9 @@ def metrics(cm: ConfusionMatrix) -> EvalMetrics:
 
 
 def auc(decision_values, truth) -> float:
-    """Mann-Whitney AUC of decision values against 0/1 truth; tied values
-    contribute one half."""
+    """Mann-Whitney AUC of decision values against 0/1 truth: the share of
+    positive-negative pairs the positive wins, a tie counting one half.  U
+    is a half-integer, exact in float64."""
     values = np.asarray(list(decision_values), dtype=float)
     labels = np.asarray(list(truth))
     if values.shape != labels.shape:
@@ -129,22 +130,10 @@ def auc(decision_values, truth) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("AUC needs both classes present")
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    rank = 1
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        mid = (rank + rank + (j - i)) / 2.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = mid
-        rank += j - i + 1
-        i = j + 1
-    rank_sum_pos = float(ranks[labels == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    pos = values[labels == 1][:, None]
+    neg = values[labels == 0]
+    u = float((pos > neg).sum()) + 0.5 * float((pos == neg).sum())
+    return u / (n_pos * n_neg)
 
 
 @dataclass(frozen=True)
@@ -280,19 +269,12 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
         truth01 = [labels01[t] for t in test_idx]
         cm = confusion(predicted01, truth01)
         fold_metrics = metrics(cm)
+        causes = fold_metrics.causes
         if len(set(truth01)) == 2:
             fold_auc = auc(decisions, truth01)
-            fold_metrics = EvalMetrics(
-                accuracy=fold_metrics.accuracy, precision=fold_metrics.precision,
-                recall=fold_metrics.recall, f_measure=fold_metrics.f_measure,
-                auc=fold_auc, bsr=fold_metrics.bsr, causes=fold_metrics.causes)
         else:
-            causes = dict(fold_metrics.causes)
-            causes["auc"] = "single-class test fold"
-            fold_metrics = EvalMetrics(
-                accuracy=fold_metrics.accuracy, precision=fold_metrics.precision,
-                recall=fold_metrics.recall, f_measure=fold_metrics.f_measure,
-                auc=None, bsr=fold_metrics.bsr, causes=causes)
+            fold_auc, causes = None, {**causes, "auc": "single-class test fold"}
+        fold_metrics = replace(fold_metrics, auc=fold_auc, causes=causes)
         fold_results.append(FoldResult(fold, cm, fold_metrics, tuple(diags)))
 
     aggregate_values: dict[str, float | None] = {}
@@ -315,7 +297,6 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
             "C": svm_params.C,
             "kkt_tol": svm_params.kkt_tol,
             "max_passes": svm_params.max_passes,
-            "seed": svm_params.seed,
         },
     }
     return EvalReport(

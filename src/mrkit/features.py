@@ -156,7 +156,7 @@ class DesignMatrix:
         counts, so every entry is exact in float64 and a fold's block
         equals its own ``x @ x.T``."""
         return KernelMatrix(method_ids=self.method_ids,
-                            values=self.rows @ self.rows.T, kernel="linear")
+                            values=self.rows @ self.rows.T)
 
     @cached_property
     def key_index(self) -> dict[str, int]:

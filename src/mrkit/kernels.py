@@ -174,7 +174,6 @@ PSD_TOLERANCE = -1e-8
 class KernelMatrix:
     method_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
-    kernel: str = ""
     diagnostics: tuple[str, ...] = ()
 
     def min_eigenvalue(self) -> float:
@@ -258,7 +257,7 @@ def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
             values[i, j] = values[j, i] = columns.value(i, g, terms)
 
     matrix = KernelMatrix(method_ids=tuple(g.name for g in graphs),
-                          values=values, kernel=kernel)
+                          values=values)
     min_eig = matrix.min_eigenvalue()
     if min_eig < PSD_TOLERANCE:
         return replace(matrix, diagnostics=(

@@ -17,8 +17,6 @@ one configuration give byte-identical models.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,7 +32,6 @@ class SvmParams:
     C: float = 1.0
     kkt_tol: float = 1e-3
     max_passes: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.C < math.inf:  # NaN fails too
@@ -51,7 +48,6 @@ class SvmModel:
     support: tuple[int, ...]           # training-set indices
     bias: float
     n_train: int
-    params_hash: str = ""
 
     def to_dict(self) -> dict:
         return {
@@ -59,7 +55,6 @@ class SvmModel:
             "support": list(self.support),
             "bias": self.bias,
             "n_train": self.n_train,
-            "params_hash": self.params_hash,
         }
 
     @classmethod
@@ -72,7 +67,6 @@ class SvmModel:
             support=tuple(int(i) for i in payload["support"]),
             bias=float(payload["bias"]),
             n_train=int(payload["n_train"]),
-            params_hash=str(payload["params_hash"]),
         )
         if len(model.coef) != len(model.support):
             raise SvmError("model has different numbers of coefficients "
@@ -80,21 +74,6 @@ class SvmModel:
         if any(not 0 <= i < model.n_train for i in model.support):
             raise SvmError(f"support index outside 0..{model.n_train - 1}")
         return model
-
-
-def params_hash(params: SvmParams) -> str:
-    """Stable fingerprint of the SVM training configuration (predict checks
-    the model file's ``context_hash`` instead); the empty ``context`` entry
-    keeps existing fingerprints unchanged."""
-    payload = {
-        "C": params.C,
-        "kkt_tol": params.kkt_tol,
-        "max_passes": params.max_passes,
-        "seed": params.seed,
-        "context": {},
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _square(gram) -> np.ndarray:
@@ -163,7 +142,7 @@ def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
     ``kkt_report`` above ``kkt_tol``.  The bias is the mean of v over the
     free support vectors, or with none the midpoint of max v(I_up) and
     min v(I_low).  No random numbers are drawn and ties go to the lowest
-    index, so ``params.seed`` does not affect the model.
+    index, so one Gram and one configuration give one model.
     """
     gram = _square(gram)
     y = np.asarray(labels, dtype=float)
@@ -203,8 +182,7 @@ def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
         b = float(v[coef < hi].max() + v[coef > lo].min()) / 2.0
     support = np.flatnonzero(coef)
     return SvmModel(coef=tuple(coef[support].tolist()),
-                    support=tuple(support.tolist()), bias=b, n_train=n,
-                    params_hash=params_hash(params))
+                    support=tuple(support.tolist()), bias=b, n_train=n)
 
 
 def decision_value(model: SvmModel, column) -> float:

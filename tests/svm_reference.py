@@ -3,8 +3,10 @@ partner of largest |E_i - E_j|, ties shuffled by a seeded RNG, and Platt's
 bias.  ``test_svm_differential.py`` requires ``mrkit.svm`` to reach at
 least this solver's dual objective.
 
-Only the solver loop lives here; the model type, the fingerprint and the
-Gram validation are shared with ``mrkit.svm``.
+Only the solver loop lives here; the model type and the Gram validation
+are shared with ``mrkit.svm``.  The tie-shuffling RNG's seed is this
+solver's own argument: ``mrkit.svm`` draws no random numbers, so its
+``SvmParams`` carries none.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 
 import numpy as np
 
-from mrkit.svm import SvmError, SvmModel, SvmParams, _square, params_hash
+from mrkit.svm import SvmError, SvmModel, SvmParams, _square
 
 
 def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
@@ -75,9 +77,10 @@ def _update_pair(gram, y, alpha, i: int, j: int, C: float, e, b: float) -> float
     return float((b1 + b2) / 2.0)
 
 
-def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
+def train_svm(gram, labels, params: SvmParams = SvmParams(),
+              seed: int = 0) -> SvmModel:
     """Train a binary SVM on a square Gram matrix; labels are +1/-1 and both
-    classes must appear.
+    classes must appear; ``seed`` seeds the tie shuffles.
 
     Terminates when no sample violates the KKT conditions beyond
     ``kkt_tol`` or after ``max_passes`` sweeps of pair updates.
@@ -93,7 +96,7 @@ def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
     if len(classes) < 2:
         raise SvmError("training data contains a single class")
 
-    rng = random.Random(params.seed)
+    rng = random.Random(seed)
     C = float(params.C)
     tol = params.kkt_tol
     alpha = np.zeros(n)
@@ -139,5 +142,4 @@ def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
         support=tuple(support),
         bias=float(b),
         n_train=n,
-        params_hash=params_hash(params),
     )

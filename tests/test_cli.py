@@ -11,7 +11,8 @@ from mrkit.cfg import parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
 from mrkit.features import build_design_matrix, combine, node_features, path_features
-from mrkit.kernels import GkParams, RwkParams, graphlet_kernel, random_walk_kernel
+from mrkit.kernels import (PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams,
+                           graphlet_kernel, random_walk_kernel)
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, SvmParams, decision_value
 
@@ -76,6 +77,19 @@ def test_mir_file_without_a_function_is_an_error(tmp_path, capsys, command, text
     out, err = capsys.readouterr()
     assert err == f"error: {empty}: no function defined\n"
     assert "empty" not in out
+
+
+@pytest.mark.parametrize("command", ["extract", "predict"])
+def test_missing_input_names_its_path_once(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    if command == "extract":
+        args = ["extract", "nope.mir", "--out", "out"]
+    else:
+        assert main(["train", "--features", "nf-pf", "--out", "models"]) == 0
+        args = ["predict", "nope.mir", "--models", "models"]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: nope.mir: No such file or directory\n"
 
 
 def test_extract_continues_past_bad_files(tmp_path, capsys):
@@ -192,6 +206,39 @@ def test_train_reports_a_max_passes_stop(tmp_path, capsys, monkeypatch):
     assert main(args) == 0
     assert "diagnostic: PER: SMO stopped at max_passes: KKT violation " \
         in capsys.readouterr().err
+
+
+def test_train_models_do_not_depend_on_the_seed(tmp_path):
+    """The solver draws no random numbers, so the root seed cannot reach a
+    model directory."""
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["train", "--features", "nf-pf", "--seed", seed,
+                     "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(written[0]) == ["ADD.json", "EXC.json", "INC.json", "INV.json",
+                                  "MUL.json", "PER.json", "context.json"]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_gram_diagnostics_are_printed(tmp_path, capsys, monkeypatch, command):
+    note = "gram matrix is not PSD within tolerance: min eigenvalue -1.000e+00"
+
+    def not_psd(graphs, kernel, **params):
+        n = len(graphs)
+        km = KernelMatrix(tuple(g.name for g in graphs),
+                          2.0 * np.ones((n, n)) - np.eye(n), diagnostics=(note,))
+        assert km.min_eigenvalue() < PSD_TOLERANCE
+        return km
+
+    monkeypatch.setattr(cli, "gram_matrix", not_psd)
+    man = write_bundled_manifest(tmp_path, MIXED)
+    args = [command, "--manifest", str(man), "--features", "rwk", "--mr", "per",
+            "--out", str(tmp_path / "out")]
+    assert main(args + (["--k", "2"] if command == "evaluate" else [])) == 0
+    assert f"diagnostic: rwk: {note}\n" in capsys.readouterr().err
 
 
 def test_evaluate_deterministic_outputs(tmp_path):

@@ -244,7 +244,7 @@ def test_cross_validate_learnable_corpus():
     rng = random.Random(0)
     gram, labels = _synthetic_gram(60, rng)
     folds = stratified_kfold(labels, 10, seed=42)
-    report = cross_validate(gram, labels, folds, SvmParams(seed=42),
+    report = cross_validate(gram, labels, folds, SvmParams(),
                             mr="SYN", featurization="nf-pf")
     assert report.aggregate.accuracy >= 0.95
 
@@ -255,7 +255,7 @@ def test_cross_validate_permutation_null():
     shuffled = list(labels)
     random.Random(123).shuffle(shuffled)
     folds = stratified_kfold(shuffled, 10, seed=42)
-    report = cross_validate(gram, shuffled, folds, SvmParams(seed=42))
+    report = cross_validate(gram, shuffled, folds, SvmParams())
     assert 0.3 <= report.aggregate.auc <= 0.7
 
 
@@ -263,7 +263,7 @@ def test_cross_validate_leave_one_out():
     rng = random.Random(2)
     gram, labels = _synthetic_gram(12, rng)
     folds = stratified_kfold(labels, len(labels), seed=0)
-    report = cross_validate(gram, labels, folds, SvmParams(seed=0))
+    report = cross_validate(gram, labels, folds, SvmParams())
     assert len(report.folds) == len(labels)
 
 
@@ -273,7 +273,7 @@ def test_cross_validate_single_class_training_fold_aborts():
     rows = [(f"m{i}", FeatureVector("NF", {"assi-1-1": i + 1})) for i in range(4)]
     gram = build_design_matrix(rows).gram()
     plan = FoldPlan(k=2, assignments=(0, 0, 1, 1), seed=0)
-    report = cross_validate(gram, labels, plan, SvmParams(seed=0))
+    report = cross_validate(gram, labels, plan, SvmParams())
     aborted = [fr for fr in report.folds if fr.cm is None]
     assert len(aborted) == 1
     assert any("single-class" in d for d in aborted[0].diagnostics)
@@ -302,9 +302,9 @@ def test_report_json_and_csv_row_deterministic():
     rng = random.Random(5)
     gram, labels = _synthetic_gram(20, rng)
     folds = stratified_kfold(labels, 4, seed=4)
-    r1 = cross_validate(gram, labels, folds, SvmParams(seed=4), mr="ADD",
+    r1 = cross_validate(gram, labels, folds, SvmParams(), mr="ADD",
                         featurization="nf-pf")
-    r2 = cross_validate(gram, labels, folds, SvmParams(seed=4), mr="ADD",
+    r2 = cross_validate(gram, labels, folds, SvmParams(), mr="ADD",
                         featurization="nf-pf")
     assert r1.to_json() == r2.to_json()
     row = r1.csv_row()

@@ -46,7 +46,7 @@ def test_normalized_kernels_stay_in_unit_interval(corpus_graphs):
 def test_kkt_audit_on_corpus_models(sourced, corpus_graphs):
     graphs = [corpus_graphs[e.name] for e in sourced.entries]
     gram = gram_matrix(graphs, "rwk")
-    params = SvmParams(seed=42)
+    params = SvmParams()
     for mr in MR_IDS:
         y = [1 if e.labels[mr] else -1 for e in sourced.entries]
         model = train_svm(gram.values, y, params)
@@ -130,13 +130,13 @@ def test_cross_validate_report_embeds_configuration(sourced, corpus_graphs):
     labels = [1 if e.labels["PER"] else 0 for e in entries]
     folds = stratified_kfold(labels, 4, seed=11)
     report = cross_validate(gram, labels, folds,
-                            SvmParams(seed=5), mr="PER",
+                            SvmParams(), mr="PER",
                             featurization="rwk")
     payload = json.loads(report.to_json())
     assert payload["config"]["k"] == 4
     assert payload["config"]["fold_seed"] == 11
     assert payload["config"]["svm"] == {
-        "C": 1.0, "kkt_tol": 1e-3, "max_passes": 100, "seed": 5}
+        "C": 1.0, "kkt_tol": 1e-3, "max_passes": 100}
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,16 @@ def brute_force_dual(K, y, C, grid=401):
 
 
 def test_separable_clouds_perfect_training_accuracy():
-    model = train_svm(K_SEP, Y_SEP, SvmParams(seed=42))
+    model = train_svm(K_SEP, Y_SEP, SvmParams())
     preds = [predict(model, X_SEP @ row) for row in X_SEP]
     assert preds == Y_SEP
-    assert kkt_report(K_SEP, Y_SEP, model, SvmParams(seed=42)) <= 1e-3
+    assert kkt_report(K_SEP, Y_SEP, model, SvmParams()) <= 1e-3
 
 
 def test_xor_not_separable_by_linear_kernel():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = [1, 1, -1, -1]
-    model = train_svm(X @ X.T, y, SvmParams(seed=42))
+    model = train_svm(X @ X.T, y, SvmParams())
     acc = np.mean([predict(model, X @ r) == t for r, t in zip(X, y)])
     assert acc <= 0.75
 
@@ -63,7 +63,7 @@ def test_xor_not_separable_by_linear_kernel():
 def test_identity_gram_every_sample_supports_itself():
     K = np.eye(6)
     y = [1, 1, 1, -1, -1, -1]
-    model = train_svm(K, y, SvmParams(seed=42))
+    model = train_svm(K, y, SvmParams())
     assert model.support == (0, 1, 2, 3, 4, 5)
     preds = [predict(model, K[:, j]) for j in range(6)]
     assert preds == y
@@ -74,7 +74,7 @@ def test_three_point_decisions_match_brute_force_dual():
     y = [-1, 1, 1]
     K = X @ X.T
     oracle = brute_force_dual(K, y, C=1.0)
-    model = train_svm(K, y, SvmParams(seed=42))
+    model = train_svm(K, y, SvmParams())
     ours = [decision_value(model, K[:, j]) for j in range(3)]
     assert np.max(np.abs(np.asarray(ours) - oracle)) <= 1e-4
 
@@ -93,7 +93,7 @@ def test_identical_rows_with_opposite_labels_converge():
 
 
 def test_kkt_invariants_and_dual_balance():
-    model = train_svm(K_SEP, Y_SEP, SvmParams(seed=3))
+    model = train_svm(K_SEP, Y_SEP, SvmParams())
     # sum of alpha_i y_i vanishes and every alpha is inside the box
     assert abs(sum(model.coef)) <= 1e-6
     for c in model.coef:
@@ -103,7 +103,7 @@ def test_kkt_invariants_and_dual_balance():
 def test_midpoint_of_symmetric_pair_is_on_the_boundary():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     y = [-1, 1]
-    model = train_svm(X @ X.T, y, SvmParams(seed=0))
+    model = train_svm(X @ X.T, y, SvmParams())
     assert abs(decision_value(model, X @ np.zeros(2))) <= 1e-6
 
 
@@ -114,7 +114,7 @@ def test_sign_zero_is_positive():
 
 
 def test_tiny_perturbation_keeps_prediction():
-    model = train_svm(K_SEP, Y_SEP, SvmParams(seed=42))
+    model = train_svm(K_SEP, Y_SEP, SvmParams())
     base = X_SEP[2]
     wiggled = base + 1e-12
     assert predict(model, X_SEP @ base) == predict(model, X_SEP @ wiggled)
@@ -133,10 +133,10 @@ def test_bad_labels_rejected():
 def test_dimension_mismatch_rejected():
     # a design matrix is not a Gram matrix: train_svm takes only square input
     with pytest.raises(SvmError, match="square"):
-        train_svm(X_SEP, Y_SEP, SvmParams(seed=42))
+        train_svm(X_SEP, Y_SEP, SvmParams())
     with pytest.raises(SvmError, match="square"):
         kkt_report(X_SEP, Y_SEP, SvmModel((), (), 0.0, 4), SvmParams())
-    kmodel = train_svm(np.eye(4), [1, -1, 1, -1], SvmParams(seed=42))
+    kmodel = train_svm(np.eye(4), [1, -1, 1, -1], SvmParams())
     with pytest.raises(SvmError, match="length"):
         decision_value(kmodel, np.zeros(7))
 
@@ -145,7 +145,7 @@ def test_dimension_mismatch_rejected():
 def test_non_finite_gram_rejected(bad):
     gram = [[1.0, bad], [bad, 1.0]]
     with pytest.raises(SvmError, match="non-finite"):
-        train_svm(gram, [1, -1], SvmParams(seed=42))
+        train_svm(gram, [1, -1], SvmParams())
     with pytest.raises(SvmError, match="non-finite"):
         kkt_report(gram, [1, -1], SvmModel((), (), 0.0, 2), SvmParams())
 
@@ -164,15 +164,15 @@ def test_label_count_mismatch_rejected():
 
 
 def test_deterministic_serialization():
-    a = json.dumps(train_svm(K_SEP, Y_SEP, SvmParams(seed=7)).to_dict())
-    b = json.dumps(train_svm(K_SEP, Y_SEP, SvmParams(seed=7)).to_dict())
+    a = json.dumps(train_svm(K_SEP, Y_SEP, SvmParams()).to_dict())
+    b = json.dumps(train_svm(K_SEP, Y_SEP, SvmParams()).to_dict())
     assert a == b
     restored = SvmModel.from_dict(json.loads(a))
     assert json.dumps(restored.to_dict()) == a
 
 
 def test_model_decoder_rejects_bad_fields():
-    good = train_svm(K_SEP, Y_SEP, SvmParams(seed=7)).to_dict()
+    good = train_svm(K_SEP, Y_SEP, SvmParams()).to_dict()
     with pytest.raises(KeyError):
         SvmModel.from_dict({k: v for k, v in good.items() if k != "bias"})
     with pytest.raises(SvmError, match="numbers"):
@@ -182,10 +182,10 @@ def test_model_decoder_rejects_bad_fields():
 
 
 def test_scaling_property_preserves_predictions():
-    base = train_svm(K_SEP, Y_SEP, SvmParams(C=1.0, seed=42))
+    base = train_svm(K_SEP, Y_SEP, SvmParams(C=1.0))
     preds = [predict(base, X_SEP @ r) for r in X_SEP]
     X2 = X_SEP * 2.0
-    scaled = train_svm(X2 @ X2.T, Y_SEP, SvmParams(C=0.25, seed=42))
+    scaled = train_svm(X2 @ X2.T, Y_SEP, SvmParams(C=0.25))
     assert [predict(scaled, X2 @ r) for r in X2] == preds
 
 

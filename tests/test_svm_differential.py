@@ -1,15 +1,17 @@
 """``mrkit.svm`` against the solver it replaced (``svm_reference.py``).
 
 The WSS2 solver takes other working pairs than the reference, so its
-alphas differ in the last digits; a fit must instead reach at least the
-reference's dual objective, up to a relative 1e-4, and stop within
-``kkt_tol`` of the KKT conditions.
+alphas differ in the last digits; a converged fit must instead reach at
+least the reference's dual objective, up to a relative 1e-4, and stop
+within ``kkt_tol`` of the KKT conditions.  A fit that ``max_passes`` cut
+short must say so through ``short_stop`` and keep its coefficients in the
+box.
 """
 
 import argparse
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svm_reference as ref
@@ -41,12 +43,18 @@ def _dual(model: svm.SvmModel, gram: np.ndarray) -> float:
     return float(np.abs(coef).sum() - coef @ gram[np.ix_(support, support)] @ coef / 2)
 
 
-def _same_fit(gram, y, params: svm.SvmParams) -> None:
+def _same_fit(gram, y, params: svm.SvmParams, seed: int) -> None:
+    """``seed`` seeds the reference solver's tie shuffles."""
     gram = np.asarray(gram, dtype=float)
     ours = svm.train_svm(gram, y, params)
-    theirs = _dual(ref.train_svm(gram, y, params), gram)
-    assert _dual(ours, gram) >= theirs - 1e-4 * max(1.0, abs(theirs))
     assert all(0.0 < abs(c) <= params.C for c in ours.coef)
+    stop = svm.short_stop(gram, y, ours, params)
+    if stop is not None:
+        # only a small budget may run out on these problems of <= 12 samples
+        assert stop.startswith("SMO stopped at max_passes") and params.max_passes < 100
+        return
+    theirs = _dual(ref.train_svm(gram, y, params, seed), gram)
+    assert _dual(ours, gram) >= theirs - 1e-4 * max(1.0, abs(theirs))
     assert svm.kkt_report(gram, y, ours, params) <= params.kkt_tol
 
 
@@ -66,22 +74,31 @@ def duplicate_row_problems(draw):
     if len(set(y)) < 2:
         y[draw(st.integers(0, n - 1))] *= -1
     params = svm.SvmParams(C=draw(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0])),
-                           max_passes=draw(st.sampled_from([1, 2, 100])),
-                           seed=draw(st.integers(0, 2**32 - 1)))
-    return X @ X.T, y, params
+                           max_passes=draw(st.sampled_from([1, 2, 100])))
+    return X @ X.T, y, params, draw(st.integers(0, 2**32 - 1))
+
+
+# One pass of pair updates leaves both pinned fits short of kkt_tol, with
+# KKT violations 0.33 and 1.5; at max_passes=2 both converge.
+_ONE_PASS = svm.SvmParams(C=10.0, max_passes=1)
+_CROSSED = np.array([[0.25, 0, 0, -0.25], [0, 0, 0, 0], [0, 0, 0, 0],
+                     [-0.25, 0, 0, 0.25]])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(duplicate_row_problems())
+@example((np.diag([0.25, 0, 0, 0.25]), [-1, 1, 1, -1], _ONE_PASS, 0))
+@example((_CROSSED, [-1, 1, 1, -1], _ONE_PASS, 0))
 def test_train_svm_matches_reference_on_duplicate_rows(problem):
     _same_fit(*problem)
 
 
 def test_train_svm_matches_reference_on_corpus_folds(dataset):
     """Every fold's training Gram of every MR, for nf-pf, rwk and gk k=3
-    and k=4, at the seed-42 fold plan and SVM seed that ``mrkit evaluate``
-    uses; the reference stops short of ``kkt_tol`` on 16 of the gk folds."""
-    params = svm.SvmParams(seed=stage_seed(42, "svm"))
+    and k=4, at the seed-42 fold plan that ``mrkit evaluate`` uses, with
+    the reference's ties shuffled at the seed-42 ``svm`` stage seed; the
+    reference stops short of ``kkt_tol`` on 16 of the gk folds."""
+    params = svm.SvmParams()
     for featurization, k in (("nf-pf", 3), ("rwk", 3), ("gk", 3), ("gk", 4)):
         args = argparse.Namespace(omit_exit_nf=False, graphlet_k=k, walk_len=10,
                                   **{"lambda": 0.5})
@@ -92,4 +109,5 @@ def test_train_svm_matches_reference_on_corpus_folds(dataset):
             for fold in range(folds.k):
                 train = [i for i, f in enumerate(folds.assignments) if f != fold]
                 _same_fit(gram.submatrix(train, train),
-                          [1 if labels[i] else -1 for i in train], params)
+                          [1 if labels[i] else -1 for i in train], params,
+                          stage_seed(42, "svm"))
