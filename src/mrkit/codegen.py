@@ -1,10 +1,13 @@
 """Generated Python for mini-IR bytecode, one function per mini-IR function.
 
 ``generate`` turns the bytecode that ``mir._Lowerer`` emits at parse time
-into the source of one Python function and compiles it; ``mir.interpret``
-runs it.
-Every op does what it does in ``mir._run``, the reference dispatch loop,
-with the same values, trap kinds, lines and messages.
+into the source of one Python function and compiles it, in one of two
+versions: the fast one charges the step budget per basic block, the per-op
+one per op.  ``mir.interpret`` runs the fast version, and the per-op
+version for a block that would end past the budget.
+Every op does what it does in the reference dispatch loop,
+``tests/mir_reference.py``, with the same values, trap kinds, lines and
+messages.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from typing import Callable
 
 from .mir import (_BIN, _BIN_OPS, _CALL, _CMP, _CMP_OPS, _JIF, _JMP, _LEN, _LOAD, _MOV,
-                  _MOVC, _POW, _RET, _RETBIN, _STORE, Trap, _fault, _run)
+                  _MOVC, _POW, _RET, _RETBIN, _STORE, Trap, _fault)
 
 _ENDS_BLOCK = (_JMP, _JIF, _RET, _RETBIN)
 
@@ -37,7 +40,7 @@ _CALL_SOURCE = {
     "floor": ("{d} = float(floor({a}))",),
 }
 _GENERATED_GLOBALS = {
-    "Trap": Trap, "_run": _run, "_fault": _fault, "_index_trap": _index_trap, "inf": math.inf,
+    "Trap": Trap, "_fault": _fault, "_index_trap": _index_trap, "inf": math.inf,
     "sqrt": math.sqrt, "log": math.log, "exp": math.exp, "floor": math.floor,
     "fmod": math.fmod, "fpow": math.pow,
 }
@@ -53,7 +56,8 @@ def _operand(is_slot: int, value) -> str:
 
 
 def _op_source(op: tuple, block: dict[int, int], nxt: int) -> list[str]:
-    """Python lines that do what one bytecode op does in ``_run``."""
+    """Python lines that do what one bytecode op does in the reference
+    loop, ``tests/mir_reference.py``."""
     kind = op[0]
     if kind == _MOVC:
         return [f"s{op[1]} = {_literal(op[2])}"]
@@ -103,19 +107,27 @@ def _op_source(op: tuple, block: dict[int, int], nxt: int) -> list[str]:
     return [f"return {_operand(op[1], op[2])}"]  # _RET
 
 
-def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
-    """Compile bytecode to a Python function ``run(fn, arr, budget)``.
+def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -> Callable:
+    """Compile bytecode to a Python function
+    ``run(fn, arr, budget, blk=0, steps=0, s0=0.0, …)``.
 
     Basic blocks start at pc 0, at every jump target and after every jump
     or return.  The function is one ``while True`` loop that picks the
     block by its id ``blk`` through a binary tree of ``if``s; each block is
-    straight-line code over locals ``s0…``, charged ``steps += L`` on entry
-    for its ``L`` ops.  Charging a whole block is exact: a block runs to its
-    end or traps partway, and only its last op can return.  A block that
-    would end past the budget leaves the loop, and ``_run`` resumes at the
-    block's first op with the slots and the steps spent before it.  One
-    handler maps an ``OverflowError``/``ValueError`` to the op whose
-    generated line raised it, as ``_run`` maps it to the op it was running.
+    straight-line code over locals ``s0…``, entered at block ``blk`` with
+    ``steps`` spent and the slots passed in.
+
+    The fast version (``per_op`` false) charges ``steps += L`` on entry to
+    a block of ``L`` ops.  Charging a whole block is exact: a block runs to
+    its end or traps partway, and only its last op can return.  A block
+    that would end past the budget is not run; the call returns its resume
+    state instead, the tuple ``(blk, steps spent before the block, s0, …)``.
+    The per-op version charges ``steps += 1`` before each op and raises the
+    ``step-budget`` trap at the first op past the budget; ``mir.interpret``
+    runs it from a resume state.  In both, one handler maps an
+    ``OverflowError``/``ValueError`` to the op whose generated line raised
+    it.  Values, traps and step counts are those of the reference dispatch
+    loop in ``tests/mir_reference.py``.
     """
     leaders = {0}
     for pc, op in enumerate(code):
@@ -128,7 +140,7 @@ def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
     starts = sorted(pc for pc in leaders if pc < len(code))
     block = {pc: b for b, pc in enumerate(starts)}
     ends = starts[1:] + [len(code)]
-    slots = ", ".join(f"s{i}" for i in range(n_slots))
+    slots = [f"s{i}" for i in range(n_slots)]
     lines: list[str] = []
     pc_at: list[int | None] = [None]  # generated line number -> pc
 
@@ -138,9 +150,14 @@ def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
 
     def emit_block(b: int, depth: int) -> None:
         start, end = starts[b], ends[b]
-        emit(depth, f"steps += {end - start}")
-        emit(depth, "if steps > budget: break")
+        if not per_op:
+            emit(depth, f"steps += {end - start}")
+            emit(depth, "if steps > budget: break")
         for pc in range(start, end):
+            if per_op:
+                emit(depth, "steps += 1")
+                emit(depth, 'if steps > budget: '
+                            'raise Trap("step-budget", f"exceeded {budget} steps in {fn.name!r}")')
             for text in _op_source(code[pc], block, b + 1):
                 emit(depth, text, pc)
         if code[end - 1][0] not in _ENDS_BLOCK:
@@ -156,20 +173,18 @@ def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
         emit(depth, "else:")
         emit_tree(mid, hi, depth + 1)
 
-    emit(0, "def run(fn, arr, budget):")
+    params = ", ".join(["fn", "arr", "budget", "blk=0", "steps=0"] + [f"{s}=0.0" for s in slots])
+    emit(0, f"def run({params}):")
     emit(1, "n = len(arr)")
     emit(1, "nf = float(n)")
-    if n_slots:
-        emit(1, " = ".join(f"s{i}" for i in range(n_slots)) + " = 0.0")
-    emit(1, "steps = 0")
-    emit(1, "blk = 0")
     emit(1, "try:")
     emit(2, "while True:")
     emit_tree(0, len(starts), 3)
     emit(1, "except (OverflowError, ValueError) as exc:")
     emit(2, "raise _fault(exc, code[pc_at[exc.__traceback__.tb_lineno]]) from None")
-    emit(1, f"return _run(fn, code, [{slots}], arr, starts[blk], "
-            "steps - ends[blk] + starts[blk], budget)")
+    if not per_op:
+        emit(1, f"return {', '.join(['blk', 'steps - ends[blk] + starts[blk]'] + slots)}")
     namespace = dict(_GENERATED_GLOBALS, code=code, pc_at=pc_at, starts=starts, ends=ends)
-    exec(compile("\n".join(lines) + "\n", f"<mir {name}>", "exec"), namespace)
+    version = "per-op" if per_op else "fast"
+    exec(compile("\n".join(lines) + "\n", f"<mir {name} {version}>", "exec"), namespace)
     return namespace["run"]

@@ -54,7 +54,11 @@ class Dataset:
         if entry.source_kind != "mir":
             raise CorpusError(f"{entry.name} has no mini-IR source")
         program = parse_program(entry.source_path.read_text())
-        return program.function(entry.name)
+        try:
+            return program.function(entry.name)
+        except KeyError:
+            raise CorpusError(
+                f"{entry.source_path} defines no function {entry.name!r}") from None
 
     def load_cfg(self, entry: DatasetEntry) -> AnnotatedCfg:
         from .mir import lower_to_cfg

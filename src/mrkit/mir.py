@@ -34,14 +34,14 @@ read, increment and back jump of each ``for``; one step of the budget is
 one op.  Only code generation waits for the first call: ``codegen.generate``
 then turns the bytecode into Python source with one straight-line branch
 per basic block, charged for all its ops on entry, and every call runs
-that.  ``_run``, the bytecode dispatch loop, has two jobs: it finishes a
-call whose next block would end past the budget, from that block's first
-op, and it is the reference the tests compare the generated code against.
+that.  A call whose next block would end past the budget finishes that
+block in a second version of the same code, charged per op, which is
+generated on the function's first such call.  The tests compare both
+against a bytecode dispatch loop, ``tests/mir_reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -369,10 +369,12 @@ class _Lowered:
     cfg: AnnotatedCfg
     code: list[tuple]
     n_slots: int
-    # codegen.generate's run(fn, arr, budget), made on the first call and
-    # published by one assignment, so a thread that races the first call
+    # codegen.generate's fast version, made on the first call, and its
+    # per-op version, made on the first call that overruns a block; each is
+    # published by one assignment, so a thread that races its first use
     # sees either None or a complete function
     run: Callable | None = None
+    run_per_op: Callable | None = None
 
 
 class _Lowerer:
@@ -598,11 +600,21 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
 
     The call runs the function's generated Python (``codegen.generate``),
     which charges the budget once per basic block.  A block that would end
-    past the budget resumes the reference loop :func:`_run` at its first op
-    with the current slots, so the budget trap, and any fault before it,
-    come from the same op as if ``_run`` had run the whole call.
+    past the budget is handed, with the slots and the steps spent before
+    it, to the per-op version of the same code, which cannot get past that
+    block: the budget trap, or a fault before it, comes from the same op as
+    if every op had been charged on its own.
     """
-    return _compile(fn).run(fn, [float(v) for v in values], step_budget)
+    lowered = _compile(fn)
+    arr = [float(v) for v in values]
+    result = lowered.run(fn, arr, step_budget)
+    if type(result) is not tuple:
+        return result
+    if lowered.run_per_op is None:
+        from .codegen import generate
+
+        lowered.run_per_op = generate(lowered.code, lowered.n_slots, fn.name, per_op=True)
+    return lowered.run_per_op(fn, arr, step_budget, *result)
 
 
 def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:
@@ -612,152 +624,3 @@ def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:
     trap = ("bad-index" if kind == _LOAD or kind == _STORE else
             "overflow" if isinstance(exc, OverflowError) else "math-domain")
     return Trap(trap, str(exc), op[-1])
-
-
-def _run(fn: Function, code: list[tuple], slots: list, arr: list[float],
-         pc: int, steps: int, budget: int) -> float:
-    """Reference dispatch loop: run ``code`` from ``pc`` with ``steps`` spent.
-
-    One step is one bytecode op.  ``interpret`` resumes here for the last
-    block of a call that reaches the budget, and the tests compare the
-    generated code against this loop run from pc 0.
-    """
-    n = len(arr)
-    try:
-        while True:
-            steps += 1
-            if steps > budget:
-                raise Trap("step-budget", f"exceeded {budget} steps in {fn.name!r}")
-            op = code[pc]
-            kind = op[0]
-            if kind == _BIN:
-                a = op[4] if op[3] == 0 else slots[op[4]]
-                b = op[6] if op[5] == 0 else slots[op[6]]
-                o = op[2]
-                if o == 0:
-                    slots[op[1]] = a + b
-                elif o == 1:
-                    slots[op[1]] = a - b
-                elif o == 2:
-                    slots[op[1]] = a * b
-                elif o == 3:
-                    if b == 0.0:
-                        raise Trap("division-by-zero", f"{a} / 0", op[7])
-                    slots[op[1]] = a / b
-                else:
-                    if b == 0.0:
-                        raise Trap("division-by-zero", f"{a} % 0", op[7])
-                    slots[op[1]] = math.fmod(a, b)
-                pc += 1
-            elif kind == _LOAD:
-                idx = op[3] if op[2] == 0 else slots[op[3]]
-                i = int(idx)
-                if idx != i:
-                    raise Trap("bad-index", f"fractional index {idx}", op[4])
-                if not 0 <= i < n:
-                    raise Trap("bad-index", f"index {i} out of range for length {n}", op[4])
-                slots[op[1]] = arr[i]
-                pc += 1
-            elif kind == _JIF:
-                a = op[3] if op[2] == 0 else slots[op[3]]
-                b = op[5] if op[4] == 0 else slots[op[5]]
-                o = op[1]
-                if o == 0:
-                    taken = a == b
-                elif o == 1:
-                    taken = a != b
-                elif o == 2:
-                    taken = a <= b
-                elif o == 3:
-                    taken = a >= b
-                elif o == 4:
-                    taken = a < b
-                else:
-                    taken = a > b
-                pc = op[6] if taken else pc + 1
-            elif kind == _MOV:
-                slots[op[1]] = slots[op[2]]
-                pc += 1
-            elif kind == _MOVC:
-                slots[op[1]] = op[2]
-                pc += 1
-            elif kind == _CMP:
-                a = op[4] if op[3] == 0 else slots[op[4]]
-                b = op[6] if op[5] == 0 else slots[op[6]]
-                o = op[2]
-                if o == 0:
-                    r = a == b
-                elif o == 1:
-                    r = a != b
-                elif o == 2:
-                    r = a <= b
-                elif o == 3:
-                    r = a >= b
-                elif o == 4:
-                    r = a < b
-                else:
-                    r = a > b
-                slots[op[1]] = 1.0 if r else 0.0
-                pc += 1
-            elif kind == _STORE:
-                idx = op[2] if op[1] == 0 else slots[op[2]]
-                i = int(idx)
-                if idx != i:
-                    raise Trap("bad-index", f"fractional index {idx}", op[5])
-                if not 0 <= i < n:
-                    raise Trap("bad-index", f"index {i} out of range for length {n}", op[5])
-                arr[i] = op[4] if op[3] == 0 else slots[op[4]]
-                pc += 1
-            elif kind == _LEN:
-                slots[op[1]] = float(n)
-                pc += 1
-            elif kind == _CALL:
-                a = op[4] if op[3] == 0 else slots[op[4]]
-                fname = op[2]
-                if fname == "sqrt":
-                    if a < 0:
-                        raise Trap("math-domain", f"sqrt({a})", op[5])
-                    slots[op[1]] = math.sqrt(a)
-                elif fname == "log":
-                    if a <= 0:
-                        raise Trap("math-domain", f"log({a})", op[5])
-                    slots[op[1]] = math.log(a)
-                elif fname == "exp":
-                    slots[op[1]] = math.exp(a)
-                elif fname == "abs":
-                    slots[op[1]] = abs(a)
-                else:
-                    slots[op[1]] = float(math.floor(a))
-                pc += 1
-            elif kind == _POW:
-                a = op[3] if op[2] == 0 else slots[op[3]]
-                b = op[5] if op[4] == 0 else slots[op[5]]
-                if a == 0.0 and b < 0:
-                    raise Trap("math-domain", "pow(0, negative)", op[6])
-                if a < 0 and b != int(b):
-                    raise Trap("math-domain", f"pow({a}, {b})", op[6])
-                slots[op[1]] = math.pow(a, b)
-                pc += 1
-            elif kind == _JMP:
-                pc = op[1]
-            elif kind == _RET:
-                return op[2] if op[1] == 0 else slots[op[2]]
-            else:  # _RETBIN
-                a = op[3] if op[2] == 0 else slots[op[3]]
-                b = op[5] if op[4] == 0 else slots[op[5]]
-                o = op[1]
-                if o == 0:
-                    return a + b
-                if o == 1:
-                    return a - b
-                if o == 2:
-                    return a * b
-                if o == 3:
-                    if b == 0.0:
-                        raise Trap("division-by-zero", f"{a} / 0", op[6])
-                    return a / b
-                if b == 0.0:
-                    raise Trap("division-by-zero", f"{a} % 0", op[6])
-                return math.fmod(a, b)
-    except (OverflowError, ValueError) as exc:
-        raise _fault(exc, op) from None

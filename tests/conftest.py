@@ -3,7 +3,9 @@ import struct
 import pytest
 
 from mrkit.corpus import bundled_dataset
-from mrkit.mir import Trap, _compile, _run, interpret
+from mrkit.mir import Trap, _compile, interpret
+
+from mir_reference import _run
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +43,8 @@ def _outcome(call) -> tuple:
 @pytest.fixture(scope="session")
 def both_paths():
     """``(fn, values, budget) -> (generated, reference)``: the outcome of
-    ``interpret`` and of the reference loop ``_run`` from pc 0."""
+    ``interpret`` and of the reference loop ``mir_reference._run`` from
+    pc 0."""
     def run(fn, values, budget):
         generated = _outcome(lambda: interpret(fn, values, budget))
         compiled = _compile(fn)

@@ -1,6 +1,9 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +179,52 @@ def test_label_total_failure_is_error(tmp_path, capsys):
     man.write_text("method_id,name,source_kind,source_path\n2,bad,mir,bad.mir\n")
     assert main(["label", "--manifest", str(man), "--out",
                  str(tmp_path / "l.csv")]) == 1
+
+
+def _manifest_with_undefined_name(tmp_path) -> Path:
+    """The trio plus a row naming ``g`` in a file that defines only ``f``."""
+    man = write_mini_manifest(tmp_path, TRIO)
+    (tmp_path / "m.mir").write_text("fn f(a) {\n  return 1\n}\n")
+    with man.open("a") as fh:
+        fh.write("1,g,mir,m.mir\n")
+    return man
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_manifest_name_its_file_does_not_define_is_an_error(tmp_path, capsys, command):
+    man = _manifest_with_undefined_name(tmp_path)
+    assert main([command, "--manifest", str(man), "--features", "nf-pf", "--mr", "add",
+                 "--out", str(tmp_path / "out")]) == 2
+    source = (tmp_path / "m.mir").resolve()
+    assert capsys.readouterr().err == f"error: {source} defines no function 'g'\n"
+
+
+def test_label_reports_a_name_its_file_does_not_define_and_goes_on(tmp_path, capsys):
+    man = _manifest_with_undefined_name(tmp_path)
+    out = tmp_path / "labels.csv"
+    assert main(["label", "--manifest", str(man), "--out", str(out), "--trials", "5"]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["90", "5", "49"]
+    source = (tmp_path / "m.mir").resolve()
+    assert f"error: g: {source} defines no function 'g'\n" in capsys.readouterr().err
+
+
+def test_evaluate_never_loads_the_code_generator(tmp_path):
+    # codegen is imported on a function's first call; commands that only
+    # featurize CFGs must not pay for it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "import mrkit.cli\n"
+              "code = mrkit.cli.main(['evaluate', '--features', 'nf-pf', '--mr', 'add',\n"
+              f"                      '--out', {str(tmp_path / 'out')!r}])\n"
+              "assert code == 0, code\n"
+              "assert 'mrkit.mir' in sys.modules\n"
+              "assert 'mrkit.codegen' not in sys.modules\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_stats_prints_published_counts(capsys):

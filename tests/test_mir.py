@@ -6,6 +6,7 @@ import pytest
 from mrkit.cfg import NodeOp, validate
 from mrkit.mir import (Assign, Function, MirError, Return, Trap, interpret, lower_to_cfg,
                        parse_program)
+from mrkit.oracle import OracleParams, label_method
 
 AVG_SOURCE = """
 fn avg(input) {
@@ -321,8 +322,9 @@ def test_fuzz_lowering_always_validates():
         interpret(prog.functions[0], [1.0, 2.0, 3.0])
 
 
-# The generated per-block code against the reference dispatch loop `_run`.
-# Small budgets end calls inside blocks, so the resume into `_run` runs too.
+# The generated code against the reference dispatch loop
+# `mir_reference._run`.  Small budgets end calls inside blocks, so the
+# per-op version that finishes an overrunning block runs too.
 STEP_BUDGETS = (1, 2, 3, 5, 8, 13, 40, 100, 1_000_000)
 SPECIAL_VALUES = (0.0, -0.0, 1e308, INF, NAN)
 
@@ -354,3 +356,39 @@ def test_generated_code_matches_reference_loop_on_corpus(corpus_functions, both_
     # every path is exercised: returns, budget traps and value faults
     assert {"value", "step-budget", "bad-index", "division-by-zero",
             "math-domain"} <= set(kinds), kinds
+
+
+def test_calls_within_the_budget_never_generate_the_per_op_version(sourced):
+    entry = sourced.entry("sum")
+    fn = parse_program(entry.source_path.read_text()).function("sum")
+    label_method(fn, OracleParams(trials=20, seed=42))
+    assert fn._lowered.run is not None
+    assert fn._lowered.run_per_op is None
+    with pytest.raises(Trap, match="step-budget"):
+        interpret(fn, [1.0, 2.0], step_budget=2)
+    assert fn._lowered.run_per_op is not None
+
+
+# One basic block of seven ops whose fifth divides by zero.
+STRAIGHT_LINE = """
+fn straight(a) {
+  x = 1
+  y = 2
+  z = 0
+  w = x + y
+  v = w / z
+  u = v + 1
+  return u
+}
+"""
+
+
+@pytest.mark.parametrize("budget", [3, 4, 5, 6, 7])
+def test_fault_in_an_overrunning_block_wins_only_within_the_budget(both_paths, budget):
+    fn = parse_program(STRAIGHT_LINE).functions[0]
+    generated, reference = both_paths(fn, [], budget)
+    assert generated == reference
+    if budget >= 5:
+        assert generated[1:3] == ("division-by-zero", 7)
+    else:
+        assert generated[1:3] == ("step-budget", None)
