@@ -29,8 +29,10 @@ from .features import (
     features_to_csv,
     node_features,
     path_features,
+    walk_features,
 )
-from .kernels import GkParams, KernelColumns, RwkParams, gram_matrix
+from .kernels import (CountKernel, GkParams, RwkParams, gram_matrix, graphlet_columns,
+                      walk_kernel)
 from .mir import lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method, labels_to_csv
 from .svm import SvmModel, SvmParams, decision_value, short_stop, train_svm
@@ -141,9 +143,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    ds = corpus_io.load_manifest(args.manifest) if args.manifest \
-        else corpus_io.bundled_dataset()
-    stats = corpus_io.corpus_stats(ds)
+    stats = corpus_io.corpus_stats(_dataset(args))
     print("mr,match,non_match")
     for mr in MR_IDS:
         match, non_match = stats.per_mr[mr]
@@ -164,7 +164,7 @@ def _nf_pf_matrix(ids, graphs: list[AnnotatedCfg], omit_exit: bool) -> DesignMat
 def _corpus_features(ds, featurization: str, args):
     """Featurize every sourced entry; returns (entries, graphs, gram,
     context), where ``gram`` is the KernelMatrix every SVM trains on.  The
-    Gram's diagnostics go to stderr."""
+    Gram's diagnostics go to stderr; an unlabelled entry is a ValueError."""
     entries = [e for e in ds.entries if e.source_kind != "none"]
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
@@ -182,41 +182,48 @@ def _corpus_features(ds, featurization: str, args):
         context = {"featurization": "gk", "k": params.k, "mode": params.mode}
     for note in gram.diagnostics:
         print(f"diagnostic: {featurization}: {note}", file=sys.stderr)
+    unlabelled = [e.name for e in entries if e.labels is None]
+    if unlabelled:
+        raise ValueError(f"unlabelled methods: {', '.join(unlabelled)}")
     return entries, graphs, gram, context
 
 
-def _selected_mrs(arg: str) -> list[str]:
-    return list(MR_IDS) if arg == "all" else [arg.upper()]
+def _dataset(args):
+    return corpus_io.load_manifest(args.manifest) if args.manifest \
+        else corpus_io.bundled_dataset()
+
+
+def _two_class_mrs(args, entries, skipped: list[str]):
+    """(MR, 0/1 labels) for each MR ``--mr`` selects whose labels hold both
+    classes; the others are appended to ``skipped`` with a diagnostic."""
+    for mr in list(MR_IDS) if args.mr == "all" else [args.mr.upper()]:
+        labels = [1 if e.labels[mr] else 0 for e in entries]
+        if len(set(labels)) > 1:
+            yield mr, labels
+        else:
+            skipped.append(mr)
+            print(f"diagnostic: {mr}: single-class corpus, skipped", file=sys.stderr)
 
 
 def cmd_evaluate(args) -> int:
     if args.k < 2:
         print("error: --k must be at least 2", file=sys.stderr)
         return 2
+    if args.dump_gram and not args.out:
+        print("error: --dump-gram needs --out", file=sys.stderr)
+        return 2
     root = _root_seed(args)
     svm_params = SvmParams(C=args.C)
-    ds = corpus_io.load_manifest(args.manifest) if args.manifest \
-        else corpus_io.bundled_dataset()
-    featurization = args.features
-    entries, graphs, gram, context = _corpus_features(ds, featurization, args)
-    unlabelled = [e.name for e in entries if e.labels is None]
-    if unlabelled:
-        print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
-        return 2
+    entries, graphs, gram, context = _corpus_features(_dataset(args), args.features, args)
 
     reports = []
-    skipped = []
-    for mr in _selected_mrs(args.mr):
-        labels = [1 if e.labels[mr] else 0 for e in entries]
-        if len(set(labels)) < 2:
-            skipped.append(mr)
-            print(f"diagnostic: {mr}: single-class corpus, skipped", file=sys.stderr)
-            continue
+    skipped: list[str] = []
+    for mr, labels in _two_class_mrs(args, entries, skipped):
         folds = stratified_kfold(labels, args.k, seed=stage_seed(root, "folds"))
         for warning in folds.warnings:
             print(f"diagnostic: {mr}: {warning}", file=sys.stderr)
         reports.append(cross_validate(gram, labels, folds, svm_params,
-                                      mr=mr, featurization=featurization))
+                                      mr=mr, featurization=args.features))
 
     payload = {
         "root_seed": root,
@@ -251,26 +258,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_train(args) -> int:
     svm_params = SvmParams(C=args.C)
-    ds = corpus_io.load_manifest(args.manifest) if args.manifest \
-        else corpus_io.bundled_dataset()
-    entries, graphs, gram, context = _corpus_features(ds, args.features, args)
-    unlabelled = [e.name for e in entries if e.labels is None]
-    if unlabelled:
-        print(f"error: unlabelled methods: {', '.join(unlabelled)}", file=sys.stderr)
-        return 2
+    entries, graphs, gram, context = _corpus_features(_dataset(args), args.features, args)
     context["training_graphs"] = [emit_dot(g) for g in graphs]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     context_hash = _context_hash(context)
     _write_json(out_dir / "context.json",
                 {"context": context, "context_hash": context_hash})
-    skipped = []
-    for mr in _selected_mrs(args.mr):
-        y = [1 if e.labels[mr] else -1 for e in entries]
-        if len(set(y)) < 2:
-            skipped.append(mr)
-            print(f"diagnostic: {mr}: single-class corpus, skipped", file=sys.stderr)
-            continue
+    skipped: list[str] = []
+    for mr, labels in _two_class_mrs(args, entries, skipped):
+        y = [2 * label - 1 for label in labels]
         model = train_svm(gram.values, y, svm_params)
         stop = short_stop(gram.values, y, model, svm_params)
         if stop is not None:
@@ -282,24 +279,26 @@ def cmd_train(args) -> int:
 
 def _column_function(context: dict):
     """CFG -> the kernel column against the training graphs that every MR
-    model of one context scores; the training side is built once here."""
+    model of one context scores; the training side is built once here.  Only
+    nf-pf warns of unseen keys: a new method's rwk self-value counts them."""
     graphs = [parse_dot(text) for text in context["training_graphs"]]
-    if context["featurization"] == "nf-pf":
-        omit_exit = context["omit_exit_nf"]
-        train = _nf_pf_matrix([str(i) for i in range(len(graphs))], graphs,
-                              omit_exit)
-
-        def column(cfg: AnnotatedCfg) -> np.ndarray:
-            row, unseen = train.vectorize(combine(*_featurize(cfg, omit_exit)))
-            if unseen:
-                print(f"warning: {cfg.name}: {unseen} unseen feature keys "
-                      "treated as zero columns", file=sys.stderr)
-            return train.rows @ row
-        return column
+    if context["featurization"] == "gk":
+        return graphlet_columns(graphs, GkParams(k=context["k"]))
     if context["featurization"] == "rwk":
-        rwk = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
-        return KernelColumns(graphs, "rwk", rwk=rwk).column
-    return KernelColumns(graphs, "gk", gk=GkParams(k=context["k"])).column
+        p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
+        rwk = walk_kernel(graphs, p)
+        return lambda cfg: rwk.column(list(walk_features(cfg, p.walk_len)))[0]
+    omit_exit = context["omit_exit_nf"]
+    ids = map(str, range(len(graphs)))
+    nf_pf = CountKernel([_nf_pf_matrix(ids, graphs, omit_exit)], 1.0, False)
+
+    def column(cfg: AnnotatedCfg) -> np.ndarray:
+        values, unseen = nf_pf.column([combine(*_featurize(cfg, omit_exit))])
+        if unseen:
+            print(f"warning: {cfg.name}: {unseen} unseen feature keys "
+                  "treated as zero columns", file=sys.stderr)
+        return values
+    return column
 
 
 def cmd_predict(args) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .kernels import KernelMatrix
+from .features import KernelMatrix
 from .svm import SvmParams, decision_value, short_stop, train_svm
 
 

@@ -6,19 +6,19 @@ the start node to it and one from it to the exit node, and count the label
 sequences.  Canonical means BFS order with neighbors expanded in ascending
 node id; the first discovered parent defines the path, so extraction is
 deterministic and id-renaming that preserves declaration order cannot
-change the result.
+change the result.  Walk features (RW), the random-walk kernel's explicit
+feature map, count every walk of a given length by its label sequence.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .cfg import AnnotatedCfg, NodeOp
-from .kernels import KernelMatrix
 
 
 class FeatureError(ValueError):
@@ -27,11 +27,11 @@ class FeatureError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureVector:
-    kind: str  # "NF" | "PF" | "NF-PF"
+    kind: str  # "NF" | "PF" | "NF-PF" | "RW"
     entries: dict[str, int]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("NF", "PF", "NF-PF"):
+        if self.kind not in ("NF", "PF", "NF-PF", "RW"):
             raise FeatureError(f"unknown feature kind {self.kind!r}")
         for key, count in self.entries.items():
             if count < 1:
@@ -115,6 +115,22 @@ def path_features(cfg: AnnotatedCfg) -> FeatureVector:
     return FeatureVector("PF", counts)
 
 
+def walk_features(cfg: AnnotatedCfg, walk_len: int) -> Iterator[FeatureVector]:
+    """For each length l = 1..walk_len in turn, every walk of l edges
+    counted by its node-label sequence, keyed like PF."""
+    ends = {(op.value, v): 1 for v, op in enumerate(cfg.ops)}  # by (sequence, last node)
+    for _ in range(walk_len):
+        grown: dict[tuple[str, int], int] = {}
+        for (seq, u), n in ends.items():
+            for v in cfg.successors[u]:
+                key = (f"{seq}-{cfg.ops[v].value}", v)
+                grown[key] = grown.get(key, 0) + n
+        ends, total = grown, {}
+        for (seq, _), n in ends.items():
+            total[seq] = total.get(seq, 0) + n
+        yield FeatureVector("RW", total)
+
+
 def combine(nf: FeatureVector, pf: FeatureVector) -> FeatureVector:
     """Disjoint union of an NF and a PF vector (key spaces never collide:
     NF keys end in two degree fields)."""
@@ -144,12 +160,33 @@ def project(vector: FeatureVector,
 
 
 @dataclass(frozen=True)
+class KernelMatrix:
+    method_ids: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+    diagnostics: tuple[str, ...] = ()
+
+    def min_eigenvalue(self) -> float:
+        sym = (self.values + self.values.T) / 2.0
+        return float(np.linalg.eigvalsh(sym).min())
+
+    def submatrix(self, rows, cols) -> np.ndarray:
+        return self.values[np.ix_(rows, cols)]
+
+    def to_csv(self) -> str:
+        lines = ["method_id," + ",".join(self.method_ids)]
+        for mid, row in zip(self.method_ids, self.values):
+            lines.append(mid + "," + ",".join(repr(float(v)) for v in row))
+        return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
 class DesignMatrix:
     """Dense count matrix over the lexicographically sorted key union."""
 
     feature_index: tuple[str, ...]
     method_ids: tuple[str, ...]
     rows: np.ndarray = field(repr=False)
+    key_index: dict[str, int] = field(repr=False)  # key -> column
 
     def gram(self) -> KernelMatrix:
         """Linear-kernel Gram ``rows @ rows.T``; the rows are integer
@@ -157,14 +194,6 @@ class DesignMatrix:
         equals its own ``x @ x.T``."""
         return KernelMatrix(method_ids=self.method_ids,
                             values=self.rows @ self.rows.T)
-
-    @cached_property
-    def key_index(self) -> dict[str, int]:
-        return {k: i for i, k in enumerate(self.feature_index)}
-
-    def vectorize(self, vector: FeatureVector) -> tuple[np.ndarray, int]:
-        """Project a new method's features onto this matrix's key space."""
-        return project(vector, self.key_index)
 
 
 def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatrix:
@@ -181,7 +210,7 @@ def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatr
     keys = sorted({key for _, vec in features for key in vec.entries})
     index = {key: i for i, key in enumerate(keys)}
     rows = np.array([project(vec, index)[0] for _, vec in features])
-    return DesignMatrix(feature_index=tuple(keys), method_ids=tuple(ids), rows=rows)
+    return DesignMatrix(tuple(keys), tuple(ids), rows, index)
 
 
 def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:

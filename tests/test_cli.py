@@ -14,8 +14,9 @@ from mrkit.cfg import parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
 from mrkit.features import build_design_matrix, combine, node_features, path_features
-from mrkit.kernels import (PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams,
-                           graphlet_kernel, random_walk_kernel)
+import rwk_reference
+from mrkit.kernels import PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams
+from test_kernels import per_pair_gk
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, SvmParams, decision_value
 
@@ -522,11 +523,66 @@ def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
                 column = design.rows @ x
             elif context["featurization"] == "rwk":
                 p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
-                column = [random_walk_kernel(g, cfg, p) for g in train_graphs]
+                column = rwk_reference.column(train_graphs, cfg, p)
             else:
                 p = GkParams(k=context["k"])
-                column = [graphlet_kernel(g, cfg, p) for g in train_graphs]
+                column = [per_pair_gk(g, cfg, p) for g in train_graphs]
             assert float(row[7 + mr_pos]) == decision_value(model, np.asarray(column))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+@pytest.mark.parametrize("walk_len", ["0", "21"])
+def test_walk_len_outside_the_cap_is_a_usage_error(tmp_path, capsys, command, walk_len):
+    code = main([command, "--features", "rwk", "--walk-len", walk_len, "--mr", "per",
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: walk_len must lie in 1..20\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_walk_len_at_the_cap_runs(tmp_path):
+    assert main(["evaluate", "--features", "rwk", "--walk-len", "20", "--mr", "per",
+                 "--k", "2", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+def test_predict_refuses_a_context_past_the_walk_len_cap(tmp_path, capsys):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    models = tmp_path / "models"
+    assert main(["train", "--manifest", str(man), "--features", "rwk",
+                 "--out", str(models)]) == 0
+    path = models / "context.json"
+    saved = json.loads(path.read_text())
+    saved["context"]["walk_len"] = 21
+    saved["context_hash"] = hashlib.sha256(
+        json.dumps(saved["context"], sort_keys=True).encode()).hexdigest()[:16]
+    path.write_text(json.dumps(saved))
+    for mr in MR_IDS:
+        bundle = json.loads((models / f"{mr}.json").read_text())
+        bundle["context_hash"] = saved["context_hash"]
+        (models / f"{mr}.json").write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "1..20" in err
+
+
+def test_rwk_predict_does_not_warn_of_unseen_walks(tmp_path, capsys):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    models = tmp_path / "models"
+    assert main(["train", "--manifest", str(man), "--features", "rwk",
+                 "--out", str(models)]) == 0
+    capsys.readouterr()
+    # pooledVariance has walks that no training method has
+    assert main(["predict", corpus_path("pooledVariance"), "--models", str(models)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_evaluate_refuses_dump_gram_without_out(capsys):
+    assert main(["evaluate", "--features", "nf-pf", "--mr", "per", "--dump-gram"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --dump-gram needs --out\n"
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from mrkit.features import (
     features_to_csv,
     node_features,
     path_features,
+    project,
 )
 
 TABLE_NF = {
@@ -181,11 +182,11 @@ def test_design_matrix_mixed_kinds():
         ])
 
 
-def test_vectorize_drops_unseen_keys(worked_example):
+def test_project_drops_unseen_keys(worked_example):
     nf = node_features(worked_example)
     dm = build_design_matrix([("average", nf)])
     other = FeatureVector("NF", {"add-1-1": 2, "xor-9-9": 5})
-    row, unseen = dm.vectorize(other)
+    row, unseen = project(other, dm.key_index)
     assert row.sum() == 2.0
     assert unseen == 1
 

@@ -2,20 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rwk_reference
 from mrkit.cfg import AnnotatedCfg, NodeOp
+from mrkit.features import walk_features
 from mrkit.kernels import (
+    MAX_WALK_LEN,
     GkParams,
-    KernelColumns,
     RwkParams,
     _connected_subsets,
     _rwk_raw,
     gram_matrix,
+    graphlet_columns,
     graphlet_distribution,
     graphlet_kernel,
     random_walk_kernel,
+    walk_kernel,
 )
 
 
@@ -51,6 +55,93 @@ def brute_force_rwk(g1, g2, p: RwkParams) -> float:
             pairs += seqs1.get(key, 0)
         value += weight * float(pairs)
     return value
+
+
+def label_sequences(g, length):
+    """Every walk of ``length`` edges, counted by its label sequence."""
+    counts = {}
+    for w in itertools.product(range(g.node_count), repeat=length + 1):
+        if all(b in g.successors[a] for a, b in zip(w, w[1:])):
+            key = "-".join(g.ops[v].value for v in w)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+WALKS_AT_CAP = 5_000
+
+
+def walk_count(g, length) -> int:
+    adj = np.zeros((g.node_count, g.node_count), dtype=np.int64)
+    for a, b in g.edges:
+        adj[a, b] = 1
+    return int(np.linalg.matrix_power(adj, length).sum())
+
+
+@st.composite
+def labelled_digraphs(draw, max_nodes=6):
+    """CFG-like digraphs: a chain plus up to three extra edges, which draw
+    cycles and self-loops, over a three-label alphabet, so labels repeat.
+    Graphs with more than WALKS_AT_CAP walks of MAX_WALK_LEN edges are
+    rejected: the walk-count map grows with the number of distinct walks,
+    and below that bound every count of the product-graph reference is an
+    exact float."""
+    n = draw(st.integers(1, max_nodes))
+    ops = draw(st.lists(st.sampled_from([NodeOp.ASSI, NodeOp.IF, NodeOp.ADD]),
+                        min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    extra = draw(st.sets(st.tuples(node, node), max_size=3))
+    g = AnnotatedCfg("g", tuple(ops), tuple(sorted(extra | {(i, i + 1) for i in range(n - 1)})))
+    assume(walk_count(g, MAX_WALK_LEN) <= WALKS_AT_CAP)
+    return g
+
+
+LOOP2 = AnnotatedCfg("loop2", (NodeOp.ASSI, NodeOp.ASSI), ((0, 0), (0, 1), (1, 0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_digraphs(), labelled_digraphs(), st.sampled_from([0.3, 0.5]))
+@example(LOOP2, LOOP2, 0.5)
+@example(LOOP2, AnnotatedCfg("lone", (NodeOp.ASSI,), ()), 0.3)
+def test_rwk_raw_equals_the_product_graph_reference(g1, g2, decay):
+    for walk_len in range(1, MAX_WALK_LEN + 1):
+        p = RwkParams(walk_len=walk_len, decay=decay)
+        for a, b in ((g1, g2), (g1, g1)):
+            assert _rwk_raw(a, b, p) == rwk_reference._rwk_raw(a, b, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_digraphs(max_nodes=4), st.integers(1, 4))
+def test_walk_features_count_every_walk(g, walk_len):
+    vectors = list(walk_features(g, walk_len))
+    assert [v.entries for v in vectors] == \
+        [label_sequences(g, length) for length in range(1, walk_len + 1)]
+
+
+@pytest.mark.parametrize("walk_len", [1, 4, 10, 20])
+@pytest.mark.parametrize("decay", [0.3, 0.5])
+def test_rwk_gram_equals_the_reference_on_the_corpus(corpus_graphs, walk_len, decay):
+    graphs = [g for _, g in sorted(corpus_graphs.items())]
+    p = RwkParams(walk_len=walk_len, decay=decay)
+    assert len(graphs) == 68
+    assert np.array_equal(gram_matrix(graphs, "rwk", rwk=p).values,
+                          rwk_reference.gram(graphs, p))
+
+
+def test_rwk_predict_column_equals_the_reference(corpus_graphs):
+    held = ["square", "count_k", "pooledVariance"]
+    train = [g for name, g in sorted(corpus_graphs.items()) if name not in held]
+    # no corpus graph has an and or an or node: every walk is unseen
+    alien = path_graph("alien", [NodeOp.AND, NodeOp.OR, NodeOp.AND])
+    for p in (RwkParams(), RwkParams(walk_len=6, decay=0.3)):
+        kernel = walk_kernel(train, p)
+        partly_unseen = False
+        for g in [corpus_graphs[n] for n in held] + [alien]:
+            column, unseen = kernel.column(list(walk_features(g, p.walk_len)))
+            assert column.tolist() == rwk_reference.column(train, g, p)
+            partly_unseen |= unseen > 0 and column.any()
+        # so the equality above needs the self-value to count unseen walks
+        assert partly_unseen
+        assert unseen == 3 and not column.any()  # and-or, or-and, and-or-and
 
 
 def test_rwk_worked_small_case():
@@ -233,6 +324,21 @@ def test_gram_psd_and_symmetric_small(corpus_graphs):
         assert km.diagnostics == ()
 
 
+def per_pair_gk(g1, g2, p: GkParams) -> float:
+    """The graphlet kernel of one pair in its own float expressions, apart
+    from the code that graphlet_columns and graphlet_kernel share."""
+    f1 = graphlet_distribution(g1, p)
+    f2 = graphlet_distribution(g2, p)
+    value = sum(f1[t] * f2.get(t, 0.0) for t in f1)
+    if not p.normalize:
+        return value
+    n1 = sum(v * v for v in f1.values())
+    n2 = sum(v * v for v in f2.values())
+    if n1 <= 0.0 or n2 <= 0.0:
+        return 0.0
+    return value / float(np.sqrt(n1) * np.sqrt(n2))
+
+
 @pytest.mark.parametrize("kernel,params", [
     ("rwk", RwkParams()),
     ("rwk", RwkParams(walk_len=4, decay=0.3, normalize=False)),
@@ -245,18 +351,21 @@ def test_kernel_columns_bitwise_equal_per_pair(corpus_graphs, kernel, params):
     train = [corpus_graphs[n] for n in names]
     new = [corpus_graphs[n] for n in ("count_k", "polevl", "sum")] + [PATH3]
     if kernel == "rwk":
-        columns = KernelColumns(train, "rwk", rwk=params)
-        pair = random_walk_kernel
+        rwk = walk_kernel(train, params)
+        column = lambda g: rwk.column(list(walk_features(g, params.walk_len)))[0]  # noqa: E731
+        pair, reference = random_walk_kernel, rwk_reference.random_walk_kernel
     else:
-        columns = KernelColumns(train, "gk", gk=params)
-        pair = graphlet_kernel
+        column = graphlet_columns(train, params)
+        pair, reference = graphlet_kernel, per_pair_gk
     for g in new:
-        assert columns.column(g).tolist() == [pair(t, g, params) for t in train]
+        expected = [reference(t, g, params) for t in train]
+        assert column(g).tolist() == expected
+        assert [pair(t, g, params) for t in train] == expected
 
 
-def test_kernel_columns_unknown_kernel():
+def test_gram_unknown_kernel():
     with pytest.raises(ValueError):
-        KernelColumns([PATH3], "wl")
+        gram_matrix([PATH3, PATH3], "wl")
 
 
 def test_gram_requires_two_graphs():
@@ -274,8 +383,12 @@ def test_gram_csv_roundtrip_shape():
 
 
 def test_param_validation():
+    assert MAX_WALK_LEN == 20
+    assert RwkParams(walk_len=MAX_WALK_LEN).walk_len == 20
     with pytest.raises(ValueError):
         RwkParams(walk_len=0)
+    with pytest.raises(ValueError, match=r"1\.\.20"):
+        RwkParams(walk_len=MAX_WALK_LEN + 1)
     with pytest.raises(ValueError):
         RwkParams(decay=1.0)
     with pytest.raises(ValueError):
