@@ -209,7 +209,9 @@ def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatr
 
     keys = sorted({key for _, vec in features for key in vec.entries})
     index = {key: i for i, key in enumerate(keys)}
-    rows = np.array([project(vec, index)[0] for _, vec in features])
+    rows = np.empty((len(features), len(keys)))
+    for row, (_, vec) in zip(rows, features):
+        row[:] = project(vec, index)[0]
     return DesignMatrix(tuple(keys), tuple(ids), rows, index)
 
 

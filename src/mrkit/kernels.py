@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,11 +110,20 @@ class CountKernel:
         return raw, sum(unseen for _, unseen in projected)
 
 
+def _count_block(vectors: tuple[FeatureVector, ...]) -> DesignMatrix:
+    return build_design_matrix([(str(i), v) for i, v in enumerate(vectors)])
+
+
+def _walk_blocks(graphs: list[AnnotatedCfg], walk_len: int) -> Iterator[DesignMatrix]:
+    """The walk-count block of ``graphs`` for each length 1..walk_len in
+    turn.  map, unlike a generator expression, holds no item while it builds
+    the next, so a consumer that also maps keeps one block alive at a time."""
+    return map(_count_block, zip(*(walk_features(g, walk_len) for g in graphs)))
+
+
 def walk_kernel(graphs: list[AnnotatedCfg], p: RwkParams) -> CountKernel:
     """rwk against ``graphs``, one count block per walk length."""
-    return CountKernel((build_design_matrix([(str(i), v) for i, v in enumerate(vectors)])
-                        for vectors in zip(*(walk_features(g, p.walk_len) for g in graphs))),
-                       p.decay, p.normalize)
+    return CountKernel(_walk_blocks(graphs, p.walk_len), p.decay, p.normalize)
 
 
 def _rwk_raw(g1: AnnotatedCfg, g2: AnnotatedCfg, p: RwkParams) -> float:
@@ -217,7 +226,10 @@ def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
     if len(graphs) < 2:
         raise ValueError("gram matrix needs at least two graphs")
     if kernel == "rwk":
-        raw, normalize = walk_kernel(graphs, rwk).raw_gram, rwk.normalize
+        # only the Gram: the blocks' key indexes and counts serve predict
+        raw = _decayed_sum(rwk.decay, map(lambda block: block.gram().values,
+                                          _walk_blocks(graphs, rwk.walk_len)))
+        normalize = rwk.normalize
     elif kernel == "gk":
         dists = [graphlet_distribution(g, gk) for g in graphs]
         raw, normalize = np.zeros((len(graphs), len(graphs))), gk.normalize

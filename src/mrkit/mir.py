@@ -605,8 +605,11 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
     block: the budget trap, or a fault before it, comes from the same op as
     if every op had been charged on its own.
     """
-    lowered = _compile(fn)
-    arr = [float(v) for v in values]
+    lowered = fn._lowered
+    if lowered is None or lowered.run is None:
+        lowered = _compile(fn)
+    # the generated code stores into arr, so the caller's values stay as given
+    arr = list(map(float, values))
     result = lowered.run(fn, arr, step_budget)
     if type(result) is not tuple:
         return result

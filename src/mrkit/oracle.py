@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .mir import Function, Trap, interpret
 
@@ -68,6 +69,8 @@ class OracleParams:
             raise OracleError("length range must satisfy 2 <= min <= max")
         if self.max_value < self.min_value:
             raise OracleError("empty value domain")
+        if self.max_value < 1:
+            raise OracleError("INV needs a value >= 1, so max_value must be >= 1")
         if self.max_const < self.min_const or self.min_const < 1:
             raise OracleError("constant domain must be positive")
 
@@ -127,10 +130,35 @@ def _substream(seed: int, *scope: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+# Every integer draw is CPython's ``Random._randbelow_with_getrandbits``
+# loop, so it takes the same numbers from the stream as ``rng.randint(lo, hi)``
+# (``lo + below(hi - lo + 1)``) and ``rng.randrange(n)`` (``below(n)``) do,
+# without their three Python calls per number.  ``span`` must be positive:
+# ``getrandbits(0)`` is 0, so a span of 0 would never leave the loop.
+
+
+def _below(getrandbits, span: int) -> int:
+    """A uniform int in ``[0, span)`` drawn as ``rng.randrange(span)`` draws it."""
+    bits = span.bit_length()
+    r = getrandbits(bits)
+    while r >= span:
+        r = getrandbits(bits)
+    return r
+
+
 def _draw_source(rng: random.Random, params: OracleParams, mr: str) -> list[float]:
-    length = rng.randint(params.min_len, params.max_len)
+    getrandbits = rng.getrandbits
+    length = params.min_len + _below(getrandbits, params.max_len - params.min_len + 1)
     lo = max(params.min_value, 1) if mr == "INV" else params.min_value
-    return [float(rng.randint(lo, params.max_value)) for _ in range(length)]
+    span = params.max_value - lo + 1
+    bits = span.bit_length()
+    source = []
+    for _ in range(length):  # _below inlined: no Python call per element
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        source.append(float(lo + r))
+    return source
 
 
 def apply_mr(mr: str, source, rng: random.Random,
@@ -138,14 +166,12 @@ def apply_mr(mr: str, source, rng: random.Random,
     """Build the follow-up input for one relation; draws come from rng."""
     if mr not in MR_SPECS:
         raise OracleError(f"unknown MR {mr!r}")
-    src = [float(v) for v in source]
+    src = list(map(float, source))
     n = len(src)
-    if mr == "ADD":
-        c = rng.randint(params.min_const, params.max_const)
-        return [v + c for v in src]
-    if mr == "MUL":
-        c = rng.randint(params.min_const, params.max_const)
-        return [v * c for v in src]
+    if mr == "ADD" or mr == "MUL":
+        c = params.min_const + _below(rng.getrandbits,
+                                      params.max_const - params.min_const + 1)
+        return [v + c for v in src] if mr == "ADD" else [v * c for v in src]
     if mr == "PER":
         if n < 2:
             raise OracleError("PER needs at least two elements")
@@ -156,11 +182,12 @@ def apply_mr(mr: str, source, rng: random.Random,
                 break
         return [src[i] for i in idx]
     if mr == "INC":
-        return src + [float(rng.randint(params.min_value, params.max_value))]
+        span = params.max_value - params.min_value + 1
+        return src + [float(params.min_value + _below(rng.getrandbits, span))]
     if mr == "EXC":
         if n < 2:
             raise OracleError("EXC needs at least two elements")
-        drop = rng.randrange(n)
+        drop = _below(rng.getrandbits, n)
         return src[:drop] + src[drop + 1:]
     # INV
     if any(v == 0 for v in src):
@@ -172,10 +199,7 @@ def check_relation(mr: str, out_source: float, out_follow_up: float,
                    rel_tol: float = 1e-9) -> tuple[bool, str | None]:
     """Evaluate the output relation; non-finite outputs always violate."""
     spec = MR_SPECS[mr]
-    finite = (out_source == out_source and abs(out_source) != float("inf")
-              and out_follow_up == out_follow_up
-              and abs(out_follow_up) != float("inf"))
-    if not finite:
+    if not (isfinite(out_source) and isfinite(out_follow_up)):
         return False, "non-finite output"
     scale = max(1.0, abs(out_source))
     slack = rel_tol * scale
@@ -194,24 +218,25 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
     held on every trial.  Deterministic per (seed, method, MR)."""
     outcomes: dict[str, MrOutcome] = {}
     labels: dict[str, bool] = {}
+    budget, rel_tol = params.step_budget, params.rel_tol
     for mr in MR_IDS:
         rng = _substream(params.seed, fn.name, mr)
         witness: Witness | None = None
-        trials_run = 0
         for trial in range(params.trials):
-            trials_run = trial + 1
             source = _draw_source(rng, params, mr)
             follow_up = apply_mr(mr, source, rng, params)
             try:
-                out_src = interpret(fn, source, params.step_budget)
-                out_fu = interpret(fn, follow_up, params.step_budget)
+                # interpret is looked up here on every call, not bound once,
+                # so that a caller can wrap mrkit.oracle.interpret
+                out_src = interpret(fn, source, budget)
+                out_fu = interpret(fn, follow_up, budget)
             except Trap as trap:
                 witness = Witness(
                     mr=mr, trial=trial, source=tuple(source),
                     follow_up=tuple(follow_up), out_source=None,
                     out_follow_up=None, cause=f"trap: {trap}")
                 break
-            ok, cause = check_relation(mr, out_src, out_fu, params.rel_tol)
+            ok, cause = check_relation(mr, out_src, out_fu, rel_tol)
             if not ok:
                 witness = Witness(
                     mr=mr, trial=trial, source=tuple(source),
@@ -219,6 +244,7 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
                     out_follow_up=out_fu, cause=cause or "violated")
                 break
         labels[mr] = witness is None
+        trials_run = params.trials if witness is None else witness.trial + 1
         outcomes[mr] = MrOutcome(mr=mr, label=witness is None,
                                  trials_run=trials_run, witness=witness)
     return LabelReport(method=fn.name, labels=MrLabelSet(labels),

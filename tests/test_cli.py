@@ -228,6 +228,17 @@ def test_evaluate_never_loads_the_code_generator(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_python_dash_m_runs_the_command_line():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "mrkit", "stats"], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "ADD,56,44" in result.stdout and "matching_mrs,methods" in result.stdout
+
+
 def test_stats_prints_published_counts(capsys):
     assert main(["stats"]) == 0
     text = capsys.readouterr().out

@@ -9,6 +9,9 @@ from mrkit.oracle import (
     MrLabelSet,
     OracleError,
     OracleParams,
+    _below,
+    _draw_source,
+    _substream,
     apply_mr,
     audit_labels,
     check_relation,
@@ -192,3 +195,114 @@ def test_label_set_round_trip():
         MrLabelSet.from_bits((2, 0, 0, 0, 0, 0))
     with pytest.raises(OracleError):
         MrLabelSet({"ADD": True})
+
+
+def test_params_reject_a_value_domain_without_a_positive_value():
+    for lo, hi in ((0, 0), (-5, 0), (-3, -1)):
+        with pytest.raises(OracleError, match="INV needs a value >= 1"):
+            OracleParams(min_value=lo, max_value=hi)
+    assert OracleParams(min_value=-5, max_value=1).max_value == 1
+
+
+# The oracle's draws before they were inlined on getrandbits: the reference
+# that every label CSV written since the first release was drawn with.
+
+def _draw_source_randint(rng, params, mr):
+    length = rng.randint(params.min_len, params.max_len)
+    lo = max(params.min_value, 1) if mr == "INV" else params.min_value
+    return [float(rng.randint(lo, params.max_value)) for _ in range(length)]
+
+
+def _apply_mr_randint(mr, src, rng, params):
+    if mr == "ADD":
+        c = rng.randint(params.min_const, params.max_const)
+        return [v + c for v in src]
+    if mr == "MUL":
+        c = rng.randint(params.min_const, params.max_const)
+        return [v * c for v in src]
+    if mr == "PER":
+        idx = list(range(len(src)))
+        while True:
+            rng.shuffle(idx)
+            if idx != list(range(len(src))):
+                break
+        return [src[i] for i in idx]
+    if mr == "INC":
+        return src + [float(rng.randint(params.min_value, params.max_value))]
+    if mr == "EXC":
+        drop = rng.randrange(len(src))
+        return src[:drop] + src[drop + 1:]
+    return [1.0 / v for v in src]
+
+
+# spans (hi - lo + 1) of length, value, INV value and constant domains:
+# 1, powers of two, 2^k + 1 and others, with negative minimum values
+DRAW_PARAMS = [
+    OracleParams(),  # 19, 101, 100, 10
+    OracleParams(min_len=2, max_len=2, min_value=0, max_value=1,
+                 min_const=1, max_const=1),  # 1, 2, 1, 1
+    OracleParams(min_len=2, max_len=65, min_value=-64, max_value=64,
+                 min_const=1, max_const=64),  # 64, 129, 64, 64
+    OracleParams(min_len=3, max_len=35, min_value=-1024, max_value=1,
+                 min_const=5, max_const=37),  # 33, 1026, 1, 33
+    OracleParams(min_len=2, max_len=17, min_value=7, max_value=7 + 2 ** 40,
+                 min_const=3, max_const=3 + 2 ** 20),  # 16, 2^40+1, 2^40+1, 2^20+1
+]
+
+
+@pytest.mark.parametrize("params", DRAW_PARAMS)
+def test_draws_equal_the_randint_stream(params):
+    for seed in range(1000):
+        for mr in MR_IDS:
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                source = _draw_source(rng, params, mr)
+                expected = _draw_source_randint(ref, params, mr)
+                assert source == expected, (seed, mr)
+                assert (apply_mr(mr, source, rng, params)
+                        == _apply_mr_randint(mr, expected, ref, params)), (seed, mr)
+            assert rng.getstate() == ref.getstate(), (seed, mr)
+
+
+@pytest.mark.parametrize("span", [1, 2, 19, 64, 65, 101, 1025, 2 ** 40 + 1])
+def test_below_equals_randrange(span):
+    for seed in range(1000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert ([_below(rng.getrandbits, span) for _ in range(3)]
+                == [ref.randrange(span) for _ in range(3)]), seed
+        assert rng.getstate() == ref.getstate(), seed
+
+
+CLOBBER = """
+fn clobber(values) {
+  n = len(values)
+  z = 0 - 1
+  values[0] = z
+  y = 0 - n
+  return y
+}
+"""
+
+
+def test_interpret_leaves_its_input_alone():
+    fn = parse_program(CLOBBER).functions[0]
+    values = [4.0, 5.0, 6.0]
+    assert interpret(fn, values) == -3.0
+    assert values == [4.0, 5.0, 6.0]
+    assert interpret(fn, (4, 5)) == -2.0
+    assert interpret(fn, (v for v in [1, 2, 3, 4])) == -4.0
+    ints = [7, 8]
+    assert interpret(fn, ints) == -2.0 and ints == [7, 8]
+
+
+def test_witness_source_is_the_drawn_input():
+    # clobber returns -len, so INC's longer follow-up decreases the output on
+    # the first trial; the witness must hold the input as drawn, not the
+    # array after the run stored -1 into it
+    fn = parse_program(CLOBBER).functions[0]
+    params = OracleParams(trials=5)
+    witness = label_method(fn, params).outcomes["INC"].witness
+    drawn = _draw_source(_substream(params.seed, fn.name, "INC"), params, "INC")
+    assert witness is not None and witness.trial == 0
+    assert witness.source == tuple(drawn)
+    assert -1.0 not in witness.source and witness.follow_up[:-1] == witness.source
