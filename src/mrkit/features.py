@@ -21,6 +21,11 @@ import numpy as np
 from .cfg import AnnotatedCfg, NodeOp
 
 
+# walk_features' bound on one length's (label sequence, last node) pairs;
+# the bundled corpus peaks at 746 (shell_sort, length 20)
+MAX_WALK_ENDS = 30_000
+
+
 class FeatureError(ValueError):
     pass
 
@@ -117,14 +122,24 @@ def path_features(cfg: AnnotatedCfg) -> FeatureVector:
 
 def walk_features(cfg: AnnotatedCfg, walk_len: int) -> Iterator[FeatureVector]:
     """For each length l = 1..walk_len in turn, every walk of l edges
-    counted by its node-label sequence, keyed like PF."""
+    counted by its node-label sequence, keyed like PF.
+
+    The count is kept per (sequence, last node), which can grow
+    exponentially with l on a graph where most nodes branch; past
+    MAX_WALK_ENDS such pairs at one length this raises FeatureError.
+    """
     ends = {(op.value, v): 1 for v, op in enumerate(cfg.ops)}  # by (sequence, last node)
-    for _ in range(walk_len):
+    for length in range(1, walk_len + 1):
         grown: dict[tuple[str, int], int] = {}
         for (seq, u), n in ends.items():
             for v in cfg.successors[u]:
                 key = (f"{seq}-{cfg.ops[v].value}", v)
                 grown[key] = grown.get(key, 0) + n
+            if len(grown) > MAX_WALK_ENDS:
+                raise FeatureError(
+                    f"{cfg.name}: walks of length {length} end in more than "
+                    f"{MAX_WALK_ENDS} distinct (label sequence, node) pairs; "
+                    "use a smaller walk length")
         ends, total = grown, {}
         for (seq, _), n in ends.items():
             total[seq] = total.get(seq, 0) + n

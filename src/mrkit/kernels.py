@@ -7,12 +7,13 @@ product graph (Kriege et al., DMKD 2019): per length l, an integer count
 row per graph over the label sequences of l-edge walks, so the Gram is
 ``sum_l decay^l Phi_l Phi_l^T``.  The map grows exponentially with the
 length (16,789 counts over the bundled corpus at length 10, 478,984 at 40),
-so ``walk_len`` is capped at MAX_WALK_LEN.  The graphlet kernel compares
-relative frequency distributions of weakly connected induced k-node
-subgraphs (k = 3 or 4) classified by directed isomorphism type, ignoring
-labels.  The count is exact: ESU enumeration yields exactly the connected
-node subsets, and each subset's type is the minimum adjacency bitmask over
-node permutations, memoised per bitmask.
+so ``walk_len`` is capped at MAX_WALK_LEN, and ``features.walk_features``
+refuses a graph whose count outgrows ``features.MAX_WALK_ENDS``.  The
+graphlet kernel compares relative frequency distributions of weakly
+connected induced k-node subgraphs (k = 3 or 4) classified by directed
+isomorphism type, ignoring labels.  The count is exact: ESU enumeration
+yields exactly the connected node subsets, and each subset's type is the
+minimum adjacency bitmask over node permutations, memoised per bitmask.
 """
 
 from __future__ import annotations

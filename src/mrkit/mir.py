@@ -32,12 +32,14 @@ which builds the CFG and the bytecode together and checks names, labels
 and structure.  The bytecode has one op per statement plus the init, bound
 read, increment and back jump of each ``for``; one step of the budget is
 one op.  Only code generation waits for the first call: ``codegen.generate``
-then turns the bytecode into Python source with one straight-line branch
-per basic block, charged for all its ops on entry, and every call runs
-that.  A call whose next block would end past the budget finishes that
-block in a second version of the same code, charged per op, which is
-generated on the function's first such call.  The tests compare both
-against a bytecode dispatch loop, ``tests/mir_reference.py``.
+then turns the bytecode into structured Python, with a dispatch only at
+loop headers and merge points and every other basic block emitted in
+place after its one predecessor, and every call runs that.  The budget is
+checked once per pass through a loop header or merge point, for the
+longest path to the next one.  A pass that might end past the budget runs
+in a second version of the same code, charged per op, which is generated
+on the function's first such call.  The tests compare both against a
+bytecode dispatch loop, ``tests/mir_reference.py``.
 """
 
 from __future__ import annotations
@@ -370,7 +372,7 @@ class _Lowered:
     code: list[tuple]
     n_slots: int
     # codegen.generate's fast version, made on the first call, and its
-    # per-op version, made on the first call that overruns a block; each is
+    # per-op version, made on the first pass that might overrun; each is
     # published by one assignment, so a thread that races its first use
     # sees either None or a complete function
     run: Callable | None = None
@@ -599,10 +601,10 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
     ``step_budget`` is exhausted; every runtime fault is a Trap.
 
     The call runs the function's generated Python (``codegen.generate``),
-    which charges the budget once per basic block.  A block that would end
-    past the budget is handed, with the slots and the steps spent before
-    it, to the per-op version of the same code, which cannot get past that
-    block: the budget trap, or a fault before it, comes from the same op as
+    which checks the budget once per pass through a loop header or merge
+    point.  A pass that might end past the budget is handed, with the
+    slots and the steps spent before it, to the per-op version of the same
+    code: the budget trap, or a fault before it, comes from the same op as
     if every op had been charged on its own.
     """
     lowered = fn._lowered
@@ -621,9 +623,7 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
 
 
 def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:
-    # int() of a non-finite index, exp/pow/floor overflow, fmod(inf, b);
+    # exp/pow/floor overflow, fmod(inf, b), int() of a non-finite exponent;
     # every op that can fault carries its source line last
-    kind = op[0]
-    trap = ("bad-index" if kind == _LOAD or kind == _STORE else
-            "overflow" if isinstance(exc, OverflowError) else "math-domain")
-    return Trap(trap, str(exc), op[-1])
+    return Trap("overflow" if isinstance(exc, OverflowError) else "math-domain",
+                str(exc), op[-1])

@@ -4,9 +4,10 @@ which runs the Python that ``mrkit.codegen`` generates, to return the same
 double bit for bit as this loop run from pc 0, or to raise a trap of the
 same kind, line and text.
 
-Only the loop lives here; the op constants, ``Trap`` and ``_fault``, which
-maps an ``OverflowError``/``ValueError`` to the op that raised it, are
-shared with ``mrkit.mir``.
+Only the loop and the trap of a non-finite index live here; the op
+constants, ``Trap`` and ``_fault``, which maps any other
+``OverflowError``/``ValueError`` to the op that raised it, are shared with
+``mrkit.mir``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ import math
 
 from mrkit.mir import (_BIN, _CALL, _CMP, _JIF, _JMP, _LEN, _LOAD, _MOV, _MOVC, _POW, _RET,
                        _STORE, Function, Trap, _fault)
+
+
+def _ref_fault(exc: OverflowError | ValueError, op: tuple) -> Trap:
+    # int() of an infinite or NaN index
+    if op[0] == _LOAD or op[0] == _STORE:
+        return Trap("bad-index", str(exc), op[-1])
+    return _fault(exc, op)
 
 
 def _run(fn: Function, code: list[tuple], slots: list, arr: list[float],
@@ -162,4 +170,4 @@ def _run(fn: Function, code: list[tuple], slots: list, arr: list[float],
                     raise Trap("division-by-zero", f"{a} % 0", op[6])
                 return math.fmod(a, b)
     except (OverflowError, ValueError) as exc:
-        raise _fault(exc, op) from None
+        raise _ref_fault(exc, op) from None

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from mrkit import cli
-from mrkit.cfg import parse_dot
+from mrkit.cfg import emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
 from mrkit.features import build_design_matrix, combine, node_features, path_features
 import rwk_reference
 from mrkit.kernels import PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams
+from test_features import branching_ring
 from test_kernels import per_pair_gk
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, SvmParams, decision_value
@@ -606,3 +607,15 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert main(["evaluate", "--features", "nf-pf", "--mr", "per", "--k", "4",
                  "--seed", "7", "--out", str(out_flag)]) == 0
     assert (out_env / "report.json").read_bytes() == (out_flag / "report.json").read_bytes()
+
+
+def test_evaluate_refuses_a_graph_whose_walk_count_explodes(tmp_path, capsys):
+    man = write_mini_manifest(tmp_path, TRIO)
+    (tmp_path / "ring.dot").write_text(emit_dot(branching_ring()))
+    man.write_text(man.read_text() + "7,ring,dot,ring.dot\n")
+    code = main(["evaluate", "--manifest", str(man), "--features", "rwk", "--walk-len", "20",
+                 "--mr", "per", "--k", "2", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ring: walks of length 13 end in more than ")
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@ import pytest
 
 from mrkit.cfg import AnnotatedCfg, NodeOp, parse_dot
 from mrkit.features import (
+    MAX_WALK_ENDS,
     FeatureError,
     FeatureVector,
     build_design_matrix,
@@ -11,6 +12,7 @@ from mrkit.features import (
     node_features,
     path_features,
     project,
+    walk_features,
 )
 
 TABLE_NF = {
@@ -200,3 +202,21 @@ def test_csv_dumps(worked_example):
     csv_text = design_matrix_to_csv(dm)
     assert csv_text.startswith("method_id,")
     assert csv_text.count("\n") == 2
+
+
+def branching_ring() -> AnnotatedCfg:
+    """Six nodes, ``i -> i+1, i+2 (mod 6)``, three labels: the distinct
+    (label sequence, end node) pairs of its walks double with each length."""
+    return AnnotatedCfg("ring", (NodeOp.ASSI, NodeOp.IF, NodeOp.ADD) * 2,
+                        tuple((i, (i + d) % 6) for i in range(6) for d in (1, 2)))
+
+
+def test_walk_features_refuse_an_exploding_count_at_the_first_length_past_the_bound():
+    vectors = walk_features(branching_ring(), 20)
+    for _ in range(12):
+        next(vectors)
+    with pytest.raises(FeatureError) as info:
+        next(vectors)
+    assert str(info.value) == (
+        f"ring: walks of length 13 end in more than {MAX_WALK_ENDS} distinct "
+        "(label sequence, node) pairs; use a smaller walk length")

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from mrkit.cfg import NodeOp, validate
-from mrkit.mir import (Assign, Function, MirError, Return, Trap, interpret, lower_to_cfg,
-                       parse_program)
+from mrkit.codegen import _op_source
+from mrkit.mir import (Assign, Function, MirError, Return, Trap, _compile, interpret,
+                       lower_to_cfg, parse_program)
 from mrkit.oracle import OracleParams, label_method
 
 AVG_SOURCE = """
@@ -323,8 +324,8 @@ def test_fuzz_lowering_always_validates():
 
 
 # The generated code against the reference dispatch loop
-# `mir_reference._run`.  Small budgets end calls inside blocks, so the
-# per-op version that finishes an overrunning block runs too.
+# `mir_reference._run`.  Small budgets end calls inside a pass, so the
+# per-op version that finishes a pass that might overrun runs too.
 STEP_BUDGETS = (1, 2, 3, 5, 8, 13, 40, 100, 1_000_000)
 SPECIAL_VALUES = (0.0, -0.0, 1e308, INF, NAN)
 
@@ -392,3 +393,67 @@ def test_fault_in_an_overrunning_block_wins_only_within_the_budget(both_paths, b
         assert generated[1:3] == ("division-by-zero", 7)
     else:
         assert generated[1:3] == ("step-budget", None)
+
+
+@pytest.mark.parametrize("name", ["bubble", "selection_sort", "shell_sort", "find_median",
+                                  "entropy"])
+def test_every_budget_up_to_the_step_count_matches_the_reference(corpus_functions,
+                                                                 both_paths, name):
+    # the per-pass check hands a call over to the per-op version at other
+    # points than a per-block one would; every budget up to a call's step
+    # count and one past it gives the reference's outcome
+    fn = corpus_functions[name]
+    for values in ([3.0, 1.0, 2.0], [5.0, 0.0, 4.0, 4.0, 9.0], [2.0, 7.0, 0.5, 1.0]):
+        budget = 0
+        while True:
+            budget += 1
+            generated, reference = both_paths(fn, values, budget)
+            assert generated == reference, (name, values, budget)
+            if generated[:2] != ("trap", "step-budget"):
+                break
+        generated, reference = both_paths(fn, values, budget + 1)
+        assert generated == reference == both_paths(fn, values, budget)[0]
+
+
+def test_the_fast_version_emits_every_op_once(corpus_functions):
+    for name, fn in corpus_functions.items():
+        lowered = _compile(fn)
+        emitted = collections.Counter(pc for pc in lowered.run.__globals__["pc_at"]
+                                      if pc is not None)
+        expected = {pc: len(_op_source(op)) for pc, op in enumerate(lowered.code)
+                    if _op_source(op)}
+        assert emitted == expected, name
+
+
+def _chain_of_conditional_jumps(count: int) -> str:
+    # each L<k> is reached only by the jump before it
+    lines = ["fn chain(a) {", "  x = a[0]"]
+    for k in range(1, count + 1):
+        lines += [f"  if x > {k - 1} goto L{k}", f"  return {k - 1}", f"L{k}:"]
+    lines += [f"  return {count}", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_long_chain_of_single_predecessor_jumps_runs(both_paths):
+    fn = parse_program(_chain_of_conditional_jumps(200)).functions[0]
+    for x in (-1.0, 0.5, 57.0, 199.5, 250.0):
+        for budget in (50, 115, 1_000):
+            generated, reference = both_paths(fn, [x], budget)
+            assert generated == reference, (x, budget)
+    assert interpret(fn, [250.0]) == 200.0
+
+
+def test_sequential_diamonds_generate_code_linear_in_their_ops(both_paths):
+    lines = ["fn diamonds(a) {", "  x = a[0]", "  y = 0"]
+    for k in range(30):
+        lines += [f"  if x > {k} goto T{k}", f"  y = y + {k}", f"  goto M{k}",
+                  f"T{k}:", f"  y = y - {k}", f"M{k}:", "  x = x - 1"]
+    lines += ["  return y", "}"]
+    fn = parse_program("\n".join(lines) + "\n").functions[0]
+    lowered = _compile(fn)
+    # code that copied each merge block into both of its predecessors
+    # would double with every diamond
+    assert len(lowered.run.__globals__["pc_at"]) - 1 <= 3 * len(lowered.code)
+    for x in (-3.0, 12.0, 40.0):
+        generated, reference = both_paths(fn, [x], 1_000)
+        assert generated == reference

@@ -159,11 +159,15 @@ _FUZZ_VALUES = st.one_of(
 @st.composite
 def mir_programs(draw) -> str:
     """Source of one function: assigns of every rhs kind, loads and stores,
-    ``for`` over ``len(a)`` and over atoms, forward ``if … goto`` and a
-    final return of an atom or of a binary op."""
+    ``for`` over ``len(a)`` and over atoms, ``if … goto`` to any statement
+    but its own fall-through (backward ones make loops, some irreducible,
+    and some jump into or out of a ``for`` body) and a final return of an
+    atom or of a binary op."""
     assigned: set[str] = set()
     read: set[str] = set()
     labels = iter(f"L{k}" for k in range(1000))
+    statements: list[list] = []  # every [labels, body] item, at any depth
+    jumps: list[tuple[list, int]] = []  # (items, position) of each if
 
     def atom() -> str:
         token = draw(st.one_of(st.sampled_from(_VARS), st.sampled_from(_CONSTS)))
@@ -187,46 +191,59 @@ def mir_programs(draw) -> str:
                "pow": lambda: f"pow({atom()}, {atom()})"}[kind]()
         return [f"{dst} = {rhs}"]
 
-    def loop(depth: int) -> list[str]:
+    def loop(depth: int) -> tuple[str, list]:
         var = draw(st.sampled_from(_VARS))
         assigned.add(var)
         init = atom()
         bound = "len(a)" if draw(st.booleans()) else atom()
         head = (f"for {var} = {init}; {var} {draw(st.sampled_from(_CMPS))} {bound}; "
                 f"{var} = {var} {draw(st.sampled_from(_ARITH))} {atom()} {{")
-        return [head] + ["  " + line for line in block(depth + 1, None)] + ["}"]
+        return head, block(depth + 1, None)
 
-    def block(depth: int, tail: list[str] | None) -> list[str]:
-        # items are [labels, lines]; an "if" item gets its target afterwards
+    def block(depth: int, tail: list[str] | None) -> list[list]:
+        # items are [labels, body]: lines, a (head, items) loop, or None for
+        # an if whose target is drawn once every statement exists
         items = []
         for _ in range(draw(st.integers(0 if tail is None else 1, 4))):
             kind = draw(st.sampled_from(("assign", "assign", "if", "for")))
             if kind == "for" and depth < 2:
                 items.append([[], loop(depth)])
             elif kind == "if":
+                jumps.append((items, len(items)))
                 items.append([[], None])
             else:
                 items.append([[], assign()])
         if tail is not None:
             items.append([[], tail])
-        for k, item in enumerate(items):
-            if item[1] is not None:
-                continue
-            if k + 2 >= len(items):  # no target past the fall-through
-                item[1] = assign()
-                continue
-            target = items[draw(st.integers(k + 2, len(items) - 1))]
-            if not target[0]:
-                target[0].append(next(labels))
-            item[1] = [f"if {atom()} {draw(st.sampled_from(_CMPS))} {atom()} "
-                       f"goto {target[0][0]}"]
-        return [line for lbls, body in items for line in [f"{l}:" for l in lbls] + body]
+        statements.extend(items)
+        return items
+
+    def render(items: list[list]) -> list[str]:
+        lines = []
+        for lbls, body in items:
+            lines += [f"{l}:" for l in lbls]
+            if isinstance(body, tuple):
+                lines += [body[0]] + ["  " + line for line in render(body[1])] + ["}"]
+            else:
+                lines += body
+        return lines
 
     ret = (f"return {atom()}" if draw(st.booleans())
            else f"return {atom()} {draw(st.sampled_from(_ARITH))} {atom()}")
     body = block(0, [ret])
+    for items, k in jumps:
+        # half of them forward in their own block, as a loop would exit
+        fall_through = items[k + 1] if k + 1 < len(items) else None
+        targets = items[k + 2:]
+        if not targets or draw(st.booleans()):
+            targets = [item for item in statements if item is not fall_through]
+        target = targets[draw(st.integers(0, len(targets) - 1))]
+        if not target[0]:
+            target[0].append(next(labels))
+        items[k][1] = [f"if {atom()} {draw(st.sampled_from(_CMPS))} {atom()} "
+                       f"goto {target[0][0]}"]
     prelude = [f"{v} = {draw(st.sampled_from(_CONSTS))}" for v in sorted(read - assigned)]
-    return "fn f(a) {\n" + "".join(f"  {line}\n" for line in prelude + body) + "}\n"
+    return "fn f(a) {\n" + "".join(f"  {line}\n" for line in prelude + render(body)) + "}\n"
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
