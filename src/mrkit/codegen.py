@@ -41,15 +41,15 @@ def _index_table(n: int) -> dict[float, int]:
     return table
 
 
-def _bad_index(idx: float, n: int, line: int):
-    """Raise the trap of an index missing from the index table."""
+def _bad_index(idx: float, n: int, line: int) -> Trap:
+    """The trap of an index missing from the index table."""
     try:
         i = int(idx)
     except (OverflowError, ValueError) as exc:  # ±inf, NaN
-        raise Trap("bad-index", str(exc), line) from None
+        return Trap("bad-index", str(exc), line)
     if idx != i:
-        raise Trap("bad-index", f"fractional index {idx}", line)
-    raise Trap("bad-index", f"index {i} out of range for length {n}", line)
+        return Trap("bad-index", f"fractional index {idx}", line)
+    return Trap("bad-index", f"index {i} out of range for length {n}", line)
 
 
 # Source templates of the generated code, filled in with slot names
@@ -93,11 +93,10 @@ def _op_source(op: tuple) -> list[str]:
         return [f"s{op[1]} = nf"]
     if kind == _LOAD:
         idx = _operand(op[2], op[3])
-        return [f"s{op[1]} = arr[IDX[{idx}]] if {idx} in IDX else _bad_index({idx}, n, {op[4]})"]
+        return [f"s{op[1]} = arr[IDX[{idx}]]"]
     if kind == _STORE:
         idx = _operand(op[1], op[2])
-        return [f"arr[IDX[{idx}] if {idx} in IDX else _bad_index({idx}, n, {op[5]})] = "
-                f"{_operand(op[3], op[4])}"]
+        return [f"arr[IDX[{idx}]] = {_operand(op[3], op[4])}"]
     if kind == _BIN or kind == _RETBIN:
         into, (o, ka, va, kb, vb, line) = ((f"s{op[1]} =", op[2:]) if kind == _BIN
                                            else ("return", op[1:]))
@@ -158,11 +157,12 @@ def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -
     before the pass, s0, …)``.  The per-op version charges ``steps += 1``
     before each op and raises the ``step-budget`` trap at the first op
     past the budget; ``mir.interpret`` runs it from a resume state.  Loads
-    and stores look the index up in a table of the valid indices, and
-    ``_bad_index`` traps any other.  In both, one handler maps an
-    ``OverflowError`` or ``ValueError`` to the op whose generated line
-    raised it.  Values, traps and step counts are those of the reference
-    dispatch loop in ``tests/mir_reference.py``.
+    and stores look the index up once in a table of the valid indices.  In
+    both versions, one handler maps the ``KeyError`` of any other index to
+    ``_bad_index``'s trap, and one an ``OverflowError`` or ``ValueError``
+    to ``_fault``'s, each for the op whose generated line raised it.
+    Values, traps and step counts are those of the reference dispatch loop
+    in ``tests/mir_reference.py``.
     """
     leaders = {0}
     for pc, op in enumerate(code):
@@ -271,6 +271,9 @@ def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -
     emit(1, "try:")
     emit(2, "while True:")
     emit_tree(0, len(regions), 3)
+    emit(1, "except KeyError as exc:")
+    emit(2, "raise _bad_index(exc.args[0], n, code[pc_at[exc.__traceback__.tb_lineno]][-1]) "
+            "from None")
     emit(1, "except (OverflowError, ValueError) as exc:")
     emit(2, "raise _fault(exc, code[pc_at[exc.__traceback__.tb_lineno]]) from None")
     namespace = dict(_GENERATED_GLOBALS, code=code, pc_at=pc_at)

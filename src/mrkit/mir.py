@@ -27,9 +27,11 @@ shape feature extraction expects for loop headers.  The interpreter runs
 the standard desugaring (test re-evaluated each iteration; a ``len`` bound
 is loop-invariant either way).
 
-``parse_program`` lowers each function in one walk over its statements,
-which builds the CFG and the bytecode together and checks names, labels
-and structure.  The bytecode has one op per statement plus the init, bound
+``parse_program`` reads each function in one walk over its source lines,
+which parses each statement and emits its CFG node(s), edges and bytecode
+on the spot; names, labels and structure are checked when the walk ends.
+There is no statement tree in between.  The bytecode has one op per
+statement plus the init, bound
 read, increment and back jump of each ``for``; one step of the budget is
 one op.  Only code generation waits for the first call: ``codegen.generate``
 then turns the bytecode into structured Python, with a dispatch only at
@@ -81,75 +83,17 @@ class Trap(RuntimeError):
 
 # Atoms and right-hand sides are small tagged tuples:
 #   atom: ("c", float) | ("v", name)
-#   rhs:  ("atom", a) | ("load", idx) | ("len",) | ("bin", op, a, b)
+#   rhs:  ("atom", a) | ("load", array, idx) | ("len", array) | ("bin", op, a, b)
 #         | ("cmp", op, a, b) | ("call", fname, a) | ("pow", a, b)
-
-
-@dataclass
-class Assign:
-    dst: str
-    rhs: tuple
-    line: int
-    labels: tuple[str, ...] = ()
-
-
-@dataclass
-class Store:
-    index: tuple
-    value: tuple
-    line: int
-    labels: tuple[str, ...] = ()
-
-
-@dataclass
-class IfGoto:
-    left: tuple
-    op: str
-    right: tuple
-    target: str
-    line: int
-    labels: tuple[str, ...] = ()
-
-
-@dataclass
-class Goto:
-    target: str
-    line: int
-    labels: tuple[str, ...] = ()
-
-
-@dataclass
-class Return:
-    rhs: tuple  # ("atom", a) | ("bin", op, a, b)
-    line: int
-    labels: tuple[str, ...] = ()
-
-
-@dataclass
-class For:
-    var: str
-    init: tuple
-    cmp: str
-    bound: tuple  # ("atom", a) | ("len",)
-    incr_op: str
-    incr_arg: tuple
-    body: list
-    line: int
-    labels: tuple[str, ...] = ()
-
-
-Statement = Assign | Store | IfGoto | Goto | Return | For
 
 
 @dataclass
 class Function:
     name: str
     param: str
-    body: list
     line: int
-    # CFG and bytecode: set by parse_program, or on first use for a
-    # Function built by hand
-    _lowered: "_Lowered | None" = field(default=None, repr=False, compare=False)
+    # CFG and bytecode, built by parse_program
+    _lowered: "_Lowered" = field(repr=False, compare=False)
 
 
 @dataclass
@@ -186,6 +130,10 @@ _FOR_RE = re.compile(
     rf"(len\s*\(\s*{_NAME}\s*\)|{_ATOM})\s*;\s*({_NAME})\s*=\s*({_NAME})\s*"
     rf"([+*/%-])\s*({_ATOM})\s*\{{$")
 
+# The walk recurses once per level of for nesting; a cap far below
+# Python's recursion limit turns a deeper nest into a MirError.
+_MAX_FOR_DEPTH = 100
+
 
 def _atom(token: str, line: int) -> tuple:
     if re.fullmatch(_NUM, token):
@@ -220,109 +168,6 @@ def _parse_rhs(text: str, line: int) -> tuple:
     raise MirError(f"cannot parse expression {text!r}", line)
 
 
-class _FunctionParser:
-    """Parses one function body from pre-split source lines."""
-
-    def __init__(self, lines: list[tuple[int, str]], param: str):
-        self.lines = lines
-        self.pos = 0
-        self.param = param
-
-    def _next(self) -> tuple[int, str]:
-        if self.pos >= len(self.lines):
-            raise MirError("unexpected end of input inside a function",
-                           self.lines[-1][0] if self.lines else None)
-        item = self.lines[self.pos]
-        self.pos += 1
-        return item
-
-    def parse_block(self, outer_line: int) -> list:
-        stmts: list = []
-        pending_labels: list[str] = []
-        while True:
-            if self.pos >= len(self.lines):
-                raise MirError("missing closing '}'", outer_line)
-            line_no, text = self._next()
-            if text == "}":
-                if pending_labels:
-                    raise MirError(
-                        f"label {pending_labels[0]!r} is not attached to a statement",
-                        line_no)
-                return stmts
-            labels: list[str] = []
-            while True:
-                m = _LABEL_PREFIX_RE.match(text)
-                if m and m.group(1) not in _KEYWORDS:
-                    labels.append(m.group(1))
-                    text = m.group(2).strip()
-                else:
-                    break
-            if not text:
-                pending_labels.extend(labels)
-                continue
-            labels = pending_labels + labels
-            pending_labels = []
-            stmt = self.parse_statement(line_no, text)
-            stmt.labels = tuple(labels)
-            stmts.append(stmt)
-
-    def parse_statement(self, line: int, text: str) -> Statement:
-        m = _FOR_RE.match(text)
-        if m:
-            var, init, test_var, cmp_op, bound_text, inc_dst, inc_src, inc_op, inc_arg = m.groups()
-            if test_var != var:
-                raise MirError(f"for-loop test must compare the loop variable {var!r}", line)
-            if inc_dst != var or inc_src != var:
-                raise MirError(f"for-loop increment must update the loop variable {var!r}", line)
-            lm = _LEN_RE.match(bound_text)
-            if lm:
-                if lm.group(1) != self.param:
-                    raise MirError(f"unknown array {lm.group(1)!r}", line)
-                bound: tuple = ("len",)
-            else:
-                bound = ("atom", _atom(bound_text, line))
-            body = self.parse_block(line)
-            return For(var, _atom(init, line), cmp_op, bound,
-                       inc_op, _atom(inc_arg, line), body, line)
-        m = _IF_RE.match(text)
-        if m:
-            return IfGoto(_atom(m.group(1), line), m.group(2),
-                          _atom(m.group(3), line), m.group(4), line)
-        m = _GOTO_RE.match(text)
-        if m:
-            return Goto(m.group(1), line)
-        m = _RETURN_RE.match(text)
-        if m:
-            body = m.group(1).strip()
-            rhs = _parse_rhs(body, line)
-            if rhs[0] == "atom":
-                return Return(rhs, line)
-            if rhs[0] == "bin":
-                return Return(rhs, line)
-            raise MirError("return takes an atom or a single arithmetic op", line)
-        m = _STORE_RE.match(text)
-        if m:
-            if m.group(1) != self.param:
-                raise MirError(f"unknown array {m.group(1)!r}", line)
-            return Store(_atom(m.group(2), line), _atom(m.group(3), line), line)
-        m = _ASSIGN_RE.match(text)
-        if m:
-            dst = m.group(1)
-            if dst in _KEYWORDS:
-                raise MirError(f"reserved word {dst!r} used as a variable", line)
-            rhs = _parse_rhs(m.group(2), line)
-            if rhs[0] == "load" and rhs[1] != self.param:
-                raise MirError(f"unknown array {rhs[1]!r}", line)
-            if rhs[0] == "len" and rhs[1] != self.param:
-                raise MirError(f"unknown array {rhs[1]!r}", line)
-            if rhs[0] == "load":
-                rhs = ("load", rhs[2])
-            elif rhs[0] == "len":
-                rhs = ("len",)
-            return Assign(dst, rhs, line)
-        raise MirError(f"cannot parse statement {text!r}", line)
-
-
 def parse_program(text: str) -> Program:
     """Parse mini-IR source into a validated, lowered Program.
 
@@ -346,18 +191,14 @@ def parse_program(text: str) -> Program:
         name, param = m.group(1), m.group(2)
         if any(fn.name == name for fn in functions):
             raise MirError(f"duplicate function name {name!r}", line_no)
-        parser = _FunctionParser(lines, param)
-        parser.pos = pos + 1
-        body = parser.parse_block(line_no)
-        pos = parser.pos
-        fn = Function(name=name, param=param, body=body, line=line_no)
-        _lower(fn)
-        functions.append(fn)
+        lowerer = _Lowerer(lines, pos + 1, name, param, line_no)
+        functions.append(Function(name, param, line_no, lowerer.lower()))
+        pos = lowerer.pos
     return Program(functions)
 
 
 # ---------------------------------------------------------------------------
-# Lowering: one walk builds the CFG and the bytecode
+# Lowering: one walk over the source lines builds the CFG and the bytecode
 
 _MOVC, _MOV, _LOAD, _STORE, _LEN, _BIN, _CMP, _CALL, _POW, _JMP, _JIF, _RET, _RETBIN = range(13)
 
@@ -380,23 +221,35 @@ class _Lowered:
 
 
 class _Lowerer:
-    """Walks a function's statements once.  Per statement it emits the CFG
-    node(s) and edges and the bytecode op(s), records its labels as
-    ``(node, pc)`` and notes the names it reads and writes; ``lower`` then
-    checks the function, resolves the jumps and validates the CFG."""
+    """Walks a function's source lines once, from the line after its
+    ``fn`` header to its closing ``}``.  Per statement it parses the line,
+    emits the CFG node(s) and edges and the bytecode op(s), records its
+    labels as ``(node, pc)`` and notes the names it reads and writes;
+    ``lower`` then checks the function, resolves the jumps and validates
+    the CFG.  A syntax error, or a ``for`` nested too deep, raises at once;
+    every other fault waits for the walk to end, so a syntax error later in
+    the function wins."""
 
-    def __init__(self, fn: Function):
-        self.fn = fn
+    def __init__(self, source: list[tuple[int, str]], pos: int, name: str, param: str,
+                 line: int):
+        self.source = source
+        self.pos = pos  # the next source line to read
+        self.name = name
+        self.param = param
+        self.line = line
+        self.depth = 0  # enclosing for loops
         self.ops: list[NodeOp] = []
         self.lines: list[int | None] = []
         self.edges: list[tuple[int, int]] = []
         self.code: list[tuple] = []
         self.slots: dict[str, int] = {}
         self.labels: dict[str, tuple[int, int]] = {}
+        self.duplicate: MirError | None = None  # the first duplicate label
         self.jumps: list[tuple[int, int, str, int]] = []  # node, pc, label, line
         self.returns: list[int] = []
-        self.assigned: set[str] = {fn.param}
-        self.reads: list[tuple[str, int]] = []
+        self.assigned: set[str] = set()
+        # scalar reads, and writes of the array parameter, checked by line
+        self.uses: list[tuple[str, int]] = []
 
     def node(self, token: str, line: int | None) -> int:
         self.ops.append(classify_statement(token))
@@ -411,140 +264,196 @@ class _Lowerer:
             self.slots[name] = len(self.slots)
         return self.slots[name]
 
-    def write(self, name: str) -> int:
+    def write(self, name: str, line: int) -> int:
         self.assigned.add(name)
+        if name == self.param:
+            self.uses.append((name, line))
         return self.slot(name)
 
     def operand(self, atom: tuple, line: int) -> tuple[int, float | int]:
         if atom[0] == "c":
             return 0, atom[1]
-        self.reads.append((atom[1], line))
+        self.uses.append((atom[1], line))
         return 1, self.slot(atom[1])
 
-    def block(self, stmts: list) -> tuple[int | None, list[int]]:
-        """Lower statements in order; returns the entry node and the nodes
-        that fall through past the last one."""
-        entry = len(self.ops) if stmts else None
+    def block(self, outer_line: int) -> tuple[int | None, list[int]]:
+        """Lower the statements up to the closing ``}`` of the block opened
+        on ``outer_line``; returns the entry node (None for an empty block)
+        and the nodes that fall through past the last statement."""
+        entry: int | None = None
         tails: list[int] = []
-        for stmt in stmts:
+        labels: list[str] = []  # for the next statement
+        while True:
+            if self.pos >= len(self.source):
+                raise MirError("missing closing '}'", outer_line)
+            line, text = self.source[self.pos]
+            self.pos += 1
+            if text == "}":
+                if labels:
+                    raise MirError(f"label {labels[0]!r} is not attached to a statement",
+                                   line)
+                return entry, tails
+            m = _LABEL_PREFIX_RE.match(text)
+            while m and m.group(1) not in _KEYWORDS:
+                labels.append(m.group(1))
+                text = m.group(2).strip()
+                m = _LABEL_PREFIX_RE.match(text)
+            if not text:
+                continue
             node = len(self.ops)  # every statement enters at its first node
-            for lbl in stmt.labels:
-                if lbl in self.labels:
-                    raise MirError(f"duplicate label {lbl!r}", stmt.line)
+            if entry is None:
+                entry = node
+            for lbl in labels:
+                if lbl in self.labels and self.duplicate is None:
+                    self.duplicate = MirError(f"duplicate label {lbl!r}", line)
                 self.labels[lbl] = (node, len(self.code))
-            new_tails = self.statement(stmt)
+            labels = []
+            new_tails = self.statement(line, text)
             for t in tails:
                 self.edge(t, node)
             tails = new_tails
-        return entry, tails
 
-    def statement(self, stmt: Statement) -> list[int]:
+    def statement(self, line: int, text: str) -> list[int]:
+        """Parse and lower one statement; returns the nodes that fall
+        through to the next one."""
         # Slots go to a statement's destination before its operands, and to
         # a for's increment operand after its body.
-        code, line = self.code, stmt.line
-        if isinstance(stmt, Assign):
-            rhs = stmt.rhs
-            node = self.node(rhs[1] if rhs[0] in ("bin", "cmp") else
-                             "invoke" if rhs[0] in ("call", "pow") else "=", line)
-            dst = self.write(stmt.dst)
-            if rhs[0] == "atom":
-                kind, val = self.operand(rhs[1], line)
-                code.append((_MOVC, dst, val) if kind == 0 else (_MOV, dst, val))
-            elif rhs[0] == "load":
-                code.append((_LOAD, dst) + self.operand(rhs[1], line) + (line,))
-            elif rhs[0] == "len":
-                code.append((_LEN, dst))
-            elif rhs[0] == "bin":
-                code.append((_BIN, dst, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
-                            + self.operand(rhs[3], line) + (line,))
-            elif rhs[0] == "cmp":
-                code.append((_CMP, dst, _CMP_INDEX[rhs[1]]) + self.operand(rhs[2], line)
-                            + self.operand(rhs[3], line))
-            elif rhs[0] == "call":
-                code.append((_CALL, dst, rhs[1]) + self.operand(rhs[2], line) + (line,))
-            else:
-                code.append((_POW, dst) + self.operand(rhs[1], line)
-                            + self.operand(rhs[2], line) + (line,))
-            return [node]
-        if isinstance(stmt, Store):
-            node = self.node("=", line)
-            code.append((_STORE,) + self.operand(stmt.index, line)
-                        + self.operand(stmt.value, line) + (line,))
-            return [node]
-        if isinstance(stmt, IfGoto):
-            node = self.node("if", line)
-            self.jumps.append((node, len(code), stmt.target, line))
-            code.append((_JIF, _CMP_INDEX[stmt.op]) + self.operand(stmt.left, line)
-                        + self.operand(stmt.right, line) + (-1,))
-            return [node]
-        if isinstance(stmt, Goto):
-            node = self.node("goto", line)
-            self.jumps.append((node, len(code), stmt.target, line))
-            code.append((_JMP, -1))
-            return []
-        if isinstance(stmt, Return):
-            rhs = stmt.rhs
-            self.returns.append(self.node("return" if rhs[0] == "atom" else rhs[1], line))
-            if rhs[0] == "atom":
-                code.append((_RET,) + self.operand(rhs[1], line))
-            else:
-                code.append((_RETBIN, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
-                            + self.operand(rhs[3], line) + (line,))
-            return []
-        if isinstance(stmt, For):
-            var = self.write(stmt.var)
-            init = self.node("=", line)
-            kind, val = self.operand(stmt.init, line)
-            code.append((_MOVC, var, val) if kind == 0 else (_MOV, var, val))
+        code = self.code
+        m = _FOR_RE.match(text)
+        if m:
+            var, init, test_var, cmp, bound_text, inc_dst, inc_src, inc_op, inc_arg = m.groups()
+            if self.depth == _MAX_FOR_DEPTH:
+                raise MirError(f"for loops nested more than {_MAX_FOR_DEPTH} deep", line)
+            if test_var != var:
+                raise MirError(f"for-loop test must compare the loop variable {var!r}", line)
+            if inc_dst != var or inc_src != var:
+                raise MirError(f"for-loop increment must update the loop variable {var!r}", line)
+            lm = _LEN_RE.match(bound_text)
+            if lm and lm.group(1) != self.param:
+                raise MirError(f"unknown array {lm.group(1)!r}", line)
+            bound_atom = None if lm else _atom(bound_text, line)
+            init_atom = _atom(init, line)
+            slot = self.write(var, line)
+            init_node = self.node("=", line)
+            kind, val = self.operand(init_atom, line)
+            code.append((_MOVC, slot, val) if kind == 0 else (_MOV, slot, val))
             test = self.node("goto", line)
-            self.edge(init, test)
-            if stmt.bound[0] == "len":
+            self.edge(init_node, test)
+            if lm:
                 prep = self.node("=", line)
                 self.edge(test, prep)
                 test = prep
                 bound: tuple = (1, self.slot(f"$bound{len(code)}"))
                 code.append((_LEN, bound[1]))
             else:
-                bound = self.operand(stmt.bound[1], line)
+                bound = self.operand(bound_atom, line)
             if_node = self.node("if", line)
             self.edge(test, if_node)
             # the negated test jumps past the loop, patched after the body
             test_pc = len(code)
-            code.append((_JIF, _CMP_INDEX[_NEGATED[stmt.cmp]], 1, var) + bound + (-1,))
-            body_entry, body_tails = self.block(stmt.body)
-            incr = self.node(stmt.incr_op, line)
+            code.append((_JIF, _CMP_INDEX[_NEGATED[cmp]], 1, slot) + bound + (-1,))
+            self.depth += 1
+            body_entry, body_tails = self.block(line)
+            self.depth -= 1
+            incr = self.node(inc_op, line)
             self.edge(if_node, body_entry if body_entry is not None else incr)
             for t in body_tails:
                 self.edge(t, incr)
             self.edge(incr, if_node)
-            code.append((_BIN, var, _BIN_INDEX[stmt.incr_op], 1, var)
-                        + self.operand(stmt.incr_arg, line) + (line,))
+            code.append((_BIN, slot, _BIN_INDEX[inc_op], 1, slot)
+                        + self.operand(_atom(inc_arg, line), line) + (line,))
             code.append((_JMP, test_pc))
             code[test_pc] = code[test_pc][:-1] + (len(code),)
             return [if_node]
-        raise AssertionError(f"unhandled statement {stmt!r}")
+        m = _IF_RE.match(text)
+        if m:
+            left, right = _atom(m.group(1), line), _atom(m.group(3), line)
+            node = self.node("if", line)
+            self.jumps.append((node, len(code), m.group(4), line))
+            code.append((_JIF, _CMP_INDEX[m.group(2)]) + self.operand(left, line)
+                        + self.operand(right, line) + (-1,))
+            return [node]
+        m = _GOTO_RE.match(text)
+        if m:
+            node = self.node("goto", line)
+            self.jumps.append((node, len(code), m.group(1), line))
+            code.append((_JMP, -1))
+            return []
+        m = _RETURN_RE.match(text)
+        if m:
+            rhs = _parse_rhs(m.group(1), line)
+            if rhs[0] == "atom":
+                self.returns.append(self.node("return", line))
+                code.append((_RET,) + self.operand(rhs[1], line))
+            elif rhs[0] == "bin":
+                self.returns.append(self.node(rhs[1], line))
+                code.append((_RETBIN, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
+                            + self.operand(rhs[3], line) + (line,))
+            else:
+                raise MirError("return takes an atom or a single arithmetic op", line)
+            return []
+        m = _STORE_RE.match(text)
+        if m:
+            if m.group(1) != self.param:
+                raise MirError(f"unknown array {m.group(1)!r}", line)
+            index, value = _atom(m.group(2), line), _atom(m.group(3), line)
+            node = self.node("=", line)
+            code.append((_STORE,) + self.operand(index, line)
+                        + self.operand(value, line) + (line,))
+            return [node]
+        m = _ASSIGN_RE.match(text)
+        if not m:
+            raise MirError(f"cannot parse statement {text!r}", line)
+        if m.group(1) in _KEYWORDS:
+            raise MirError(f"reserved word {m.group(1)!r} used as a variable", line)
+        rhs = _parse_rhs(m.group(2), line)
+        if rhs[0] in ("load", "len") and rhs[1] != self.param:
+            raise MirError(f"unknown array {rhs[1]!r}", line)
+        node = self.node(rhs[1] if rhs[0] in ("bin", "cmp") else
+                         "invoke" if rhs[0] in ("call", "pow") else "=", line)
+        dst = self.write(m.group(1), line)
+        if rhs[0] == "atom":
+            kind, val = self.operand(rhs[1], line)
+            code.append((_MOVC, dst, val) if kind == 0 else (_MOV, dst, val))
+        elif rhs[0] == "load":
+            code.append((_LOAD, dst) + self.operand(rhs[2], line) + (line,))
+        elif rhs[0] == "len":
+            code.append((_LEN, dst))
+        elif rhs[0] == "bin":
+            code.append((_BIN, dst, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
+                        + self.operand(rhs[3], line) + (line,))
+        elif rhs[0] == "cmp":
+            code.append((_CMP, dst, _CMP_INDEX[rhs[1]]) + self.operand(rhs[2], line)
+                        + self.operand(rhs[3], line))
+        elif rhs[0] == "call":
+            code.append((_CALL, dst, rhs[1]) + self.operand(rhs[2], line) + (line,))
+        else:
+            code.append((_POW, dst) + self.operand(rhs[1], line)
+                        + self.operand(rhs[2], line) + (line,))
+        return [node]
 
     def lower(self) -> _Lowered:
-        fn = self.fn
-        start = self.node(":=", fn.line)
-        entry, tails = self.block(fn.body)
+        start = self.node(":=", self.line)
+        entry, tails = self.block(self.line)
+        if self.duplicate is not None:
+            raise self.duplicate
         for _, _, label, line in self.jumps:
             if label not in self.labels:
                 raise MirError(f"undefined label {label!r}", line)
         # by line, stably: a for's increment read comes before its body's
-        for name, line in sorted(self.reads, key=lambda read: read[1]):
-            if name == fn.param:
+        for name, line in sorted(self.uses, key=lambda use: use[1]):
+            if name == self.param:
                 raise MirError(f"array {name!r} used as a scalar", line)
             if name not in self.assigned:
                 raise MirError(f"variable {name!r} is never assigned", line)
         if entry is None:
-            raise MirError(f"function {fn.name!r} has an empty body", fn.line)
+            raise MirError(f"function {self.name!r} has an empty body", self.line)
         self.edge(start, entry)
         if tails:
-            raise MirError(f"control can fall off the end of function {fn.name!r}",
+            raise MirError(f"control can fall off the end of function {self.name!r}",
                            self.lines[tails[0]])
         if not self.returns:
-            raise MirError(f"function {fn.name!r} never returns", fn.line)
+            raise MirError(f"function {self.name!r} never returns", self.line)
         for node, pc, label, line in self.jumps:
             target, target_pc = self.labels[label]
             if (node, target) in self.edges:
@@ -555,7 +464,7 @@ class _Lowerer:
         for node in self.returns:
             self.edge(node, exit_node)
 
-        cfg = AnnotatedCfg(name=fn.name, ops=tuple(self.ops), edges=tuple(self.edges))
+        cfg = AnnotatedCfg(name=self.name, ops=tuple(self.ops), edges=tuple(self.edges))
         for diag in validate(cfg):
             line = self.lines[diag.node] if diag.node is not None else None
             if "unreachable from start" in diag.message:
@@ -566,15 +475,9 @@ class _Lowerer:
         return _Lowered(cfg, self.code, len(self.slots))
 
 
-def _lower(fn: Function) -> _Lowered:
-    if fn._lowered is None:  # a Function built without parse_program
-        fn._lowered = _Lowerer(fn).lower()
-    return fn._lowered
-
-
 def lower_to_cfg(fn: Function) -> AnnotatedCfg:
     """The function's annotated CFG (always valid), built when it was parsed."""
-    return _lower(fn).cfg
+    return fn._lowered.cfg
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +486,7 @@ def lower_to_cfg(fn: Function) -> AnnotatedCfg:
 
 def _compile(fn: Function) -> _Lowered:
     """The function's bytecode, with its generated Python made on first use."""
-    lowered = _lower(fn)
+    lowered = fn._lowered
     if lowered.run is None:
         # imported on first use, so commands that never run a function do
         # not load the generator
@@ -608,8 +511,8 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
     if every op had been charged on its own.
     """
     lowered = fn._lowered
-    if lowered is None or lowered.run is None:
-        lowered = _compile(fn)
+    if lowered.run is None:
+        _compile(fn)
     # the generated code stores into arr, so the caller's values stay as given
     arr = list(map(float, values))
     result = lowered.run(fn, arr, step_budget)

@@ -18,6 +18,7 @@ import rwk_reference
 from mrkit.kernels import PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams
 from test_features import branching_ring
 from test_kernels import per_pair_gk
+from test_mir import nested_fors
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, SvmParams, decision_value
 
@@ -199,6 +200,18 @@ def test_manifest_name_its_file_does_not_define_is_an_error(tmp_path, capsys, co
                  "--out", str(tmp_path / "out")]) == 2
     source = (tmp_path / "m.mir").resolve()
     assert capsys.readouterr().err == f"error: {source} defines no function 'g'\n"
+
+
+def test_evaluate_reports_a_too_deep_for_nest_in_one_line(tmp_path, capsys):
+    man = write_mini_manifest(tmp_path, TRIO)
+    (tmp_path / "deep.mir").write_text(nested_fors(600))
+    with man.open("a") as fh:
+        fh.write("7,deep,mir,deep.mir\n")
+    with (tmp_path / "labels.csv").open("a") as fh:
+        fh.write("7,1,1,1,1,1,1\n")
+    assert main(["evaluate", "--manifest", str(man), "--features", "nf-pf", "--mr", "add",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: line 103: for loops nested more than 100 deep\n"
 
 
 def test_label_reports_a_name_its_file_does_not_define_and_goes_on(tmp_path, capsys):

@@ -5,8 +5,7 @@ import pytest
 
 from mrkit.cfg import NodeOp, validate
 from mrkit.codegen import _op_source
-from mrkit.mir import (Assign, Function, MirError, Return, Trap, _compile, interpret,
-                       lower_to_cfg, parse_program)
+from mrkit.mir import MirError, Trap, _compile, interpret, lower_to_cfg, parse_program
 from mrkit.oracle import OracleParams, label_method
 
 AVG_SOURCE = """
@@ -74,6 +73,17 @@ def test_array_as_scalar_rejected():
         parse_program("fn f(a) {\n  return a\n}\n")
 
 
+@pytest.mark.parametrize("body", [
+    ["a = 1", "x = 2", "return x"],
+    ["for a = 0; a < 3; a = a + 1 {", "}", "return 0"],
+])
+def test_write_to_the_array_parameter_rejected(body):
+    src = "fn f(a) {\n" + "".join(f"  {line}\n" for line in body) + "}\n"
+    with pytest.raises(MirError) as info:
+        parse_program(src)
+    assert str(info.value) == "line 2: array 'a' used as a scalar"
+
+
 def test_unknown_array_rejected():
     with pytest.raises(MirError, match="unknown array"):
         parse_program("fn f(a) {\n  x = b[0]\n  return x\n}\n")
@@ -91,6 +101,14 @@ def test_unknown_array_rejected():
     # name checks come before the structural ones
     (["x = y"], "line 2: variable 'y' is never assigned"),
     (["return 0", "x = y", "return x"], "line 3: variable 'y' is never assigned"),
+    # a syntax error wins over a duplicate label, even a later one
+    (["L: x = 1", "L: x = 2", "return x +"], "line 4: cannot parse expression 'x +'"),
+    # a for header's init is checked before its body
+    (["for i = len; i < 3; i = i + 1 {", "  x = = 1", "}", "return 0"],
+     "line 2: reserved word 'len' used as a value"),
+    # a write of the array parameter is checked with the reads, by line
+    (["x = y", "a = x", "return x"], "line 2: variable 'y' is never assigned"),
+    (["a = 1", "x = y", "return x"], "line 2: array 'a' used as a scalar"),
 ])
 def test_first_of_two_faults_is_reported(body, message):
     src = "fn f(a) {\n" + "".join(f"  {line}\n" for line in body) + "}\n"
@@ -99,17 +117,19 @@ def test_first_of_two_faults_is_reported(body, message):
     assert str(info.value) == message
 
 
-def test_function_built_without_the_parser():
-    src = "fn f(a) {\n  x = 2\n  return x\n}\n"
-    built = Function("f", "a", [Assign("x", ("atom", ("c", 2.0)), 2),
-                                Return(("atom", ("v", "x")), 3)], 1)
-    assert lower_to_cfg(built) == lower_to_cfg(parse_program(src).functions[0])
-    assert interpret(built, [1.0]) == 2.0
-    broken = Function("g", "a", [Return(("atom", ("v", "y")), 2)], 1)
-    with pytest.raises(MirError, match="never assigned"):
-        lower_to_cfg(broken)
-    with pytest.raises(MirError, match="never assigned"):
-        interpret(broken, [1.0])
+def nested_fors(depth: int) -> str:
+    lines = ["fn deep(a) {", "s = 0"]
+    lines += [f"for i{k} = 0; i{k} < 1; i{k} = i{k} + 1 {{" for k in range(depth)]
+    lines += ["s = s + 1"] + ["}"] * depth + ["return s", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_for_nesting_is_capped():
+    assert interpret(parse_program(nested_fors(100)).functions[0], [1.0]) == 1.0
+    for depth in (101, 600):
+        with pytest.raises(MirError) as info:
+            parse_program(nested_fors(depth))
+        assert str(info.value) == "line 103: for loops nested more than 100 deep"
 
 
 def test_lower_avg_label_multiset():

@@ -1,6 +1,7 @@
 """Cross-module invariants checked on the real bundled corpus."""
 
 import json
+import re
 import sys
 import threading
 
@@ -13,7 +14,7 @@ from mrkit.cfg import emit_dot, parse_dot, validate
 from mrkit.corpus import data_dir
 from mrkit.features import node_features, path_features
 from mrkit.kernels import gram_matrix, random_walk_kernel
-from mrkit.mir import interpret, lower_to_cfg, parse_program
+from mrkit.mir import MirError, Trap, interpret, lower_to_cfg, parse_program
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, SvmParams, decision_value, kkt_report, train_svm
 
@@ -259,3 +260,53 @@ def test_generated_programs_parse_lower_and_run_alike(both_paths, source, values
 
     generated, reference = both_paths(fn, values, budget)
     assert generated == reference, source
+
+
+_BUNDLED_SOURCES = sorted((data_dir() / "corpus").glob("*.mir"))
+_KEYWORDS = ("fn", "if", "goto", "return", "for", "len", "pow", "sqrt", "log", "exp",
+             "abs", "floor")
+_INSERTED_LINES = ("L:", "LOOP:", "  goto L", "  goto LOOP",
+                   "  for k = 0; k < len(a); k = k + 1 {", "  for k = 0; k < 3; k = k + 1 {",
+                   "}")
+
+
+@st.composite
+def mutated_sources(draw) -> str:
+    """A bundled source with one to three lines deleted, duplicated or
+    swapped, a token replaced by a keyword, or a label, goto, for or
+    closing-brace line inserted."""
+    lines = draw(st.sampled_from(_BUNDLED_SOURCES)).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("delete", "duplicate", "swap", "keyword", "insert")))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "keyword":
+            tokens = list(re.finditer(r"[A-Za-z_]\w*|\d+", lines[i]))
+            if tokens:
+                t = tokens[draw(st.integers(0, len(tokens) - 1))]
+                lines[i] = lines[i][:t.start()] + draw(st.sampled_from(_KEYWORDS)) \
+                    + lines[i][t.end():]
+        elif kind == "insert":
+            lines.insert(i, draw(st.sampled_from(_INSERTED_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_sources())
+def test_mutated_sources_parse_to_runnable_functions_or_raise_mir_error(source):
+    try:
+        program = parse_program(source)
+    except MirError:
+        return
+    for fn in program.functions:
+        assert validate(lower_to_cfg(fn)) == [], source
+        try:
+            assert type(interpret(fn, [3.0, -1.0, 2.0, 0.5], 10_000)) is float
+        except Trap:
+            pass
