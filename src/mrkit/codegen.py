@@ -1,13 +1,13 @@
 """Generated Python for mini-IR bytecode, one function per mini-IR function.
 
 ``generate`` turns the bytecode that ``mir._Lowerer`` emits at parse time
-into the source of one Python function and compiles it, in one of two
-versions: the fast one checks the step budget once per pass through a
-loop header or merge point, the per-op one charges it per op.
-``mir.interpret`` runs the fast version, and the per-op version from a
-pass that might not fit in the budget.  Every op does what it does in the
-reference dispatch loop, ``tests/mir_reference.py``, with the same
-values, trap kinds, lines and messages.
+into the source of one Python function and compiles it; ``mir.interpret``
+runs that function.  The step budget is checked once per pass through a
+loop header or merge point and settled after the pass: a pass that ran
+past the budget ends in the ``step-budget`` trap, at the same op a charge
+per op would.  Every op does what it does in the reference dispatch loop,
+``tests/mir_reference.py``, with the same values, trap kinds, lines and
+messages.
 """
 
 from __future__ import annotations
@@ -41,12 +41,18 @@ def _index_table(n: int) -> dict[float, int]:
     return table
 
 
-def _bad_index(idx: float, n: int, line: int) -> Trap:
-    """The trap of an index missing from the index table."""
+def _trap(exc: Exception, n: int, op: tuple) -> Trap:
+    """The trap of ``exc``, raised within the budget by a generated line
+    of ``op`` on an array of length ``n``."""
+    if isinstance(exc, Trap):  # division by zero or a math domain error
+        return exc
+    if not isinstance(exc, KeyError):
+        return _fault(exc, op)
+    idx, line = exc.args[0], op[-1]  # an index missing from the index table
     try:
         i = int(idx)
-    except (OverflowError, ValueError) as exc:  # ±inf, NaN
-        return Trap("bad-index", str(exc), line)
+    except (OverflowError, ValueError) as err:  # ±inf, NaN
+        return Trap("bad-index", str(err), line)
     if idx != i:
         return Trap("bad-index", f"fractional index {idx}", line)
     return Trap("bad-index", f"index {i} out of range for length {n}", line)
@@ -64,8 +70,9 @@ _CALL_SOURCE = {
     "abs": ("{d} = abs({a})",),
     "floor": ("{d} = float(floor({a}))",),
 }
+_OVERRUN = 'raise Trap("step-budget", f"exceeded {budget} steps in {fn.name!r}")'
 _GENERATED_GLOBALS = {
-    "Trap": Trap, "_fault": _fault, "_index_table": _index_table, "_bad_index": _bad_index,
+    "Trap": Trap, "_trap": _trap, "_index_table": _index_table,
     "inf": math.inf, "sqrt": math.sqrt, "log": math.log, "exp": math.exp,
     "floor": math.floor, "fmod": math.fmod, "fpow": math.pow,
 }
@@ -129,40 +136,39 @@ def _op_source(op: tuple) -> list[str]:
     return [f"return {_operand(op[1], op[2])}"]  # _RET
 
 
-def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -> Callable:
-    """Compile bytecode to a Python function
-    ``run(fn, arr, budget, blk=0, steps=0, s0=0.0, …)``.
+def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
+    """Compile bytecode to a Python function ``run(fn, arr, budget)``.
 
     Basic blocks start at pc 0, at every jump target and after every jump
-    or return.  Some blocks are dispatch targets: in the per-op version
-    every block, in the fast one block 0, every block with two or more
-    predecessors, which includes every loop header, and every block that
-    would be inlined more than _MAX_INLINE_DEPTH blocks below a target.
+    or return.  Block 0, every block with two or more predecessors, which
+    includes every loop header, and every block that would be inlined more
+    than _MAX_INLINE_DEPTH blocks below one of these are dispatch targets.
     Every other block has one predecessor and is emitted in place after
     it, so no block is emitted twice.  The function is one ``while True``
     loop that picks the target by its block id ``blk`` through a binary
     tree of ``if``s; each target is a ``while True`` loop over locals
-    ``s0…`` whose body runs the target's block and the blocks inlined
-    after it.  A jump back to the target is ``continue``, one to another
-    target ``blk = t; break``.
+    ``s0…`` (parameters only so that they start at 0.0) whose body runs
+    the target's block and the blocks inlined after it.  A jump back to
+    the target is ``continue``, one to another target ``blk = t; break``.
+    One run of that body, from the target to the next target or a return,
+    is a pass.  Loads and stores look the index up once in a table of the
+    valid indices.
 
-    The fast version (``per_op`` false) keeps ``left = budget - steps``
-    and checks it on each pass through a target ``t``: a pass of at most
-    ``M_t`` ops, the longest path from ``t`` to the next target or
-    return, runs only if ``left >= M_t``, and each exit to a target
-    charges the ops of the path it took.  That is exact: the ops of a pass
-    that fits run as they do when charged one by one, and only a return
-    or a fault ends a pass early.  A pass that might not fit is not run;
-    the call returns its resume state instead, the tuple ``(t, steps spent
-    before the pass, s0, …)``.  The per-op version charges ``steps += 1``
-    before each op and raises the ``step-budget`` trap at the first op
-    past the budget; ``mir.interpret`` runs it from a resume state.  Loads
-    and stores look the index up once in a table of the valid indices.  In
-    both versions, one handler maps the ``KeyError`` of any other index to
-    ``_bad_index``'s trap, and one an ``OverflowError`` or ``ValueError``
-    to ``_fault``'s, each for the op whose generated line raised it.
-    Values, traps and step counts are those of the reference dispatch loop
-    in ``tests/mir_reference.py``.
+    The budget is settled after a pass, not before it.  A pass has no
+    loop, and since every inlined block has one predecessor, each op in
+    it lies a fixed number of ops, its reach, into the pass.  ``left``,
+    the budget less the ops of the passes before, changes only at exits
+    and is checked where a pass begins: a pass runs whenever ``left >=
+    0``.  Charging every op would stop at the first op whose reach is
+    above ``left``, and the pass settles the same way: each exit to a
+    target charges the ops of the path it took, so a ``left`` driven
+    below 0 raises the ``step-budget`` trap at the next target; a return
+    whose reach is above ``left`` raises it instead of returning; and one
+    handler raises it for any fault of an op whose reach is above
+    ``left``, and ``_trap``'s trap for any other fault, of the op whose
+    generated line raised it.  Values, traps and step counts are those of
+    the reference dispatch loop in ``tests/mir_reference.py``, which
+    charges every op.
     """
     leaders = {0}
     for pc, op in enumerate(code):
@@ -188,16 +194,12 @@ def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -
     # first reached it.  So every cycle, an irreducible one too, passes
     # through a target, and every other block has one predecessor.
     preds = Counter(s for out in succ for s in out)
-    targets = (set(range(len(starts))) if per_op else
-               {0} | {b for b, k in preds.items() if k >= 2})
-    # the inlined blocks below each target, and the longest pass through it
+    targets = {0} | {b for b, k in preds.items() if k >= 2}
     regions = sorted(targets)
-    longest = {}
     for t in regions:  # grows as the depth cap adds targets
-        order, stack = [], [(t, 0)]
+        stack = [(t, 0)]
         while stack:
             b, depth = stack.pop()
-            order.append(b)
             for s in succ[b]:
                 if s in targets:
                     continue
@@ -206,28 +208,26 @@ def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -
                     regions.append(s)
                 else:
                     stack.append((s, depth + 1))
-        for b in reversed(order):
-            longest[b] = ends[b] - starts[b] + max(
-                (longest[s] for s in succ[b] if s not in targets), default=0)
     regions.sort()
 
-    slots = [f"s{i}" for i in range(n_slots)]
     lines: list[str] = []
     pc_at: list[int | None] = [None]  # generated line number -> pc
+    # generated line number -> reach of its op, or of the return a check
+    # guards; a budget check raises only when its reach is above left
+    reach: list[int] = [0]
 
-    def emit(depth: int, text: str, pc: int | None = None) -> None:
+    def emit(depth: int, text: str, pc: int | None = None, r: int = 0) -> None:
         lines.append(" " * depth + text)
         pc_at.append(pc)
+        reach.append(r)
 
     def emit_block(b: int, depth: int, spent: int, t: int) -> None:
         for pc in range(starts[b], ends[b]):
-            if per_op:
-                emit(depth, "steps += 1")
-                emit(depth, 'if steps > budget: '
-                            'raise Trap("step-budget", f"exceeded {budget} steps in {fn.name!r}")')
+            spent += 1
+            if code[pc][0] in (_RET, _RETBIN):
+                emit(depth, f"if left < {spent}: {_OVERRUN}", r=spent)
             for text in _op_source(code[pc]):
-                emit(depth, text, pc)
-        spent += ends[b] - starts[b]
+                emit(depth, text, pc, spent)
         if len(succ[b]) == 2:  # the taken branch under the jump's if
             emit_exit(succ[b][0], depth + 1, spent, t)
         if succ[b]:
@@ -237,8 +237,7 @@ def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -
         if s not in targets:
             emit_block(s, depth, spent, t)
             return
-        if not per_op:
-            emit(depth, f"left -= {spent}")
+        emit(depth, f"left -= {spent}")
         if s == t:
             emit(depth, "continue")
         else:
@@ -255,28 +254,24 @@ def generate(code: list[tuple], n_slots: int, name: str, per_op: bool = False) -
             return
         t = regions[lo]
         emit(depth, "while True:")
-        if not per_op:
-            emit(depth + 1, f"if left < {longest[t]}: "
-                            f"return {', '.join([str(t), 'budget - left'] + slots)}")
+        emit(depth + 1, f"if left < 0: {_OVERRUN}")  # at reach 0
         emit_block(t, depth + 1, 0, t)
 
-    params = ", ".join(["fn", "arr", "budget", "blk=0", "steps=0"] + [f"{s}=0.0" for s in slots])
+    params = ", ".join(["fn", "arr", "budget"] + [f"s{i}=0.0" for i in range(n_slots)])
     emit(0, f"def run({params}):")
     emit(1, "n = len(arr)")
     emit(1, "nf = float(n)")
     if any(op[0] == _LOAD or op[0] == _STORE for op in code):
         emit(1, "IDX = _index_table(n)")
-    if not per_op:
-        emit(1, "left = budget - steps")
+    emit(1, "left = budget")
+    emit(1, "blk = 0")
     emit(1, "try:")
     emit(2, "while True:")
     emit_tree(0, len(regions), 3)
-    emit(1, "except KeyError as exc:")
-    emit(2, "raise _bad_index(exc.args[0], n, code[pc_at[exc.__traceback__.tb_lineno]][-1]) "
-            "from None")
-    emit(1, "except (OverflowError, ValueError) as exc:")
-    emit(2, "raise _fault(exc, code[pc_at[exc.__traceback__.tb_lineno]]) from None")
-    namespace = dict(_GENERATED_GLOBALS, code=code, pc_at=pc_at)
-    version = "per-op" if per_op else "fast"
-    exec(compile("\n".join(lines) + "\n", f"<mir {name} {version}>", "exec"), namespace)
+    emit(1, "except (Trap, KeyError, OverflowError, ValueError) as exc:")
+    emit(2, "line = exc.__traceback__.tb_lineno")
+    emit(2, f"if reach[line] > left: {_OVERRUN} from None")
+    emit(2, "raise _trap(exc, n, code[pc_at[line]]) from None")
+    namespace = dict(_GENERATED_GLOBALS, code=code, pc_at=pc_at, reach=reach)
+    exec(compile("\n".join(lines) + "\n", f"<mir {name}>", "exec"), namespace)
     return namespace["run"]

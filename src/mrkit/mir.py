@@ -37,11 +37,11 @@ one op.  Only code generation waits for the first call: ``codegen.generate``
 then turns the bytecode into structured Python, with a dispatch only at
 loop headers and merge points and every other basic block emitted in
 place after its one predecessor, and every call runs that.  The budget is
-checked once per pass through a loop header or merge point, for the
-longest path to the next one.  A pass that might end past the budget runs
-in a second version of the same code, charged per op, which is generated
-on the function's first such call.  The tests compare both against a
-bytecode dispatch loop, ``tests/mir_reference.py``.
+checked once per pass through a loop header or merge point and settled
+after the pass, which has no loop: a pass that ran past the budget ends
+in the ``step-budget`` trap, at the op where charging every op would
+stop.  The tests compare it against a bytecode dispatch loop,
+``tests/mir_reference.py``.
 """
 
 from __future__ import annotations
@@ -212,12 +212,10 @@ class _Lowered:
     cfg: AnnotatedCfg
     code: list[tuple]
     n_slots: int
-    # codegen.generate's fast version, made on the first call, and its
-    # per-op version, made on the first pass that might overrun; each is
-    # published by one assignment, so a thread that races its first use
-    # sees either None or a complete function
+    # codegen.generate's function, made on the first call and published
+    # by one assignment, so a thread that races its first use sees either
+    # None or a complete function
     run: Callable | None = None
-    run_per_op: Callable | None = None
 
 
 class _Lowerer:
@@ -288,6 +286,8 @@ class _Lowerer:
                 raise MirError("missing closing '}'", outer_line)
             line, text = self.source[self.pos]
             self.pos += 1
+            if _FN_RE.match(text):  # the next function: this one's '}' is missing
+                raise MirError("missing closing '}'", self.line)
             if text == "}":
                 if labels:
                     raise MirError(f"label {labels[0]!r} is not attached to a statement",
@@ -505,24 +505,15 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
 
     The call runs the function's generated Python (``codegen.generate``),
     which checks the budget once per pass through a loop header or merge
-    point.  A pass that might end past the budget is handed, with the
-    slots and the steps spent before it, to the per-op version of the same
-    code: the budget trap, or a fault before it, comes from the same op as
-    if every op had been charged on its own.
+    point and settles an overrun after the pass: the budget trap, or a
+    fault before it, comes from the same op as if every op had been
+    charged on its own.
     """
     lowered = fn._lowered
     if lowered.run is None:
         _compile(fn)
     # the generated code stores into arr, so the caller's values stay as given
-    arr = list(map(float, values))
-    result = lowered.run(fn, arr, step_budget)
-    if type(result) is not tuple:
-        return result
-    if lowered.run_per_op is None:
-        from .codegen import generate
-
-        lowered.run_per_op = generate(lowered.code, lowered.n_slots, fn.name, per_op=True)
-    return lowered.run_per_op(fn, arr, step_budget, *result)
+    return lowered.run(fn, list(map(float, values)), step_budget)
 
 
 def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:

@@ -6,7 +6,6 @@ import pytest
 from mrkit.cfg import NodeOp, validate
 from mrkit.codegen import _op_source
 from mrkit.mir import MirError, Trap, _compile, interpret, lower_to_cfg, parse_program
-from mrkit.oracle import OracleParams, label_method
 
 AVG_SOURCE = """
 fn avg(input) {
@@ -109,6 +108,10 @@ def test_unknown_array_rejected():
     # a write of the array parameter is checked with the reads, by line
     (["x = y", "a = x", "return x"], "line 2: variable 'y' is never assigned"),
     (["a = 1", "x = y", "return x"], "line 2: array 'a' used as a scalar"),
+    # the next function's header is this one's missing '}', met at once
+    (["L: x = 1", "L: return x", "fn g(b) {", "return 1"], "line 1: missing closing '}'"),
+    (["for i = 0; i < 3; i = i + 1 {", "x = y", "fn g(b) {", "return +", "}", "return 0"],
+     "line 1: missing closing '}'"),
 ])
 def test_first_of_two_faults_is_reported(body, message):
     src = "fn f(a) {\n" + "".join(f"  {line}\n" for line in body) + "}\n"
@@ -344,8 +347,8 @@ def test_fuzz_lowering_always_validates():
 
 
 # The generated code against the reference dispatch loop
-# `mir_reference._run`.  Small budgets end calls inside a pass, so the
-# per-op version that finishes a pass that might overrun runs too.
+# `mir_reference._run`.  Small budgets end calls inside a pass, so they
+# test how the generated code settles an overrun after its pass.
 STEP_BUDGETS = (1, 2, 3, 5, 8, 13, 40, 100, 1_000_000)
 SPECIAL_VALUES = (0.0, -0.0, 1e308, INF, NAN)
 
@@ -379,17 +382,6 @@ def test_generated_code_matches_reference_loop_on_corpus(corpus_functions, both_
             "math-domain"} <= set(kinds), kinds
 
 
-def test_calls_within_the_budget_never_generate_the_per_op_version(sourced):
-    entry = sourced.entry("sum")
-    fn = parse_program(entry.source_path.read_text()).function("sum")
-    label_method(fn, OracleParams(trials=20, seed=42))
-    assert fn._lowered.run is not None
-    assert fn._lowered.run_per_op is None
-    with pytest.raises(Trap, match="step-budget"):
-        interpret(fn, [1.0, 2.0], step_budget=2)
-    assert fn._lowered.run_per_op is not None
-
-
 # One basic block of seven ops whose fifth divides by zero.
 STRAIGHT_LINE = """
 fn straight(a) {
@@ -416,12 +408,12 @@ def test_fault_in_an_overrunning_block_wins_only_within_the_budget(both_paths, b
 
 
 @pytest.mark.parametrize("name", ["bubble", "selection_sort", "shell_sort", "find_median",
-                                  "entropy"])
+                                  "entropy", "sum"])
 def test_every_budget_up_to_the_step_count_matches_the_reference(corpus_functions,
                                                                  both_paths, name):
-    # the per-pass check hands a call over to the per-op version at other
-    # points than a per-block one would; every budget up to a call's step
-    # count and one past it gives the reference's outcome
+    # an overrun is settled after its pass, whose ops lie at every reach
+    # from the pass start; every budget up to a call's step count and one
+    # past it gives the reference's outcome
     fn = corpus_functions[name]
     for values in ([3.0, 1.0, 2.0], [5.0, 0.0, 4.0, 4.0, 9.0], [2.0, 7.0, 0.5, 1.0]):
         budget = 0
@@ -435,7 +427,7 @@ def test_every_budget_up_to_the_step_count_matches_the_reference(corpus_function
         assert generated == reference == both_paths(fn, values, budget)[0]
 
 
-def test_the_fast_version_emits_every_op_once(corpus_functions):
+def test_the_generated_code_emits_every_op_once(corpus_functions):
     for name, fn in corpus_functions.items():
         lowered = _compile(fn)
         emitted = collections.Counter(pc for pc in lowered.run.__globals__["pc_at"]

@@ -262,6 +262,24 @@ def test_generated_programs_parse_lower_and_run_alike(both_paths, source, values
     assert generated == reference, source
 
 
+# Budgets from 1 up to this cap cover every call of most generated programs
+# that does not loop for ever.
+_SWEEP_CAP = 400
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mir_programs(), st.lists(_FUZZ_VALUES, max_size=6))
+def test_every_budget_until_a_call_fits_matches_the_reference(both_paths, source, values):
+    # the generated code settles an overrun after its pass, by the reach of
+    # each op; each budget that ends the call in a pass tests one reach
+    fn = parse_program(source).functions[0]
+    for budget in range(1, _SWEEP_CAP + 1):
+        generated, reference = both_paths(fn, values, budget)
+        assert generated == reference, (source, values, budget)
+        if generated[:2] != ("trap", "step-budget"):
+            break
+
+
 _BUNDLED_SOURCES = sorted((data_dir() / "corpus").glob("*.mir"))
 _KEYWORDS = ("fn", "if", "goto", "return", "for", "len", "pow", "sqrt", "log", "exp",
              "abs", "floor")
@@ -272,10 +290,14 @@ _INSERTED_LINES = ("L:", "LOOP:", "  goto L", "  goto LOOP",
 
 @st.composite
 def mutated_sources(draw) -> str:
-    """A bundled source with one to three lines deleted, duplicated or
-    swapped, a token replaced by a keyword, or a label, goto, for or
-    closing-brace line inserted."""
+    """A bundled source, or two joined, with one to three lines deleted,
+    duplicated or swapped, a token replaced by a keyword, or a label, goto,
+    for or closing-brace line inserted.  Each bundled source holds one
+    function, so only in a joined pair can a deleted ``}`` run a function
+    into the next one's header."""
     lines = draw(st.sampled_from(_BUNDLED_SOURCES)).read_text().splitlines()
+    if draw(st.booleans()):
+        lines += draw(st.sampled_from(_BUNDLED_SOURCES)).read_text().splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(("delete", "duplicate", "swap", "keyword", "insert")))
