@@ -3,7 +3,8 @@
 A CFG here is a directed graph whose nodes carry one of twenty closed
 operation labels (``NodeOp``).  Graphs arrive either from the bundled
 mini-IR lowering or from externally produced ``.dot`` files; both routes
-meet the same structural invariants, checked by :func:`validate`:
+meet the same structural invariants, checked by :func:`validate` where the
+graph enters (``parse_program``'s lowering and :func:`parse_dot`):
 
 * exactly one ``start`` node with in-degree 0 and one ``exit`` node with
   out-degree 0,
@@ -15,10 +16,10 @@ meet the same structural invariants, checked by :func:`validate`:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
 
 
 class NodeOp(str, Enum):
@@ -115,13 +116,12 @@ def classify_statement(token: str) -> NodeOp:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
     message: str
     node: int | None = None
 
     def __str__(self) -> str:
         where = f" (node {self.node})" if self.node is not None else ""
-        return f"{self.severity}: {self.message}{where}"
+        return f"{self.message}{where}"
 
 
 @dataclass(frozen=True)
@@ -197,16 +197,20 @@ def _unquote(token: str) -> str:
 
 
 def parse_dot(text: str) -> AnnotatedCfg:
-    """Parse one directed graph in the dialect this toolkit emits.
+    """Parse one directed graph in the dialect this toolkit emits and
+    check it with :func:`validate`.
 
     Every node must be declared with a ``label`` attribute before (or
     after) it is used in an edge; ids are opaque strings mapped to dense
     integers in declaration order.  Duplicate node ids, duplicate edges,
-    unknown labels and stray syntax are reported with their line number.
+    unknown labels and stray syntax are reported with their line number,
+    as is the first structural diagnostic, at the line declaring its node
+    (a start or exit count has no line).
     """
     lines = text.splitlines()
     ids: dict[str, int] = {}
     ops: list[NodeOp] = []
+    node_lines: list[int] = []
     raw_edges: list[tuple[str, str, int]] = []
     name = ""
     seen_header = False
@@ -240,6 +244,7 @@ def parse_dot(text: str) -> AnnotatedCfg:
                 raise DotParseError(str(exc), lineno) from None
             ids[node_id] = len(ops)
             ops.append(op)
+            node_lines.append(lineno)
             continue
         m = _EDGE_RE.match(raw)
         if m:
@@ -265,7 +270,11 @@ def parse_dot(text: str) -> AnnotatedCfg:
         seen.add(edge)
         edges.append(edge)
 
-    return AnnotatedCfg(name=name, ops=tuple(ops), edges=tuple(edges))
+    cfg = AnnotatedCfg(name=name, ops=tuple(ops), edges=tuple(edges))
+    for diag in validate(cfg):
+        raise DotParseError(diag.message,
+                            None if diag.node is None else node_lines[diag.node])
+    return cfg
 
 
 def emit_dot(cfg: AnnotatedCfg) -> str:
@@ -280,57 +289,51 @@ def emit_dot(cfg: AnnotatedCfg) -> str:
     return "\n".join(out) + "\n"
 
 
-def _reachable(n: int, adjacency: Sequence[Iterable[int]], roots: Iterable[int]) -> list[bool]:
-    seen = [False] * n
-    stack = [r for r in roots]
-    for r in stack:
-        seen[r] = True
-    while stack:
-        u = stack.pop()
+def bfs_parents(adjacency, root: int) -> list[int]:
+    """Parent per node under BFS from root, neighbors in ``adjacency``
+    order (ascending id for ``successors``/``predecessors``).
+
+    parent[root] = root; unreached nodes keep -1.
+    """
+    parent = [-1] * len(adjacency)
+    parent[root] = root
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
         for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
+            if parent[v] == -1:
+                parent[v] = u
+                queue.append(v)
+    return parent
 
 
 def validate(cfg: AnnotatedCfg) -> list[Diagnostic]:
     """Check every AnnotatedCfg invariant; empty result means valid."""
     diags: list[Diagnostic] = []
-    n = cfg.node_count
-
     seen_edges: set[tuple[int, int]] = set()
     for edge in cfg.edges:
         if edge in seen_edges:
-            diags.append(Diagnostic("error", f"duplicate edge {edge[0]} -> {edge[1]}"))
+            diags.append(Diagnostic(f"duplicate edge {edge[0]} -> {edge[1]}"))
         seen_edges.add(edge)
 
     starts = [i for i, op in enumerate(cfg.ops) if op is NodeOp.START]
     exits = [i for i, op in enumerate(cfg.ops) if op is NodeOp.EXIT]
     if len(starts) != 1:
-        diags.append(Diagnostic(
-            "error", f"expected exactly one start node, found {len(starts)}"))
+        diags.append(Diagnostic(f"expected exactly one start node, found {len(starts)}"))
     if len(exits) != 1:
-        diags.append(Diagnostic(
-            "error", f"expected exactly one exit node, found {len(exits)}"))
+        diags.append(Diagnostic(f"expected exactly one exit node, found {len(exits)}"))
     for i in starts:
         if cfg.in_degree(i) != 0:
-            diags.append(Diagnostic(
-                "error", f"start node has in-degree {cfg.in_degree(i)}", i))
+            diags.append(Diagnostic(f"start node has in-degree {cfg.in_degree(i)}", i))
     for i in exits:
         if cfg.out_degree(i) != 0:
-            diags.append(Diagnostic(
-                "error", f"exit node has out-degree {cfg.out_degree(i)}", i))
+            diags.append(Diagnostic(f"exit node has out-degree {cfg.out_degree(i)}", i))
 
     if len(starts) == 1:
-        from_start = _reachable(n, cfg.successors, starts)
-        for i, ok in enumerate(from_start):
-            if not ok:
-                diags.append(Diagnostic("error", "node unreachable from start", i))
+        diags += [Diagnostic("node unreachable from start", i)
+                  for i, p in enumerate(bfs_parents(cfg.successors, starts[0])) if p == -1]
     if len(exits) == 1:
-        to_exit = _reachable(n, cfg.predecessors, exits)
-        for i, ok in enumerate(to_exit):
-            if not ok:
-                diags.append(Diagnostic("error", "exit unreachable from node", i))
+        diags += [Diagnostic("exit unreachable from node", i)
+                  for i, p in enumerate(bfs_parents(cfg.predecessors, exits[0])) if p == -1]
 
     return diags

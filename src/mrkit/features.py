@@ -12,13 +12,12 @@ feature map, count every walk of a given length by its label sequence.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfg import AnnotatedCfg, NodeOp
+from .cfg import AnnotatedCfg, NodeOp, bfs_parents, validate
 
 
 # walk_features' bound on one length's (label sequence, last node) pairs;
@@ -65,47 +64,21 @@ def node_features(cfg: AnnotatedCfg, omit_exit: bool = False) -> FeatureVector:
     return FeatureVector("NF", counts)
 
 
-def _bfs_parents(n: int, adjacency, root: int) -> list[int]:
-    """Parent per node under BFS from root, neighbors in ascending id.
-
-    parent[root] = root; unreached nodes keep -1 (cannot happen on a valid
-    CFG, where everything lies between start and exit).
-    """
-    parent = [-1] * n
-    parent[root] = root
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if parent[v] == -1:
-                parent[v] = u
-                queue.append(v)
-    return parent
-
-
-def _start_and_exit(cfg: AnnotatedCfg) -> tuple[int, int]:
-    starts = [i for i, op in enumerate(cfg.ops) if op is NodeOp.START]
-    exits = [i for i, op in enumerate(cfg.ops) if op is NodeOp.EXIT]
-    if len(starts) != 1 or len(exits) != 1:
-        raise FeatureError("path features need exactly one start and one exit node")
-    return starts[0], exits[0]
-
-
 def path_features(cfg: AnnotatedCfg) -> FeatureVector:
     """One forward and one backward canonical shortest-path signature per
     node; identical signatures accumulate, so the total tally is 2*|nodes|.
+
+    Paths exist only on a valid CFG: this raises FeatureError with the
+    first :func:`~mrkit.cfg.validate` diagnostic of any other graph.
     """
-    start, exit_node = _start_and_exit(cfg)
-    n = cfg.node_count
-    fwd_parent = _bfs_parents(n, cfg.successors, start)
-    bwd_parent = _bfs_parents(n, cfg.predecessors, exit_node)
+    for diag in validate(cfg):
+        raise FeatureError(str(diag))
+    start, exit_node = cfg.ops.index(NodeOp.START), cfg.ops.index(NodeOp.EXIT)
+    fwd_parent = bfs_parents(cfg.successors, start)
+    bwd_parent = bfs_parents(cfg.predecessors, exit_node)
 
     counts: dict[str, int] = {}
-    for v in range(n):
-        if fwd_parent[v] == -1:
-            raise FeatureError(f"node {v} unreachable from start")
-        if bwd_parent[v] == -1:
-            raise FeatureError(f"exit unreachable from node {v}")
+    for v in range(cfg.node_count):
         chain = [v]
         while chain[-1] != start:
             chain.append(fwd_parent[chain[-1]])

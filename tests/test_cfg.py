@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from mrkit.cfg import (
     parse_node_op,
     validate,
 )
+from mrkit.features import FeatureError, path_features
 
 TRIVIAL = 'digraph t {\n  a [label="start"];\n  b [label="exit"];\n  a -> b;\n}\n'
 
@@ -68,6 +70,20 @@ def test_edge_to_undeclared_node():
     text = 'digraph g {\n  a [label="start"];\n  a -> zzz;\n}\n'
     with pytest.raises(DotParseError, match="zzz"):
         parse_dot(text)
+
+
+def test_structural_error_reports_the_line_declaring_its_node():
+    text = ('digraph g {\n  s [label="start"];\n  x [label="exit"];\n'
+            '  a [label="assi"];\n  s -> x;\n  a -> x;\n}\n')
+    with pytest.raises(DotParseError, match=r"^line 4: node unreachable from start$"):
+        parse_dot(text)
+
+
+def test_structural_error_about_no_one_node_has_no_line():
+    text = 'digraph g {\n  s [label="start"];\n  r [label="return"];\n  s -> r;\n}\n'
+    with pytest.raises(DotParseError, match=r"^expected exactly one exit node, found 0$") as info:
+        parse_dot(text)
+    assert info.value.line is None
 
 
 def test_roundtrip_trivial_and_worked_example():
@@ -169,7 +185,9 @@ def _validate_brute_force(cfg: AnnotatedCfg) -> bool:
             and closure(exits[0], True) == set(range(n)))
 
 
-def test_validate_matches_brute_force_on_random_graphs():
+def random_graphs():
+    """Seeded random digraphs without self-loops or duplicate edges, about
+    half their nodes start or exit, so most are not valid CFGs."""
     ops_pool = list(NodeOp)
     rng = random.Random(20240817)
     for _ in range(400):
@@ -186,5 +204,43 @@ def test_validate_matches_brute_force_on_random_graphs():
         possible = [(a, b) for a in range(n) for b in range(n) if a != b]
         rng.shuffle(possible)
         edges = tuple(possible[: rng.randint(0, len(possible))])
-        cfg = AnnotatedCfg("r", tuple(ops), edges)
+        yield AnnotatedCfg("r", tuple(ops), edges)
+
+
+def random_cfg_shapes():
+    """Seeded random digraphs with one start and one exit, neither entered
+    nor left the wrong way: a quarter of them are valid CFGs, and the rest
+    fail only on reachability."""
+    inner = [op for op in NodeOp if op not in (NodeOp.START, NodeOp.EXIT)]
+    rng = random.Random(20261019)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        ops = [NodeOp.START, NodeOp.EXIT] + [rng.choice(inner) for _ in range(n - 2)]
+        rng.shuffle(ops)
+        start, exit_node = ops.index(NodeOp.START), ops.index(NodeOp.EXIT)
+        possible = [(a, b) for a in range(n) for b in range(n)
+                    if a != b and a != exit_node and b != start]
+        rng.shuffle(possible)
+        edges = tuple(possible[: rng.randint(0, 2 * n)])
+        yield AnnotatedCfg("r", tuple(ops), edges)
+
+
+def test_validate_matches_brute_force_on_random_graphs():
+    for cfg in itertools.chain(random_graphs(), random_cfg_shapes()):
         assert (validate(cfg) == []) == _validate_brute_force(cfg)
+
+
+def test_parse_dot_and_path_features_refuse_exactly_the_graphs_validate_flags():
+    valid = 0
+    for cfg in itertools.chain(random_graphs(), random_cfg_shapes()):
+        diags = validate(cfg)
+        if diags:
+            with pytest.raises(DotParseError):
+                parse_dot(emit_dot(cfg))
+            with pytest.raises(FeatureError):
+                path_features(cfg)
+        else:
+            valid += 1
+            assert parse_dot(emit_dot(cfg)) == cfg
+            assert path_features(cfg).total() == 2 * cfg.node_count
+    assert valid >= 100

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mrkit import cli
-from mrkit.cfg import emit_dot, parse_dot
+from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
 from mrkit.features import build_design_matrix, combine, node_features, path_features
@@ -624,7 +624,12 @@ def test_seed_env_override(tmp_path, monkeypatch):
 
 def test_evaluate_refuses_a_graph_whose_walk_count_explodes(tmp_path, capsys):
     man = write_mini_manifest(tmp_path, TRIO)
-    (tmp_path / "ring.dot").write_text(emit_dot(branching_ring()))
+    # a start into ring node 0 and an exit out of node 5 make the ring a
+    # valid CFG, so parse_dot accepts it and walk_features must refuse it
+    ring = branching_ring()
+    ring = AnnotatedCfg(ring.name, ring.ops + (NodeOp.START, NodeOp.EXIT),
+                        ring.edges + ((6, 0), (5, 7)))
+    (tmp_path / "ring.dot").write_text(emit_dot(ring))
     man.write_text(man.read_text() + "7,ring,dot,ring.dot\n")
     code = main(["evaluate", "--manifest", str(man), "--features", "rwk", "--walk-len", "20",
                  "--mr", "per", "--k", "2", "--out", str(tmp_path / "out")])
@@ -632,3 +637,46 @@ def test_evaluate_refuses_a_graph_whose_walk_count_explodes(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ring: walks of length 13 end in more than ")
     assert not (tmp_path / "out").exists()
+
+
+# a start node, no exit node and an unreachable assi: not a CFG
+NOT_A_CFG = ('digraph repro {\n  s [label="start"];\n  a [label="assi"];\n'
+             '  r [label="return"];\n  s -> r;\n}\n')
+NOT_A_CFG_REASON = "expected exactly one exit node, found 0"
+
+
+@pytest.mark.parametrize("features", ["rwk", "gk", "nf-pf"])
+def test_predict_refuses_a_dot_input_that_is_not_a_cfg(tmp_path, capsys, features):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    models = tmp_path / "models"
+    assert main(["train", "--manifest", str(man), "--features", features,
+                 "--out", str(models)]) == 0
+    bad = tmp_path / "repro.dot"
+    bad.write_text(NOT_A_CFG)
+    capsys.readouterr()
+    assert main(["predict", str(bad), "--models", str(models)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {bad}: {NOT_A_CFG_REASON}\n"
+    assert out.splitlines()[0].startswith("method,") and len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("features", ["rwk", "gk", "nf-pf"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_manifest_dot_row_that_is_not_a_cfg_is_an_error(tmp_path, capsys, command,
+                                                            features):
+    man = write_mini_manifest(tmp_path, TRIO)
+    (tmp_path / "repro.dot").write_text(NOT_A_CFG)
+    man.write_text(man.read_text() + "7,repro,dot,repro.dot\n")
+    assert main([command, "--manifest", str(man), "--features", features,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {NOT_A_CFG_REASON}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_extract_refuses_a_dot_input_that_is_not_a_cfg_and_writes_nothing(tmp_path, capsys):
+    bad = tmp_path / "repro.dot"
+    bad.write_text(NOT_A_CFG)
+    out = tmp_path / "out"
+    assert main(["extract", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {NOT_A_CFG_REASON}\n"
+    assert list(out.iterdir()) == []

@@ -101,6 +101,17 @@ def test_pf_total_is_twice_node_count(corpus_graphs):
         assert path_features(cfg).total() == 2 * cfg.node_count
 
 
+def test_pf_refuses_an_invalid_cfg_with_its_first_diagnostic():
+    two_starts = AnnotatedCfg("g", (NodeOp.START, NodeOp.START, NodeOp.EXIT),
+                              ((0, 2), (1, 2)))
+    with pytest.raises(FeatureError, match=r"^expected exactly one start node, found 2$"):
+        path_features(two_starts)
+    dead_end = AnnotatedCfg("g", (NodeOp.START, NodeOp.ASSI, NodeOp.EXIT),
+                            ((0, 1), (0, 2)))
+    with pytest.raises(FeatureError, match=r"^exit unreachable from node \(node 1\)$"):
+        path_features(dead_end)
+
+
 def _path_exists(cfg, labels):
     """DFS replay: is there a walk through cfg with this label sequence?"""
     frontier = [i for i in range(cfg.node_count)
