@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .cfg import AnnotatedCfg, parse_dot
-from .mir import Function, parse_program
+from .cfg import AnnotatedCfg, DotParseError, parse_dot
+from .mir import Function, MirError, parse_program
 from .oracle import MR_IDS, MrLabelSet, labels_to_csv
 
 
@@ -32,6 +32,14 @@ class DatasetEntry:
     source_kind: str  # "mir" | "dot" | "none"
     source_path: Path | None
     labels: MrLabelSet | None = None
+
+
+def _parse_source(entry: DatasetEntry, parse):
+    """``parse`` of the entry's source; a fault in it names the file."""
+    try:
+        return parse(entry.source_path.read_text())
+    except (MirError, DotParseError) as exc:
+        raise CorpusError(f"{entry.source_path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class Dataset:
     def load_function(self, entry: DatasetEntry) -> Function:
         if entry.source_kind != "mir":
             raise CorpusError(f"{entry.name} has no mini-IR source")
-        program = parse_program(entry.source_path.read_text())
+        program = _parse_source(entry, parse_program)
         try:
             return program.function(entry.name)
         except KeyError:
@@ -66,7 +74,7 @@ class Dataset:
         if entry.source_kind == "mir":
             return lower_to_cfg(self.load_function(entry))
         if entry.source_kind == "dot":
-            return parse_dot(entry.source_path.read_text())
+            return _parse_source(entry, parse_dot)
         raise CorpusError(f"{entry.name} has no source to build a CFG from")
 
 

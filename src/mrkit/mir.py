@@ -30,8 +30,8 @@ is loop-invariant either way).
 ``parse_program`` reads each function in one walk over its source lines,
 which parses each statement and emits its CFG node(s), edges and bytecode
 on the spot; names, labels and structure are checked when the walk ends.
-There is no statement tree in between.  The bytecode has one op per
-statement plus the init, bound
+There is no intermediate form: each operand is parsed as its op is
+emitted.  The bytecode has one op per statement plus the init, bound
 read, increment and back jump of each ``for``; one step of the budget is
 one op.  Only code generation waits for the first call: ``codegen.generate``
 then turns the bytecode into structured Python, with a dispatch only at
@@ -81,19 +81,19 @@ class Trap(RuntimeError):
         super().__init__(f"{kind}: {message}" + (f" (line {line})" if line else ""))
 
 
-# Atoms and right-hand sides are small tagged tuples:
-#   atom: ("c", float) | ("v", name)
-#   rhs:  ("atom", a) | ("load", array, idx) | ("len", array) | ("bin", op, a, b)
-#         | ("cmp", op, a, b) | ("call", fname, a) | ("pow", a, b)
-
-
 @dataclass
 class Function:
     name: str
     param: str
     line: int
     # CFG and bytecode, built by parse_program
-    _lowered: "_Lowered" = field(repr=False, compare=False)
+    cfg: AnnotatedCfg = field(repr=False, compare=False)
+    code: list[tuple] = field(repr=False, compare=False)
+    n_slots: int = field(repr=False, compare=False)
+    # codegen.generate's function, made on the first call and published
+    # by one assignment, so a thread that races its first use sees either
+    # None or a complete function
+    run: Callable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -135,39 +135,6 @@ _FOR_RE = re.compile(
 _MAX_FOR_DEPTH = 100
 
 
-def _atom(token: str, line: int) -> tuple:
-    if re.fullmatch(_NUM, token):
-        return ("c", float(token))
-    if token in _KEYWORDS:
-        raise MirError(f"reserved word {token!r} used as a value", line)
-    return ("v", token)
-
-
-def _parse_rhs(text: str, line: int) -> tuple:
-    text = text.strip()
-    if re.fullmatch(_ATOM, text) and text not in _KEYWORDS:
-        return ("atom", _atom(text, line))
-    m = _LOAD_RE.match(text)
-    if m:
-        return ("load", m.group(1), _atom(m.group(2), line))
-    m = _LEN_RE.match(text)
-    if m:
-        return ("len", m.group(1))
-    m = _POW_RE.match(text)
-    if m:
-        return ("pow", _atom(m.group(1), line), _atom(m.group(2), line))
-    m = _CALL_RE.match(text)
-    if m and m.group(1) in _BUILTINS:
-        return ("call", m.group(1), _atom(m.group(2), line))
-    m = _CMP_RE.match(text)
-    if m:
-        return ("cmp", m.group(2), _atom(m.group(1), line), _atom(m.group(3), line))
-    m = _BIN_RE.match(text)
-    if m:
-        return ("bin", m.group(2), _atom(m.group(1), line), _atom(m.group(3), line))
-    raise MirError(f"cannot parse expression {text!r}", line)
-
-
 def parse_program(text: str) -> Program:
     """Parse mini-IR source into a validated, lowered Program.
 
@@ -192,7 +159,7 @@ def parse_program(text: str) -> Program:
         if any(fn.name == name for fn in functions):
             raise MirError(f"duplicate function name {name!r}", line_no)
         lowerer = _Lowerer(lines, pos + 1, name, param, line_no)
-        functions.append(Function(name, param, line_no, lowerer.lower()))
+        functions.append(Function(name, param, line_no, *lowerer.lower()))
         pos = lowerer.pos
     return Program(functions)
 
@@ -207,22 +174,12 @@ _CMP_INDEX = {op: i for i, op in enumerate(_CMP_OPS)}
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-@dataclass
-class _Lowered:
-    cfg: AnnotatedCfg
-    code: list[tuple]
-    n_slots: int
-    # codegen.generate's function, made on the first call and published
-    # by one assignment, so a thread that races its first use sees either
-    # None or a complete function
-    run: Callable | None = None
-
-
 class _Lowerer:
     """Walks a function's source lines once, from the line after its
-    ``fn`` header to its closing ``}``.  Per statement it parses the line,
-    emits the CFG node(s) and edges and the bytecode op(s), records its
-    labels as ``(node, pc)`` and notes the names it reads and writes;
+    ``fn`` header to its closing ``}``.  Per statement it matches the line,
+    emits the CFG node(s) and edges and the bytecode op(s), parsing each
+    operand straight into the op, records its labels as ``(node, pc)``
+    and notes the names it reads and writes;
     ``lower`` then checks the function, resolves the jumps and validates
     the CFG.  A syntax error, or a ``for`` nested too deep, raises at once;
     every other fault waits for the walk to end, so a syntax error later in
@@ -268,11 +225,63 @@ class _Lowerer:
             self.uses.append((name, line))
         return self.slot(name)
 
-    def operand(self, atom: tuple, line: int) -> tuple[int, float | int]:
-        if atom[0] == "c":
-            return 0, atom[1]
-        self.uses.append((atom[1], line))
-        return 1, self.slot(atom[1])
+    def operand(self, token: str, line: int) -> tuple[int, float | int]:
+        """An atom as ``(0, value)`` for a number or ``(1, slot)`` for a
+        variable, whose read is noted."""
+        if re.fullmatch(_NUM, token):
+            return 0, float(token)
+        if token in _KEYWORDS:
+            raise MirError(f"reserved word {token!r} used as a value", line)
+        self.uses.append((token, line))
+        return 1, self.slot(token)
+
+    def array(self, name: str, line: int) -> None:
+        if name != self.param:
+            raise MirError(f"unknown array {name!r}", line)
+
+    def value(self, text: str, line: int, dst: int | None) -> str:
+        """Parse a right-hand side and emit its op, which writes slot
+        ``dst`` or, when ``dst`` is None, returns; gives the CFG node's
+        token.  The operands are checked before the form's other faults."""
+        text = text.strip()
+        array = None
+        if re.fullmatch(_ATOM, text) and text not in _KEYWORDS:
+            kind, val = self.operand(text, line)
+            if dst is None:
+                self.code.append((_RET, kind, val))
+                return "return"
+            op, token = (_MOV if kind else _MOVC, dst, val), "="
+        elif m := _LOAD_RE.match(text):
+            op = (_LOAD, dst) + self.operand(m.group(2), line) + (line,)
+            array, token = m.group(1), "="
+        elif m := _LEN_RE.match(text):
+            op, array, token = (_LEN, dst), m.group(1), "="
+        elif m := _POW_RE.match(text):
+            op = (_POW, dst) + self.operand(m.group(1), line) \
+                + self.operand(m.group(2), line) + (line,)
+            token = "invoke"
+        elif (m := _CALL_RE.match(text)) and m.group(1) in _BUILTINS:
+            op = (_CALL, dst, m.group(1)) + self.operand(m.group(2), line) + (line,)
+            token = "invoke"
+        elif m := _CMP_RE.match(text):
+            token = m.group(2)
+            op = (_CMP, dst, _CMP_INDEX[token]) + self.operand(m.group(1), line) \
+                + self.operand(m.group(3), line)
+        elif m := _BIN_RE.match(text):
+            token = m.group(2)
+            op = (_BIN, dst, _BIN_INDEX[token]) + self.operand(m.group(1), line) \
+                + self.operand(m.group(3), line) + (line,)
+            if dst is None:
+                self.code.append((_RETBIN,) + op[2:])
+                return token
+        else:
+            raise MirError(f"cannot parse expression {text!r}", line)
+        if dst is None:
+            raise MirError("return takes an atom or a single arithmetic op", line)
+        if array is not None:
+            self.array(array, line)
+        self.code.append(op)
+        return token
 
     def block(self, outer_line: int) -> tuple[int | None, list[int]]:
         """Lower the statements up to the closing ``}`` of the block opened
@@ -329,14 +338,12 @@ class _Lowerer:
             if inc_dst != var or inc_src != var:
                 raise MirError(f"for-loop increment must update the loop variable {var!r}", line)
             lm = _LEN_RE.match(bound_text)
-            if lm and lm.group(1) != self.param:
-                raise MirError(f"unknown array {lm.group(1)!r}", line)
-            bound_atom = None if lm else _atom(bound_text, line)
-            init_atom = _atom(init, line)
+            if lm:
+                self.array(lm.group(1), line)
             slot = self.write(var, line)
             init_node = self.node("=", line)
-            kind, val = self.operand(init_atom, line)
-            code.append((_MOVC, slot, val) if kind == 0 else (_MOV, slot, val))
+            kind, val = self.operand(init, line)
+            code.append((_MOV if kind else _MOVC, slot, val))
             test = self.node("goto", line)
             self.edge(init_node, test)
             if lm:
@@ -346,7 +353,7 @@ class _Lowerer:
                 bound: tuple = (1, self.slot(f"$bound{len(code)}"))
                 code.append((_LEN, bound[1]))
             else:
-                bound = self.operand(bound_atom, line)
+                bound = self.operand(bound_text, line)
             if_node = self.node("if", line)
             self.edge(test, if_node)
             # the negated test jumps past the loop, patched after the body
@@ -361,17 +368,16 @@ class _Lowerer:
                 self.edge(t, incr)
             self.edge(incr, if_node)
             code.append((_BIN, slot, _BIN_INDEX[inc_op], 1, slot)
-                        + self.operand(_atom(inc_arg, line), line) + (line,))
+                        + self.operand(inc_arg, line) + (line,))
             code.append((_JMP, test_pc))
             code[test_pc] = code[test_pc][:-1] + (len(code),)
             return [if_node]
         m = _IF_RE.match(text)
         if m:
-            left, right = _atom(m.group(1), line), _atom(m.group(3), line)
             node = self.node("if", line)
             self.jumps.append((node, len(code), m.group(4), line))
-            code.append((_JIF, _CMP_INDEX[m.group(2)]) + self.operand(left, line)
-                        + self.operand(right, line) + (-1,))
+            code.append((_JIF, _CMP_INDEX[m.group(2)]) + self.operand(m.group(1), line)
+                        + self.operand(m.group(3), line) + (-1,))
             return [node]
         m = _GOTO_RE.match(text)
         if m:
@@ -381,58 +387,24 @@ class _Lowerer:
             return []
         m = _RETURN_RE.match(text)
         if m:
-            rhs = _parse_rhs(m.group(1), line)
-            if rhs[0] == "atom":
-                self.returns.append(self.node("return", line))
-                code.append((_RET,) + self.operand(rhs[1], line))
-            elif rhs[0] == "bin":
-                self.returns.append(self.node(rhs[1], line))
-                code.append((_RETBIN, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
-                            + self.operand(rhs[3], line) + (line,))
-            else:
-                raise MirError("return takes an atom or a single arithmetic op", line)
+            self.returns.append(self.node(self.value(m.group(1), line, None), line))
             return []
         m = _STORE_RE.match(text)
         if m:
-            if m.group(1) != self.param:
-                raise MirError(f"unknown array {m.group(1)!r}", line)
-            index, value = _atom(m.group(2), line), _atom(m.group(3), line)
+            self.array(m.group(1), line)
             node = self.node("=", line)
-            code.append((_STORE,) + self.operand(index, line)
-                        + self.operand(value, line) + (line,))
+            code.append((_STORE,) + self.operand(m.group(2), line)
+                        + self.operand(m.group(3), line) + (line,))
             return [node]
         m = _ASSIGN_RE.match(text)
         if not m:
             raise MirError(f"cannot parse statement {text!r}", line)
         if m.group(1) in _KEYWORDS:
             raise MirError(f"reserved word {m.group(1)!r} used as a variable", line)
-        rhs = _parse_rhs(m.group(2), line)
-        if rhs[0] in ("load", "len") and rhs[1] != self.param:
-            raise MirError(f"unknown array {rhs[1]!r}", line)
-        node = self.node(rhs[1] if rhs[0] in ("bin", "cmp") else
-                         "invoke" if rhs[0] in ("call", "pow") else "=", line)
         dst = self.write(m.group(1), line)
-        if rhs[0] == "atom":
-            kind, val = self.operand(rhs[1], line)
-            code.append((_MOVC, dst, val) if kind == 0 else (_MOV, dst, val))
-        elif rhs[0] == "load":
-            code.append((_LOAD, dst) + self.operand(rhs[2], line) + (line,))
-        elif rhs[0] == "len":
-            code.append((_LEN, dst))
-        elif rhs[0] == "bin":
-            code.append((_BIN, dst, _BIN_INDEX[rhs[1]]) + self.operand(rhs[2], line)
-                        + self.operand(rhs[3], line) + (line,))
-        elif rhs[0] == "cmp":
-            code.append((_CMP, dst, _CMP_INDEX[rhs[1]]) + self.operand(rhs[2], line)
-                        + self.operand(rhs[3], line))
-        elif rhs[0] == "call":
-            code.append((_CALL, dst, rhs[1]) + self.operand(rhs[2], line) + (line,))
-        else:
-            code.append((_POW, dst) + self.operand(rhs[1], line)
-                        + self.operand(rhs[2], line) + (line,))
-        return [node]
+        return [self.node(self.value(m.group(2), line, dst), line)]
 
-    def lower(self) -> _Lowered:
+    def lower(self) -> tuple[AnnotatedCfg, list[tuple], int]:
         start = self.node(":=", self.line)
         entry, tails = self.block(self.line)
         if self.duplicate is not None:
@@ -472,28 +444,27 @@ class _Lowerer:
             if "exit unreachable" in diag.message:
                 raise MirError("statement cannot reach a return", line)
             raise MirError(f"invalid control flow: {diag.message}", line)
-        return _Lowered(cfg, self.code, len(self.slots))
+        return cfg, self.code, len(self.slots)
 
 
 def lower_to_cfg(fn: Function) -> AnnotatedCfg:
     """The function's annotated CFG (always valid), built when it was parsed."""
-    return fn._lowered.cfg
+    return fn.cfg
 
 
 # ---------------------------------------------------------------------------
 # Interpreter
 
 
-def _compile(fn: Function) -> _Lowered:
-    """The function's bytecode, with its generated Python made on first use."""
-    lowered = fn._lowered
-    if lowered.run is None:
+def _compile(fn: Function) -> Function:
+    """The function, with its generated Python made on first use."""
+    if fn.run is None:
         # imported on first use, so commands that never run a function do
         # not load the generator
         from .codegen import generate
 
-        lowered.run = generate(lowered.code, lowered.n_slots, fn.name)
-    return lowered
+        fn.run = generate(fn.code, fn.n_slots, fn.name)
+    return fn
 
 
 def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> float:
@@ -509,11 +480,10 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
     fault before it, comes from the same op as if every op had been
     charged on its own.
     """
-    lowered = fn._lowered
-    if lowered.run is None:
+    if fn.run is None:
         _compile(fn)
     # the generated code stores into arr, so the caller's values stay as given
-    return lowered.run(fn, list(map(float, values)), step_budget)
+    return fn.run(fn, list(map(float, values)), step_budget)
 
 
 def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:

@@ -211,7 +211,21 @@ def test_evaluate_reports_a_too_deep_for_nest_in_one_line(tmp_path, capsys):
         fh.write("7,1,1,1,1,1,1\n")
     assert main(["evaluate", "--manifest", str(man), "--features", "nf-pf", "--mr", "add",
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: line 103: for loops nested more than 100 deep\n"
+    source = (tmp_path / "deep.mir").resolve()
+    assert capsys.readouterr().err == \
+        f"error: {source}: line 103: for loops nested more than 100 deep\n"
+
+
+def test_label_names_a_source_that_does_not_parse_and_goes_on(tmp_path, capsys):
+    man = write_mini_manifest(tmp_path, TRIO)
+    (tmp_path / "bad.mir").write_text("fn bad(a) {\n  return a[0]\n}\n")
+    man.write_text(man.read_text() + "7,bad,mir,bad.mir\n")
+    out = tmp_path / "labels.csv"
+    assert main(["label", "--manifest", str(man), "--out", str(out), "--trials", "5"]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["90", "5", "49"]
+    source = (tmp_path / "bad.mir").resolve()
+    assert f"error: bad: {source}: line 2: return takes an atom or a single arithmetic op\n" \
+        in capsys.readouterr().err
 
 
 def test_label_reports_a_name_its_file_does_not_define_and_goes_on(tmp_path, capsys):
@@ -669,7 +683,8 @@ def test_a_manifest_dot_row_that_is_not_a_cfg_is_an_error(tmp_path, capsys, comm
     man.write_text(man.read_text() + "7,repro,dot,repro.dot\n")
     assert main([command, "--manifest", str(man), "--features", features,
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr() == ("", f"error: {NOT_A_CFG_REASON}\n")
+    source = (tmp_path / "repro.dot").resolve()
+    assert capsys.readouterr() == ("", f"error: {source}: {NOT_A_CFG_REASON}\n")
     assert not (tmp_path / "out").exists()
 
 

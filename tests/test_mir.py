@@ -112,6 +112,17 @@ def test_unknown_array_rejected():
     (["L: x = 1", "L: return x", "fn g(b) {", "return 1"], "line 1: missing closing '}'"),
     (["for i = 0; i < 3; i = i + 1 {", "x = y", "fn g(b) {", "return +", "}", "return 0"],
      "line 1: missing closing '}'"),
+    # a for header's init is read before its bound
+    (["for i = len; i < fn; i = i + 1 {", "}", "return 0"],
+     "line 2: reserved word 'len' used as a value"),
+    # a return of another form is refused after its operands are read, and
+    # before a deferred name check; its array is never checked
+    (["x = 1", "return b[x]"], "line 3: return takes an atom or a single arithmetic op"),
+    (["x = 1", "return pow(x, len)"], "line 3: reserved word 'len' used as a value"),
+    (["return sqrt(y)"], "line 2: return takes an atom or a single arithmetic op"),
+    # a load reads its index before its array, a store checks its array first
+    (["x = b[len]", "return x"], "line 2: reserved word 'len' used as a value"),
+    (["b[len] = 1", "return 0"], "line 2: unknown array 'b'"),
 ])
 def test_first_of_two_faults_is_reported(body, message):
     src = "fn f(a) {\n" + "".join(f"  {line}\n" for line in body) + "}\n"

@@ -285,7 +285,15 @@ _KEYWORDS = ("fn", "if", "goto", "return", "for", "len", "pow", "sqrt", "log", "
              "abs", "floor")
 _INSERTED_LINES = ("L:", "LOOP:", "  goto L", "  goto LOOP",
                    "  for k = 0; k < len(a); k = k + 1 {", "  for k = 0; k < 3; k = k + 1 {",
-                   "}")
+                   "}",
+                   # every right-hand-side fault: returns of a form other than
+                   # an atom or an arithmetic op, unknown arrays, a call of a
+                   # non-builtin, reserved words in a for header
+                   "  return a[0]", "  return len(a)", "  return pow(k, 2)",
+                   "  return sqrt(k)", "  return k < 1",
+                   "  k = b[0]", "  b[0] = 1", "  k = len(b)", "  k = f(1)",
+                   "  for k = len; k < 3; k = k + 1 {", "  for k = 0; k < fn; k = k + 1 {",
+                   "  for k = 0; k < 3; k = k + pow {", "  for k = len; k < fn; k = k + 1 {")
 
 
 @st.composite
