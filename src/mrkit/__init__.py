@@ -10,7 +10,6 @@ from .cfg import (
     AnnotatedCfg,
     Diagnostic,
     NodeOp,
-    classify_statement,
     emit_dot,
     parse_dot,
     validate,

@@ -1,10 +1,12 @@
 """Annotated control-flow graphs and their DOT-format serialization.
 
 A CFG here is a directed graph whose nodes carry one of twenty closed
-operation labels (``NodeOp``).  Graphs arrive either from the bundled
-mini-IR lowering or from externally produced ``.dot`` files; both routes
-meet the same structural invariants, checked by :func:`validate` where the
-graph enters (``parse_program``'s lowering and :func:`parse_dot`):
+operation labels (``NodeOp``), the one label vocabulary of both routes a
+graph arrives by: the bundled mini-IR lowering emits ``NodeOp`` members
+itself, and an externally produced ``.dot`` file spells each label as its
+``NodeOp`` value.  Both routes meet the same structural invariants, checked
+by :func:`validate` where the graph enters (``parse_program``'s lowering
+and :func:`parse_dot`):
 
 * exactly one ``start`` node with in-degree 0 and one ``exit`` node with
   out-degree 0,
@@ -50,34 +52,6 @@ class NodeOp(str, Enum):
 
 _LABELS_BY_VALUE = {op.value: op for op in NodeOp}
 
-# Statement-token -> annotation label. Both spellings of the boolean
-# connectives are accepted, as is the unicode minus sign.
-STATEMENT_LABELS: dict[str, NodeOp] = {
-    "+": NodeOp.ADD,
-    "-": NodeOp.SUB,
-    "−": NodeOp.SUB,
-    "*": NodeOp.MUL,
-    "/": NodeOp.DIV,
-    "||": NodeOp.OR,
-    "or": NodeOp.OR,
-    "&": NodeOp.AND,
-    "and": NodeOp.AND,
-    "if": NodeOp.IF,
-    "=": NodeOp.ASSI,
-    "==": NodeOp.EQL,
-    ">=": NodeOp.GEQL,
-    ">": NodeOp.GT,
-    "<=": NodeOp.LEQL,
-    "<": NodeOp.LT,
-    "!=": NodeOp.NEQL,
-    ":=": NodeOp.START,
-    "%": NodeOp.REM,
-    "invoke": NodeOp.FCALL,
-    "return": NodeOp.RETURN,
-    "exit": NodeOp.EXIT,
-    "goto": NodeOp.GOTO,
-}
-
 
 class CfgError(ValueError):
     """Structural problem while building or serializing a CFG."""
@@ -91,27 +65,6 @@ class DotParseError(CfgError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class UnknownLabelError(CfgError):
-    """A token outside the closed label/statement vocabulary."""
-
-
-def parse_node_op(token: str) -> NodeOp:
-    """Resolve a node annotation such as ``"assi"`` to its NodeOp."""
-    try:
-        return _LABELS_BY_VALUE[token]
-    except KeyError:
-        raise UnknownLabelError(f"unknown node label {token!r}") from None
-
-
-def classify_statement(token: str) -> NodeOp:
-    """Map a statement token (``"+"``, ``":="``, ``"invoke"``, ...) to its
-    annotation label."""
-    try:
-        return STATEMENT_LABELS[token]
-    except KeyError:
-        raise UnknownLabelError(f"unknown statement token {token!r}") from None
 
 
 @dataclass(frozen=True)
@@ -238,10 +191,9 @@ def parse_dot(text: str) -> AnnotatedCfg:
             if node_id in ids:
                 raise DotParseError(f"duplicate node id {node_id!r}", lineno)
             label = _unquote(m.group("label"))
-            try:
-                op = parse_node_op(label)
-            except UnknownLabelError as exc:
-                raise DotParseError(str(exc), lineno) from None
+            op = _LABELS_BY_VALUE.get(label)
+            if op is None:
+                raise DotParseError(f"unknown node label {label!r}", lineno)
             ids[node_id] = len(ops)
             ops.append(op)
             node_lines.append(lineno)

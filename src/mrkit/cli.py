@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,10 +167,10 @@ def _corpus_features(ds, featurization: str, args):
     context), where ``gram`` is the KernelMatrix every SVM trains on.  The
     Gram's diagnostics go to stderr; an unlabelled entry is a ValueError."""
     entries = [e for e in ds.entries if e.source_kind != "none"]
+    ids = tuple(e.name for e in entries)
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
-        matrix = _nf_pf_matrix([e.name for e in entries], graphs, args.omit_exit_nf)
-        gram = matrix.gram()
+        gram = _nf_pf_matrix(ids, graphs, args.omit_exit_nf).gram()
         context = {"featurization": "nf-pf", "omit_exit_nf": args.omit_exit_nf}
     elif featurization == "rwk":
         params = RwkParams(walk_len=args.walk_len, decay=getattr(args, "lambda"))
@@ -180,6 +181,8 @@ def _corpus_features(ds, featurization: str, args):
         params = GkParams(k=args.graphlet_k)
         gram = gram_matrix(graphs, "gk", gk=params)
         context = {"featurization": "gk", "k": params.k, "mode": params.mode}
+    # rows by manifest entry, whatever a DOT source names its digraph
+    gram = replace(gram, method_ids=ids)
     for note in gram.diagnostics:
         print(f"diagnostic: {featurization}: {note}", file=sys.stderr)
     unlabelled = [e.name for e in entries if e.labels is None]

@@ -50,7 +50,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cfg import AnnotatedCfg, NodeOp, classify_statement, validate
+from .cfg import AnnotatedCfg, NodeOp, validate
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -59,6 +59,9 @@ _KEYWORDS = frozenset(("fn", "if", "goto", "return", "for", "len", "pow") + _BUI
 
 _BIN_OPS = ("+", "-", "*", "/", "%")
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+# each operator's CFG label, in the order of _BIN_OPS and _CMP_OPS
+_BIN_LABELS = (NodeOp.ADD, NodeOp.SUB, NodeOp.MUL, NodeOp.DIV, NodeOp.REM)
+_CMP_LABELS = (NodeOp.EQL, NodeOp.NEQL, NodeOp.LEQL, NodeOp.GEQL, NodeOp.LT, NodeOp.GT)
 
 
 class MirError(ValueError):
@@ -177,9 +180,9 @@ _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 class _Lowerer:
     """Walks a function's source lines once, from the line after its
     ``fn`` header to its closing ``}``.  Per statement it matches the line,
-    emits the CFG node(s) and edges and the bytecode op(s), parsing each
-    operand straight into the op, records its labels as ``(node, pc)``
-    and notes the names it reads and writes;
+    emits the CFG node(s), each labelled with its ``NodeOp``, the edges and
+    the bytecode op(s), parsing each operand straight into the op, records
+    its labels as ``(node, pc)`` and notes the names it reads and writes;
     ``lower`` then checks the function, resolves the jumps and validates
     the CFG.  A syntax error, or a ``for`` nested too deep, raises at once;
     every other fault waits for the walk to end, so a syntax error later in
@@ -206,8 +209,8 @@ class _Lowerer:
         # scalar reads, and writes of the array parameter, checked by line
         self.uses: list[tuple[str, int]] = []
 
-    def node(self, token: str, line: int | None) -> int:
-        self.ops.append(classify_statement(token))
+    def node(self, op: NodeOp, line: int | None) -> int:
+        self.ops.append(op)
         self.lines.append(line)
         return len(self.ops) - 1
 
@@ -220,6 +223,8 @@ class _Lowerer:
         return self.slots[name]
 
     def write(self, name: str, line: int) -> int:
+        if name in _KEYWORDS:
+            raise MirError(f"reserved word {name!r} used as a variable", line)
         self.assigned.add(name)
         if name == self.param:
             self.uses.append((name, line))
@@ -239,41 +244,43 @@ class _Lowerer:
         if name != self.param:
             raise MirError(f"unknown array {name!r}", line)
 
-    def value(self, text: str, line: int, dst: int | None) -> str:
+    def value(self, text: str, line: int, dst: int | None) -> NodeOp:
         """Parse a right-hand side and emit its op, which writes slot
         ``dst`` or, when ``dst`` is None, returns; gives the CFG node's
-        token.  The operands are checked before the form's other faults."""
+        label.  The operands are checked before the form's other faults."""
         text = text.strip()
         array = None
         if re.fullmatch(_ATOM, text) and text not in _KEYWORDS:
             kind, val = self.operand(text, line)
             if dst is None:
                 self.code.append((_RET, kind, val))
-                return "return"
-            op, token = (_MOV if kind else _MOVC, dst, val), "="
+                return NodeOp.RETURN
+            op, label = (_MOV if kind else _MOVC, dst, val), NodeOp.ASSI
         elif m := _LOAD_RE.match(text):
             op = (_LOAD, dst) + self.operand(m.group(2), line) + (line,)
-            array, token = m.group(1), "="
+            array, label = m.group(1), NodeOp.ASSI
         elif m := _LEN_RE.match(text):
-            op, array, token = (_LEN, dst), m.group(1), "="
+            op, array, label = (_LEN, dst), m.group(1), NodeOp.ASSI
         elif m := _POW_RE.match(text):
             op = (_POW, dst) + self.operand(m.group(1), line) \
                 + self.operand(m.group(2), line) + (line,)
-            token = "invoke"
+            label = NodeOp.FCALL
         elif (m := _CALL_RE.match(text)) and m.group(1) in _BUILTINS:
             op = (_CALL, dst, m.group(1)) + self.operand(m.group(2), line) + (line,)
-            token = "invoke"
+            label = NodeOp.FCALL
         elif m := _CMP_RE.match(text):
-            token = m.group(2)
-            op = (_CMP, dst, _CMP_INDEX[token]) + self.operand(m.group(1), line) \
+            cmp = _CMP_INDEX[m.group(2)]
+            op = (_CMP, dst, cmp) + self.operand(m.group(1), line) \
                 + self.operand(m.group(3), line)
+            label = _CMP_LABELS[cmp]
         elif m := _BIN_RE.match(text):
-            token = m.group(2)
-            op = (_BIN, dst, _BIN_INDEX[token]) + self.operand(m.group(1), line) \
+            arith = _BIN_INDEX[m.group(2)]
+            op = (_BIN, dst, arith) + self.operand(m.group(1), line) \
                 + self.operand(m.group(3), line) + (line,)
+            label = _BIN_LABELS[arith]
             if dst is None:
                 self.code.append((_RETBIN,) + op[2:])
-                return token
+                return label
         else:
             raise MirError(f"cannot parse expression {text!r}", line)
         if dst is None:
@@ -281,7 +288,7 @@ class _Lowerer:
         if array is not None:
             self.array(array, line)
         self.code.append(op)
-        return token
+        return label
 
     def block(self, outer_line: int) -> tuple[int | None, list[int]]:
         """Lower the statements up to the closing ``}`` of the block opened
@@ -341,20 +348,20 @@ class _Lowerer:
             if lm:
                 self.array(lm.group(1), line)
             slot = self.write(var, line)
-            init_node = self.node("=", line)
+            init_node = self.node(NodeOp.ASSI, line)
             kind, val = self.operand(init, line)
             code.append((_MOV if kind else _MOVC, slot, val))
-            test = self.node("goto", line)
+            test = self.node(NodeOp.GOTO, line)
             self.edge(init_node, test)
             if lm:
-                prep = self.node("=", line)
+                prep = self.node(NodeOp.ASSI, line)
                 self.edge(test, prep)
                 test = prep
                 bound: tuple = (1, self.slot(f"$bound{len(code)}"))
                 code.append((_LEN, bound[1]))
             else:
                 bound = self.operand(bound_text, line)
-            if_node = self.node("if", line)
+            if_node = self.node(NodeOp.IF, line)
             self.edge(test, if_node)
             # the negated test jumps past the loop, patched after the body
             test_pc = len(code)
@@ -362,26 +369,27 @@ class _Lowerer:
             self.depth += 1
             body_entry, body_tails = self.block(line)
             self.depth -= 1
-            incr = self.node(inc_op, line)
+            inc = _BIN_INDEX[inc_op]
+            incr = self.node(_BIN_LABELS[inc], line)
             self.edge(if_node, body_entry if body_entry is not None else incr)
             for t in body_tails:
                 self.edge(t, incr)
             self.edge(incr, if_node)
-            code.append((_BIN, slot, _BIN_INDEX[inc_op], 1, slot)
+            code.append((_BIN, slot, inc, 1, slot)
                         + self.operand(inc_arg, line) + (line,))
             code.append((_JMP, test_pc))
             code[test_pc] = code[test_pc][:-1] + (len(code),)
             return [if_node]
         m = _IF_RE.match(text)
         if m:
-            node = self.node("if", line)
+            node = self.node(NodeOp.IF, line)
             self.jumps.append((node, len(code), m.group(4), line))
             code.append((_JIF, _CMP_INDEX[m.group(2)]) + self.operand(m.group(1), line)
                         + self.operand(m.group(3), line) + (-1,))
             return [node]
         m = _GOTO_RE.match(text)
         if m:
-            node = self.node("goto", line)
+            node = self.node(NodeOp.GOTO, line)
             self.jumps.append((node, len(code), m.group(1), line))
             code.append((_JMP, -1))
             return []
@@ -392,20 +400,18 @@ class _Lowerer:
         m = _STORE_RE.match(text)
         if m:
             self.array(m.group(1), line)
-            node = self.node("=", line)
+            node = self.node(NodeOp.ASSI, line)
             code.append((_STORE,) + self.operand(m.group(2), line)
                         + self.operand(m.group(3), line) + (line,))
             return [node]
         m = _ASSIGN_RE.match(text)
         if not m:
             raise MirError(f"cannot parse statement {text!r}", line)
-        if m.group(1) in _KEYWORDS:
-            raise MirError(f"reserved word {m.group(1)!r} used as a variable", line)
         dst = self.write(m.group(1), line)
         return [self.node(self.value(m.group(2), line, dst), line)]
 
     def lower(self) -> tuple[AnnotatedCfg, list[tuple], int]:
-        start = self.node(":=", self.line)
+        start = self.node(NodeOp.START, self.line)
         entry, tails = self.block(self.line)
         if self.duplicate is not None:
             raise self.duplicate
@@ -432,7 +438,7 @@ class _Lowerer:
                 raise MirError("conditional jump to its own fall-through", line)
             self.edge(node, target)
             self.code[pc] = self.code[pc][:-1] + (target_pc,)
-        exit_node = self.node("exit", None)
+        exit_node = self.node(NodeOp.EXIT, None)
         for node in self.returns:
             self.edge(node, exit_node)
 

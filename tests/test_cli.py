@@ -688,6 +688,20 @@ def test_a_manifest_dot_row_that_is_not_a_cfg_is_an_error(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+def test_gram_rows_are_named_by_manifest_entry_for_every_featurization(tmp_path):
+    # the DOT file's digraph is named "average", its manifest entry is not
+    man = write_bundled_manifest(tmp_path, MIXED)
+    (tmp_path / "average.dot").write_text((data_dir() / "cfg" / "average.dot").read_text())
+    man.write_text(man.read_text() + "5,renamed_entry,dot,average.dot\n")
+    headers = []
+    for features in ("nf-pf", "rwk", "gk"):
+        out = tmp_path / features
+        assert main(["evaluate", "--manifest", str(man), "--features", features,
+                     "--mr", "per", "--k", "2", "--out", str(out), "--dump-gram"]) == 0
+        headers.append((out / "gram.csv").read_text().splitlines()[0])
+    assert headers == ["method_id," + ",".join(MIXED + ["renamed_entry"])] * 3
+
+
 def test_extract_refuses_a_dot_input_that_is_not_a_cfg_and_writes_nothing(tmp_path, capsys):
     bad = tmp_path / "repro.dot"
     bad.write_text(NOT_A_CFG)

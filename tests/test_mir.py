@@ -123,6 +123,12 @@ def test_unknown_array_rejected():
     # a load reads its index before its array, a store checks its array first
     (["x = b[len]", "return x"], "line 2: reserved word 'len' used as a value"),
     (["b[len] = 1", "return 0"], "line 2: unknown array 'b'"),
+    # a for header reads a len bound's array, then its loop variable,
+    # refused when reserved as an assignment's target is, then its init
+    (["for sqrt = 0; sqrt < len(b); sqrt = sqrt + 1 {", "}", "return 0"],
+     "line 2: unknown array 'b'"),
+    (["for len = exp; len < 3; len = len + 1 {", "}", "return 0"],
+     "line 2: reserved word 'len' used as a variable"),
 ])
 def test_first_of_two_faults_is_reported(body, message):
     src = "fn f(a) {\n" + "".join(f"  {line}\n" for line in body) + "}\n"
@@ -153,6 +159,48 @@ def test_lower_avg_label_multiset():
     assert counts == {"start": 1, "assi": 7, "goto": 1, "if": 1,
                       "add": 2, "div": 1, "exit": 1}
     assert validate(cfg) == []
+
+
+def test_lower_labels_every_statement_form():
+    src = """
+fn every(a) {
+  x = 1
+  n = len(a)
+  t = a[0]
+  a[0] = t
+  s = x + t
+  s = s - x
+  s = s * x
+  s = s / x
+  s = s % n
+  c = s == x
+  c = s != x
+  c = s <= x
+  c = s >= x
+  c = s < x
+  c = s > x
+  p = pow(s, x)
+  r = sqrt(p)
+  for i = 0; i < len(a); i = i + 1 {
+    s = s + r
+  }
+  for j = 0; j < n; j = j * 2 {
+  }
+  if s > c goto L
+  goto M
+L: return s
+M: return s / n
+}
+"""
+    cfg = lower_to_cfg(parse_program(src).functions[0])
+    assert [op.value for op in cfg.ops] == [
+        "start", "assi", "assi", "assi", "assi",
+        "add", "sub", "mul", "div", "rem",
+        "eql", "neql", "leql", "geql", "lt", "gt",
+        "fcall", "fcall",
+        "assi", "goto", "assi", "if", "add", "add",  # for with a len bound
+        "assi", "goto", "if", "mul",                 # for with an atom bound
+        "if", "goto", "return", "div", "exit"]
 
 
 def test_lower_return_chain():
