@@ -15,13 +15,14 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_io
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
-from .evaluation import RESULTS_CSV_HEADER, cross_validate, stratified_kfold
+from .evaluation import RESULTS_CSV_HEADER, cross_validate, stratified_kfold, training_rows
 from .features import (
     DesignMatrix,
     FeatureVector,
@@ -85,9 +86,16 @@ def cmd_extract(args) -> int:
         print("warning: no inputs given", file=sys.stderr)
         return 0
     failures = 0
+    written: dict[str, Path] = {}  # method name -> the input it came from
     for path in inputs:
         try:
-            for cfg in _load_method_cfgs(path):
+            cfgs = _load_method_cfgs(path)
+            for cfg in cfgs:
+                if cfg.name in written:
+                    raise ValueError(f"method {cfg.name} already extracted "
+                                     f"from {written[cfg.name]}")
+            for cfg in cfgs:
+                written[cfg.name] = path
                 (out_dir / f"{cfg.name}.dot").write_text(emit_dot(cfg))
                 nf, pf = _featurize(cfg, args.omit_exit_nf)
                 (out_dir / f"{cfg.name}_features.csv").write_text(
@@ -219,14 +227,22 @@ def cmd_evaluate(args) -> int:
     svm_params = SvmParams(C=args.C)
     entries, graphs, gram, context = _corpus_features(_dataset(args), args.features, args)
 
-    reports = []
+    plans = []
+    rows: list[np.ndarray] = []  # every fold of every MR, fitted in one batch
     skipped: list[str] = []
     for mr, labels in _two_class_mrs(args, entries, skipped):
         folds = stratified_kfold(labels, args.k, seed=stage_seed(root, "folds"))
         for warning in folds.warnings:
             print(f"diagnostic: {mr}: {warning}", file=sys.stderr)
-        reports.append(cross_validate(gram, labels, folds, svm_params,
-                                      mr=mr, featurization=args.features))
+        fits = [row for row in training_rows(labels, folds) if not isinstance(row, str)]
+        plans.append((mr, labels, folds, len(fits)))
+        rows += fits
+    models = iter(train_svm(gram.values, np.reshape(rows, (len(rows), len(entries))),
+                            svm_params))
+    reports = [cross_validate(gram, labels, folds, svm_params, mr=mr,
+                              featurization=args.features,
+                              models=list(islice(models, count)))
+               for mr, labels, folds, count in plans]
 
     payload = {
         "root_seed": root,
@@ -269,9 +285,12 @@ def cmd_train(args) -> int:
     _write_json(out_dir / "context.json",
                 {"context": context, "context_hash": context_hash})
     skipped: list[str] = []
+    mrs, rows = [], []
     for mr, labels in _two_class_mrs(args, entries, skipped):
-        y = [2 * label - 1 for label in labels]
-        model = train_svm(gram.values, y, svm_params)
+        mrs.append(mr)
+        rows.append([2 * label - 1 for label in labels])
+    models = train_svm(gram.values, np.reshape(rows, (len(rows), len(entries))), svm_params)
+    for mr, y, model in zip(mrs, rows, models):
         stop = short_stop(gram.values, y, model, svm_params)
         if stop is not None:
             print(f"diagnostic: {mr}: {stop}", file=sys.stderr)

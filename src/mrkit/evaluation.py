@@ -227,9 +227,29 @@ class EvalReport:
 RESULTS_CSV_HEADER = "mr,featurization,accuracy,precision,recall,f_measure,auc,bsr"
 
 
+def training_rows(labels01, folds: FoldPlan) -> list:
+    """Per fold, the label row ``train_svm`` takes for the fold's training
+    split (+1 where the MR applies, -1 where not, 0 on the fold's test
+    samples), or the reason the fold is skipped."""
+    labels01 = list(labels01)
+    if len(folds.assignments) != len(labels01):
+        raise EvaluationError("fold plan does not match label count")
+    y = np.where(np.asarray(labels01) == 1, 1.0, -1.0)
+    rows: list = []
+    for fold in range(folds.k):
+        row = np.where(np.asarray(folds.assignments) == fold, 0.0, y)
+        if fold not in folds.assignments:
+            row = "empty test fold"
+        elif not (1.0 in row and -1.0 in row):
+            row = "single-class training data; fold aborted"
+        rows.append(row)
+    return rows
+
+
 def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
                    svm_params: SvmParams = SvmParams(),
-                   mr: str = "", featurization: str = "") -> EvalReport:
+                   mr: str = "", featurization: str = "",
+                   models=None) -> EvalReport:
     """Train and evaluate one binary problem across all folds.
 
     Each fold trains on the training block of ``gram`` and scores a test
@@ -237,31 +257,31 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
     for "MR applies".  Folds whose training split is single-class are
     skipped with a diagnostic; a fit that stops at ``max_passes`` short of
     ``kkt_tol`` is kept and carries ``short_stop``'s.  Aggregates are means
-    over folds where each metric is defined.
+    over folds where each metric is defined.  ``models`` holds the fits of
+    the folds that ``training_rows`` does not skip, in fold order; None
+    trains them here, in one ``train_svm`` call.
     """
     labels01 = list(labels01)
-    n = len(labels01)
-    if len(folds.assignments) != n:
-        raise EvaluationError("fold plan does not match label count")
-    y = np.asarray([1.0 if lab == 1 else -1.0 for lab in labels01])
+    rows = training_rows(labels01, folds)
+    trained = [row for row in rows if not isinstance(row, str)]
+    if models is None:
+        models = train_svm(gram.values, np.reshape(trained, (len(trained), len(labels01))),
+                           svm_params)
+    if len(models) != len(trained):
+        raise EvaluationError(f"{len(models)} models for {len(trained)} trained folds")
+    models = iter(models)
 
     fold_results: list[FoldResult] = []
     report_diags: list[str] = []
-    for fold in range(folds.k):
+    for fold, row in enumerate(rows):
+        if isinstance(row, str):
+            fold_results.append(FoldResult(fold, None, None, (row,)))
+            continue
         test_idx = folds.fold_indices(fold)
-        train_idx = [i for i in range(n) if folds.assignments[i] != fold]
-        if not test_idx:
-            fold_results.append(FoldResult(fold, None, None,
-                                           ("empty test fold",)))
-            continue
-        train_y = y[train_idx]
-        if len(set(train_y.tolist())) < 2:
-            fold_results.append(FoldResult(
-                fold, None, None, ("single-class training data; fold aborted",)))
-            continue
-        train_gram = gram.submatrix(train_idx, train_idx)
-        model = train_svm(train_gram, train_y, svm_params)
-        stop = short_stop(train_gram, train_y, model, svm_params)
+        train_idx = np.flatnonzero(row)
+        model = next(models)
+        stop = short_stop(gram.submatrix(train_idx, train_idx), row[train_idx],
+                          model, svm_params)
         diags = [] if stop is None else [stop]
         decisions = [decision_value(model, gram.values[train_idx, t])
                      for t in test_idx]

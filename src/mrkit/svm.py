@@ -13,6 +13,12 @@ stops KKT-converged or at ``max_passes``, and a fit that ends above
 ``kkt_tol`` can only be the second, which ``short_stop`` reports.  It
 draws no random numbers and breaks ties by lowest index, so one Gram and
 one configuration give byte-identical models.
+
+All the fits of one Gram (every fold of every MR in ``evaluate``, every MR
+in ``train``) are solved in lockstep, as rows of one batch, the batched
+working-set idea of ThunderSVM (Wen et al., JMLR 2018) applied across
+problems; each row's model is the one its own fit would give, and a 1-D
+call is the one-row case.
 """
 
 from __future__ import annotations
@@ -122,9 +128,32 @@ def short_stop(gram, labels, model: SvmModel, params: SvmParams) -> str | None:
 _TAU = 1e-12  # LIBSVM's stand-in for a pair curvature a_it <= 0
 
 
-def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
-    """Train a binary SVM on a square, finite Gram matrix; labels are +1/-1
-    and both classes must appear.
+def _finish(coef: np.ndarray, v: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+            split: np.ndarray) -> SvmModel:
+    """The model of one solved row, over the row's training split.  Entries
+    outside the split are never free, in I_up or in I_low, so the bias
+    masks pick the split's entries in order."""
+    free = (lo < coef) & (coef < hi)
+    if free.any():
+        b = float(v[free].mean())
+    else:
+        b = float(v[coef < hi].max() + v[coef > lo].min()) / 2.0
+    coef = coef[split]
+    support = np.flatnonzero(coef)
+    return SvmModel(coef=tuple(coef[support].tolist()),
+                    support=tuple(support.tolist()), bias=b, n_train=len(coef))
+
+
+def train_svm(gram, labels,
+              params: SvmParams = SvmParams()) -> SvmModel | list[SvmModel]:
+    """Train binary SVMs on one square, finite Gram matrix.
+
+    1-D ``labels`` of +1/-1, both classes present, give one SvmModel.  2-D
+    labels give a list with one model per row: a row marks its training
+    split with +1/-1 and every other sample with 0, and must hold both
+    classes.  Each model is the one the split's submatrix would give: its
+    ``n_train`` is the row's nonzero count and its support indices count
+    within the split.
 
     Maximizes the dual sum(alpha) - c' K c / 2, with c = alpha * y, over
     0 <= alpha <= C and sum(c) = 0 by LIBSVM's SMO with second-order
@@ -137,52 +166,65 @@ def train_svm(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
     c_i then rises and c_j falls by the same amount, to the best point of
     that segment inside the box, as LIBSVM clips it.
 
-    Two exits: KKT converged, when max v(I_up) - min v(I_low) <= kkt_tol,
-    or ``max_passes * n`` pair updates.  Only the second can leave
+    Every row takes its step at once on (rows, n) arrays.  A sample outside
+    a row's split has the box [0, 0], so it never enters I_up or I_low, and
+    its score for j is -1, below any in-split score, so ties still go to
+    the lowest index of the split.  A row leaves the batch at one of two
+    exits: KKT converged, when max v(I_up) - min v(I_low) <= kkt_tol, or
+    ``max_passes * n_train`` pair updates.  Only the second can leave
     ``kkt_report`` above ``kkt_tol``.  The bias is the mean of v over the
     free support vectors, or with none the midpoint of max v(I_up) and
-    min v(I_low).  No random numbers are drawn and ties go to the lowest
-    index, so one Gram and one configuration give one model.
+    min v(I_low).  No random numbers are drawn, so one Gram and one
+    configuration give one model per row.
     """
     gram = _square(gram)
     y = np.asarray(labels, dtype=float)
-    n = len(y)
-    if gram.shape[0] != n:
-        raise SvmError(f"label count {n} does not match {gram.shape[0]} samples")
-    classes = set(np.unique(y))
-    if not classes <= {-1.0, 1.0}:
-        raise SvmError(f"labels must be +1/-1, got {sorted(classes)}")
-    if len(classes) < 2:
+    if y.ndim not in (1, 2):
+        raise SvmError(f"labels must be one row or a batch of rows, got shape {y.shape}")
+    n = gram.shape[0]
+    if y.shape[-1] != n:
+        raise SvmError(f"label count {y.shape[-1]} does not match {n} samples")
+    rows = y.reshape(-1, n)
+    classes = set(np.unique(rows))
+    if not classes <= ({-1.0, 1.0} if y.ndim == 1 else {-1.0, 0.0, 1.0}):
+        allowed = "+1/-1" if y.ndim == 1 else "+1/-1/0"
+        raise SvmError(f"labels must be {allowed}, got {sorted(classes)}")
+    if not ((rows > 0.0).any(axis=1) & (rows < 0.0).any(axis=1)).all():
         raise SvmError("training data contains a single class")
 
     C = float(params.C)
-    hi = np.where(y > 0.0, C, 0.0)  # c_t ranges over [lo_t, hi_t]
-    lo = hi - C
+    hi = np.where(rows > 0.0, C, 0.0)  # c_t ranges over [lo_t, hi_t]
+    lo = np.where(rows < 0.0, -C, 0.0)
+    split = rows != 0.0
+    budget = params.max_passes * split.sum(axis=1)
     diag = np.diag(gram)
     curvature = diag[:, None] + diag[None, :] - 2.0 * gram
     curvature[curvature <= 0.0] = _TAU
-    coef = np.zeros(n)
-    v = y.copy()
-    for _ in range(params.max_passes * n):
-        i = int(np.where(coef < hi, v, -np.inf).argmax())
-        gap = v[i] - np.where(coef > lo, v, np.inf)  # -inf outside I_low
-        if gap.max() <= params.kkt_tol:
-            break  # KKT converged
-        j = int((np.maximum(gap, 0.0) ** 2 / curvature[i]).argmax())
-        room_i, room_j = hi[i] - coef[i], coef[j] - lo[j]
-        t = min(gap[j] / curvature[i, j], room_i, room_j)
-        coef[i] = hi[i] if t == room_i else coef[i] + t
-        coef[j] = lo[j] if t == room_j else coef[j] - t
-        v -= t * (gram[i] - gram[j])
-
-    free = (lo < coef) & (coef < hi)
-    if free.any():
-        b = float(v[free].mean())
-    else:
-        b = float(v[coef < hi].max() + v[coef > lo].min()) / 2.0
-    support = np.flatnonzero(coef)
-    return SvmModel(coef=tuple(coef[support].tolist()),
-                    support=tuple(support.tolist()), bias=b, n_train=n)
+    coef = np.zeros(rows.shape)
+    v = rows.copy()
+    models: list = [None] * len(rows)
+    live = at = np.arange(len(rows))  # the rows still stepping; each took `step` updates
+    step = 0
+    while live.size:
+        i = np.where(coef < hi, v, -np.inf).argmax(axis=1)
+        gap = v[at, i][:, None] - np.where(coef > lo, v, np.inf)  # -inf outside I_low
+        going = (gap.max(axis=1) > params.kkt_tol) & (step < budget)
+        if not going.all():  # KKT converged or out of updates
+            for k in np.flatnonzero(~going):
+                models[live[k]] = _finish(coef[k], v[k], hi[k], lo[k], split[k])
+            live, coef, v, hi, lo, split, budget, i, gap = (
+                a[going] for a in (live, coef, v, hi, lo, split, budget, i, gap))
+            at = np.arange(live.size)
+        score = np.where(split, np.maximum(gap, 0.0) ** 2 / curvature[i], -1.0)
+        j = score.argmax(axis=1)
+        hi_i, coef_i, coef_j = hi[at, i], coef[at, i], coef[at, j]
+        room_i, room_j = hi_i - coef_i, coef_j - lo[at, j]
+        t = np.minimum(np.minimum(gap[at, j] / curvature[i, j], room_i), room_j)
+        coef[at, i] = np.where(t == room_i, hi_i, coef_i + t)
+        coef[at, j] = np.where(t == room_j, lo[at, j], coef_j - t)
+        v -= t[:, None] * (gram[i] - gram[j])
+        step += 1
+    return models if y.ndim == 2 else models[0]
 
 
 def decision_value(model: SvmModel, column) -> float:

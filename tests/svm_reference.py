@@ -1,7 +1,14 @@
-"""The SMO solver of mrkit 0.1: the maximum KKT violator paired with the
-partner of largest |E_i - E_j|, ties shuffled by a seeded RNG, and Platt's
-bias.  ``test_svm_differential.py`` requires ``mrkit.svm`` to reach at
-least this solver's dual objective.
+"""Two earlier SMO solvers of mrkit, kept as references.
+
+``train_svm`` is the solver of mrkit 0.1: the maximum KKT violator paired
+with the partner of largest |E_i - E_j|, ties shuffled by a seeded RNG, and
+Platt's bias.  ``test_svm_differential.py`` requires ``mrkit.svm`` to reach
+at least this solver's dual objective.
+
+``train_svm_wss2`` is the one-fit WSS2 loop that ``mrkit.svm.train_svm``
+ran before it stepped a batch of fits in lockstep; the batched solver must
+give, for each row, the model this loop gives on the row's training split,
+bit for bit.
 
 Only the solver loop lives here; the model type and the Gram validation
 are shared with ``mrkit.svm``.  The tie-shuffling RNG's seed is this
@@ -15,7 +22,7 @@ import random
 
 import numpy as np
 
-from mrkit.svm import SvmError, SvmModel, SvmParams, _square
+from mrkit.svm import _TAU, SvmError, SvmModel, SvmParams, _square
 
 
 def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
@@ -143,3 +150,47 @@ def train_svm(gram, labels, params: SvmParams = SvmParams(),
         bias=float(b),
         n_train=n,
     )
+
+
+def train_svm_wss2(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
+    """One WSS2 fit on a square Gram with +1/-1 labels, as described in
+    ``mrkit.svm.train_svm``."""
+    gram = _square(gram)
+    y = np.asarray(labels, dtype=float)
+    n = len(y)
+    if gram.shape[0] != n:
+        raise SvmError(f"label count {n} does not match {gram.shape[0]} samples")
+    classes = set(np.unique(y))
+    if not classes <= {-1.0, 1.0}:
+        raise SvmError(f"labels must be +1/-1, got {sorted(classes)}")
+    if len(classes) < 2:
+        raise SvmError("training data contains a single class")
+
+    C = float(params.C)
+    hi = np.where(y > 0.0, C, 0.0)  # c_t ranges over [lo_t, hi_t]
+    lo = hi - C
+    diag = np.diag(gram)
+    curvature = diag[:, None] + diag[None, :] - 2.0 * gram
+    curvature[curvature <= 0.0] = _TAU
+    coef = np.zeros(n)
+    v = y.copy()
+    for _ in range(params.max_passes * n):
+        i = int(np.where(coef < hi, v, -np.inf).argmax())
+        gap = v[i] - np.where(coef > lo, v, np.inf)  # -inf outside I_low
+        if gap.max() <= params.kkt_tol:
+            break  # KKT converged
+        j = int((np.maximum(gap, 0.0) ** 2 / curvature[i]).argmax())
+        room_i, room_j = hi[i] - coef[i], coef[j] - lo[j]
+        t = min(gap[j] / curvature[i, j], room_i, room_j)
+        coef[i] = hi[i] if t == room_i else coef[i] + t
+        coef[j] = lo[j] if t == room_j else coef[j] - t
+        v -= t * (gram[i] - gram[j])
+
+    free = (lo < coef) & (coef < hi)
+    if free.any():
+        b = float(v[free].mean())
+    else:
+        b = float(v[coef < hi].max() + v[coef > lo].min()) / 2.0
+    support = np.flatnonzero(coef)
+    return SvmModel(coef=tuple(coef[support].tolist()),
+                    support=tuple(support.tolist()), bias=b, n_train=n)

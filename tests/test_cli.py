@@ -108,6 +108,23 @@ def test_extract_continues_past_bad_files(tmp_path, capsys):
     assert "broken.dot" in capsys.readouterr().err
 
 
+def test_extract_refuses_a_method_already_extracted(tmp_path, capsys):
+    """A second input naming the same method writes nothing and is an
+    error; the inputs after it still run."""
+    first, again = corpus_path("average"), str(data_dir() / "cfg" / "average.dot")
+    out = tmp_path / "out"
+    code = main(["extract", first, again, corpus_path("sum"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {again}: method average already extracted from {first}\n")
+    lone = tmp_path / "lone"
+    assert main(["extract", first, "--out", str(lone)]) == 0
+    for name in ("average.dot", "average_features.csv"):
+        assert (out / name).read_bytes() == (lone / name).read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "average.dot", "average_features.csv", "sum.dot", "sum_features.csv"]
+
+
 def test_label_matches_published_rows(tmp_path, capsys):
     man = write_mini_manifest(tmp_path, TRIO)
     out = tmp_path / "labels_out.csv"
@@ -372,6 +389,22 @@ def test_evaluate_single_class_mr_skipped(tmp_path, capsys):
                  "--mr", "add", "--k", "2", "--seed", "1"])
     assert code == 1  # ADD is all-positive on the trio: skipped, partial exit
     assert "single-class" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_one_batched_svm_solve_per_command(command, tmp_path, monkeypatch, capsys):
+    """Every fit of a command goes through one ``train_svm`` call: 60 fold
+    rows for evaluate, 6 MR rows for train."""
+    batches, svm_train = [], cli.train_svm
+
+    def counted(gram, labels, params):
+        batches.append(np.shape(labels))
+        return svm_train(gram, labels, params)
+
+    monkeypatch.setattr(cli, "train_svm", counted)
+    monkeypatch.setattr("mrkit.evaluation.train_svm", counted)
+    assert main([command, "--features", "nf-pf", "--out", str(tmp_path / "o")]) == 0
+    assert batches == [(60, 68) if command == "evaluate" else (6, 68)]
 
 
 def test_train_predict_round_trip(tmp_path, capsys):

@@ -17,9 +17,10 @@ from mrkit.evaluation import (
     cross_validate,
     metrics,
     stratified_kfold,
+    training_rows,
 )
 from mrkit.features import FeatureVector, build_design_matrix
-from mrkit.svm import SvmParams
+from mrkit.svm import SvmParams, train_svm
 
 HAND_CM = ConfusionMatrix(tp=3, fn=2, fp=1, tn=4)
 
@@ -296,6 +297,36 @@ def test_cross_validate_reports_a_max_passes_stop(dataset):
     assert json.loads(short.to_json()) == short.to_dict()
     full = cross_validate(gram, labels, folds, SvmParams())
     assert not any(fr.diagnostics for fr in full.folds)
+
+
+def test_training_rows_mark_each_fold_or_say_why_it_is_skipped():
+    plan = FoldPlan(k=3, assignments=(0, 0, 1, 1), seed=0)
+    rows = training_rows([1, 0, 0, 0], plan)
+    assert rows[0] == "single-class training data; fold aborted"
+    assert rows[1].tolist() == [1.0, -1.0, 0.0, 0.0]
+    assert rows[2] == "empty test fold"
+
+
+@pytest.mark.parametrize("case", ["stratified", "skipped fold"])
+def test_cross_validate_given_models_matches_its_own_batch(case):
+    """Models precomputed from ``training_rows`` give the report that
+    ``cross_validate`` trains for itself; a skipped fold takes none."""
+    if case == "stratified":
+        gram, labels = _synthetic_gram(30, random.Random(7))
+        plan = stratified_kfold(labels, 5, seed=3)
+    else:  # fold 0's training split holds only negatives
+        labels = [1, 1, 0, 0, 0, 0]
+        gram = build_design_matrix([(f"m{i}", FeatureVector("NF", {"assi-1-1": i + 1}))
+                                    for i in range(6)]).gram()
+        plan = FoldPlan(k=3, assignments=(0, 0, 1, 1, 2, 2), seed=0)
+    params = SvmParams(C=0.5)
+    fits = [row for row in training_rows(labels, plan) if not isinstance(row, str)]
+    models = train_svm(gram.values, np.asarray(fits), params)
+    given = cross_validate(gram, labels, plan, params, mr="ADD", models=models)
+    assert given.to_json() == cross_validate(gram, labels, plan, params, mr="ADD").to_json()
+    assert (given.folds[0].cm is None) == (case == "skipped fold")
+    with pytest.raises(EvaluationError, match="models for"):
+        cross_validate(gram, labels, plan, params, models=models[1:])
 
 
 def test_report_json_and_csv_row_deterministic():

@@ -158,6 +158,25 @@ def test_empty_model_checks_column_length():
         decision_value(model, np.zeros(2))
 
 
+@pytest.mark.parametrize("labels, match", [
+    ([[1, 1, 0, 1], [-1, 1, 1, 0]], "single class"),   # one row lacks -1
+    ([[-1, -1, 1, 1], [0, 0, 0, 0]], "single class"),  # an all-zero row
+    ([[-1, -1, 1, 1, 0]], "label count 5 does not match 4"),
+    ([[-1, 2, 1, 1]], r"\+1/-1/0"),
+    ([0, -1, 1, 1], r"labels must be \+1/-1, got"),   # 0 only in a batch row
+    ([[[-1, -1, 1, 1]]], "one row or a batch"),
+])
+def test_batch_labels_rejected(labels, match):
+    with pytest.raises(SvmError, match=match):
+        train_svm(K_SEP, labels, SvmParams())
+
+
+def test_batch_of_one_row_is_the_one_dimensional_fit():
+    (batched,) = train_svm(K_SEP, [Y_SEP], SvmParams())
+    assert batched == train_svm(K_SEP, Y_SEP, SvmParams())
+    assert train_svm(K_SEP, np.zeros((0, 4)), SvmParams()) == []
+
+
 def test_label_count_mismatch_rejected():
     with pytest.raises(SvmError, match="label count"):
         train_svm(K_SEP, [1, -1], SvmParams())

@@ -111,3 +111,67 @@ def test_train_svm_matches_reference_on_corpus_folds(dataset):
                 _same_fit(gram.submatrix(train, train),
                           [1 if labels[i] else -1 for i in train], params,
                           stage_seed(42, "svm"))
+
+
+def _bits(model: svm.SvmModel) -> tuple:
+    """A model's fields with every float as ``float.hex``, so a -0.0 or a
+    last-digit difference fails where ``==`` would not."""
+    return ([c.hex() for c in model.coef], model.support, model.bias.hex(),
+            model.n_train)
+
+
+def _batch_matches_rows(gram, rows, params: svm.SvmParams) -> None:
+    """Each batched model is the one-fit WSS2 loop's model on its row's
+    training split, bit for bit, and so is the 1-D call on that split."""
+    gram = np.asarray(gram, dtype=float)
+    models = svm.train_svm(gram, rows, params)
+    assert len(models) == len(rows)
+    for row, model in zip(np.asarray(rows, dtype=float), models):
+        split = np.flatnonzero(row)
+        sub, y = gram[np.ix_(split, split)], row[split]
+        expected = ref.train_svm_wss2(sub, y, params)
+        assert model == expected and _bits(model) == _bits(expected)
+        assert _bits(svm.train_svm(sub, y, params)) == _bits(expected)
+
+
+def _draw_splits(data, n: int) -> list[list[int]]:
+    """1 to 8 label rows of +1/-1/0, each with both classes."""
+    rows = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        row = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+        p, q = data.draw(st.permutations(range(n)))[:2]
+        if not (1 in row and -1 in row):
+            row[p], row[q] = 1, -1
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 14), st.integers(1, 4),
+       st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]), st.sampled_from([1, 2, 100]),
+       st.data())
+def test_batch_matches_one_fit_loop_on_random_psd_grams(n, d, C, max_passes, data):
+    X = np.array(data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    _batch_matches_rows(X @ X.T, _draw_splits(data, n),
+                        svm.SvmParams(C=C, max_passes=max_passes))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(duplicate_row_problems(), st.data())
+def test_batch_matches_one_fit_loop_on_duplicate_rows(problem, data):
+    gram, y, params, _ = problem
+    _batch_matches_rows(gram, [y] + _draw_splits(data, len(y)), params)
+
+
+def test_batch_rows_stop_at_their_own_limit():
+    """At max_passes=1 the full row runs out of its 4 updates short of
+    kkt_tol while the two-sample row converges; both match the one-fit
+    loop."""
+    rows = [[-1, 1, 1, -1], [-1, 1, 0, 0], [0, 1, 0, -1]]
+    gram = np.diag([0.25, 0, 0, 0.25])
+    _batch_matches_rows(gram, rows, _ONE_PASS)
+    models = svm.train_svm(gram, rows, _ONE_PASS)
+    stops = [svm.short_stop(gram[np.ix_(s, s)], np.asarray(r)[s], m, _ONE_PASS)
+             for r, m in zip(rows, models) for s in [np.flatnonzero(r)]]
+    assert stops[0] is not None and stops[1] is None and stops[2] is None
