@@ -119,6 +119,17 @@ class AnnotatedCfg:
             pred[b].append(a)
         return tuple(tuple(sorted(p)) for p in pred)
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """``ops[i].value`` per node, read once per graph."""
+        return tuple(op.value for op in self.ops)
+
+    @cached_property
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """:func:`validate`'s result, computed once per graph: the check
+        where a graph enters is the one feature extraction reuses."""
+        return tuple(validate(self))
+
     def in_degree(self, node: int) -> int:
         return len(self.predecessors[node])
 
@@ -223,7 +234,7 @@ def parse_dot(text: str) -> AnnotatedCfg:
         edges.append(edge)
 
     cfg = AnnotatedCfg(name=name, ops=tuple(ops), edges=tuple(edges))
-    for diag in validate(cfg):
+    for diag in cfg.diagnostics:
         raise DotParseError(diag.message,
                             None if diag.node is None else node_lines[diag.node])
     return cfg

@@ -24,7 +24,6 @@ from . import corpus as corpus_io
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
 from .evaluation import RESULTS_CSV_HEADER, cross_validate, stratified_kfold, training_rows
 from .features import (
-    DesignMatrix,
     FeatureVector,
     build_design_matrix,
     combine,
@@ -163,11 +162,10 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _nf_pf_matrix(ids, graphs: list[AnnotatedCfg], omit_exit: bool) -> DesignMatrix:
-    """NF-PF count rows of ``graphs``; train and predict both build their
-    training side here, so the two cannot drift."""
-    return build_design_matrix([(i, combine(*_featurize(g, omit_exit)))
-                                for i, g in zip(ids, graphs)])
+def _nf_pf_vectors(graphs: list[AnnotatedCfg], omit_exit: bool) -> tuple[FeatureVector, ...]:
+    """NF-PF count vectors of ``graphs``; train and predict both build their
+    training side from these, so the two cannot drift."""
+    return tuple(combine(*_featurize(g, omit_exit)) for g in graphs)
 
 
 def _corpus_features(ds, featurization: str, args):
@@ -178,7 +176,8 @@ def _corpus_features(ds, featurization: str, args):
     ids = tuple(e.name for e in entries)
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
-        gram = _nf_pf_matrix(ids, graphs, args.omit_exit_nf).gram()
+        vectors = _nf_pf_vectors(graphs, args.omit_exit_nf)
+        gram = build_design_matrix(list(zip(ids, vectors))).gram()
         context = {"featurization": "nf-pf", "omit_exit_nf": args.omit_exit_nf}
     elif featurization == "rwk":
         params = RwkParams(walk_len=args.walk_len, decay=getattr(args, "lambda"))
@@ -311,8 +310,7 @@ def _column_function(context: dict):
         rwk = walk_kernel(graphs, p)
         return lambda cfg: rwk.column(list(walk_features(cfg, p.walk_len)))[0]
     omit_exit = context["omit_exit_nf"]
-    ids = map(str, range(len(graphs)))
-    nf_pf = CountKernel([_nf_pf_matrix(ids, graphs, omit_exit)], 1.0, False)
+    nf_pf = CountKernel([_nf_pf_vectors(graphs, omit_exit)], 1.0, False)
 
     def column(cfg: AnnotatedCfg) -> np.ndarray:
         values, unseen = nf_pf.column([combine(*_featurize(cfg, omit_exit))])

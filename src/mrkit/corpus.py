@@ -133,7 +133,8 @@ def emit_labels_csv(labels: dict[int, MrLabelSet]) -> str:
 def load_manifest(path: str | Path,
                   labels_path: str | Path | None = None) -> Dataset:
     """Load a dataset manifest; relative source paths resolve against the
-    manifest's directory, and every referenced file must exist."""
+    manifest's directory, every referenced file must exist, and method ids
+    and names are unique."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"manifest not found: {path}")
@@ -148,6 +149,7 @@ def load_manifest(path: str | Path,
 
     entries: list[DatasetEntry] = []
     seen_ids: set[int] = set()
+    seen_names: set[str] = set()
     with path.open() as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -167,6 +169,9 @@ def load_manifest(path: str | Path,
                 raise CorpusError(f"{path}:{lineno}: duplicate method id {method_id}")
             seen_ids.add(method_id)
             name, kind, raw_path = row[1], row[2], row[3]
+            if name in seen_names:
+                raise CorpusError(f"{path}:{lineno}: duplicate method name {name!r}")
+            seen_names.add(name)
             if kind not in ("mir", "dot", "none"):
                 raise CorpusError(f"{path}:{lineno}: unknown source_kind {kind!r}")
             source: Path | None = None

@@ -7,7 +7,8 @@ sequences.  Canonical means BFS order with neighbors expanded in ascending
 node id; the first discovered parent defines the path, so extraction is
 deterministic and id-renaming that preserves declaration order cannot
 change the result.  Walk features (RW), the random-walk kernel's explicit
-feature map, count every walk of a given length by its label sequence.
+feature map, count every walk of a given length by its label sequence,
+keyed by an integer coding of that sequence.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfg import AnnotatedCfg, NodeOp, bfs_parents, validate
+from .cfg import AnnotatedCfg, NodeOp, bfs_parents
 
 
 # walk_features' bound on one length's (label sequence, last node) pairs;
 # the bundled corpus peaks at 746 (shell_sort, length 20)
 MAX_WALK_ENDS = 30_000
+
+# walk_features' 5-bit label codes, 1..20 in NodeOp declaration order; no
+# code is 0, so a key's leading label is its highest nonzero 5 bits
+_WALK_CODES = {op.value: code for code, op in enumerate(NodeOp, start=1)}
 
 
 class FeatureError(ValueError):
@@ -32,7 +37,7 @@ class FeatureError(ValueError):
 @dataclass(frozen=True)
 class FeatureVector:
     kind: str  # "NF" | "PF" | "NF-PF" | "RW"
-    entries: dict[str, int]
+    entries: dict[str, int] | dict[int, int]  # RW: int-coded label sequences
 
     def __post_init__(self) -> None:
         if self.kind not in ("NF", "PF", "NF-PF", "RW"):
@@ -56,10 +61,11 @@ def node_features(cfg: AnnotatedCfg, omit_exit: bool = False) -> FeatureVector:
     the totals partition the node set.
     """
     counts: dict[str, int] = {}
-    for i, op in enumerate(cfg.ops):
-        if omit_exit and op is NodeOp.EXIT:
+    pred, succ = cfg.predecessors, cfg.successors
+    for i, label in enumerate(cfg.labels):
+        if omit_exit and label == "exit":
             continue
-        key = f"{op.value}-{cfg.in_degree(i)}-{cfg.out_degree(i)}"
+        key = f"{label}-{len(pred[i])}-{len(succ[i])}"
         counts[key] = counts.get(key, 0) + 1
     return FeatureVector("NF", counts)
 
@@ -69,44 +75,53 @@ def path_features(cfg: AnnotatedCfg) -> FeatureVector:
     node; identical signatures accumulate, so the total tally is 2*|nodes|.
 
     Paths exist only on a valid CFG: this raises FeatureError with the
-    first :func:`~mrkit.cfg.validate` diagnostic of any other graph.
+    first :func:`~mrkit.cfg.validate` diagnostic of any other graph, read
+    from the graph's cached check, which a graph from ``parse_dot`` or the
+    mini-IR lowering has already run.
     """
-    for diag in validate(cfg):
+    for diag in cfg.diagnostics:
         raise FeatureError(str(diag))
     start, exit_node = cfg.ops.index(NodeOp.START), cfg.ops.index(NodeOp.EXIT)
     fwd_parent = bfs_parents(cfg.successors, start)
     bwd_parent = bfs_parents(cfg.predecessors, exit_node)
 
+    labels = cfg.labels
     counts: dict[str, int] = {}
     for v in range(cfg.node_count):
         chain = [v]
         while chain[-1] != start:
             chain.append(fwd_parent[chain[-1]])
-        key = "-".join(cfg.ops[u].value for u in reversed(chain))
+        key = "-".join([labels[u] for u in reversed(chain)])
         counts[key] = counts.get(key, 0) + 1
 
         chain = [v]
         while chain[-1] != exit_node:
             chain.append(bwd_parent[chain[-1]])
-        key = "-".join(cfg.ops[u].value for u in chain)
+        key = "-".join([labels[u] for u in chain])
         counts[key] = counts.get(key, 0) + 1
     return FeatureVector("PF", counts)
 
 
 def walk_features(cfg: AnnotatedCfg, walk_len: int) -> Iterator[FeatureVector]:
     """For each length l = 1..walk_len in turn, every walk of l edges
-    counted by its node-label sequence, keyed like PF.
+    counted by its node-label sequence.
 
-    The count is kept per (sequence, last node), which can grow
-    exponentially with l on a graph where most nodes branch; past
-    MAX_WALK_ENDS such pairs at one length this raises FeatureError.
+    A sequence is keyed by an integer, ``seq << 5 | code`` per label, so
+    it decodes back to its labels; these keys never leave memory (the rwk
+    context stores graphs, not keys).  The count is kept per (sequence,
+    last node), which can grow exponentially with l on a graph where most
+    nodes branch; past MAX_WALK_ENDS such pairs at one length this raises
+    FeatureError.
     """
-    ends = {(op.value, v): 1 for v, op in enumerate(cfg.ops)}  # by (sequence, last node)
+    codes = [_WALK_CODES[label] for label in cfg.labels]
+    successors = cfg.successors
+    ends = {(code, v): 1 for v, code in enumerate(codes)}  # by (sequence, last node)
     for length in range(1, walk_len + 1):
-        grown: dict[tuple[str, int], int] = {}
+        grown: dict[tuple[int, int], int] = {}
         for (seq, u), n in ends.items():
-            for v in cfg.successors[u]:
-                key = (f"{seq}-{cfg.ops[v].value}", v)
+            seq <<= 5
+            for v in successors[u]:
+                key = (seq | codes[v], v)
                 grown[key] = grown.get(key, 0) + n
             if len(grown) > MAX_WALK_ENDS:
                 raise FeatureError(
@@ -181,7 +196,7 @@ class DesignMatrix:
         counts, so every entry is exact in float64 and a fold's block
         equals its own ``x @ x.T``."""
         return KernelMatrix(method_ids=self.method_ids,
-                            values=self.rows @ self.rows.T)
+                            values=np.matmul(self.rows, self.rows.T))
 
 
 def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatrix:

@@ -5,10 +5,12 @@ sequences, one walk per graph, weighted decay^length and truncated at a
 maximum length.  It is built from its explicit feature map, not from a
 product graph (Kriege et al., DMKD 2019): per length l, an integer count
 row per graph over the label sequences of l-edge walks, so the Gram is
-``sum_l decay^l Phi_l Phi_l^T``.  The map grows exponentially with the
-length (16,789 counts over the bundled corpus at length 10, 478,984 at 40),
-so ``walk_len`` is capped at MAX_WALK_LEN, and ``features.walk_features``
-refuses a graph whose count outgrows ``features.MAX_WALK_ENDS``.  The
+``sum_l decay^l Phi_l Phi_l^T``.  A sequence is keyed by its integer
+coding (``features.walk_features``); the keys never leave memory.  The map
+grows exponentially with the length (16,789 counts over the bundled corpus
+at length 10, 478,984 at 40), so ``walk_len`` is capped at MAX_WALK_LEN,
+and ``features.walk_features`` refuses a graph whose count outgrows
+``features.MAX_WALK_ENDS``.  The
 graphlet kernel compares relative frequency distributions of weakly
 connected induced k-node subgraphs (k = 3 or 4) classified by directed
 isomorphism type, ignoring labels.  The count is exact: ESU enumeration
@@ -22,12 +24,12 @@ import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .cfg import AnnotatedCfg
-from .features import (DesignMatrix, FeatureVector, KernelMatrix,
-                       build_design_matrix, project, walk_features)
+from .features import FeatureVector, KernelMatrix, project, walk_features
 
 MAX_WALK_LEN = 20
 
@@ -76,55 +78,83 @@ def _decayed_sum(decay: float, terms):
     return value
 
 
-def _sparse_and_gram(matrix: DesignMatrix):
-    """A block as its key index and nonzero counts, and its Gram."""
-    rows, cols = np.nonzero(matrix.rows)
-    return (matrix.key_index, rows, cols, matrix.rows[rows, cols]), matrix.gram().values
+class CountBlock(NamedTuple):
+    """One count block of ``size`` rows, kept sparse, as most of a walk block
+    is zeros: its key index and the row, column and count of each nonzero
+    cell.  Counts are integers, so every sum below 2^53 is exact in any
+    order, and the key order (first seen) cannot change a value."""
+
+    index: dict  # key -> column
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, vectors: tuple[FeatureVector, ...]) -> "CountBlock":
+        """The block with one row per vector, straight from its counts."""
+        index: dict = {}
+        cols: list[int] = []
+        counts: list[int] = []
+        for v in vectors:
+            cols += [index.setdefault(key, len(index)) for key in v.entries]
+            counts += v.entries.values()
+        rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+        return cls(index, rows, np.array(cols, dtype=np.intp),
+                   np.array(counts, dtype=float), len(vectors))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """Each row's dot product with ``x``, a row over the key index."""
+        return np.bincount(self.rows, self.counts * x[self.cols], minlength=self.size)
+
+    def self_values(self) -> np.ndarray:
+        """Each row's dot product with itself, the diagonal of ``gram``."""
+        return np.bincount(self.rows, self.counts * self.counts, minlength=self.size)
+
+    def gram(self) -> np.ndarray:
+        """Every pair of rows' dot product, through the dense block."""
+        dense = np.zeros((self.size, len(self.index)))
+        dense[self.rows, self.cols] = self.counts
+        return np.matmul(dense, dense.T)
 
 
 class CountKernel:
     """``sum_l decay^l * <x_l, y_l>`` over count blocks l = 1, 2, ... of the
     training graphs, cosine-normalised if ``normalize``: rwk has one block
-    per walk length, nf-pf one unnormalised block with decay 1.  A block
-    keeps only its nonzero counts, as most of a walk block is zeros.  Counts
-    are integers, so a block's sums below 2^53 are exact in any order."""
+    per walk length, nf-pf one unnormalised block with decay 1.  Only the
+    training self-values are computed, never their Gram."""
 
-    def __init__(self, matrices: Iterable[DesignMatrix], decay: float, normalize: bool):
-        # map lets each dense block go before the next is built
-        self.blocks, grams = zip(*map(_sparse_and_gram, matrices))
+    def __init__(self, blocks: Iterable[tuple[FeatureVector, ...]], decay: float,
+                 normalize: bool):
+        # one tuple of the training graphs' count vectors per block
+        self.blocks = tuple(map(CountBlock.of, blocks))
         self.decay, self.normalize = decay, normalize
-        self.raw_gram = _decayed_sum(decay, grams)
+        self.self_values = _decayed_sum(decay, (b.self_values() for b in self.blocks))
 
     def column(self, vectors: list[FeatureVector]) -> tuple[np.ndarray, int]:
         """The kernel values of the training graphs against a new method's
         count vectors, one per block, and the number of its keys that no
         training graph has.  The cross terms drop those keys; the method's
         self-value counts them."""
-        projected = [project(v, block[0]) for block, v in zip(self.blocks, vectors)]
-        raw = _decayed_sum(self.decay, (
-            np.bincount(rows, counts * x[cols], minlength=len(self.raw_gram))
-            for (_, rows, cols, counts), (x, _) in zip(self.blocks, projected)))
+        projected = [project(v, block.index) for block, v in zip(self.blocks, vectors)]
+        raw = _decayed_sum(self.decay, (block.dot(x) for block, (x, _)
+                                        in zip(self.blocks, projected)))
         if self.normalize:
             own = _decayed_sum(self.decay, (float(sum(c * c for c in v.entries.values()))
                                             for v in vectors))
-            raw = _cosine(raw, np.diagonal(self.raw_gram), own)
+            raw = _cosine(raw, self.self_values, own)
         return raw, sum(unseen for _, unseen in projected)
 
 
-def _count_block(vectors: tuple[FeatureVector, ...]) -> DesignMatrix:
-    return build_design_matrix([(str(i), v) for i, v in enumerate(vectors)])
-
-
-def _walk_blocks(graphs: list[AnnotatedCfg], walk_len: int) -> Iterator[DesignMatrix]:
-    """The walk-count block of ``graphs`` for each length 1..walk_len in
-    turn.  map, unlike a generator expression, holds no item while it builds
-    the next, so a consumer that also maps keeps one block alive at a time."""
-    return map(_count_block, zip(*(walk_features(g, walk_len) for g in graphs)))
+def _walk_vectors(graphs: list[AnnotatedCfg], walk_len: int) -> Iterator[tuple]:
+    """The walk-count vectors of ``graphs`` for each length 1..walk_len in
+    turn, one tuple per length."""
+    return zip(*(walk_features(g, walk_len) for g in graphs))
 
 
 def walk_kernel(graphs: list[AnnotatedCfg], p: RwkParams) -> CountKernel:
     """rwk against ``graphs``, one count block per walk length."""
-    return CountKernel(_walk_blocks(graphs, p.walk_len), p.decay, p.normalize)
+    return CountKernel(_walk_vectors(graphs, p.walk_len), p.decay, p.normalize)
 
 
 def _rwk_raw(g1: AnnotatedCfg, g2: AnnotatedCfg, p: RwkParams) -> float:
@@ -227,9 +257,10 @@ def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
     if len(graphs) < 2:
         raise ValueError("gram matrix needs at least two graphs")
     if kernel == "rwk":
-        # only the Gram: the blocks' key indexes and counts serve predict
-        raw = _decayed_sum(rwk.decay, map(lambda block: block.gram().values,
-                                          _walk_blocks(graphs, rwk.walk_len)))
+        # map, unlike a generator expression, holds no block while it
+        # builds the next, so one block is alive at a time
+        raw = _decayed_sum(rwk.decay, map(lambda vectors: CountBlock.of(vectors).gram(),
+                                          _walk_vectors(graphs, rwk.walk_len)))
         normalize = rwk.normalize
     elif kernel == "gk":
         dists = [graphlet_distribution(g, gk) for g in graphs]

@@ -50,7 +50,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .cfg import AnnotatedCfg, NodeOp, validate
+from .cfg import AnnotatedCfg, NodeOp
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -113,6 +113,8 @@ class Program:
 _NUM = r"-?\d+(?:\.\d+)?"
 _NAME = r"[A-Za-z_]\w*"
 _ATOM = rf"(?:{_NUM}|{_NAME})"
+_NUM_RE = re.compile(_NUM)
+_ATOM_RE = re.compile(_ATOM)
 
 _FN_RE = re.compile(rf"^fn\s+({_NAME})\s*\(\s*({_NAME})\s*\)\s*\{{$")
 _LABEL_PREFIX_RE = re.compile(rf"^({_NAME})\s*:\s*(.*)$")
@@ -233,7 +235,7 @@ class _Lowerer:
     def operand(self, token: str, line: int) -> tuple[int, float | int]:
         """An atom as ``(0, value)`` for a number or ``(1, slot)`` for a
         variable, whose read is noted."""
-        if re.fullmatch(_NUM, token):
+        if _NUM_RE.fullmatch(token):
             return 0, float(token)
         if token in _KEYWORDS:
             raise MirError(f"reserved word {token!r} used as a value", line)
@@ -250,22 +252,22 @@ class _Lowerer:
         label.  The operands are checked before the form's other faults."""
         text = text.strip()
         array = None
-        if re.fullmatch(_ATOM, text) and text not in _KEYWORDS:
+        if _ATOM_RE.fullmatch(text) and text not in _KEYWORDS:
             kind, val = self.operand(text, line)
             if dst is None:
                 self.code.append((_RET, kind, val))
                 return NodeOp.RETURN
             op, label = (_MOV if kind else _MOVC, dst, val), NodeOp.ASSI
-        elif m := _LOAD_RE.match(text):
+        elif "[" in text and (m := _LOAD_RE.match(text)):
             op = (_LOAD, dst) + self.operand(m.group(2), line) + (line,)
             array, label = m.group(1), NodeOp.ASSI
-        elif m := _LEN_RE.match(text):
+        elif text.startswith("len") and (m := _LEN_RE.match(text)):
             op, array, label = (_LEN, dst), m.group(1), NodeOp.ASSI
-        elif m := _POW_RE.match(text):
+        elif text.startswith("pow") and (m := _POW_RE.match(text)):
             op = (_POW, dst) + self.operand(m.group(1), line) \
                 + self.operand(m.group(2), line) + (line,)
             label = NodeOp.FCALL
-        elif (m := _CALL_RE.match(text)) and m.group(1) in _BUILTINS:
+        elif "(" in text and (m := _CALL_RE.match(text)) and m.group(1) in _BUILTINS:
             op = (_CALL, dst, m.group(1)) + self.operand(m.group(2), line) + (line,)
             label = NodeOp.FCALL
         elif m := _CMP_RE.match(text):
@@ -302,18 +304,19 @@ class _Lowerer:
                 raise MirError("missing closing '}'", outer_line)
             line, text = self.source[self.pos]
             self.pos += 1
-            if _FN_RE.match(text):  # the next function: this one's '}' is missing
+            # the next function: this one's '}' is missing
+            if text.startswith("fn") and _FN_RE.match(text):
                 raise MirError("missing closing '}'", self.line)
             if text == "}":
                 if labels:
                     raise MirError(f"label {labels[0]!r} is not attached to a statement",
                                    line)
                 return entry, tails
-            m = _LABEL_PREFIX_RE.match(text)
+            m = ":" in text and _LABEL_PREFIX_RE.match(text)
             while m and m.group(1) not in _KEYWORDS:
                 labels.append(m.group(1))
                 text = m.group(2).strip()
-                m = _LABEL_PREFIX_RE.match(text)
+                m = ":" in text and _LABEL_PREFIX_RE.match(text)
             if not text:
                 continue
             node = len(self.ops)  # every statement enters at its first node
@@ -335,7 +338,9 @@ class _Lowerer:
         # Slots go to a statement's destination before its operands, and to
         # a for's increment operand after its body.
         code = self.code
-        m = _FOR_RE.match(text)
+        # a regex is tried only when its leading keyword or "[" is there: a
+        # necessary condition, and cheaper than a failed match
+        m = text.startswith("for") and _FOR_RE.match(text)
         if m:
             var, init, test_var, cmp, bound_text, inc_dst, inc_src, inc_op, inc_arg = m.groups()
             if self.depth == _MAX_FOR_DEPTH:
@@ -380,24 +385,24 @@ class _Lowerer:
             code.append((_JMP, test_pc))
             code[test_pc] = code[test_pc][:-1] + (len(code),)
             return [if_node]
-        m = _IF_RE.match(text)
+        m = text.startswith("if") and _IF_RE.match(text)
         if m:
             node = self.node(NodeOp.IF, line)
             self.jumps.append((node, len(code), m.group(4), line))
             code.append((_JIF, _CMP_INDEX[m.group(2)]) + self.operand(m.group(1), line)
                         + self.operand(m.group(3), line) + (-1,))
             return [node]
-        m = _GOTO_RE.match(text)
+        m = text.startswith("goto") and _GOTO_RE.match(text)
         if m:
             node = self.node(NodeOp.GOTO, line)
             self.jumps.append((node, len(code), m.group(1), line))
             code.append((_JMP, -1))
             return []
-        m = _RETURN_RE.match(text)
+        m = text.startswith("return") and _RETURN_RE.match(text)
         if m:
             self.returns.append(self.node(self.value(m.group(1), line, None), line))
             return []
-        m = _STORE_RE.match(text)
+        m = "[" in text and _STORE_RE.match(text)
         if m:
             self.array(m.group(1), line)
             node = self.node(NodeOp.ASSI, line)
@@ -443,7 +448,7 @@ class _Lowerer:
             self.edge(node, exit_node)
 
         cfg = AnnotatedCfg(name=self.name, ops=tuple(self.ops), edges=tuple(self.edges))
-        for diag in validate(cfg):
+        for diag in cfg.diagnostics:
             line = self.lines[diag.node] if diag.node is not None else None
             if "unreachable from start" in diag.message:
                 raise MirError("unreachable statement", line)

@@ -6,14 +6,68 @@ counts to give the same floats, bit for bit.
 
 Only the per-pair kernel lives here, with the per-pair Gram loop and
 kernel column that used it; the parameters are ``mrkit.kernels.RwkParams``.
+
+Beside it are the feature map's earlier forms: ``walk_features`` counted
+walks by ``-``-joined label strings, and a count block was first built
+dense, as a ``DesignMatrix``, and then reduced to its nonzero cells.
+``walk_key_labels`` decodes mrkit's integer walk keys into such strings.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-from mrkit.cfg import AnnotatedCfg
+from mrkit.cfg import AnnotatedCfg, NodeOp
+from mrkit.features import MAX_WALK_ENDS, FeatureError, FeatureVector, build_design_matrix
 from mrkit.kernels import RwkParams
+
+_LABELS = [op.value for op in NodeOp]  # code c is _LABELS[c - 1]
+
+
+def walk_key_labels(key: int) -> str:
+    """The ``-``-joined labels of an integer walk key: 5 bits per label,
+    the last label lowest, codes 1..20 in NodeOp declaration order."""
+    labels = []
+    while key:
+        labels.append(_LABELS[(key & 31) - 1])
+        key >>= 5
+    return "-".join(reversed(labels))
+
+
+def walk_features(cfg: AnnotatedCfg, walk_len: int) -> Iterator[FeatureVector]:
+    """For each length l = 1..walk_len in turn, every walk of l edges
+    counted by its node-label sequence, keyed like PF.
+
+    The count is kept per (sequence, last node), which can grow
+    exponentially with l on a graph where most nodes branch; past
+    MAX_WALK_ENDS such pairs at one length this raises FeatureError.
+    """
+    ends = {(op.value, v): 1 for v, op in enumerate(cfg.ops)}  # by (sequence, last node)
+    for length in range(1, walk_len + 1):
+        grown: dict[tuple[str, int], int] = {}
+        for (seq, u), n in ends.items():
+            for v in cfg.successors[u]:
+                key = (f"{seq}-{cfg.ops[v].value}", v)
+                grown[key] = grown.get(key, 0) + n
+            if len(grown) > MAX_WALK_ENDS:
+                raise FeatureError(
+                    f"{cfg.name}: walks of length {length} end in more than "
+                    f"{MAX_WALK_ENDS} distinct (label sequence, node) pairs; "
+                    "use a smaller walk length")
+        ends, total = grown, {}
+        for (seq, _), n in ends.items():
+            total[seq] = total.get(seq, 0) + n
+        yield FeatureVector("RW", total)
+
+
+def sparse_and_gram(vectors: tuple[FeatureVector, ...]):
+    """A block of ``vectors`` built dense over the sorted key union, as its
+    key index and nonzero counts, and its Gram."""
+    matrix = build_design_matrix([(str(i), v) for i, v in enumerate(vectors)])
+    rows, cols = np.nonzero(matrix.rows)
+    return (matrix.key_index, rows, cols, matrix.rows[rows, cols]), matrix.gram().values
 
 
 def _product_adjacency(g1: AnnotatedCfg, g2: AnnotatedCfg) -> np.ndarray | None:

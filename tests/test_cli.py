@@ -13,7 +13,8 @@ from mrkit import cli
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
-from mrkit.features import build_design_matrix, combine, node_features, path_features
+from mrkit.features import (DesignMatrix, build_design_matrix, combine, node_features,
+                            path_features)
 import rwk_reference
 from mrkit.kernels import PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams
 from test_features import branching_ring
@@ -217,6 +218,23 @@ def test_manifest_name_its_file_does_not_define_is_an_error(tmp_path, capsys, co
                  "--out", str(tmp_path / "out")]) == 2
     source = (tmp_path / "m.mir").resolve()
     assert capsys.readouterr().err == f"error: {source} defines no function 'g'\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["label"],
+    *(["evaluate", "--features", f, "--k", "2"] for f in ("nf-pf", "rwk", "gk")),
+    *(["train", "--features", f] for f in ("nf-pf", "rwk", "gk")),
+])
+def test_a_duplicate_method_name_is_refused_before_any_work(tmp_path, capsys, args):
+    # a second row for find_max under its own labelled id
+    man = write_mini_manifest(tmp_path, TRIO)
+    man.write_text(man.read_text() + "77,find_max,mir,find_max.mir\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(labels.read_text() + "77,1,1,1,1,1,1\n")
+    out = tmp_path / "out"
+    assert main(args + ["--manifest", str(man), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {man}:5: duplicate method name 'find_max'\n"
+    assert not out.exists()
 
 
 def test_evaluate_reports_a_too_deep_for_nest_in_one_line(tmp_path, capsys):
@@ -600,6 +618,34 @@ def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
                 p = GkParams(k=context["k"])
                 column = [per_pair_gk(g, cfg, p) for g in train_graphs]
             assert float(row[7 + mr_pos]) == decision_value(model, np.asarray(column))
+
+
+@pytest.mark.parametrize("context", [
+    {"featurization": "nf-pf", "omit_exit_nf": False},
+    {"featurization": "rwk", "walk_len": 6, "decay": 0.3},
+])
+def test_predict_builds_its_training_side_without_a_gram(corpus_graphs, monkeypatch, context):
+    train = [corpus_graphs[n] for n in MIXED]
+    context = dict(context, training_graphs=[emit_dot(g) for g in train])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram product on predict's training side")
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "matmul", refuse)
+        patched.setattr(DesignMatrix, "gram", refuse)
+        column_of = cli._column_function(context)
+
+    design = build_design_matrix([(g.name, combine(node_features(g), path_features(g)))
+                                  for g in train])
+    for name in HELD:
+        g = corpus_graphs[name]
+        if context["featurization"] == "nf-pf":
+            entries = combine(node_features(g), path_features(g)).entries
+            expected = design.rows @ [float(entries.get(k, 0)) for k in design.feature_index]
+        else:
+            p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
+            expected = rwk_reference.column(train, g, p)
+        assert column_of(g).tolist() == list(expected)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train"])

@@ -119,6 +119,16 @@ def test_manifest_duplicate_id(tmp_path):
         load_manifest(man)
 
 
+def test_manifest_duplicate_name(tmp_path):
+    man = tmp_path / "manifest.csv"
+    # a labels-only row clashes too: every command keys its rows by name
+    man.write_text("method_id,name,source_kind,source_path\n"
+                   "1,a,none,\n2,b,none,\n3,a,none,\n")
+    with pytest.raises(CorpusError) as info:
+        load_manifest(man)
+    assert str(info.value) == f"{man}:4: duplicate method name 'a'"
+
+
 def test_manifest_joins_external_labels(tmp_path):
     man = tmp_path / "manifest.csv"
     man.write_text("method_id,name,source_kind,source_path\n5,five,none,\n")

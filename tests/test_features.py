@@ -1,6 +1,9 @@
 import pytest
 
-from mrkit.cfg import AnnotatedCfg, NodeOp, parse_dot
+import mrkit.cfg
+import mrkit.features
+from mrkit.cfg import AnnotatedCfg, NodeOp, bfs_parents, parse_dot
+from mrkit.corpus import data_dir
 from mrkit.features import (
     MAX_WALK_ENDS,
     FeatureError,
@@ -14,6 +17,7 @@ from mrkit.features import (
     project,
     walk_features,
 )
+from mrkit.mir import parse_program
 
 TABLE_NF = {
     "start-0-1": 1, "assi-1-1": 7, "goto-1-1": 1,
@@ -110,6 +114,41 @@ def test_pf_refuses_an_invalid_cfg_with_its_first_diagnostic():
                             ((0, 1), (0, 2)))
     with pytest.raises(FeatureError, match=r"^exit unreachable from node \(node 1\)$"):
         path_features(dead_end)
+
+
+def counted_bfs_runs(monkeypatch) -> list[int]:
+    """The root of every ``bfs_parents`` run from now on, in ``validate``
+    and in ``path_features``."""
+    roots: list[int] = []
+
+    def counted(adjacency, root):
+        roots.append(root)
+        return bfs_parents(adjacency, root)
+    monkeypatch.setattr(mrkit.cfg, "bfs_parents", counted)
+    monkeypatch.setattr(mrkit.features, "bfs_parents", counted)
+    return roots
+
+
+def _average_from_dot():
+    return parse_dot((data_dir() / "cfg" / "average.dot").read_text())
+
+
+def _average_from_mir():
+    return parse_program((data_dir() / "corpus" / "average.mir").read_text()).functions[0].cfg
+
+
+@pytest.mark.parametrize("enter", [_average_from_dot, _average_from_mir])
+def test_pf_reuses_the_check_run_where_the_graph_entered(monkeypatch, enter):
+    runs = counted_bfs_runs(monkeypatch)
+    cfg = enter()
+    assert len(runs) == 2  # validate: from start, and back from exit
+    assert path_features(cfg).entries == TABLE_PF
+    assert len(runs) == 4  # only path_features' own two searches
+    # an equal graph built by hand carries no check yet, and runs it once
+    again = AnnotatedCfg(cfg.name, cfg.ops, cfg.edges)
+    path_features(again)
+    path_features(again)
+    assert len(runs) == 4 + 2 + 2 * 2
 
 
 def _path_exists(cfg, labels):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 
 import rwk_reference
 from mrkit.cfg import AnnotatedCfg, NodeOp
-from mrkit.features import walk_features
+from mrkit.features import (build_design_matrix, combine, node_features, path_features,
+                            walk_features)
 from mrkit.kernels import (
     MAX_WALK_LEN,
+    CountBlock,
+    CountKernel,
     GkParams,
     RwkParams,
     _connected_subsets,
@@ -78,16 +82,15 @@ def walk_count(g, length) -> int:
 
 
 @st.composite
-def labelled_digraphs(draw, max_nodes=6):
+def labelled_digraphs(draw, max_nodes=6, alphabet=(NodeOp.ASSI, NodeOp.IF, NodeOp.ADD)):
     """CFG-like digraphs: a chain plus up to three extra edges, which draw
-    cycles and self-loops, over a three-label alphabet, so labels repeat.
-    Graphs with more than WALKS_AT_CAP walks of MAX_WALK_LEN edges are
-    rejected: the walk-count map grows with the number of distinct walks,
-    and below that bound every count of the product-graph reference is an
-    exact float."""
+    cycles and self-loops, over a three-label alphabet by default, so labels
+    repeat.  Graphs with more than WALKS_AT_CAP walks of MAX_WALK_LEN edges
+    are rejected: the walk-count map grows with the number of distinct
+    walks, and below that bound every count of the product-graph reference
+    is an exact float."""
     n = draw(st.integers(1, max_nodes))
-    ops = draw(st.lists(st.sampled_from([NodeOp.ASSI, NodeOp.IF, NodeOp.ADD]),
-                        min_size=n, max_size=n))
+    ops = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
     node = st.integers(0, n - 1)
     extra = draw(st.sets(st.tuples(node, node), max_size=3))
     g = AnnotatedCfg("g", tuple(ops), tuple(sorted(extra | {(i, i + 1) for i in range(n - 1)})))
@@ -113,8 +116,71 @@ def test_rwk_raw_equals_the_product_graph_reference(g1, g2, decay):
 @given(labelled_digraphs(max_nodes=4), st.integers(1, 4))
 def test_walk_features_count_every_walk(g, walk_len):
     vectors = list(walk_features(g, walk_len))
-    assert [v.entries for v in vectors] == \
+    assert [decoded(v) for v in vectors] == \
         [label_sequences(g, length) for length in range(1, walk_len + 1)]
+
+
+def decoded(vector) -> dict[str, int]:
+    """A walk vector's counts by ``-``-joined label string; no two keys may
+    decode alike."""
+    counts = {rwk_reference.walk_key_labels(key): n for key, n in vector.entries.items()}
+    assert len(counts) == len(vector.entries)
+    return counts
+
+
+def assert_walks_equal_the_string_keyed_reference(g, walk_len):
+    vectors = list(walk_features(g, walk_len))
+    assert [decoded(v) for v in vectors] == \
+        [v.entries for v in rwk_reference.walk_features(g, walk_len)]
+    assert len(vectors) == walk_len
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(labelled_digraphs(), labelled_digraphs(alphabet=tuple(NodeOp))),
+       st.integers(1, MAX_WALK_LEN))
+@example(LOOP2, MAX_WALK_LEN)
+@example(path_graph("ends", [NodeOp.ADD, NodeOp.GOTO, NodeOp.ADD, NodeOp.GOTO]), 3)
+def test_walk_features_equal_the_string_keyed_reference(g, walk_len):
+    assert_walks_equal_the_string_keyed_reference(g, walk_len)
+
+
+def test_walk_features_equal_the_string_keyed_reference_on_the_corpus(corpus_graphs):
+    for g in corpus_graphs.values():
+        assert_walks_equal_the_string_keyed_reference(g, MAX_WALK_LEN)
+
+
+def nf_pf_vectors(graphs):
+    return tuple(combine(node_features(g), path_features(g)) for g in graphs)
+
+
+def corpus_blocks(corpus_graphs):
+    """The nf-pf block and the walk blocks of lengths 1..10 of the corpus."""
+    graphs = [g for _, g in sorted(corpus_graphs.items())]
+    return [nf_pf_vectors(graphs)] + list(zip(*(walk_features(g, 10) for g in graphs)))
+
+
+def test_count_blocks_equal_the_dense_reference_on_the_corpus(corpus_graphs):
+    for vectors in corpus_blocks(corpus_graphs):
+        block = CountBlock.of(vectors)
+        (index, rows, cols, counts), gram = rwk_reference.sparse_and_gram(vectors)
+        keys = {col: key for key, col in index.items()}
+        new_keys = {col: key for key, col in block.index.items()}
+        assert sorted(zip(rows.tolist(), [keys[c] for c in cols], counts.tolist())) == \
+            sorted(zip(block.rows.tolist(), [new_keys[c] for c in block.cols],
+                       block.counts.tolist()))
+        assert block.gram().tobytes() == gram.tobytes()
+        assert block.self_values().tobytes() == np.diagonal(gram).tobytes()
+
+
+def test_count_kernel_self_values_are_the_dense_gram_diagonal(corpus_graphs):
+    graphs = [g for _, g in sorted(corpus_graphs.items())]
+    for p in (RwkParams(), RwkParams(walk_len=MAX_WALK_LEN, decay=0.3)):
+        raw = gram_matrix(graphs, "rwk", rwk=replace(p, normalize=False)).values
+        assert walk_kernel(graphs, p).self_values.tobytes() == np.diagonal(raw).tobytes()
+    vectors = nf_pf_vectors(graphs)
+    gram = build_design_matrix([(str(i), v) for i, v in enumerate(vectors)]).gram().values
+    assert CountKernel([vectors], 1.0, False).self_values.tobytes() == \
+        np.diagonal(gram).tobytes()
 
 
 @pytest.mark.parametrize("walk_len", [1, 4, 10, 20])
