@@ -125,6 +125,16 @@ class AnnotatedCfg:
         return tuple(op.value for op in self.ops)
 
     @cached_property
+    def start_parents(self) -> tuple[int, ...]:
+        """BFS parents from the first start node, for validate and PF."""
+        return tuple(bfs_parents(self.successors, self.ops.index(NodeOp.START)))
+
+    @cached_property
+    def exit_parents(self) -> tuple[int, ...]:
+        """BFS parents back from the first exit node, for validate and PF."""
+        return tuple(bfs_parents(self.predecessors, self.ops.index(NodeOp.EXIT)))
+
+    @cached_property
     def diagnostics(self) -> tuple[Diagnostic, ...]:
         """:func:`validate`'s result, computed once per graph: the check
         where a graph enters is the one feature extraction reuses."""
@@ -294,9 +304,9 @@ def validate(cfg: AnnotatedCfg) -> list[Diagnostic]:
 
     if len(starts) == 1:
         diags += [Diagnostic("node unreachable from start", i)
-                  for i, p in enumerate(bfs_parents(cfg.successors, starts[0])) if p == -1]
+                  for i, p in enumerate(cfg.start_parents) if p == -1]
     if len(exits) == 1:
         diags += [Diagnostic("exit unreachable from node", i)
-                  for i, p in enumerate(bfs_parents(cfg.predecessors, exits[0])) if p == -1]
+                  for i, p in enumerate(cfg.exit_parents) if p == -1]
 
     return diags

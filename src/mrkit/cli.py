@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as corpus_io
+from . import kernels
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
 from .evaluation import RESULTS_CSV_HEADER, cross_validate, stratified_kfold, training_rows
 from .features import (
@@ -32,8 +33,7 @@ from .features import (
     path_features,
     walk_features,
 )
-from .kernels import (CountKernel, GkParams, RwkParams, gram_matrix, graphlet_columns,
-                      walk_kernel)
+from .kernels import CountKernel, GkParams, RwkParams, gram_matrix
 from .mir import lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method, labels_to_csv
 from .svm import SvmModel, SvmParams, decision_value, short_stop, train_svm
@@ -164,7 +164,7 @@ def cmd_stats(args) -> int:
 
 def _nf_pf_vectors(graphs: list[AnnotatedCfg], omit_exit: bool) -> tuple[FeatureVector, ...]:
     """NF-PF count vectors of ``graphs``; train and predict both build their
-    training side from these, so the two cannot drift."""
+    count vectors from these, so the two cannot drift."""
     return tuple(combine(*_featurize(g, omit_exit)) for g in graphs)
 
 
@@ -298,23 +298,35 @@ def cmd_train(args) -> int:
     return 1 if skipped else 0
 
 
+def _count_map(context: dict):
+    """(CFG -> its count vectors, one per block; decay; cosine?) of a context."""
+    featurization = context["featurization"]
+    if featurization == "nf-pf":
+        omit_exit = context["omit_exit_nf"]
+        return lambda cfg: _nf_pf_vectors([cfg], omit_exit), 1.0, False
+    if featurization == "rwk":
+        rwk = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
+        return lambda cfg: walk_features(cfg, rwk.walk_len), rwk.decay, True
+    if featurization == "gk":
+        gk = GkParams(k=context["k"])
+        # looked up per call, so that a caller can wrap it in mrkit.kernels
+        return lambda cfg: (kernels.graphlet_distribution(cfg, gk),), 1.0, True
+    raise ValueError(f"unknown featurization {featurization!r}")
+
+
 def _column_function(context: dict):
-    """CFG -> the kernel column against the training graphs that every MR
-    model of one context scores; the training side is built once here.  Only
-    nf-pf warns of unseen keys: a new method's rwk self-value counts them."""
+    """CFG -> the kernel column that every MR model of one context scores,
+    from one ``CountKernel`` over the training graphs built once here:
+    nf-pf is one raw count block, rwk one cosine-normalised block per walk
+    length and gk one cosine-normalised block of graphlet type counts.  Only
+    nf-pf warns of unseen keys: a cosine's self-value counts them."""
+    vectors_of, decay, normalize = _count_map(context)
     graphs = [parse_dot(text) for text in context["training_graphs"]]
-    if context["featurization"] == "gk":
-        return graphlet_columns(graphs, GkParams(k=context["k"]))
-    if context["featurization"] == "rwk":
-        p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
-        rwk = walk_kernel(graphs, p)
-        return lambda cfg: rwk.column(list(walk_features(cfg, p.walk_len)))[0]
-    omit_exit = context["omit_exit_nf"]
-    nf_pf = CountKernel([_nf_pf_vectors(graphs, omit_exit)], 1.0, False)
+    kernel = CountKernel(zip(*map(vectors_of, graphs)), decay, normalize)
 
     def column(cfg: AnnotatedCfg) -> np.ndarray:
-        values, unseen = nf_pf.column([combine(*_featurize(cfg, omit_exit))])
-        if unseen:
+        values, unseen = kernel.column(list(vectors_of(cfg)))
+        if unseen and not normalize:
             print(f"warning: {cfg.name}: {unseen} unseen feature keys "
                   "treated as zero columns", file=sys.stderr)
         return values

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfg import AnnotatedCfg, NodeOp, bfs_parents
+from .cfg import AnnotatedCfg, NodeOp
 
 
 # walk_features' bound on one length's (label sequence, last node) pairs;
@@ -36,11 +36,11 @@ class FeatureError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureVector:
-    kind: str  # "NF" | "PF" | "NF-PF" | "RW"
-    entries: dict[str, int] | dict[int, int]  # RW: int-coded label sequences
+    kind: str  # "NF" | "PF" | "NF-PF" | "RW" | "GK"
+    entries: dict[str, int] | dict[int, int]  # RW: int-coded label sequences; GK: types
 
     def __post_init__(self) -> None:
-        if self.kind not in ("NF", "PF", "NF-PF", "RW"):
+        if self.kind not in ("NF", "PF", "NF-PF", "RW", "GK"):
             raise FeatureError(f"unknown feature kind {self.kind!r}")
         for key, count in self.entries.items():
             if count < 1:
@@ -75,15 +75,14 @@ def path_features(cfg: AnnotatedCfg) -> FeatureVector:
     node; identical signatures accumulate, so the total tally is 2*|nodes|.
 
     Paths exist only on a valid CFG: this raises FeatureError with the
-    first :func:`~mrkit.cfg.validate` diagnostic of any other graph, read
-    from the graph's cached check, which a graph from ``parse_dot`` or the
-    mini-IR lowering has already run.
+    first :func:`~mrkit.cfg.validate` diagnostic of any other graph.  The
+    check and the two BFS trees are the graph's cached ones, which a graph
+    from ``parse_dot`` or the mini-IR lowering has already built.
     """
     for diag in cfg.diagnostics:
         raise FeatureError(str(diag))
     start, exit_node = cfg.ops.index(NodeOp.START), cfg.ops.index(NodeOp.EXIT)
-    fwd_parent = bfs_parents(cfg.successors, start)
-    bwd_parent = bfs_parents(cfg.predecessors, exit_node)
+    fwd_parent, bwd_parent = cfg.start_parents, cfg.exit_parents
 
     labels = cfg.labels
     counts: dict[str, int] = {}

@@ -1,28 +1,29 @@
 """Graph similarity for annotated CFGs: random-walk and graphlet kernels.
 
-The random-walk kernel counts pairs of walks with identical node-label
-sequences, one walk per graph, weighted decay^length and truncated at a
-maximum length.  It is built from its explicit feature map, not from a
-product graph (Kriege et al., DMKD 2019): per length l, an integer count
-row per graph over the label sequences of l-edge walks, so the Gram is
+Both are built from their explicit feature maps, integer count blocks on
+``CountKernel``, not from product graphs or per-pair loops (Kriege et al.,
+DMKD 2019).  The random-walk kernel counts pairs of walks with identical
+node-label sequences, one walk per graph, weighted decay^length and
+truncated at a maximum length: per length l, an integer count row per graph
+over the label sequences of l-edge walks, so the Gram is
 ``sum_l decay^l Phi_l Phi_l^T``.  A sequence is keyed by its integer
 coding (``features.walk_features``); the keys never leave memory.  The map
 grows exponentially with the length (16,789 counts over the bundled corpus
 at length 10, 478,984 at 40), so ``walk_len`` is capped at MAX_WALK_LEN,
 and ``features.walk_features`` refuses a graph whose count outgrows
-``features.MAX_WALK_ENDS``.  The
-graphlet kernel compares relative frequency distributions of weakly
-connected induced k-node subgraphs (k = 3 or 4) classified by directed
-isomorphism type, ignoring labels.  The count is exact: ESU enumeration
-yields exactly the connected node subsets, and each subset's type is the
-minimum adjacency bitmask over node permutations, memoised per bitmask.
+``features.MAX_WALK_ENDS``.  The graphlet kernel is one cosine-normalised
+block of type counts (the cosine of relative frequencies, too): weakly
+connected induced k-node subgraphs (k = 3 or 4) typed by directed
+isomorphism, ignoring labels.  The count is exact: ESU enumeration yields
+exactly the connected node subsets, and each subset's type is the minimum
+adjacency bitmask over node permutations, memoised per bitmask.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -51,7 +52,6 @@ class RwkParams:
 class GkParams:
     k: int = 3
     mode: str = "exhaustive"  # the only mode; recorded in the gk context
-    normalize: bool = True
 
     def __post_init__(self) -> None:
         if self.k not in (3, 4):
@@ -121,8 +121,9 @@ class CountBlock(NamedTuple):
 class CountKernel:
     """``sum_l decay^l * <x_l, y_l>`` over count blocks l = 1, 2, ... of the
     training graphs, cosine-normalised if ``normalize``: rwk has one block
-    per walk length, nf-pf one unnormalised block with decay 1.  Only the
-    training self-values are computed, never their Gram."""
+    per walk length, gk one cosine-normalised block of graphlet type counts
+    and nf-pf one unnormalised block, both with decay 1.  Only the training
+    self-values are computed, never their Gram."""
 
     def __init__(self, blocks: Iterable[tuple[FeatureVector, ...]], decay: float,
                  normalize: bool):
@@ -152,11 +153,6 @@ def _walk_vectors(graphs: list[AnnotatedCfg], walk_len: int) -> Iterator[tuple]:
     return zip(*(walk_features(g, walk_len) for g in graphs))
 
 
-def walk_kernel(graphs: list[AnnotatedCfg], p: RwkParams) -> CountKernel:
-    """rwk against ``graphs``, one count block per walk length."""
-    return CountKernel(_walk_vectors(graphs, p.walk_len), p.decay, p.normalize)
-
-
 def _rwk_raw(g1: AnnotatedCfg, g2: AnnotatedCfg, p: RwkParams) -> float:
     """Unnormalised rwk: sum_l decay^l * #(l-edge walk pairs, equal labels)."""
     return random_walk_kernel(g1, g2, replace(p, normalize=False))
@@ -165,7 +161,8 @@ def _rwk_raw(g1: AnnotatedCfg, g2: AnnotatedCfg, p: RwkParams) -> float:
 def random_walk_kernel(g1: AnnotatedCfg, g2: AnnotatedCfg,
                        p: RwkParams = RwkParams()) -> float:
     """Truncated geometric count of label-matched common walks."""
-    return float(walk_kernel([g1], p).column(list(walk_features(g2, p.walk_len)))[0][0])
+    kernel = CountKernel(_walk_vectors([g1], p.walk_len), p.decay, p.normalize)
+    return float(kernel.column(list(walk_features(g2, p.walk_len)))[0][0])
 
 
 @functools.cache
@@ -200,11 +197,11 @@ def _connected_subsets(neighbours: list[set[int]], k: int):
         yield from extend((v,), around | {v}, {u for u in around if u > v}, v)
 
 
-def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> dict[int, float]:
-    """Relative frequencies of weakly connected induced k-subgraph types.
+def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> FeatureVector:
+    """Counts of weakly connected induced k-subgraph types.
 
-    Subsets are counted in lexicographic node order, so the dict's keys
-    appear in the order of their first occurrence among
+    Subsets are counted in lexicographic node order, so the keys appear in
+    the order of their first occurrence among
     ``itertools.combinations(range(n), k)``."""
     k = p.k
     edge_set = {(a, b) for a, b in g.edges if a != b}
@@ -218,31 +215,14 @@ def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> dict[int
                    for b, nb in enumerate(nodes) if (na, nb) in edge_set)
         t = _canonical_type(mask, k)
         counts[t] = counts.get(t, 0) + 1
-    total = sum(counts.values())
-    return {t: c / total for t, c in counts.items()}
-
-
-def _graphlet_dot(f1: dict[int, float], f2: dict[int, float]) -> float:
-    return sum(f1[t] * f2.get(t, 0.0) for t in f1)
-
-
-def graphlet_columns(graphs: list[AnnotatedCfg], p: GkParams = GkParams()) -> Callable:
-    """CFG -> the graphlet kernel values of ``graphs`` against it, each dot
-    product over the training graph's types as in the Gram."""
-    train = [graphlet_distribution(g, p) for g in graphs]
-    train_self = np.array([_graphlet_dot(f, f) for f in train])
-
-    def column(g: AnnotatedCfg) -> np.ndarray:
-        f = graphlet_distribution(g, p)
-        raw = np.array([_graphlet_dot(t, f) for t in train], dtype=float)
-        return _cosine(raw, train_self, _graphlet_dot(f, f)) if p.normalize else raw
-    return column
+    return FeatureVector("GK", counts)
 
 
 def graphlet_kernel(g1: AnnotatedCfg, g2: AnnotatedCfg,
                     p: GkParams = GkParams()) -> float:
-    """Dot product of graphlet frequency vectors (cosine when normalized)."""
-    return float(graphlet_columns([g1], p)(g2)[0])
+    """Cosine of the two graphs' graphlet type counts."""
+    kernel = CountKernel([(graphlet_distribution(g1, p),)], 1.0, True)
+    return float(kernel.column([graphlet_distribution(g2, p)])[0][0])
 
 
 PSD_TOLERANCE = -1e-8
@@ -251,25 +231,20 @@ PSD_TOLERANCE = -1e-8
 def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
                 rwk: RwkParams = RwkParams(),
                 gk: GkParams = GkParams()) -> KernelMatrix:
-    """Pairwise kernel values, symmetric by construction: rwk from its count
-    blocks, gk from one dot product per unordered pair.  A PSD violation
-    beyond tolerance is reported as a diagnostic, never repaired."""
+    """Pairwise kernel values from the kernel's count blocks, symmetric by
+    construction.  A PSD violation beyond tolerance is reported as a
+    diagnostic, never repaired."""
     if len(graphs) < 2:
         raise ValueError("gram matrix needs at least two graphs")
     if kernel == "rwk":
-        # map, unlike a generator expression, holds no block while it
-        # builds the next, so one block is alive at a time
-        raw = _decayed_sum(rwk.decay, map(lambda vectors: CountBlock.of(vectors).gram(),
-                                          _walk_vectors(graphs, rwk.walk_len)))
-        normalize = rwk.normalize
+        blocks, decay, normalize = _walk_vectors(graphs, rwk.walk_len), rwk.decay, rwk.normalize
     elif kernel == "gk":
-        dists = [graphlet_distribution(g, gk) for g in graphs]
-        raw, normalize = np.zeros((len(graphs), len(graphs))), gk.normalize
-        for j, f in enumerate(dists):
-            for i in range(j + 1):
-                raw[i, j] = raw[j, i] = _graphlet_dot(dists[i], f)
+        blocks, decay, normalize = [tuple(graphlet_distribution(g, gk) for g in graphs)], 1.0, True
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
+    # map, unlike a generator expression, holds no block while it builds
+    # the next, so one block is alive at a time
+    raw = _decayed_sum(decay, map(lambda vectors: CountBlock.of(vectors).gram(), blocks))
     own = np.diagonal(raw)
     matrix = KernelMatrix(method_ids=tuple(g.name for g in graphs),
                           values=_cosine(raw, own[:, None], own) if normalize else raw)

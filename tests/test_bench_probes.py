@@ -1,17 +1,24 @@
-"""The benchmark's layer probes still name functions of the program.
+"""The benchmark's layer probes still name functions of the program, and
+still accept the calls the program makes.
 
 ``bench/tracing.py`` patches each ``(module, attribute)`` of its ``PROBES``
 at trace time, so a refactor that renames or drops one of them breaks
 ``bench/run.py --trace 1`` with an AttributeError that no other test sees.
-The file is read as text and parsed, never imported, so nothing is written
+A probe's name and hooks also read the call's arguments (the gk Gram's
+``gk=`` keyword, ``graphlet_distribution``'s positional parameters), so a
+change of call shape breaks the traced run too.  The file is read as text
+and executed into a fresh module, never imported, so nothing is written
 under ``bench/``.
 """
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import mrkit
+from mrkit.cli import main
+from test_cli import HELD, MIXED, corpus_path, write_bundled_manifest
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -33,3 +40,30 @@ def test_every_probe_resolves_in_the_source_tree():
         module = importlib.import_module(module_name)
         assert Path(module.__file__).resolve().parent == src, module_name
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def _tracing_module() -> types.ModuleType:
+    module = types.ModuleType("bench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_a_gk_evaluate_train_and_predict_run_under_every_probe(tmp_path):
+    tracing = _tracing_module()
+    man = write_bundled_manifest(tmp_path, MIXED)
+    gk = ["--features", "gk", "--graphlet-k", "4"]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["evaluate", "--manifest", str(man), *gk, "--mr", "per", "--k", "2",
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert main(["train", "--manifest", str(man), *gk,
+                     "--out", str(tmp_path / "models")]) == 0
+        assert main(["predict", *map(corpus_path, HELD), "--models",
+                     str(tmp_path / "models"), "--out", str(tmp_path / "pred.csv")]) == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["kernels.gram.gk4_s"] > 0.0
+    assert metrics["cli.predict.self_s"] > 0.0
+    # two Grams over the training graphs, predict's training side and one
+    # distribution per held-out method
+    assert metrics["kernels.graphlet_distribution.calls"] == 3 * len(MIXED) + len(HELD)
+    assert metrics["kernels.graphlet_distribution.distinct"] == len(MIXED) + len(HELD)

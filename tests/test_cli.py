@@ -496,26 +496,35 @@ def test_predict_refuses_context_edited_without_hash(tmp_path, capsys):
     assert "refusing" in err and "context.json" in err
 
 
+def edit_context(models: Path, edit) -> None:
+    """Apply ``edit`` to the stored context, then re-hash it and every
+    model's reference to it, so that only the edit is wrong."""
+    path = models / "context.json"
+    saved = json.loads(path.read_text())
+    edit(saved["context"])
+    saved["context_hash"] = hashlib.sha256(
+        json.dumps(saved["context"], sort_keys=True).encode()).hexdigest()[:16]
+    path.write_text(json.dumps(saved))
+    for mr in MR_IDS:
+        bundle = json.loads((models / f"{mr}.json").read_text())
+        bundle["context_hash"] = saved["context_hash"]
+        (models / f"{mr}.json").write_text(json.dumps(bundle))
+
+
 def test_predict_refuses_malformed_context(tmp_path, capsys):
-    for key in ("omit_exit_nf", "training_graphs"):
-        models = tmp_path / key
-        assert main(["train", "--features", "nf-pf", "--out", str(models),
+    for i, (features, edit, reason) in enumerate([
+            ("nf-pf", lambda context: context.pop("omit_exit_nf"), "omit_exit_nf"),
+            ("nf-pf", lambda context: context.pop("training_graphs"), "training_graphs"),
+            ("gk", lambda context: context.update(k=5), "graphlet size must be 3 or 4")]):
+        models = tmp_path / str(i)
+        assert main(["train", "--features", features, "--out", str(models),
                      "--seed", "42"]) == 0
-        # re-hash the context and every model's reference to it, so that
-        # only the missing key is wrong
-        path = models / "context.json"
-        saved = json.loads(path.read_text())
-        del saved["context"][key]
-        saved["context_hash"] = hashlib.sha256(
-            json.dumps(saved["context"], sort_keys=True).encode()).hexdigest()[:16]
-        path.write_text(json.dumps(saved))
-        for mr in MR_IDS:
-            bundle = json.loads((models / f"{mr}.json").read_text())
-            bundle["context_hash"] = saved["context_hash"]
-            (models / f"{mr}.json").write_text(json.dumps(bundle))
+        edit_context(models, edit)
         capsys.readouterr()
         assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
-        assert "malformed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed" in captured.err and reason in captured.err
 
 
 def test_predict_refuses_a_directory_without_context_json(tmp_path, capsys):
@@ -623,6 +632,7 @@ def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
 @pytest.mark.parametrize("context", [
     {"featurization": "nf-pf", "omit_exit_nf": False},
     {"featurization": "rwk", "walk_len": 6, "decay": 0.3},
+    {"featurization": "gk", "k": 4, "mode": "exhaustive"},
 ])
 def test_predict_builds_its_training_side_without_a_gram(corpus_graphs, monkeypatch, context):
     train = [corpus_graphs[n] for n in MIXED]
@@ -642,9 +652,11 @@ def test_predict_builds_its_training_side_without_a_gram(corpus_graphs, monkeypa
         if context["featurization"] == "nf-pf":
             entries = combine(node_features(g), path_features(g)).entries
             expected = design.rows @ [float(entries.get(k, 0)) for k in design.feature_index]
-        else:
+        elif context["featurization"] == "rwk":
             p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
             expected = rwk_reference.column(train, g, p)
+        else:
+            expected = [per_pair_gk(t, g, GkParams(k=context["k"])) for t in train]
         assert column_of(g).tolist() == list(expected)
 
 
@@ -670,16 +682,7 @@ def test_predict_refuses_a_context_past_the_walk_len_cap(tmp_path, capsys):
     models = tmp_path / "models"
     assert main(["train", "--manifest", str(man), "--features", "rwk",
                  "--out", str(models)]) == 0
-    path = models / "context.json"
-    saved = json.loads(path.read_text())
-    saved["context"]["walk_len"] = 21
-    saved["context_hash"] = hashlib.sha256(
-        json.dumps(saved["context"], sort_keys=True).encode()).hexdigest()[:16]
-    path.write_text(json.dumps(saved))
-    for mr in MR_IDS:
-        bundle = json.loads((models / f"{mr}.json").read_text())
-        bundle["context_hash"] = saved["context_hash"]
-        (models / f"{mr}.json").write_text(json.dumps(bundle))
+    edit_context(models, lambda context: context.update(walk_len=21))
     capsys.readouterr()
     assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
     err = capsys.readouterr().err

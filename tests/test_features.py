@@ -1,7 +1,6 @@
 import pytest
 
 import mrkit.cfg
-import mrkit.features
 from mrkit.cfg import AnnotatedCfg, NodeOp, bfs_parents, parse_dot
 from mrkit.corpus import data_dir
 from mrkit.features import (
@@ -117,15 +116,15 @@ def test_pf_refuses_an_invalid_cfg_with_its_first_diagnostic():
 
 
 def counted_bfs_runs(monkeypatch) -> list[int]:
-    """The root of every ``bfs_parents`` run from now on, in ``validate``
-    and in ``path_features``."""
+    """The root of every ``bfs_parents`` run from now on, wherever it is
+    called from: ``validate`` and ``path_features`` share the graph's
+    cached runs."""
     roots: list[int] = []
 
     def counted(adjacency, root):
         roots.append(root)
         return bfs_parents(adjacency, root)
     monkeypatch.setattr(mrkit.cfg, "bfs_parents", counted)
-    monkeypatch.setattr(mrkit.features, "bfs_parents", counted)
     return roots
 
 
@@ -143,12 +142,12 @@ def test_pf_reuses_the_check_run_where_the_graph_entered(monkeypatch, enter):
     cfg = enter()
     assert len(runs) == 2  # validate: from start, and back from exit
     assert path_features(cfg).entries == TABLE_PF
-    assert len(runs) == 4  # only path_features' own two searches
+    assert len(runs) == 2  # path_features reads validate's two searches
     # an equal graph built by hand carries no check yet, and runs it once
     again = AnnotatedCfg(cfg.name, cfg.ops, cfg.edges)
     path_features(again)
     path_features(again)
-    assert len(runs) == 4 + 2 + 2 * 2
+    assert len(runs) == 2 + 2
 
 
 def _path_exists(cfg, labels):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gk_reference
 import rwk_reference
-from mrkit.cfg import AnnotatedCfg, NodeOp
+from mrkit import cli
+from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot
 from mrkit.features import (build_design_matrix, combine, node_features, path_features,
                             walk_features)
 from mrkit.kernels import (
@@ -19,11 +21,9 @@ from mrkit.kernels import (
     _connected_subsets,
     _rwk_raw,
     gram_matrix,
-    graphlet_columns,
     graphlet_distribution,
     graphlet_kernel,
     random_walk_kernel,
-    walk_kernel,
 )
 
 
@@ -147,6 +147,12 @@ def test_walk_features_equal_the_string_keyed_reference(g, walk_len):
 def test_walk_features_equal_the_string_keyed_reference_on_the_corpus(corpus_graphs):
     for g in corpus_graphs.values():
         assert_walks_equal_the_string_keyed_reference(g, MAX_WALK_LEN)
+
+
+def walk_kernel(graphs, p: RwkParams) -> CountKernel:
+    """rwk against ``graphs``, one count block per walk length."""
+    return CountKernel(zip(*(walk_features(g, p.walk_len) for g in graphs)), p.decay,
+                       p.normalize)
 
 
 def nf_pf_vectors(graphs):
@@ -297,7 +303,7 @@ def test_gk_permutation_invariant(corpus_graphs):
 def brute_force_graphlets(g, k):
     """Reference for graphlet_distribution: every k-subset in
     itertools.combinations order, kept if weakly connected, typed by the
-    minimum adjacency bitmask over all node permutations; (type, frequency)
+    minimum adjacency bitmask over all node permutations; (type, count)
     pairs in order of first occurrence."""
     edges = set(g.edges)
     counts = {}
@@ -309,8 +315,7 @@ def brute_force_graphlets(g, k):
         t = min(sum(1 << (perm[a] * k + perm[b]) for a, b in pos)
                 for perm in itertools.permutations(range(k)))
         counts[t] = counts.get(t, 0) + 1
-    total = sum(counts.values())
-    return [(t, c / total) for t, c in counts.items()]
+    return list(counts.items())
 
 
 def weakly_connected(nodes, edges):
@@ -347,17 +352,61 @@ def test_esu_yields_exactly_the_connected_subsets(g, k):
     expected = [c for c in itertools.combinations(range(g.node_count), k)
                 if weakly_connected(c, g.edges)]
     assert found == expected
-    assert list(graphlet_distribution(g, GkParams(k=k)).items()) \
+    assert list(graphlet_distribution(g, GkParams(k=k)).entries.items()) \
         == brute_force_graphlets(g, k)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_gk_distribution_matches_brute_force_on_corpus(corpus_graphs, k):
-    # same keys, same floats, same insertion order, so every Gram entry and
-    # every kernel column sums its terms in the same order
+    # same keys, same counts, same insertion order, so a count block's
+    # columns come in the same order
     p = GkParams(k=k)
     for g in corpus_graphs.values():
-        assert list(graphlet_distribution(g, p).items()) == brute_force_graphlets(g, k)
+        assert list(graphlet_distribution(g, p).entries.items()) == corpus_graphlets(g, k)
+
+
+_CORPUS_GRAPHLETS: dict = {}
+
+
+def corpus_graphlets(g, k):
+    """brute_force_graphlets of a corpus graph, computed once per test run."""
+    if (g, k) not in _CORPUS_GRAPHLETS:
+        _CORPUS_GRAPHLETS[g, k] = brute_force_graphlets(g, k)
+    return _CORPUS_GRAPHLETS[g, k]
+
+
+def count_cosine(c1, c2, normalize: bool = True) -> float:
+    """The dot product of two type counts, given as dicts or (type, count)
+    lists, cosine-normalised if ``normalize``: integer sums, exact, then one
+    square root per self-value, their product and one division."""
+    c1, c2 = dict(c1), dict(c2)
+    value = sum(c * c2.get(t, 0) for t, c in c1.items())
+    if not normalize:
+        return float(value)
+    n1, n2 = sum(c * c for c in c1.values()), sum(c * c for c in c2.values())
+    if n1 <= 0 or n2 <= 0:
+        return 0.0
+    return value / float(np.sqrt(n1) * np.sqrt(n2))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gk_gram_and_columns_equal_the_frequency_reference_on_the_corpus(corpus_graphs, k):
+    p = GkParams(k=k)
+    held = ["square", "count_k", "pooledVariance"]
+    graphs = [g for _, g in sorted(corpus_graphs.items())]
+    gram = gram_matrix(graphs, "gk", gk=p).values
+    assert np.abs(gram - gk_reference.gram(graphs, p)).max() <= 1e-15
+    assert gram.tolist() == [[count_cosine(corpus_graphlets(a, k), corpus_graphlets(b, k))
+                              for b in graphs] for a in graphs]
+
+    train = [g for g in graphs if g.name not in held]
+    column_of = cli._column_function({"featurization": "gk", "k": k, "mode": p.mode,
+                                      "training_graphs": [emit_dot(g) for g in train]})
+    for g in [corpus_graphs[n] for n in held] + [PATH3]:
+        column = column_of(g)
+        assert np.abs(column - gk_reference.column(train, g, p)).max() <= 1e-15
+        counts = corpus_graphlets(g, k)
+        assert column.tolist() == [count_cosine(corpus_graphlets(t, k), counts) for t in train]
 
 
 def test_gram_identical_pair():
@@ -390,27 +439,26 @@ def test_gram_psd_and_symmetric_small(corpus_graphs):
         assert km.diagnostics == ()
 
 
-def per_pair_gk(g1, g2, p: GkParams) -> float:
-    """The graphlet kernel of one pair in its own float expressions, apart
-    from the code that graphlet_columns and graphlet_kernel share."""
-    f1 = graphlet_distribution(g1, p)
-    f2 = graphlet_distribution(g2, p)
-    value = sum(f1[t] * f2.get(t, 0.0) for t in f1)
-    if not p.normalize:
-        return value
-    n1 = sum(v * v for v in f1.values())
-    n2 = sum(v * v for v in f2.values())
-    if n1 <= 0.0 or n2 <= 0.0:
-        return 0.0
-    return value / float(np.sqrt(n1) * np.sqrt(n2))
+def per_pair_gk(g1, g2, p: GkParams, normalize: bool = True) -> float:
+    """The graphlet kernel of one pair in its own integer and float
+    expressions, apart from the CountKernel code that graphlet_kernel and
+    predict share."""
+    return count_cosine(graphlet_distribution(g1, p).entries,
+                        graphlet_distribution(g2, p).entries, normalize)
+
+
+def raw_gk(g1, g2, p: GkParams) -> float:
+    """The unnormalised graphlet kernel of one pair, from a count block."""
+    block = CountBlock.of((graphlet_distribution(g1, p), graphlet_distribution(g2, p)))
+    return float(block.gram()[0, 1])
 
 
 @pytest.mark.parametrize("kernel,params", [
     ("rwk", RwkParams()),
     ("rwk", RwkParams(walk_len=4, decay=0.3, normalize=False)),
-    ("gk", GkParams(k=3)),
-    ("gk", GkParams(k=3, normalize=False)),
-    ("gk", GkParams(k=4)),
+    ("gk", (GkParams(k=3), True)),
+    ("gk", (GkParams(k=3), False)),
+    ("gk", (GkParams(k=4), True)),
 ])
 def test_kernel_columns_bitwise_equal_per_pair(corpus_graphs, kernel, params):
     names = ["sum", "average", "find_max", "cal_Diff", "square", "get_array_value"]
@@ -421,8 +469,12 @@ def test_kernel_columns_bitwise_equal_per_pair(corpus_graphs, kernel, params):
         column = lambda g: rwk.column(list(walk_features(g, params.walk_len)))[0]  # noqa: E731
         pair, reference = random_walk_kernel, rwk_reference.random_walk_kernel
     else:
-        column = graphlet_columns(train, params)
-        pair, reference = graphlet_kernel, per_pair_gk
+        params, normalize = params
+        gk = CountKernel([tuple(graphlet_distribution(t, params) for t in train)], 1.0,
+                         normalize)
+        column = lambda g: gk.column([graphlet_distribution(g, params)])[0]  # noqa: E731
+        pair = graphlet_kernel if normalize else raw_gk
+        reference = lambda a, b, p: per_pair_gk(a, b, p, normalize)  # noqa: E731
     for g in new:
         expected = [reference(t, g, params) for t in train]
         assert column(g).tolist() == expected
