@@ -24,7 +24,7 @@ print(f"corpus: {len(entries)} methods with mini-IR sources")
 datasets = {
     "nf-pf": build_design_matrix(
         [(e.name, combine(node_features(g), path_features(g)))
-         for e, g in zip(entries, graphs)]).gram(),
+         for e, g in zip(entries, graphs)]),
     "gk": gram_matrix(graphs, "gk"),
     "rwk": gram_matrix(graphs, "rwk"),
 }

@@ -15,7 +15,6 @@ from .cfg import (
     validate,
 )
 from .features import (
-    DesignMatrix,
     FeatureVector,
     build_design_matrix,
     combine,

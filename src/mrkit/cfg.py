@@ -161,6 +161,7 @@ _EDGE_RE = re.compile(
     r'^\s*(?P<src>"[^"]*"|[A-Za-z0-9_.]+)\s*->\s*'
     r'(?P<dst>"[^"]*"|[A-Za-z0-9_.]+)\s*;?\s*$'
 )
+_BARE_RE = re.compile(r"[A-Za-z0-9_.]+")
 _HEADER_RE = re.compile(r'^\s*digraph\s*(?P<name>"[^"]*"|[A-Za-z0-9_.]+)?\s*\{\s*$')
 
 
@@ -252,8 +253,16 @@ def parse_dot(text: str) -> AnnotatedCfg:
 
 def emit_dot(cfg: AnnotatedCfg) -> str:
     """Serialize to the canonical dialect: byte-stable for a fixed graph,
-    LF line endings, nodes then edges in declaration order."""
-    out = [f"digraph {cfg.name or 'cfg'} {{"]
+    LF line endings, nodes then edges in declaration order.  A name that is
+    not a bare ``[A-Za-z0-9_.]+`` token, the empty one too, is quoted, so
+    that :func:`parse_dot` reads it back; one that no quoting could carry,
+    with a ``"`` or a line break, is a ValueError."""
+    name = cfg.name
+    if not _BARE_RE.fullmatch(name):
+        if '"' in name or len(f"{name}.".splitlines()) > 1:
+            raise ValueError(f"graph name {name!r} cannot be written to DOT")
+        name = f'"{name}"'
+    out = [f"digraph {name} {{"]
     for i, op in enumerate(cfg.ops):
         out.append(f'  n{i} [label="{op.value}"];')
     for a, b in cfg.edges:

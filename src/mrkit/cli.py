@@ -171,13 +171,17 @@ def _nf_pf_vectors(graphs: list[AnnotatedCfg], omit_exit: bool) -> tuple[Feature
 def _corpus_features(ds, featurization: str, args):
     """Featurize every sourced entry; returns (entries, graphs, gram,
     context), where ``gram`` is the KernelMatrix every SVM trains on.  The
-    Gram's diagnostics go to stderr; an unlabelled entry is a ValueError."""
+    Gram's diagnostics go to stderr.  Fewer than two sourced entries, which
+    no featurization can train on, are a ValueError before any is loaded;
+    an unlabelled entry is one too."""
     entries = [e for e in ds.entries if e.source_kind != "none"]
+    if len(entries) < 2:
+        raise ValueError("gram matrix needs at least two graphs")
     ids = tuple(e.name for e in entries)
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
         vectors = _nf_pf_vectors(graphs, args.omit_exit_nf)
-        gram = build_design_matrix(list(zip(ids, vectors))).gram()
+        gram = build_design_matrix(list(zip(ids, vectors)))
         context = {"featurization": "nf-pf", "omit_exit_nf": args.omit_exit_nf}
     elif featurization == "rwk":
         params = RwkParams(walk_len=args.walk_len, decay=getattr(args, "lambda"))

@@ -1,4 +1,4 @@
-"""Node and path features over annotated CFGs, plus design-matrix assembly.
+"""Node and path features over annotated CFGs, plus count-block assembly.
 
 Node features (NF) count nodes sharing an ``<op>-<din>-<dout>`` signature.
 Path features (PF) take, for every node, one canonical shortest path from
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,19 +147,54 @@ def combine(nf: FeatureVector, pf: FeatureVector) -> FeatureVector:
     return FeatureVector("NF-PF", merged)
 
 
-def project(vector: FeatureVector,
-            key_index: dict[str, int]) -> tuple[np.ndarray, int]:
-    """The count row of ``vector`` over ``key_index`` and the number of its
-    keys missing from the index, which are dropped (they correspond to
-    all-zero columns)."""
-    row = np.zeros(len(key_index))
-    unseen = 0
-    for key, count in vector.entries.items():
-        if key in key_index:
-            row[key_index[key]] = count
-        else:
-            unseen += 1
-    return row, unseen
+class CountBlock(NamedTuple):
+    """The count vectors of ``size`` methods as one count matrix, kept
+    sparse, as most of a walk block is zeros: its key index and the row,
+    column and count of each nonzero cell.  Counts are integers, so every
+    sum below 2^53 is exact in any order, and the key order (first seen)
+    cannot change a value."""
+
+    index: dict  # key -> column
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, vectors: tuple[FeatureVector, ...]) -> "CountBlock":
+        """The block with one row per vector, straight from its counts."""
+        index: dict = {}
+        cols: list[int] = []
+        counts: list[int] = []
+        for v in vectors:
+            cols += [index.setdefault(key, len(index)) for key in v.entries]
+            counts += v.entries.values()
+        rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+        return cls(index, rows, np.array(cols, dtype=np.intp),
+                   np.array(counts, dtype=float), len(vectors))
+
+    def dot(self, vector: FeatureVector) -> tuple[np.ndarray, int]:
+        """Each row's dot product with ``vector`` and the number of its keys
+        that no row has, which the products drop (all-zero columns)."""
+        x = np.zeros(len(self.index))
+        unseen = 0
+        for key, count in vector.entries.items():
+            col = self.index.get(key)
+            if col is None:
+                unseen += 1
+            else:
+                x[col] = count
+        return np.bincount(self.rows, self.counts * x[self.cols], minlength=self.size), unseen
+
+    def self_values(self) -> np.ndarray:
+        """Each row's dot product with itself, the diagonal of ``gram``."""
+        return np.bincount(self.rows, self.counts * self.counts, minlength=self.size)
+
+    def gram(self) -> np.ndarray:
+        """Every pair of rows' dot product, through the dense block."""
+        dense = np.zeros((self.size, len(self.index)))
+        dense[self.rows, self.cols] = self.counts
+        return np.matmul(dense, dense.T)
 
 
 @dataclass(frozen=True)
@@ -181,24 +217,11 @@ class KernelMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Dense count matrix over the lexicographically sorted key union."""
-
-    feature_index: tuple[str, ...]
-    method_ids: tuple[str, ...]
-    rows: np.ndarray = field(repr=False)
-    key_index: dict[str, int] = field(repr=False)  # key -> column
-
-    def gram(self) -> KernelMatrix:
-        """Linear-kernel Gram ``rows @ rows.T``; the rows are integer
-        counts, so every entry is exact in float64 and a fold's block
-        equals its own ``x @ x.T``."""
-        return KernelMatrix(method_ids=self.method_ids,
-                            values=np.matmul(self.rows, self.rows.T))
-
-
-def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatrix:
+def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> KernelMatrix:
+    """nf-pf's linear-kernel Gram ``X X^T``, where X is the count block of
+    the named vectors, the block predict builds its columns from.  The
+    counts are integers, so every entry is exact in float64 and a fold's
+    block equals its own ``X X^T``."""
     if not features:
         raise FeatureError("no feature vectors given")
     kinds = {vec.kind for _, vec in features}
@@ -208,13 +231,8 @@ def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> DesignMatr
     if len(set(ids)) != len(ids):
         dupes = sorted({m for m in ids if ids.count(m) > 1})
         raise FeatureError(f"duplicate method ids: {dupes}")
-
-    keys = sorted({key for _, vec in features for key in vec.entries})
-    index = {key: i for i, key in enumerate(keys)}
-    rows = np.empty((len(features), len(keys)))
-    for row, (_, vec) in zip(rows, features):
-        row[:] = project(vec, index)[0]
-    return DesignMatrix(tuple(keys), tuple(ids), rows, index)
+    block = CountBlock.of(tuple(vec for _, vec in features))
+    return KernelMatrix(method_ids=tuple(ids), values=block.gram())
 
 
 def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:
@@ -224,12 +242,4 @@ def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:
     for vec in vectors:
         for key in sorted(vec.entries):
             lines.append(f"{method_id},{vec.kind},{key},{vec.entries[key]}")
-    return "\n".join(lines) + "\n"
-
-
-def design_matrix_to_csv(matrix: DesignMatrix) -> str:
-    lines = ["method_id," + ",".join(matrix.feature_index)]
-    for mid, row in zip(matrix.method_ids, matrix.rows):
-        cells = ",".join(str(int(v)) for v in row)
-        lines.append(f"{mid},{cells}")
     return "\n".join(lines) + "\n"

@@ -25,12 +25,11 @@ import functools
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .cfg import AnnotatedCfg
-from .features import FeatureVector, KernelMatrix, project, walk_features
+from .features import CountBlock, FeatureVector, KernelMatrix, walk_features
 
 MAX_WALK_LEN = 20
 
@@ -78,46 +77,6 @@ def _decayed_sum(decay: float, terms):
     return value
 
 
-class CountBlock(NamedTuple):
-    """One count block of ``size`` rows, kept sparse, as most of a walk block
-    is zeros: its key index and the row, column and count of each nonzero
-    cell.  Counts are integers, so every sum below 2^53 is exact in any
-    order, and the key order (first seen) cannot change a value."""
-
-    index: dict  # key -> column
-    rows: np.ndarray
-    cols: np.ndarray
-    counts: np.ndarray
-    size: int
-
-    @classmethod
-    def of(cls, vectors: tuple[FeatureVector, ...]) -> "CountBlock":
-        """The block with one row per vector, straight from its counts."""
-        index: dict = {}
-        cols: list[int] = []
-        counts: list[int] = []
-        for v in vectors:
-            cols += [index.setdefault(key, len(index)) for key in v.entries]
-            counts += v.entries.values()
-        rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
-        return cls(index, rows, np.array(cols, dtype=np.intp),
-                   np.array(counts, dtype=float), len(vectors))
-
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        """Each row's dot product with ``x``, a row over the key index."""
-        return np.bincount(self.rows, self.counts * x[self.cols], minlength=self.size)
-
-    def self_values(self) -> np.ndarray:
-        """Each row's dot product with itself, the diagonal of ``gram``."""
-        return np.bincount(self.rows, self.counts * self.counts, minlength=self.size)
-
-    def gram(self) -> np.ndarray:
-        """Every pair of rows' dot product, through the dense block."""
-        dense = np.zeros((self.size, len(self.index)))
-        dense[self.rows, self.cols] = self.counts
-        return np.matmul(dense, dense.T)
-
-
 class CountKernel:
     """``sum_l decay^l * <x_l, y_l>`` over count blocks l = 1, 2, ... of the
     training graphs, cosine-normalised if ``normalize``: rwk has one block
@@ -137,14 +96,13 @@ class CountKernel:
         count vectors, one per block, and the number of its keys that no
         training graph has.  The cross terms drop those keys; the method's
         self-value counts them."""
-        projected = [project(v, block.index) for block, v in zip(self.blocks, vectors)]
-        raw = _decayed_sum(self.decay, (block.dot(x) for block, (x, _)
-                                        in zip(self.blocks, projected)))
+        dots = [block.dot(v) for block, v in zip(self.blocks, vectors)]
+        raw = _decayed_sum(self.decay, (dot for dot, _ in dots))
         if self.normalize:
             own = _decayed_sum(self.decay, (float(sum(c * c for c in v.entries.values()))
                                             for v in vectors))
             raw = _cosine(raw, self.self_values, own)
-        return raw, sum(unseen for _, unseen in projected)
+        return raw, sum(unseen for _, unseen in dots)
 
 
 def _walk_vectors(graphs: list[AnnotatedCfg], walk_len: int) -> Iterator[tuple]:

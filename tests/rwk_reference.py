@@ -9,7 +9,8 @@ kernel column that used it; the parameters are ``mrkit.kernels.RwkParams``.
 
 Beside it are the feature map's earlier forms: ``walk_features`` counted
 walks by ``-``-joined label strings, and a count block was first built
-dense, as a ``DesignMatrix``, and then reduced to its nonzero cells.
+dense, as ``count_reference`` builds it, and then reduced to its nonzero
+cells.
 ``walk_key_labels`` decodes mrkit's integer walk keys into such strings.
 """
 
@@ -19,8 +20,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
+import count_reference
 from mrkit.cfg import AnnotatedCfg, NodeOp
-from mrkit.features import MAX_WALK_ENDS, FeatureError, FeatureVector, build_design_matrix
+from mrkit.features import MAX_WALK_ENDS, FeatureError, FeatureVector
 from mrkit.kernels import RwkParams
 
 _LABELS = [op.value for op in NodeOp]  # code c is _LABELS[c - 1]
@@ -65,9 +67,10 @@ def walk_features(cfg: AnnotatedCfg, walk_len: int) -> Iterator[FeatureVector]:
 def sparse_and_gram(vectors: tuple[FeatureVector, ...]):
     """A block of ``vectors`` built dense over the sorted key union, as its
     key index and nonzero counts, and its Gram."""
-    matrix = build_design_matrix([(str(i), v) for i, v in enumerate(vectors)])
-    rows, cols = np.nonzero(matrix.rows)
-    return (matrix.key_index, rows, cols, matrix.rows[rows, cols]), matrix.gram().values
+    keys, dense = count_reference.dense_counts(vectors)
+    rows, cols = np.nonzero(dense)
+    index = {key: col for col, key in enumerate(keys)}
+    return (index, rows, cols, dense[rows, cols]), count_reference.gram(vectors)
 
 
 def _product_adjacency(g1: AnnotatedCfg, g2: AnnotatedCfg) -> np.ndarray | None:

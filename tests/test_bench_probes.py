@@ -16,6 +16,8 @@ import importlib
 import types
 from pathlib import Path
 
+import pytest
+
 import mrkit
 from mrkit.cli import main
 from test_cli import HELD, MIXED, corpus_path, write_bundled_manifest
@@ -48,19 +50,36 @@ def _tracing_module() -> types.ModuleType:
     return module
 
 
-def test_a_gk_evaluate_train_and_predict_run_under_every_probe(tmp_path):
+def _traced_evaluate_train_and_predict(tmp_path, features: list[str]) -> dict:
+    """The layer metrics of an evaluate, a train and a predict of one
+    featurization, run under every probe."""
     tracing = _tracing_module()
     man = write_bundled_manifest(tmp_path, MIXED)
-    gk = ["--features", "gk", "--graphlet-k", "4"]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        assert main(["evaluate", "--manifest", str(man), *gk, "--mr", "per", "--k", "2",
-                     "--out", str(tmp_path / "eval")]) == 0
-        assert main(["train", "--manifest", str(man), *gk,
+        assert main(["evaluate", "--manifest", str(man), *features, "--mr", "per",
+                     "--k", "2", "--out", str(tmp_path / "eval")]) == 0
+        assert main(["train", "--manifest", str(man), *features,
                      "--out", str(tmp_path / "models")]) == 0
         assert main(["predict", *map(corpus_path, HELD), "--models",
                      str(tmp_path / "models"), "--out", str(tmp_path / "pred.csv")]) == 0
-    metrics = tracing.layer_metrics(tracer)
+    return tracing.layer_metrics(tracer)
+
+
+@pytest.mark.parametrize("features,layer", [
+    (["--features", "nf-pf"], "features.design_matrix_s"),
+    (["--features", "rwk", "--walk-len", "6"], "kernels.gram.rwk_s"),
+])
+def test_an_nf_pf_and_an_rwk_evaluate_train_and_predict_run_under_every_probe(
+        tmp_path, features, layer):
+    metrics = _traced_evaluate_train_and_predict(tmp_path, features)
+    assert metrics[layer] > 0.0
+    assert metrics["cli.predict.self_s"] > 0.0
+
+
+def test_a_gk_evaluate_train_and_predict_run_under_every_probe(tmp_path):
+    metrics = _traced_evaluate_train_and_predict(
+        tmp_path, ["--features", "gk", "--graphlet-k", "4"])
     assert metrics["kernels.gram.gk4_s"] > 0.0
     assert metrics["cli.predict.self_s"] > 0.0
     # two Grams over the training graphs, predict's training side and one

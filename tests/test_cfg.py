@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -102,6 +103,25 @@ def test_roundtrip_trivial_and_worked_example():
         assert again.ops == cfg.ops
         assert again.edges == cfg.edges
         assert again.name == cfg.name
+
+
+@pytest.mark.parametrize("name", ["my avg", "util.mean", "", "tab\there", "{x}"])
+def test_roundtrip_keeps_a_name_that_needs_quoting(name):
+    cfg = replace(parse_dot(fig2_text()), name=name)
+    text = emit_dot(cfg)
+    assert parse_dot(text) == cfg
+    assert text.splitlines()[0] == (f"digraph {name} {{" if name == "util.mean"
+                                    else f'digraph "{name}" {{')
+
+
+def test_emit_keeps_a_bare_name_unquoted():
+    assert emit_dot(parse_dot(fig2_text())).startswith("digraph average {\n")
+
+
+@pytest.mark.parametrize("name", ['say "hi"', "two\nlines", "cr\r", "ls\u2028"])
+def test_emit_refuses_a_name_no_quoting_can_carry(name):
+    with pytest.raises(ValueError, match="cannot be written to DOT"):
+        emit_dot(replace(parse_dot(fig2_text()), name=name))
 
 
 def test_emit_deterministic_bytes():

@@ -13,8 +13,8 @@ from mrkit import cli
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
-from mrkit.features import (DesignMatrix, build_design_matrix, combine, node_features,
-                            path_features)
+from mrkit.features import CountBlock, combine, node_features, path_features
+import count_reference
 import rwk_reference
 from mrkit.kernels import PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams
 from test_features import branching_ring
@@ -605,8 +605,7 @@ def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
         return combine(node_features(cfg), path_features(cfg))
 
     # nf-pf columns are X_train @ x over the training sources themselves
-    sources = [_load_method_cfgs(Path(corpus_path(n)))[0] for n in MIXED]
-    design = build_design_matrix([(g.name, nf_pf(g)) for g in sources])
+    sources = [nf_pf(_load_method_cfgs(Path(corpus_path(n)))[0]) for n in MIXED]
     context = json.loads((models / "context.json").read_text())["context"]
     train_graphs = [parse_dot(t) for t in context["training_graphs"]]
     assert [g.name for g in train_graphs] == MIXED
@@ -616,10 +615,7 @@ def test_kernel_predict_matches_per_pair_kernels(tmp_path, features):
         for row, name in zip(rows, HELD):
             cfg = _load_method_cfgs(Path(corpus_path(name)))[0]
             if context["featurization"] == "nf-pf":
-                entries = nf_pf(cfg).entries
-                x = np.array([entries.get(k, 0) for k in design.feature_index],
-                             dtype=float)
-                column = design.rows @ x
+                column = count_reference.column(sources, nf_pf(cfg))
             elif context["featurization"] == "rwk":
                 p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
                 column = rwk_reference.column(train_graphs, cfg, p)
@@ -642,16 +638,15 @@ def test_predict_builds_its_training_side_without_a_gram(corpus_graphs, monkeypa
         raise AssertionError("a Gram product on predict's training side")
     with monkeypatch.context() as patched:
         patched.setattr(np, "matmul", refuse)
-        patched.setattr(DesignMatrix, "gram", refuse)
+        patched.setattr(CountBlock, "gram", refuse)
         column_of = cli._column_function(context)
 
-    design = build_design_matrix([(g.name, combine(node_features(g), path_features(g)))
-                                  for g in train])
+    sources = [combine(node_features(g), path_features(g)) for g in train]
     for name in HELD:
         g = corpus_graphs[name]
         if context["featurization"] == "nf-pf":
-            entries = combine(node_features(g), path_features(g)).entries
-            expected = design.rows @ [float(entries.get(k, 0)) for k in design.feature_index]
+            expected = count_reference.column(sources, combine(node_features(g),
+                                                               path_features(g)))
         elif context["featurization"] == "rwk":
             p = RwkParams(walk_len=context["walk_len"], decay=context["decay"])
             expected = rwk_reference.column(train, g, p)
@@ -782,6 +777,55 @@ def test_gram_rows_are_named_by_manifest_entry_for_every_featurization(tmp_path)
                      "--mr", "per", "--k", "2", "--out", str(out), "--dump-gram"]) == 0
         headers.append((out / "gram.csv").read_text().splitlines()[0])
     assert headers == ["method_id," + ",".join(MIXED + ["renamed_entry"])] * 3
+
+
+@pytest.mark.parametrize("name", ["my avg", "util.mean", ""])
+def test_a_dot_entry_whose_digraph_name_needs_quoting_trains_predicts_and_extracts(
+        tmp_path, name):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    dot = tmp_path / "average.dot"
+    dot.write_text((data_dir() / "cfg" / "average.dot").read_text().replace(
+        "digraph average {", f'digraph "{name}" {{', 1))
+    man.write_text(man.read_text() + "5,average,dot,average.dot\n")
+    models = tmp_path / "models"
+    assert main(["train", "--manifest", str(man), "--features", "rwk",
+                 "--out", str(models)]) == 0
+    context = json.loads((models / "context.json").read_text())["context"]
+    assert parse_dot(context["training_graphs"][-1]).name == name
+    assert main(["predict", corpus_path("sum"), "--models", str(models),
+                 "--out", str(tmp_path / "pred.csv")]) == 0
+    out = tmp_path / "extracted"
+    assert main(["extract", str(dot), "--out", str(out)]) == 0
+    assert parse_dot((out / f"{name}.dot").read_text()) == parse_dot(dot.read_text())
+
+
+@pytest.mark.parametrize("features", ["nf-pf", "rwk", "gk"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("sourced", [[], ["sum"]])
+def test_fewer_than_two_sourced_methods_are_refused_alike(tmp_path, capsys, features,
+                                                          command, sourced):
+    man = write_bundled_manifest(tmp_path, sourced)
+    man.write_text(man.read_text() + "2,array_calc,none,\n")  # listed, not sourced
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(man), "--features", features,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: gram matrix needs at least two graphs\n")
+    assert not out.exists()  # so no context.json either
+
+
+@pytest.mark.parametrize("omit", [[], ["--omit-exit-nf"]])
+def test_nf_pf_gram_is_the_dense_reference_x_xt_on_the_bundled_corpus(
+        tmp_path, corpus_graphs, omit):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--features", "nf-pf", *omit, "--mr", "per", "--k", "2",
+                 "--out", str(out), "--dump-gram"]) == 0
+    header, *lines = (out / "gram.csv").read_text().splitlines()
+    names = header.split(",")[1:]
+    assert len(names) == 68
+    gram = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+    vectors = [combine(node_features(corpus_graphs[n], omit_exit=bool(omit)),
+                       path_features(corpus_graphs[n])) for n in names]
+    assert gram.tobytes() == count_reference.gram(vectors).tobytes()
 
 
 def test_extract_refuses_a_dot_input_that_is_not_a_cfg_and_writes_nothing(tmp_path, capsys):

@@ -238,7 +238,7 @@ def _synthetic_gram(n, rng, informative=True):
         labels[0] = 1 - labels[0]
         if informative and labels[0]:
             rows[0] = ("m0", FeatureVector("NF", {"assi-1-1": 1, "div-1-1": 1}))
-    return build_design_matrix(rows).gram(), labels
+    return build_design_matrix(rows), labels
 
 
 def test_cross_validate_learnable_corpus():
@@ -272,7 +272,7 @@ def test_cross_validate_single_class_training_fold_aborts():
     # one positive in two folds: the fold holding it out trains single-class
     labels = [1, 0, 0, 0]
     rows = [(f"m{i}", FeatureVector("NF", {"assi-1-1": i + 1})) for i in range(4)]
-    gram = build_design_matrix(rows).gram()
+    gram = build_design_matrix(rows)
     plan = FoldPlan(k=2, assignments=(0, 0, 1, 1), seed=0)
     report = cross_validate(gram, labels, plan, SvmParams())
     aborted = [fr for fr in report.folds if fr.cm is None]
@@ -317,7 +317,7 @@ def test_cross_validate_given_models_matches_its_own_batch(case):
     else:  # fold 0's training split holds only negatives
         labels = [1, 1, 0, 0, 0, 0]
         gram = build_design_matrix([(f"m{i}", FeatureVector("NF", {"assi-1-1": i + 1}))
-                                    for i in range(6)]).gram()
+                                    for i in range(6)])
         plan = FoldPlan(k=3, assignments=(0, 0, 1, 1, 2, 2), seed=0)
     params = SvmParams(C=0.5)
     fits = [row for row in training_rows(labels, plan) if not isinstance(row, str)]

@@ -5,15 +5,14 @@ from mrkit.cfg import AnnotatedCfg, NodeOp, bfs_parents, parse_dot
 from mrkit.corpus import data_dir
 from mrkit.features import (
     MAX_WALK_ENDS,
+    CountBlock,
     FeatureError,
     FeatureVector,
     build_design_matrix,
     combine,
-    design_matrix_to_csv,
     features_to_csv,
     node_features,
     path_features,
-    project,
     walk_features,
 )
 from mrkit.mir import parse_program
@@ -205,18 +204,20 @@ def test_combine_kind_mismatch():
 
 def test_design_matrix_single_method(worked_example):
     nf = node_features(worked_example)
-    dm = build_design_matrix([("average", nf)])
-    assert dm.feature_index == tuple(sorted(nf.entries))
-    assert dm.rows.shape == (1, len(nf))
-    assert dm.rows.sum() == worked_example.node_count == 14
+    gram = build_design_matrix([("average", nf)])
+    assert gram.method_ids == ("average",)
+    assert gram.values.tolist() == [[float(sum(c * c for c in nf.entries.values()))]]
+    block = CountBlock.of((nf,))
+    assert len(block.index) == len(nf)
+    assert block.counts.sum() == worked_example.node_count == 14
 
 
 def test_design_matrix_disjoint_rows_orthogonal():
     a = FeatureVector("NF", {"add-1-1": 2})
     b = FeatureVector("NF", {"sub-1-1": 3})
-    dm = build_design_matrix([("a", a), ("b", b)])
-    assert float(dm.rows[0] @ dm.rows[1]) == 0.0
-    assert dm.gram().values.tolist() == [[4.0, 0.0], [0.0, 9.0]]
+    gram = build_design_matrix([("a", a), ("b", b)])
+    assert gram.method_ids == ("a", "b")
+    assert gram.values.tolist() == [[4.0, 0.0], [0.0, 9.0]]
 
 
 def test_design_matrix_duplicate_id():
@@ -233,12 +234,12 @@ def test_design_matrix_mixed_kinds():
         ])
 
 
-def test_project_drops_unseen_keys(worked_example):
+def test_count_block_dot_counts_unseen_keys(worked_example):
     nf = node_features(worked_example)
-    dm = build_design_matrix([("average", nf)])
+    block = CountBlock.of((nf, FeatureVector("NF", {"add-1-1": 1})))
     other = FeatureVector("NF", {"add-1-1": 2, "xor-9-9": 5})
-    row, unseen = project(other, dm.key_index)
-    assert row.sum() == 2.0
+    values, unseen = block.dot(other)
+    assert values.tolist() == [2.0 * nf.entries["add-1-1"], 2.0]
     assert unseen == 1
 
 
@@ -247,10 +248,6 @@ def test_csv_dumps(worked_example):
     text = features_to_csv("average", [nf])
     assert text.splitlines()[0] == "method_id,kind,feature_key,count"
     assert "average,NF,assi-1-1,7" in text
-    dm = build_design_matrix([("average", nf)])
-    csv_text = design_matrix_to_csv(dm)
-    assert csv_text.startswith("method_id,")
-    assert csv_text.count("\n") == 2
 
 
 def branching_ring() -> AnnotatedCfg:

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import count_reference
 import gk_reference
 import rwk_reference
 from mrkit import cli
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot
-from mrkit.features import (build_design_matrix, combine, node_features, path_features,
-                            walk_features)
+from mrkit.features import CountBlock, combine, node_features, path_features, walk_features
 from mrkit.kernels import (
     MAX_WALK_LEN,
-    CountBlock,
     CountKernel,
     GkParams,
     RwkParams,
@@ -184,7 +183,7 @@ def test_count_kernel_self_values_are_the_dense_gram_diagonal(corpus_graphs):
         raw = gram_matrix(graphs, "rwk", rwk=replace(p, normalize=False)).values
         assert walk_kernel(graphs, p).self_values.tobytes() == np.diagonal(raw).tobytes()
     vectors = nf_pf_vectors(graphs)
-    gram = build_design_matrix([(str(i), v) for i, v in enumerate(vectors)]).gram().values
+    gram = count_reference.gram(vectors)
     assert CountKernel([vectors], 1.0, False).self_values.tobytes() == \
         np.diagonal(gram).tobytes()
 
