@@ -28,6 +28,7 @@ from .features import (
     FeatureVector,
     build_design_matrix,
     combine,
+    csv_text,
     features_to_csv,
     node_features,
     path_features,
@@ -36,7 +37,7 @@ from .features import (
 from .kernels import CountKernel, GkParams, RwkParams, gram_matrix
 from .mir import lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method, labels_to_csv
-from .svm import SvmModel, SvmParams, decision_value, short_stop, train_svm
+from .svm import SvmModel, SvmParams, decision_value, train_svm
 
 _MR_CHOICES = [mr.lower() for mr in MR_IDS] + ["all"]
 
@@ -90,6 +91,8 @@ def cmd_extract(args) -> int:
         try:
             cfgs = _load_method_cfgs(path)
             for cfg in cfgs:
+                if Path(cfg.name).name != cfg.name:
+                    raise ValueError(f"method name {cfg.name!r} is not a file name")
                 if cfg.name in written:
                     raise ValueError(f"method {cfg.name} already extracted "
                                      f"from {written[cfg.name]}")
@@ -170,13 +173,15 @@ def _nf_pf_vectors(graphs: list[AnnotatedCfg], omit_exit: bool) -> tuple[Feature
 
 def _corpus_features(ds, featurization: str, args):
     """Featurize every sourced entry; returns (entries, graphs, gram,
-    context), where ``gram`` is the KernelMatrix every SVM trains on.  The
-    Gram's diagnostics go to stderr.  Fewer than two sourced entries, which
-    no featurization can train on, are a ValueError before any is loaded;
-    an unlabelled entry is one too."""
+    context), where ``gram`` is the KernelMatrix every SVM trains on.
+    Fewer than two sourced entries, which no featurization can train on,
+    and an unlabelled entry are each a ValueError before any is loaded."""
     entries = [e for e in ds.entries if e.source_kind != "none"]
     if len(entries) < 2:
         raise ValueError("gram matrix needs at least two graphs")
+    unlabelled = [e.name for e in entries if e.labels is None]
+    if unlabelled:
+        raise ValueError(f"unlabelled methods: {', '.join(unlabelled)}")
     ids = tuple(e.name for e in entries)
     graphs = [ds.load_cfg(e) for e in entries]
     if featurization == "nf-pf":
@@ -194,11 +199,6 @@ def _corpus_features(ds, featurization: str, args):
         context = {"featurization": "gk", "k": params.k, "mode": params.mode}
     # rows by manifest entry, whatever a DOT source names its digraph
     gram = replace(gram, method_ids=ids)
-    for note in gram.diagnostics:
-        print(f"diagnostic: {featurization}: {note}", file=sys.stderr)
-    unlabelled = [e.name for e in entries if e.labels is None]
-    if unlabelled:
-        raise ValueError(f"unlabelled methods: {', '.join(unlabelled)}")
     return entries, graphs, gram, context
 
 
@@ -293,10 +293,9 @@ def cmd_train(args) -> int:
         mrs.append(mr)
         rows.append([2 * label - 1 for label in labels])
     models = train_svm(gram.values, np.reshape(rows, (len(rows), len(entries))), svm_params)
-    for mr, y, model in zip(mrs, rows, models):
-        stop = short_stop(gram.values, y, model, svm_params)
-        if stop is not None:
-            print(f"diagnostic: {mr}: {stop}", file=sys.stderr)
+    for mr, model in zip(mrs, models):
+        if model.stop is not None:
+            print(f"diagnostic: {mr}: {model.stop}", file=sys.stderr)
         _write_json(out_dir / f"{mr}.json",
                     {"mr": mr, "context_hash": context_hash, "model": model.to_dict()})
     return 1 if skipped else 0
@@ -377,21 +376,19 @@ def cmd_predict(args) -> int:
               "to predict", file=sys.stderr)
         return 2
 
-    lines = ["method," + ",".join(MR_IDS) + ","
-             + ",".join(f"decision_{mr}" for mr in MR_IDS)]
+    rows = [("method", *MR_IDS, *(f"decision_{mr}" for mr in MR_IDS))]
     failures = 0
     for raw in args.inputs:
         try:
             for cfg in _load_method_cfgs(Path(raw)):
                 column = column_of(cfg)
                 decisions = [decision_value(models[mr], column) for mr in MR_IDS]
-                bits = ",".join("1" if d >= 0 else "0" for d in decisions)
-                vals = ",".join(repr(d) for d in decisions)
-                lines.append(f"{cfg.name},{bits},{vals}")
+                rows.append((cfg.name, *("1" if d >= 0 else "0" for d in decisions),
+                             *map(repr, decisions)))
         except Exception as exc:
             failures += 1
             print(f"error: {raw}: {_reason(exc, Path(raw))}", file=sys.stderr)
-    text = "\n".join(lines) + "\n"
+    text = csv_text(rows)
     if args.out:
         Path(args.out).write_text(text)
     else:

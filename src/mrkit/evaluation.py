@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .features import KernelMatrix
-from .svm import SvmParams, decision_value, short_stop, train_svm
+from .svm import SvmParams, decision_value, train_svm
 
 
 class EvaluationError(ValueError):
@@ -256,10 +256,10 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
     sample from its column against the training split; ``labels01`` uses 1
     for "MR applies".  Folds whose training split is single-class are
     skipped with a diagnostic; a fit that stops at ``max_passes`` short of
-    ``kkt_tol`` is kept and carries ``short_stop``'s.  Aggregates are means
-    over folds where each metric is defined.  ``models`` holds the fits of
-    the folds that ``training_rows`` does not skip, in fold order; None
-    trains them here, in one ``train_svm`` call.
+    ``kkt_tol`` is kept and its fold carries the model's ``stop`` text.
+    Aggregates are means over folds where each metric is defined.
+    ``models`` holds the fits of the folds that ``training_rows`` does not
+    skip, in fold order; None trains them here, in one ``train_svm`` call.
     """
     labels01 = list(labels01)
     rows = training_rows(labels01, folds)
@@ -280,9 +280,6 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
         test_idx = folds.fold_indices(fold)
         train_idx = np.flatnonzero(row)
         model = next(models)
-        stop = short_stop(gram.submatrix(train_idx, train_idx), row[train_idx],
-                          model, svm_params)
-        diags = [] if stop is None else [stop]
         decisions = [decision_value(model, gram.values[train_idx, t])
                      for t in test_idx]
         predicted01 = [1 if d >= 0 else 0 for d in decisions]
@@ -295,7 +292,8 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
         else:
             fold_auc, causes = None, {**causes, "auc": "single-class test fold"}
         fold_metrics = replace(fold_metrics, auc=fold_auc, causes=causes)
-        fold_results.append(FoldResult(fold, cm, fold_metrics, tuple(diags)))
+        diags = () if model.stop is None else (model.stop,)
+        fold_results.append(FoldResult(fold, cm, fold_metrics, diags))
 
     aggregate_values: dict[str, float | None] = {}
     defined_counts: dict[str, int] = {}

@@ -13,7 +13,9 @@ keyed by an integer coding of that sequence.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import csv
+import io
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -201,20 +203,15 @@ class CountBlock(NamedTuple):
 class KernelMatrix:
     method_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
-    diagnostics: tuple[str, ...] = ()
 
     def min_eigenvalue(self) -> float:
         sym = (self.values + self.values.T) / 2.0
         return float(np.linalg.eigvalsh(sym).min())
 
-    def submatrix(self, rows, cols) -> np.ndarray:
-        return self.values[np.ix_(rows, cols)]
-
     def to_csv(self) -> str:
-        lines = ["method_id," + ",".join(self.method_ids)]
-        for mid, row in zip(self.method_ids, self.values):
-            lines.append(mid + "," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return csv_text([("method_id", *self.method_ids),
+                         *((mid, *map(repr, row)) for mid, row in
+                           zip(self.method_ids, self.values.tolist()))])
 
 
 def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> KernelMatrix:
@@ -235,11 +232,18 @@ def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> KernelMatr
     return KernelMatrix(method_ids=tuple(ids), values=block.gram())
 
 
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """``rows`` as CSV with LF line ends and the csv module's minimal
+    quoting: only a cell holding a ``,``, a ``"`` or a line feed is quoted,
+    so every other cell, a method name included, keeps its bytes."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:
     """Flat dump: one ``method_id,kind,feature_key,count`` row per entry,
     keys sorted within each vector."""
-    lines = ["method_id,kind,feature_key,count"]
-    for vec in vectors:
-        for key in sorted(vec.entries):
-            lines.append(f"{method_id},{vec.kind},{key},{vec.entries[key]}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("method_id", "kind", "feature_key", "count"),
+                     *((method_id, vec.kind, key, vec.entries[key])
+                       for vec in vectors for key in sorted(vec.entries))])

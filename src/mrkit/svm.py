@@ -9,8 +9,10 @@ The solver is LIBSVM's (Chang & Lin, ACM TIST 2011): second-order
 working-set selection (WSS2; Fan, Chen & Lin, JMLR 2005) on a cached
 gradient that each pair update refreshes in O(n), and a bias averaged over
 the free support vectors (Keerthi et al., Neural Computation 2001).  It
-stops KKT-converged or at ``max_passes``, and a fit that ends above
-``kkt_tol`` can only be the second, which ``short_stop`` reports.  It
+stops KKT-converged or at ``max_passes``, and says which on the model:
+``SvmModel.stop`` carries the maximal violating-pair gap of a fit that ran
+out of updates and is None for a converged one.  The gap comes from
+elementwise operations only, so the text is the same on any CPU.  It
 draws no random numbers and breaks ties by lowest index, so one Gram and
 one configuration give byte-identical models.
 
@@ -24,7 +26,7 @@ call is the one-row case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +56,8 @@ class SvmModel:
     support: tuple[int, ...]           # training-set indices
     bias: float
     n_train: int
+    # why the solver stopped short of kkt_tol, or None; never saved or compared
+    stop: str | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -105,7 +109,9 @@ def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
 
 
 def kkt_report(gram, labels, model: SvmModel, params: SvmParams) -> float:
-    """Maximum raw KKT violation of a trained model on its training Gram."""
+    """Maximum raw KKT violation of a trained model on its training Gram,
+    recomputed from the Gram apart from the solver's own stop test.  No
+    command calls it; it is the tests' independent check of a fit."""
     gram = _square(gram)
     y = np.asarray(labels, dtype=float)
     alpha = np.zeros(len(y))
@@ -116,20 +122,11 @@ def kkt_report(gram, labels, model: SvmModel, params: SvmParams) -> float:
     return float(viol.max(initial=0.0))
 
 
-def short_stop(gram, labels, model: SvmModel, params: SvmParams) -> str | None:
-    """The diagnostic for a fit that ``train_svm`` left above ``kkt_tol``,
-    which only its ``max_passes`` exit can do; None for a converged fit."""
-    violation = kkt_report(gram, labels, model, params)
-    if violation <= params.kkt_tol:
-        return None
-    return f"SMO stopped at max_passes: KKT violation {violation!r}"
-
-
 _TAU = 1e-12  # LIBSVM's stand-in for a pair curvature a_it <= 0
 
 
 def _finish(coef: np.ndarray, v: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-            split: np.ndarray) -> SvmModel:
+            split: np.ndarray, stop: str | None) -> SvmModel:
     """The model of one solved row, over the row's training split.  Entries
     outside the split are never free, in I_up or in I_low, so the bias
     masks pick the split's entries in order."""
@@ -141,7 +138,8 @@ def _finish(coef: np.ndarray, v: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     coef = coef[split]
     support = np.flatnonzero(coef)
     return SvmModel(coef=tuple(coef[support].tolist()),
-                    support=tuple(support.tolist()), bias=b, n_train=len(coef))
+                    support=tuple(support.tolist()), bias=b, n_train=len(coef),
+                    stop=stop)
 
 
 def train_svm(gram, labels,
@@ -170,11 +168,11 @@ def train_svm(gram, labels,
     a row's split has the box [0, 0], so it never enters I_up or I_low, and
     its score for j is -1, below any in-split score, so ties still go to
     the lowest index of the split.  A row leaves the batch at one of two
-    exits: KKT converged, when max v(I_up) - min v(I_low) <= kkt_tol, or
-    ``max_passes * n_train`` pair updates.  Only the second can leave
-    ``kkt_report`` above ``kkt_tol``.  The bias is the mean of v over the
-    free support vectors, or with none the midpoint of max v(I_up) and
-    min v(I_low).  No random numbers are drawn, so one Gram and one
+    exits: KKT converged, when the gap max v(I_up) - min v(I_low) <= kkt_tol,
+    or ``max_passes * n_train`` pair updates with the gap still above it,
+    which the model's ``stop`` reports with that gap.  The bias is the mean
+    of v over the free support vectors, or with none the midpoint of
+    max v(I_up) and min v(I_low).  No random numbers are drawn, so one Gram and one
     configuration give one model per row.
     """
     gram = _square(gram)
@@ -208,10 +206,13 @@ def train_svm(gram, labels,
     while live.size:
         i = np.where(coef < hi, v, -np.inf).argmax(axis=1)
         gap = v[at, i][:, None] - np.where(coef > lo, v, np.inf)  # -inf outside I_low
-        going = (gap.max(axis=1) > params.kkt_tol) & (step < budget)
+        top = gap.max(axis=1)
+        going = (top > params.kkt_tol) & (step < budget)
         if not going.all():  # KKT converged or out of updates
             for k in np.flatnonzero(~going):
-                models[live[k]] = _finish(coef[k], v[k], hi[k], lo[k], split[k])
+                stop = (f"SMO stopped at max_passes: KKT gap {float(top[k])!r}"
+                        if top[k] > params.kkt_tol else None)
+                models[live[k]] = _finish(coef[k], v[k], hi[k], lo[k], split[k], stop)
             live, coef, v, hi, lo, split, budget, i, gap = (
                 a[going] for a in (live, coef, v, hi, lo, split, budget, i, gap))
             at = np.arange(live.size)

@@ -1,3 +1,4 @@
+import csv
 import functools
 import hashlib
 import json
@@ -9,14 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrkit import cli
+from mrkit import cli, corpus
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
+from mrkit.mir import parse_program
 from mrkit.features import CountBlock, combine, node_features, path_features
 import count_reference
 import rwk_reference
-from mrkit.kernels import PSD_TOLERANCE, GkParams, KernelMatrix, RwkParams
+from mrkit.kernels import GkParams, RwkParams
 from test_features import branching_ring
 from test_kernels import per_pair_gk
 from test_mir import nested_fors
@@ -208,7 +210,16 @@ def _manifest_with_undefined_name(tmp_path) -> Path:
     (tmp_path / "m.mir").write_text("fn f(a) {\n  return 1\n}\n")
     with man.open("a") as fh:
         fh.write("1,g,mir,m.mir\n")
+    label_all(tmp_path, 1)
     return man
+
+
+def label_all(tmp_path, method_id: int) -> None:
+    """Give ``method_id`` every MR in ``labels.csv``, so that train and
+    evaluate, which refuse an unlabelled method before any source is read,
+    go on to load it."""
+    with (tmp_path / "labels.csv").open("a") as fh:
+        fh.write(f"{method_id},1,1,1,1,1,1\n")
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -328,7 +339,7 @@ def test_train_reports_a_max_passes_stop(tmp_path, capsys, monkeypatch):
     assert "SMO stopped" not in capsys.readouterr().err
     monkeypatch.setattr(cli, "SvmParams", functools.partial(SvmParams, max_passes=1))
     assert main(args) == 0
-    assert "diagnostic: PER: SMO stopped at max_passes: KKT violation " \
+    assert "diagnostic: PER: SMO stopped at max_passes: KKT gap " \
         in capsys.readouterr().err
 
 
@@ -344,25 +355,6 @@ def test_train_models_do_not_depend_on_the_seed(tmp_path):
     assert sorted(written[0]) == ["ADD.json", "EXC.json", "INC.json", "INV.json",
                                   "MUL.json", "PER.json", "context.json"]
     assert written[0] == written[1]
-
-
-@pytest.mark.parametrize("command", ["evaluate", "train"])
-def test_gram_diagnostics_are_printed(tmp_path, capsys, monkeypatch, command):
-    note = "gram matrix is not PSD within tolerance: min eigenvalue -1.000e+00"
-
-    def not_psd(graphs, kernel, **params):
-        n = len(graphs)
-        km = KernelMatrix(tuple(g.name for g in graphs),
-                          2.0 * np.ones((n, n)) - np.eye(n), diagnostics=(note,))
-        assert km.min_eigenvalue() < PSD_TOLERANCE
-        return km
-
-    monkeypatch.setattr(cli, "gram_matrix", not_psd)
-    man = write_bundled_manifest(tmp_path, MIXED)
-    args = [command, "--manifest", str(man), "--features", "rwk", "--mr", "per",
-            "--out", str(tmp_path / "out")]
-    assert main(args + (["--k", "2"] if command == "evaluate" else [])) == 0
-    assert f"diagnostic: rwk: {note}\n" in capsys.readouterr().err
 
 
 def test_evaluate_deterministic_outputs(tmp_path):
@@ -722,6 +714,7 @@ def test_evaluate_refuses_a_graph_whose_walk_count_explodes(tmp_path, capsys):
                         ring.edges + ((6, 0), (5, 7)))
     (tmp_path / "ring.dot").write_text(emit_dot(ring))
     man.write_text(man.read_text() + "7,ring,dot,ring.dot\n")
+    label_all(tmp_path, 7)
     code = main(["evaluate", "--manifest", str(man), "--features", "rwk", "--walk-len", "20",
                  "--mr", "per", "--k", "2", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
@@ -758,6 +751,7 @@ def test_a_manifest_dot_row_that_is_not_a_cfg_is_an_error(tmp_path, capsys, comm
     man = write_mini_manifest(tmp_path, TRIO)
     (tmp_path / "repro.dot").write_text(NOT_A_CFG)
     man.write_text(man.read_text() + "7,repro,dot,repro.dot\n")
+    label_all(tmp_path, 7)
     assert main([command, "--manifest", str(man), "--features", features,
                  "--out", str(tmp_path / "out")]) == 2
     source = (tmp_path / "repro.dot").resolve()
@@ -835,3 +829,115 @@ def test_extract_refuses_a_dot_input_that_is_not_a_cfg_and_writes_nothing(tmp_pa
     assert main(["extract", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {NOT_A_CFG_REASON}\n"
     assert list(out.iterdir()) == []
+
+
+def renamed_average(tmp_path, name: str) -> Path:
+    """The bundled ``average.dot`` with its digraph named ``name``."""
+    text = (data_dir() / "cfg" / "average.dot").read_text()
+    dot = tmp_path / "renamed.dot"
+    dot.write_text(text.replace("digraph average {", f'digraph "{name}" {{', 1))
+    assert parse_dot(dot.read_text()).name == name
+    return dot
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_predict_quotes_a_method_name_that_holds_a_comma(tmp_path):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    models, out = tmp_path / "models", tmp_path / "p.csv"
+    assert main(["train", "--manifest", str(man), "--features", "nf-pf",
+                 "--out", str(models)]) == 0
+    dot = renamed_average(tmp_path, "x,y")
+    assert main(["predict", str(dot), corpus_path("sum"), "--models", str(models),
+                 "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [len(row) for row in rows] == [13, 13, 13]
+    assert [row[0] for row in rows] == ["method", "x,y", "sum"]
+    assert out.read_text().splitlines()[2].startswith("sum,")
+
+
+def test_extract_quotes_a_method_name_that_holds_a_comma(tmp_path):
+    out = tmp_path / "out"
+    assert main(["extract", str(renamed_average(tmp_path, "x,y")), "--out", str(out)]) == 0
+    rows = read_csv(out / "x,y_features.csv")
+    assert rows[0] == ["method_id", "kind", "feature_key", "count"]
+    assert {len(row) for row in rows} == {4} and {row[0] for row in rows[1:]} == {"x,y"}
+    assert ["x,y", "NF", "assi-1-1", "7"] in rows
+
+
+def test_dump_gram_quotes_a_manifest_name_that_holds_a_comma(tmp_path):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    (tmp_path / "average.dot").write_text((data_dir() / "cfg" / "average.dot").read_text())
+    man.write_text(man.read_text() + '5,"odd,name",dot,average.dot\n')
+    out = tmp_path / "out"
+    assert main(["evaluate", "--manifest", str(man), "--features", "nf-pf", "--mr", "per",
+                 "--k", "2", "--out", str(out), "--dump-gram"]) == 0
+    rows = read_csv(out / "gram.csv")
+    assert rows[0] == ["method_id", *MIXED, "odd,name"]
+    assert [len(row) for row in rows] == [len(MIXED) + 2] * (len(MIXED) + 2)
+    assert rows[-1][0] == "odd,name"
+
+
+def test_extract_refuses_a_method_name_that_is_not_a_file_name(tmp_path, capsys):
+    """A digraph named ``../escaped`` would write beside ``--out``; its input
+    writes nothing and the inputs after it still run."""
+    dot = renamed_average(tmp_path, "../escaped")
+    out = tmp_path / "out" / "x"
+    assert main(["extract", str(dot), corpus_path("sum"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {dot}: method name '../escaped' is not a file name\n")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["x"]
+    assert sorted(p.name for p in out.iterdir()) == ["sum.dot", "sum_features.csv"]
+
+
+@pytest.mark.parametrize("features", ["nf-pf", "rwk", "gk"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_unlabelled_method_is_refused_before_any_source_is_read(
+        tmp_path, capsys, monkeypatch, command, features):
+    man = write_mini_manifest(tmp_path, TRIO)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_program(text)
+
+    monkeypatch.setattr(corpus, "parse_program", counting)
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(man), "--features", features,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: unlabelled methods: find_max\n")
+    assert parsed == []
+    assert not (out / "context.json").exists()
+
+
+def test_a_short_stop_reads_the_same_on_every_openblas_kernel(tmp_path):
+    """A forced short stop prints the solver's own gap, which elementwise
+    operations compute, so the OpenBLAS kernel a CPU selects cannot change
+    a digit of it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"]:
+        pytest.skip(f"numpy is linked to {blas['name']}, not OpenBLAS, so "
+                    "OPENBLAS_CORETYPE selects nothing")
+    root = Path(__file__).resolve().parents[1]
+    script = ("import functools, sys\n"
+              "from mrkit import cli, svm\n"
+              "cli.SvmParams = functools.partial(svm.SvmParams, max_passes=1)\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    errs = []
+    for core in ("Haswell", "Prescott"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script, "train", "--features", "rwk",
+             "--out", str(tmp_path / core)],
+            env=env, capture_output=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert b"diagnostic: MUL: SMO stopped at max_passes: " in result.stderr
+        errs.append(result.stderr)
+    assert errs[0] == errs[1]

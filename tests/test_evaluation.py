@@ -292,7 +292,7 @@ def test_cross_validate_reports_a_max_passes_stop(dataset):
     assert stops
     for d in stops:
         head, violation = d.rsplit(" ", 1)
-        assert head == "SMO stopped at max_passes: KKT violation"
+        assert head == "SMO stopped at max_passes: KKT gap"
         assert float(violation) > SvmParams().kkt_tol
     assert json.loads(short.to_json()) == short.to_dict()
     full = cross_validate(gram, labels, folds, SvmParams())

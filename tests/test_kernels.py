@@ -1,3 +1,4 @@
+import argparse
 import itertools
 from dataclasses import replace
 
@@ -435,7 +436,38 @@ def test_gram_psd_and_symmetric_small(corpus_graphs):
         km = gram_matrix(graphs, kernel)
         assert np.array_equal(km.values, km.values.T)
         assert km.min_eigenvalue() >= -1e-8
-        assert km.diagnostics == ()
+
+
+def cli_grams(dataset):
+    """Every Gram the CLI can build over the bundled corpus, by name: nf-pf
+    with and without the exit node, rwk at walk lengths 1, 10 and 20 and
+    decays 0.3 and 0.5, gk3 and gk4."""
+    def gram(featurization, omit_exit_nf=False, walk_len=10, decay=0.5, k=3):
+        args = argparse.Namespace(omit_exit_nf=omit_exit_nf, walk_len=walk_len,
+                                  graphlet_k=k, **{"lambda": decay})
+        return cli._corpus_features(dataset, featurization, args)[2]
+
+    yield "nf-pf", gram("nf-pf")
+    yield "nf-pf --omit-exit-nf", gram("nf-pf", omit_exit_nf=True)
+    for walk_len in (1, 10, 20):
+        for decay in (0.3, 0.5):
+            yield f"rwk {walk_len} {decay}", gram("rwk", walk_len=walk_len, decay=decay)
+    yield "gk3", gram("gk", k=3)
+    yield "gk4", gram("gk", k=4)
+
+
+def test_every_cli_gram_is_psd_on_the_corpus(dataset):
+    """No Gram is checked for definiteness at run time: each is a
+    positive-weighted sum of count-block products, cosine-normalised for
+    rwk and gk, so PSD by construction; its smallest eigenvalue is at most
+    rounding below zero."""
+    seen = []
+    for name, km in cli_grams(dataset):
+        seen.append(name)
+        assert km.values.shape == (68, 68), name
+        assert np.array_equal(km.values, km.values.T), name
+        assert km.min_eigenvalue() >= -1e-12 * np.abs(km.values).max(), name
+    assert len(seen) == 10
 
 
 def per_pair_gk(g1, g2, p: GkParams, normalize: bool = True) -> float:

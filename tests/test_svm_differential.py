@@ -4,8 +4,10 @@ The WSS2 solver takes other working pairs than the reference, so its
 alphas differ in the last digits; a converged fit must instead reach at
 least the reference's dual objective, up to a relative 1e-4, and stop
 within ``kkt_tol`` of the KKT conditions.  A fit that ``max_passes`` cut
-short must say so through ``short_stop`` and keep its coefficients in the
-box.
+short must say so in its model's ``stop`` text and keep its coefficients
+in the box.  ``kkt_report`` recomputes the KKT violations from the Gram,
+apart from the solver's own gap, so a fit whose ``stop`` is None must
+stay within ``kkt_tol`` there too.
 """
 
 import argparse
@@ -48,14 +50,25 @@ def _same_fit(gram, y, params: svm.SvmParams, seed: int) -> None:
     gram = np.asarray(gram, dtype=float)
     ours = svm.train_svm(gram, y, params)
     assert all(0.0 < abs(c) <= params.C for c in ours.coef)
-    stop = svm.short_stop(gram, y, ours, params)
-    if stop is not None:
+    _stop_agrees_with_kkt(gram, y, ours, params)
+    if ours.stop is not None:
         # only a small budget may run out on these problems of <= 12 samples
-        assert stop.startswith("SMO stopped at max_passes") and params.max_passes < 100
+        assert params.max_passes < 100
         return
     theirs = _dual(ref.train_svm(gram, y, params, seed), gram)
     assert _dual(ours, gram) >= theirs - 1e-4 * max(1.0, abs(theirs))
-    assert svm.kkt_report(gram, y, ours, params) <= params.kkt_tol
+
+
+def _stop_agrees_with_kkt(gram, y, model: svm.SvmModel, params: svm.SvmParams) -> None:
+    """A converged fit (``stop`` None) is within ``kkt_tol`` by the Gram's
+    own recomputation; a short one names the gap it stopped at, above
+    ``kkt_tol``."""
+    if model.stop is None:
+        assert svm.kkt_report(gram, y, model, params) <= params.kkt_tol
+    else:
+        head, gap = model.stop.rsplit(" ", 1)
+        assert head == "SMO stopped at max_passes: KKT gap"
+        assert float(gap) > params.kkt_tol
 
 
 @st.composite
@@ -108,7 +121,7 @@ def test_train_svm_matches_reference_on_corpus_folds(dataset):
             folds = stratified_kfold(labels, 10, seed=stage_seed(42, "folds"))
             for fold in range(folds.k):
                 train = [i for i, f in enumerate(folds.assignments) if f != fold]
-                _same_fit(gram.submatrix(train, train),
+                _same_fit(gram.values[np.ix_(train, train)],
                           [1 if labels[i] else -1 for i in train], params,
                           stage_seed(42, "svm"))
 
@@ -131,7 +144,9 @@ def _batch_matches_rows(gram, rows, params: svm.SvmParams) -> None:
         sub, y = gram[np.ix_(split, split)], row[split]
         expected = ref.train_svm_wss2(sub, y, params)
         assert model == expected and _bits(model) == _bits(expected)
-        assert _bits(svm.train_svm(sub, y, params)) == _bits(expected)
+        alone = svm.train_svm(sub, y, params)
+        assert _bits(alone) == _bits(expected) and alone.stop == model.stop
+        _stop_agrees_with_kkt(sub, y, model, params)
 
 
 def _draw_splits(data, n: int) -> list[list[int]]:
@@ -172,6 +187,6 @@ def test_batch_rows_stop_at_their_own_limit():
     gram = np.diag([0.25, 0, 0, 0.25])
     _batch_matches_rows(gram, rows, _ONE_PASS)
     models = svm.train_svm(gram, rows, _ONE_PASS)
-    stops = [svm.short_stop(gram[np.ix_(s, s)], np.asarray(r)[s], m, _ONE_PASS)
-             for r, m in zip(rows, models) for s in [np.flatnonzero(r)]]
-    assert stops[0] is not None and stops[1] is None and stops[2] is None
+    assert [m.stop is None for m in models] == [False, True, True]
+    full = np.asarray(rows[0])
+    assert svm.kkt_report(gram, full, models[0], _ONE_PASS) > _ONE_PASS.kkt_tol
