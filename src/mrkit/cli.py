@@ -23,7 +23,7 @@ import numpy as np
 from . import corpus as corpus_io
 from . import kernels
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
-from .evaluation import RESULTS_CSV_HEADER, cross_validate, stratified_kfold, training_rows
+from .evaluation import EvalMetrics, cross_validate, stratified_kfold, training_rows
 from .features import (
     FeatureVector,
     build_design_matrix,
@@ -36,7 +36,7 @@ from .features import (
 )
 from .kernels import CountKernel, GkParams, RwkParams, gram_matrix
 from .mir import lower_to_cfg, parse_program
-from .oracle import MR_IDS, OracleParams, audit_labels, label_method, labels_to_csv
+from .oracle import MR_IDS, OracleParams, audit_labels, label_method
 from .svm import SvmModel, SvmParams, decision_value, train_svm
 
 _MR_CHOICES = [mr.lower() for mr in MR_IDS] + ["all"]
@@ -133,7 +133,7 @@ def cmd_label(args) -> int:
         if len(trap_causes) == len(MR_IDS):
             print(f"diagnostic: {entry.name}: every relation rejected by a "
                   f"runtime trap ({trap_causes[0]})", file=sys.stderr)
-    text = labels_to_csv(rows)
+    text = corpus_io.labels_to_csv(rows)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -155,13 +155,9 @@ def cmd_label(args) -> int:
 
 def cmd_stats(args) -> int:
     stats = corpus_io.corpus_stats(_dataset(args))
-    print("mr,match,non_match")
-    for mr in MR_IDS:
-        match, non_match = stats.per_mr[mr]
-        print(f"{mr},{match},{non_match}")
-    print("matching_mrs,methods")
-    for k in range(7):
-        print(f"{k},{stats.histogram[k]}")
+    sys.stdout.write(csv_text([
+        ("mr", "match", "non_match"), *((mr, *stats.per_mr[mr]) for mr in MR_IDS),
+        ("matching_mrs", "methods"), *stats.histogram.items()]))
     return 0
 
 
@@ -255,8 +251,8 @@ def cmd_evaluate(args) -> int:
         "reports": [r.to_dict() for r in reports],
     }
     report_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    csv_lines = [RESULTS_CSV_HEADER] + [r.csv_row() for r in reports]
-    results_csv = "\n".join(csv_lines) + "\n"
+    results_csv = csv_text([("mr", "featurization", *EvalMetrics.FIELDS),
+                            *(r.csv_row() for r in reports)])
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

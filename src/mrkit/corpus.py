@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cfg import AnnotatedCfg, DotParseError, parse_dot
 from .mir import Function, MirError, parse_program
-from .oracle import MR_IDS, MrLabelSet, labels_to_csv
+from .oracle import MR_IDS, MrLabelSet
 
 
 class CorpusError(ValueError):
@@ -87,41 +87,66 @@ class CorpusStats:
         return sum(self.histogram.values())
 
 
+def _table(text: str, origin: str | Path, header: tuple[str, ...]):
+    """Yield ``(line, cells)`` for each non-blank row of a CSV table with
+    ``header``; ``line`` is where the row ends in ``text``.  Another header,
+    an empty text included, or a row of another width is a CorpusError."""
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != list(header):
+        raise CorpusError(f"{origin}: header must be {','.join(header)}")
+    for cells in reader:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise CorpusError(f"{origin}:{reader.line_num}: expected "
+                              f"{len(header)} cells, got {len(cells)}")
+        yield reader.line_num, cells
+
+
+def _method_id(cell: str, where: str, seen: set[int]) -> int:
+    """``cell`` as a method id, added to ``seen``.  A cell that is not the
+    id's own decimal spelling (``str(int(cell)) == cell``, so ``1_0``,
+    ``+3`` and ``07`` are bad) or an id already in ``seen`` is refused."""
+    try:
+        method_id = int(cell)
+    except ValueError:
+        method_id = None
+    if method_id is None or str(method_id) != cell:
+        raise CorpusError(f"{where}: bad method id {cell!r}")
+    if method_id in seen:
+        raise CorpusError(f"{where}: duplicate method id {method_id}")
+    seen.add(method_id)
+    return method_id
+
+
+LABELS_HEADER = ("method_id", *MR_IDS)
+
+
 def load_labels_csv(path: str | Path) -> dict[int, MrLabelSet]:
     """Read a ``method_id,ADD,...,INV`` file of 0/1 cells keyed by id."""
     path = Path(path)
-    text = path.read_text()
-    return parse_labels_csv(text, str(path))
+    return parse_labels_csv(path.read_text(), str(path))
 
 
 def parse_labels_csv(text: str, origin: str = "<labels>") -> dict[int, MrLabelSet]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorpusError(f"{origin}: empty labels file") from None
-    expected = ["method_id", *MR_IDS]
-    if header != expected:
-        raise CorpusError(f"{origin}: header must be {','.join(expected)}")
     out: dict[int, MrLabelSet] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 7:
-            raise CorpusError(f"{origin}:{lineno}: expected 7 cells, got {len(row)}")
-        try:
-            method_id = int(row[0])
-        except ValueError:
-            raise CorpusError(f"{origin}:{lineno}: bad method id {row[0]!r}") from None
-        if method_id in out:
-            raise CorpusError(f"{origin}:{lineno}: duplicate method id {method_id}")
-        bits = []
+    seen_ids: set[int] = set()
+    for line, row in _table(text, origin, LABELS_HEADER):
+        method_id = _method_id(row[0], f"{origin}:{line}", seen_ids)
         for cell in row[1:]:
             if cell not in ("0", "1"):
-                raise CorpusError(f"{origin}:{lineno}: label cells must be 0 or 1, got {cell!r}")
-            bits.append(int(cell))
-        out[method_id] = MrLabelSet.from_bits(bits)
+                raise CorpusError(f"{origin}:{line}: label cells must be 0 or 1, got {cell!r}")
+        out[method_id] = MrLabelSet.from_bits([int(cell) for cell in row[1:]])
     return out
+
+
+def labels_to_csv(rows: list[tuple[str, MrLabelSet]]) -> str:
+    """Canonical labels CSV: header then one 0/1 row per method id."""
+    lines = [",".join(LABELS_HEADER)]
+    for method_id, labels in rows:
+        bits = ",".join(str(b) for b in labels.as_bits())
+        lines.append(f"{method_id},{bits}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_labels_csv(labels: dict[int, MrLabelSet]) -> str:
@@ -130,59 +155,37 @@ def emit_labels_csv(labels: dict[int, MrLabelSet]) -> str:
     return labels_to_csv(rows)
 
 
-def load_manifest(path: str | Path,
-                  labels_path: str | Path | None = None) -> Dataset:
-    """Load a dataset manifest; relative source paths resolve against the
-    manifest's directory, every referenced file must exist, and method ids
-    and names are unique."""
+def load_manifest(path: str | Path) -> Dataset:
+    """Load a dataset manifest and the ``labels.csv`` beside it, if any;
+    relative source paths resolve against the manifest's directory, every
+    referenced file must exist, and method ids and names are unique."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"manifest not found: {path}")
     base = path.parent
-    labels: dict[int, MrLabelSet] = {}
-    if labels_path is None:
-        default = base / "labels.csv"
-        if default.exists():
-            labels = load_labels_csv(default)
-    else:
-        labels = load_labels_csv(labels_path)
+    labels_path = base / "labels.csv"
+    labels = load_labels_csv(labels_path) if labels_path.exists() else {}
 
     entries: list[DatasetEntry] = []
     seen_ids: set[int] = set()
     seen_names: set[str] = set()
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["method_id", "name", "source_kind", "source_path"]:
-            raise CorpusError(
-                f"{path}: header must be method_id,name,source_kind,source_path")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CorpusError(f"{path}:{lineno}: expected 4 cells")
-            try:
-                method_id = int(row[0])
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: bad method id {row[0]!r}") from None
-            if method_id in seen_ids:
-                raise CorpusError(f"{path}:{lineno}: duplicate method id {method_id}")
-            seen_ids.add(method_id)
-            name, kind, raw_path = row[1], row[2], row[3]
-            if name in seen_names:
-                raise CorpusError(f"{path}:{lineno}: duplicate method name {name!r}")
-            seen_names.add(name)
-            if kind not in ("mir", "dot", "none"):
-                raise CorpusError(f"{path}:{lineno}: unknown source_kind {kind!r}")
-            source: Path | None = None
-            if kind != "none":
-                source = (base / raw_path).resolve()
-                if not source.exists():
-                    raise CorpusError(
-                        f"{path}:{lineno}: source file not found: {source}")
-            entries.append(DatasetEntry(
-                method_id=method_id, name=name, source_kind=kind,
-                source_path=source, labels=labels.get(method_id)))
+    rows = _table(path.read_text(), path,
+                  ("method_id", "name", "source_kind", "source_path"))
+    for line, (cell, name, kind, raw_path) in rows:
+        method_id = _method_id(cell, f"{path}:{line}", seen_ids)
+        if name in seen_names:
+            raise CorpusError(f"{path}:{line}: duplicate method name {name!r}")
+        seen_names.add(name)
+        if kind not in ("mir", "dot", "none"):
+            raise CorpusError(f"{path}:{line}: unknown source_kind {kind!r}")
+        source: Path | None = None
+        if kind != "none":
+            source = (base / raw_path).resolve()
+            if not source.exists():
+                raise CorpusError(f"{path}:{line}: source file not found: {source}")
+        entries.append(DatasetEntry(
+            method_id=method_id, name=name, source_kind=kind,
+            source_path=source, labels=labels.get(method_id)))
     return Dataset(tuple(entries))
 
 
@@ -236,16 +239,9 @@ def anomaly_register(path: str | Path | None = None) -> dict[str, AnomalyEntry]:
     semantics; keyed by method name."""
     path = Path(path) if path is not None else data_dir() / "anomalies.csv"
     out: dict[str, AnomalyEntry] = {}
-    with Path(path).open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["method_id", "name", "mrs", "reason"]:
-            raise CorpusError(f"{path}: header must be method_id,name,mrs,reason")
-        for row in reader:
-            if not row:
-                continue
-            entry = AnomalyEntry(
-                method_id=int(row[0]), name=row[1],
-                mrs=tuple(row[2].split(";")), reason=row[3])
-            out[entry.name] = entry
+    seen_ids: set[int] = set()
+    for line, (cell, name, mrs, reason) in _table(
+            path.read_text(), path, ("method_id", "name", "mrs", "reason")):
+        method_id = _method_id(cell, f"{path}:{line}", seen_ids)
+        out[name] = AnomalyEntry(method_id, name, tuple(mrs.split(";")), reason)
     return out

@@ -53,11 +53,6 @@ class EvalMetrics:
 
     FIELDS = ("accuracy", "precision", "recall", "f_measure", "auc", "bsr")
 
-    def as_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self.FIELDS}
-        out["causes"] = dict(sorted(self.causes.items()))
-        return out
-
 
 def confusion(predicted, truth) -> ConfusionMatrix:
     """Counts with the positive class encoded as 1, negative as 0."""
@@ -176,7 +171,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
 @dataclass(frozen=True)
 class FoldResult:
     fold: int
-    cm: ConfusionMatrix | None
+    confusion: ConfusionMatrix | None
     metrics: EvalMetrics | None
     diagnostics: tuple[str, ...] = ()
 
@@ -192,39 +187,17 @@ class EvalReport:
     diagnostics: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "mr": self.mr,
-            "featurization": self.featurization,
-            "config": self.config,
-            "folds": [
-                {
-                    "fold": fr.fold,
-                    "confusion": None if fr.cm is None else asdict(fr.cm),
-                    "metrics": None if fr.metrics is None else fr.metrics.as_dict(),
-                    "diagnostics": list(fr.diagnostics),
-                }
-                for fr in self.folds
-            ],
-            "aggregate": self.aggregate.as_dict(),
-            "defined_counts": dict(sorted(self.defined_counts.items())),
-            "diagnostics": list(self.diagnostics),
-        }
+        """The report as ``report.json`` holds it, keyed by field names."""
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    def csv_row(self) -> str:
-        def cell(v):
-            return "" if v is None else repr(float(v))
-
-        m = self.aggregate
-        return ",".join([
-            self.mr, self.featurization, cell(m.accuracy), cell(m.precision),
-            cell(m.recall), cell(m.f_measure), cell(m.auc), cell(m.bsr),
-        ])
-
-
-RESULTS_CSV_HEADER = "mr,featurization,accuracy,precision,recall,f_measure,auc,bsr"
+    def csv_row(self) -> tuple[str, ...]:
+        """The ``results.csv`` cells: an undefined metric is an empty cell."""
+        values = (getattr(self.aggregate, name) for name in EvalMetrics.FIELDS)
+        return (self.mr, self.featurization,
+                *("" if v is None else repr(float(v)) for v in values))
 
 
 def training_rows(labels01, folds: FoldPlan) -> list:
@@ -304,7 +277,7 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
         aggregate_values[name] = float(np.mean(vals)) if vals else None
     aggregate = EvalMetrics(causes={}, **aggregate_values)
 
-    skipped = sum(1 for fr in fold_results if fr.cm is None)
+    skipped = sum(1 for fr in fold_results if fr.confusion is None)
     if skipped:
         report_diags.append(f"{skipped} of {folds.k} folds skipped")
 

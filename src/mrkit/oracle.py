@@ -300,11 +300,3 @@ def audit_labels(dynamic: dict[str, LabelReport],
     return AuditReport(discrepancies=tuple(discrepancies),
                        unmatched=tuple(unmatched))
 
-
-def labels_to_csv(rows: list[tuple[str, MrLabelSet]]) -> str:
-    """Canonical labels CSV: header then one 0/1 row per method id."""
-    lines = ["method_id," + ",".join(MR_IDS)]
-    for method_id, labels in rows:
-        bits = ",".join(str(b) for b in labels.as_bits())
-        lines.append(f"{method_id},{bits}")
-    return "\n".join(lines) + "\n"

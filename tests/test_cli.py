@@ -321,6 +321,13 @@ def test_stats_prints_published_counts(capsys):
     assert "0,20" in text and "6,9" in text
 
 
+def test_stats_refuses_a_short_manifest_row(tmp_path, capsys):
+    man = tmp_path / "manifest.csv"
+    man.write_text("method_id,name,source_kind,source_path\n1,a,none\n")
+    assert main(["stats", "--manifest", str(man)]) == 2
+    assert capsys.readouterr().err == f"error: {man}:2: expected 4 cells, got 3\n"
+
+
 def test_evaluate_usage_error_on_k_below_two(tmp_path, capsys):
     assert main(["evaluate", "--k", "1", "--out", str(tmp_path)]) == 2
 

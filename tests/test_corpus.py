@@ -132,9 +132,9 @@ def test_manifest_duplicate_name(tmp_path):
 def test_manifest_joins_external_labels(tmp_path):
     man = tmp_path / "manifest.csv"
     man.write_text("method_id,name,source_kind,source_path\n5,five,none,\n")
-    lab = tmp_path / "mylabels.csv"
+    lab = tmp_path / "labels.csv"
     lab.write_text("method_id,ADD,MUL,PER,INC,EXC,INV\n5,1,0,1,0,1,0\n")
-    ds = load_manifest(man, labels_path=lab)
+    ds = load_manifest(man)
     assert ds.entry("five").labels.as_bits() == (1, 0, 1, 0, 1, 0)
 
 
@@ -164,3 +164,55 @@ def test_bundled_labels_keyed_by_id():
     assert len(labels) == 100
     assert labels[90].as_bits() == (1, 1, 1, 1, 1, 1)
     assert labels[5].as_bits() == (1, 1, 1, 0, 0, 1)
+
+
+# (reader, header, a row with {id} and a name unique by {n})
+TABLES = [
+    (load_manifest, "method_id,name,source_kind,source_path", "{id},m{n},none,"),
+    (load_labels_csv, "method_id,ADD,MUL,PER,INC,EXC,INV", "{id},1,0,0,0,0,0"),
+    (anomaly_register, "method_id,name,mrs,reason", "{id},m{n},ADD,why"),
+]
+TABLE_NAMES = ["manifest", "labels", "anomalies"]
+BAD_IDS = ["1_0", " 7", "+3", "07", "\u0663", "x", ""]
+
+
+def refused(load, path, text) -> str:
+    path.write_text(text)
+    with pytest.raises(CorpusError) as info:
+        load(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("load, header, row", TABLES, ids=TABLE_NAMES)
+def test_a_table_refuses_another_header_or_an_empty_file(tmp_path, load, header, row):
+    path = tmp_path / "table.csv"
+    for text in ("id," + header + "\n" + row.format(id=1, n=1) + "\n", ""):
+        assert refused(load, path, text) == f"{path}: header must be {header}"
+
+
+@pytest.mark.parametrize("load, header, row", TABLES, ids=TABLE_NAMES)
+@pytest.mark.parametrize("case", ["short row", "long row", "duplicate id", *BAD_IDS])
+def test_a_table_refuses_a_row_by_its_line(tmp_path, load, header, row, case):
+    """Line 3 is blank and skipped, but counted: the bad row is line 4."""
+    width = header.count(",") + 1
+    good = row.format(id=1, n=1)
+    bad, message = {
+        "short row": (good.rsplit(",", 1)[0], f"expected {width} cells, got {width - 1}"),
+        "long row": (good + ",x", f"expected {width} cells, got {width + 1}"),
+        "duplicate id": (row.format(id=1, n=2), "duplicate method id 1"),
+    }.get(case, (row.format(id=case, n=2), f"bad method id {case!r}"))
+    path = tmp_path / "table.csv"
+    text = f"{header}\n{good}\n\n{bad}\n"
+    assert refused(load, path, text) == f"{path}:4: {message}"
+
+
+def test_an_id_spelt_two_ways_is_refused_as_spelt(tmp_path):
+    man = tmp_path / "manifest.csv"
+    text = "method_id,name,source_kind,source_path\n10,a,none,\n1_0,b,none,\n"
+    assert refused(load_manifest, man, text) == f"{man}:3: bad method id '1_0'"
+
+
+def test_a_quoted_line_break_does_not_shift_later_line_numbers(tmp_path):
+    man = tmp_path / "manifest.csv"
+    text = 'method_id,name,source_kind,source_path\n1,"a\nb",none,\n2,c,none\n'
+    assert refused(load_manifest, man, text) == f"{man}:4: expected 4 cells, got 3"

@@ -275,7 +275,7 @@ def test_cross_validate_single_class_training_fold_aborts():
     gram = build_design_matrix(rows)
     plan = FoldPlan(k=2, assignments=(0, 0, 1, 1), seed=0)
     report = cross_validate(gram, labels, plan, SvmParams())
-    aborted = [fr for fr in report.folds if fr.cm is None]
+    aborted = [fr for fr in report.folds if fr.confusion is None]
     assert len(aborted) == 1
     assert any("single-class" in d for d in aborted[0].diagnostics)
     assert any("skipped" in d for d in report.diagnostics)
@@ -294,7 +294,7 @@ def test_cross_validate_reports_a_max_passes_stop(dataset):
         head, violation = d.rsplit(" ", 1)
         assert head == "SMO stopped at max_passes: KKT gap"
         assert float(violation) > SvmParams().kkt_tol
-    assert json.loads(short.to_json()) == short.to_dict()
+    assert json.loads(short.to_json()) == json.loads(json.dumps(short.to_dict()))
     full = cross_validate(gram, labels, folds, SvmParams())
     assert not any(fr.diagnostics for fr in full.folds)
 
@@ -324,7 +324,7 @@ def test_cross_validate_given_models_matches_its_own_batch(case):
     models = train_svm(gram.values, np.asarray(fits), params)
     given = cross_validate(gram, labels, plan, params, mr="ADD", models=models)
     assert given.to_json() == cross_validate(gram, labels, plan, params, mr="ADD").to_json()
-    assert (given.folds[0].cm is None) == (case == "skipped fold")
+    assert (given.folds[0].confusion is None) == (case == "skipped fold")
     with pytest.raises(EvaluationError, match="models for"):
         cross_validate(gram, labels, plan, params, models=models[1:])
 
@@ -339,5 +339,5 @@ def test_report_json_and_csv_row_deterministic():
                         featurization="nf-pf")
     assert r1.to_json() == r2.to_json()
     row = r1.csv_row()
-    assert row.startswith("ADD,nf-pf,")
-    assert len(row.split(",")) == 8
+    assert row[:2] == ("ADD", "nf-pf")
+    assert len(row) == 8
