@@ -15,29 +15,53 @@ import json
 import os
 import sys
 from dataclasses import replace
+from importlib import import_module
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_io
-from . import kernels
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
-from .evaluation import EvalMetrics, cross_validate, stratified_kfold, training_rows
-from .features import (
-    FeatureVector,
-    build_design_matrix,
-    combine,
-    csv_text,
-    features_to_csv,
-    node_features,
-    path_features,
-    walk_features,
-)
-from .kernels import CountKernel, GkParams, RwkParams, gram_matrix
+from .corpus import csv_text
 from .mir import lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method
-from .svm import SvmModel, SvmParams, decision_value, train_svm
+
+# the learning stack's names this module uses, by the submodule that
+# defines them; ``_learning`` binds them, so ``label`` and ``stats``, which
+# never call it, start without numpy
+_LEARNING = {
+    "features": ("FeatureVector", "build_design_matrix", "combine", "features_to_csv",
+                 "node_features", "path_features", "walk_features"),
+    "kernels": ("CountKernel", "GkParams", "RwkParams", "gram_matrix"),
+    "svm": ("SvmModel", "SvmParams", "decision_value", "train_svm"),
+    "evaluation": ("EvalMetrics", "cross_validate", "stratified_kfold", "training_rows"),
+}
+_LEARNING_NAMES = frozenset({"np", "kernels"}.union(*_LEARNING.values()))
+
+
+def _learning() -> None:
+    """Import numpy, ``features``, ``kernels``, ``svm`` and ``evaluation``
+    and bind the names of ``_LEARNING`` (with ``np`` and ``kernels``) as
+    globals of this module, where callers look them up and the benchmark's
+    probes patch them.  A name that is already bound, such as a wrapper
+    assigned before the first command, is kept."""
+    from . import kernels
+
+    scope = globals()
+    scope.setdefault("np", import_module("numpy"))
+    scope.setdefault("kernels", kernels)
+    for module_name, names in _LEARNING.items():
+        module = import_module(f".{module_name}", __package__)
+        for name in names:
+            scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    # a read of ``mrkit.cli.<name>`` before any command has loaded the stack
+    if name in _LEARNING_NAMES:
+        _learning()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _MR_CHOICES = [mr.lower() for mr in MR_IDS] + ["all"]
 
@@ -79,6 +103,7 @@ def _featurize(cfg: AnnotatedCfg, omit_exit: bool) -> tuple[FeatureVector, Featu
 
 
 def cmd_extract(args) -> int:
+    _learning()
     inputs = [Path(p) for p in args.inputs]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,6 +197,7 @@ def _corpus_features(ds, featurization: str, args):
     context), where ``gram`` is the KernelMatrix every SVM trains on.
     Fewer than two sourced entries, which no featurization can train on,
     and an unlabelled entry are each a ValueError before any is loaded."""
+    _learning()  # also an entry point of its own, for callers outside a command
     entries = [e for e in ds.entries if e.source_kind != "none"]
     if len(entries) < 2:
         raise ValueError("gram matrix needs at least two graphs")
@@ -216,6 +242,7 @@ def _two_class_mrs(args, entries, skipped: list[str]):
 
 
 def cmd_evaluate(args) -> int:
+    _learning()
     if args.k < 2:
         print("error: --k must be at least 2", file=sys.stderr)
         return 2
@@ -275,6 +302,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_train(args) -> int:
+    _learning()
     svm_params = SvmParams(C=args.C)
     entries, graphs, gram, context = _corpus_features(_dataset(args), args.features, args)
     context["training_graphs"] = [emit_dot(g) for g in graphs]
@@ -319,6 +347,7 @@ def _column_function(context: dict):
     nf-pf is one raw count block, rwk one cosine-normalised block per walk
     length and gk one cosine-normalised block of graphlet type counts.  Only
     nf-pf warns of unseen keys: a cosine's self-value counts them."""
+    _learning()  # also an entry point of its own, for callers outside a command
     vectors_of, decay, normalize = _count_map(context)
     graphs = [parse_dot(text) for text in context["training_graphs"]]
     kernel = CountKernel(zip(*map(vectors_of, graphs)), decay, normalize)
@@ -333,6 +362,7 @@ def _column_function(context: dict):
 
 
 def cmd_predict(args) -> int:
+    _learning()
     models_dir = Path(args.models)
     context_path = models_dir / "context.json"
     if not context_path.exists():

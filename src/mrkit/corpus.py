@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -23,6 +24,16 @@ from .oracle import MR_IDS, MrLabelSet
 
 class CorpusError(ValueError):
     pass
+
+
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """``rows`` as CSV with LF line ends and the csv module's minimal
+    quoting: only a cell holding a ``,``, a ``"`` or a line feed is quoted,
+    so every other cell, a method name included, keeps its bytes.  Every
+    CSV mrkit writes goes through it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -142,17 +153,8 @@ def parse_labels_csv(text: str, origin: str = "<labels>") -> dict[int, MrLabelSe
 
 def labels_to_csv(rows: list[tuple[str, MrLabelSet]]) -> str:
     """Canonical labels CSV: header then one 0/1 row per method id."""
-    lines = [",".join(LABELS_HEADER)]
-    for method_id, labels in rows:
-        bits = ",".join(str(b) for b in labels.as_bits())
-        lines.append(f"{method_id},{bits}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_labels_csv(labels: dict[int, MrLabelSet]) -> str:
-    """Canonical serialization: rows ordered by method id."""
-    rows = [(str(mid), labels[mid]) for mid in sorted(labels)]
-    return labels_to_csv(rows)
+    return csv_text([LABELS_HEADER, *((method_id, *labels.as_bits())
+                                      for method_id, labels in rows)])
 
 
 def load_manifest(path: str | Path) -> Dataset:
@@ -236,12 +238,14 @@ class AnomalyEntry:
 
 def anomaly_register(path: str | Path | None = None) -> dict[str, AnomalyEntry]:
     """Bundled methods whose reference labels conflict with executable
-    semantics; keyed by method name."""
+    semantics; keyed by method name, so a name given twice is refused."""
     path = Path(path) if path is not None else data_dir() / "anomalies.csv"
     out: dict[str, AnomalyEntry] = {}
     seen_ids: set[int] = set()
     for line, (cell, name, mrs, reason) in _table(
             path.read_text(), path, ("method_id", "name", "mrs", "reason")):
         method_id = _method_id(cell, f"{path}:{line}", seen_ids)
+        if name in out:
+            raise CorpusError(f"{path}:{line}: duplicate method name {name!r}")
         out[name] = AnomalyEntry(method_id, name, tuple(mrs.split(";")), reason)
     return out

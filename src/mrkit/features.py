@@ -13,15 +13,14 @@ keyed by an integer coding of that sequence.
 
 from __future__ import annotations
 
-import csv
-import io
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .cfg import AnnotatedCfg, NodeOp
+from .corpus import csv_text
 
 
 # walk_features' bound on one length's (label sequence, last node) pairs;
@@ -230,15 +229,6 @@ def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> KernelMatr
         raise FeatureError(f"duplicate method ids: {dupes}")
     block = CountBlock.of(tuple(vec for _, vec in features))
     return KernelMatrix(method_ids=tuple(ids), values=block.gram())
-
-
-def csv_text(rows: Iterable[Iterable]) -> str:
-    """``rows`` as CSV with LF line ends and the csv module's minimal
-    quoting: only a cell holding a ``,``, a ``"`` or a line feed is quoted,
-    so every other cell, a method name included, keeps its bytes."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
 
 
 def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:

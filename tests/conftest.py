@@ -1,4 +1,6 @@
+import os
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,18 @@ from mrkit.corpus import bundled_dataset
 from mrkit.mir import Trap, _compile, interpret
 
 from mir_reference import _run
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """This process's environment with ``extra`` set and the checkout's
+    ``src`` first on ``PYTHONPATH``: the environment of a fresh interpreter
+    that must import this mrkit."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

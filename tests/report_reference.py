@@ -1,6 +1,6 @@
 """Hand-written serializers of ``EvalReport``, field by field: the
 reference that ``report.json`` (``dataclasses.asdict`` of the report
-types) and ``results.csv`` (rows through ``features.csv_text``) are
+types) and ``results.csv`` (rows through ``corpus.csv_text``) are
 checked against byte for byte."""
 
 from dataclasses import asdict

@@ -2,7 +2,6 @@ import csv
 import functools
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from mrkit.kernels import GkParams, RwkParams
 from test_features import branching_ring
 from test_kernels import per_pair_gk
 from test_mir import nested_fors
+from conftest import src_env
 from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, SvmParams, decision_value
 
@@ -286,10 +286,6 @@ def test_label_reports_a_name_its_file_does_not_define_and_goes_on(tmp_path, cap
 def test_evaluate_never_loads_the_code_generator(tmp_path):
     # codegen is imported on a function's first call; commands that only
     # featurize CFGs must not pay for it
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     script = ("import sys\n"
               "import mrkit.cli\n"
               "code = mrkit.cli.main(['evaluate', '--features', 'nf-pf', '--mr', 'add',\n"
@@ -297,17 +293,13 @@ def test_evaluate_never_loads_the_code_generator(tmp_path):
               "assert code == 0, code\n"
               "assert 'mrkit.mir' in sys.modules\n"
               "assert 'mrkit.codegen' not in sys.modules\n")
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                            text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                            capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 
 
 def test_python_dash_m_runs_the_command_line():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-m", "mrkit", "stats"], env=env,
+    result = subprocess.run([sys.executable, "-m", "mrkit", "stats"], env=src_env(),
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert "ADD,56,44" in result.stdout and "matching_mrs,methods" in result.stdout
@@ -930,20 +922,16 @@ def test_a_short_stop_reads_the_same_on_every_openblas_kernel(tmp_path):
     if "openblas" not in blas["name"]:
         pytest.skip(f"numpy is linked to {blas['name']}, not OpenBLAS, so "
                     "OPENBLAS_CORETYPE selects nothing")
-    root = Path(__file__).resolve().parents[1]
     script = ("import functools, sys\n"
               "from mrkit import cli, svm\n"
               "cli.SvmParams = functools.partial(svm.SvmParams, max_passes=1)\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     errs = []
     for core in ("Haswell", "Prescott"):
-        env = dict(os.environ, OPENBLAS_CORETYPE=core)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-c", script, "train", "--features", "rwk",
              "--out", str(tmp_path / core)],
-            env=env, capture_output=True, timeout=300)
+            env=src_env(OPENBLAS_CORETYPE=core), capture_output=True, timeout=300)
         assert result.returncode == 0, result.stderr
         assert b"diagnostic: MUL: SMO stopped at max_passes: " in result.stderr
         errs.append(result.stderr)

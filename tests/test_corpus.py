@@ -7,7 +7,7 @@ from mrkit.corpus import (
     bundled_labels,
     corpus_stats,
     data_dir,
-    emit_labels_csv,
+    labels_to_csv,
     load_labels_csv,
     load_manifest,
     parse_labels_csv,
@@ -64,7 +64,8 @@ def test_corpus_stats_requires_labels():
 def test_labels_csv_round_trip_byte_identical():
     path = data_dir() / "labels.csv"
     labels = load_labels_csv(path)
-    assert emit_labels_csv(labels) == path.read_text()
+    rows = [(str(method_id), labels[method_id]) for method_id in sorted(labels)]
+    assert labels_to_csv(rows) == path.read_text()
 
 
 def test_labels_csv_bad_cell():
@@ -157,6 +158,14 @@ def test_anomaly_register_contents():
     assert "MUL" in register["cnt_zeroes"].mrs
     names = set(register)
     assert len(names) == 15
+
+
+def test_anomaly_register_duplicate_name(tmp_path):
+    path = tmp_path / "anomalies.csv"
+    path.write_text("method_id,name,mrs,reason\n1,a,ADD,why\n2,a,MUL,why\n")
+    with pytest.raises(CorpusError) as info:
+        anomaly_register(path)
+    assert str(info.value) == f"{path}:3: duplicate method name 'a'"
 
 
 def test_bundled_labels_keyed_by_id():

@@ -1,14 +1,12 @@
 """Smoke test: every narrative demo runs to completion on the bundled
 corpus."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, src_env
 
 
 @pytest.mark.parametrize("demo", [
@@ -19,10 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "05_predict_new_method.py",
 ])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                            cwd=ROOT, env=env, capture_output=True, text=True,
+                            cwd=ROOT, env=src_env(), capture_output=True, text=True,
                             timeout=300)
     assert result.returncode == 0, result.stderr

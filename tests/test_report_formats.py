@@ -14,6 +14,7 @@ import pytest
 import report_reference
 from mrkit import cli
 from mrkit.cli import _corpus_features, main
+from mrkit.corpus import csv_text
 from mrkit.evaluation import (
     ConfusionMatrix,
     EvalMetrics,
@@ -23,7 +24,7 @@ from mrkit.evaluation import (
     cross_validate,
     stratified_kfold,
 )
-from mrkit.features import FeatureVector, build_design_matrix, csv_text
+from mrkit.features import FeatureVector, build_design_matrix
 from mrkit.svm import SvmParams
 from test_evaluation import _synthetic_gram
 
