@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 partial success (per-item diagnostics were
 emitted), 2 usage or configuration error.  Every stochastic stage draws
-its seed from one root seed (``--seed``, or the ``MRKIT_SEED`` environment
-variable) expanded per stage with sha256, so identical configurations
-produce byte-identical outputs.
+its seed from one root seed, ``--seed``, expanded per stage with sha256,
+so identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import import_module
 from itertools import islice
 from pathlib import Path
@@ -64,13 +62,6 @@ def __getattr__(name: str):
 
 
 _MR_CHOICES = [mr.lower() for mr in MR_IDS] + ["all"]
-
-
-def _root_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MRKIT_SEED")
-    return int(env) if env else 42
 
 
 def stage_seed(root: int, stage: str) -> int:
@@ -134,9 +125,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_label(args) -> int:
-    root = _root_seed(args)
     ds = corpus_io.load_manifest(args.manifest)
-    params = OracleParams(trials=args.trials, seed=stage_seed(root, "oracle"))
+    params = OracleParams(trials=args.trials, seed=stage_seed(args.seed, "oracle"))
     rows = []
     reports = {}
     attempted = 0
@@ -249,7 +239,6 @@ def cmd_evaluate(args) -> int:
     if args.dump_gram and not args.out:
         print("error: --dump-gram needs --out", file=sys.stderr)
         return 2
-    root = _root_seed(args)
     svm_params = SvmParams(C=args.C)
     entries, graphs, gram, context = _corpus_features(_dataset(args), args.features, args)
 
@@ -257,7 +246,7 @@ def cmd_evaluate(args) -> int:
     rows: list[np.ndarray] = []  # every fold of every MR, fitted in one batch
     skipped: list[str] = []
     for mr, labels in _two_class_mrs(args, entries, skipped):
-        folds = stratified_kfold(labels, args.k, seed=stage_seed(root, "folds"))
+        folds = stratified_kfold(labels, args.k, seed=stage_seed(args.seed, "folds"))
         for warning in folds.warnings:
             print(f"diagnostic: {mr}: {warning}", file=sys.stderr)
         fits = [row for row in training_rows(labels, folds) if not isinstance(row, str)]
@@ -271,11 +260,11 @@ def cmd_evaluate(args) -> int:
                for mr, labels, folds, count in plans]
 
     payload = {
-        "root_seed": root,
+        "root_seed": args.seed,
         "featurization": context,
         "k": args.k,
         "skipped": skipped,
-        "reports": [r.to_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
     }
     report_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     results_csv = csv_text([("mr", "featurization", *EvalMetrics.FIELDS),
@@ -378,12 +367,6 @@ def cmd_predict(args) -> int:
             print(f"error: {context_path}: featurization context does not "
                   "match its hash; refusing to predict", file=sys.stderr)
             return 2
-        featurization = context["featurization"]
-        if args.features and args.features != featurization:
-            print(f"error: models were trained with featurization "
-                  f"{featurization!r}, not {args.features!r}; refusing to "
-                  "predict", file=sys.stderr)
-            return 2
         for mr in MR_IDS:
             path = models_dir / f"{mr}.json"
             if not path.exists():
@@ -428,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Predict applicable metamorphic relations from CFG features.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="root seed (default: MRKIT_SEED or 42)")
+    def common(p, seed_help="root seed (default: 42)"):
+        p.add_argument("--seed", type=int, default=42, help=seed_help)
         p.add_argument("--features", choices=["nf-pf", "gk", "rwk"],
                        default="rwk")
         p.add_argument("--C", type=float, default=1.0)
@@ -450,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42, help="root seed (default: 42)")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("stats", help="per-MR match counts and histogram")
@@ -461,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--mr", choices=_MR_CHOICES, default="all")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, seed_help="accepted, and reaches nothing: training draws no random numbers")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="stratified k-fold cross-validation")
@@ -476,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict MRs for new methods")
     p.add_argument("inputs", nargs="+", help=".mir or .dot files")
     p.add_argument("--models", required=True)
-    p.add_argument("--features", choices=["nf-pf", "gk", "rwk"], default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 

@@ -11,7 +11,6 @@ they were.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, asdict, replace
 
@@ -186,13 +185,6 @@ class EvalReport:
     defined_counts: dict[str, int]
     diagnostics: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        """The report as ``report.json`` holds it, keyed by field names."""
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
     def csv_row(self) -> tuple[str, ...]:
         """The ``results.csv`` cells: an undefined metric is an empty cell."""
         values = (getattr(self.aggregate, name) for name in EvalMetrics.FIELDS)
@@ -284,11 +276,7 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
     config = {
         "k": folds.k,
         "fold_seed": folds.seed,
-        "svm": {
-            "C": svm_params.C,
-            "kkt_tol": svm_params.kkt_tol,
-            "max_passes": svm_params.max_passes,
-        },
+        "svm": asdict(svm_params),
     }
     return EvalReport(
         mr=mr, featurization=featurization, config=config,

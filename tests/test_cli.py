@@ -450,13 +450,20 @@ def test_train_predict_round_trip(tmp_path, capsys):
 
 
 def test_predict_refuses_featurization_mismatch(tmp_path, capsys):
+    # context.json names the featurization, so predict takes no --features
     models = tmp_path / "models"
     assert main(["train", "--features", "nf-pf", "--out", str(models),
                  "--seed", "42"]) == 0
-    code = main(["predict", corpus_path("sum"), "--models", str(models),
-                 "--features", "rwk"])
-    assert code == 2
-    assert "refusing" in capsys.readouterr().err
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["predict", corpus_path("sum"), "--models", str(models), "--features", "rwk"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--features" in captured.err
+    with pytest.raises(SystemExit) as exit_:
+        main(["predict", "--help"])
+    assert exit_.value.code == 0
+    assert "--models" in (text := capsys.readouterr().out) and "--features" not in text
 
 
 def test_predict_warns_on_unseen_keys(tmp_path, capsys):
@@ -692,16 +699,17 @@ def test_evaluate_refuses_dump_gram_without_out(capsys):
     assert captured.out == "" and captured.err == "error: --dump-gram needs --out\n"
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    out_env = tmp_path / "env"
+def test_seed_env_is_ignored(tmp_path, monkeypatch):
+    # --seed, default 42, is the only way to set the root seed
+    args = ["evaluate", "--features", "nf-pf", "--mr", "per", "--k", "4", "--dump-gram"]
+    out_default = tmp_path / "default"
+    assert main([*args, "--out", str(out_default)]) == 0
     monkeypatch.setenv("MRKIT_SEED", "7")
-    assert main(["evaluate", "--features", "nf-pf", "--mr", "per", "--k", "4",
-                 "--out", str(out_env)]) == 0
-    monkeypatch.delenv("MRKIT_SEED")
-    out_flag = tmp_path / "flag"
-    assert main(["evaluate", "--features", "nf-pf", "--mr", "per", "--k", "4",
-                 "--seed", "7", "--out", str(out_flag)]) == 0
-    assert (out_env / "report.json").read_bytes() == (out_flag / "report.json").read_bytes()
+    out_env = tmp_path / "env"
+    assert main([*args, "--out", str(out_env)]) == 0
+    for name in ("report.json", "results.csv", "gram.csv"):
+        assert (out_env / name).read_bytes() == (out_default / name).read_bytes()
+    assert json.loads((out_env / "report.json").read_text())["root_seed"] == 42
 
 
 def test_evaluate_refuses_a_graph_whose_walk_count_explodes(tmp_path, capsys):

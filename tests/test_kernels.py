@@ -1,6 +1,6 @@
 import argparse
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -542,7 +542,10 @@ def test_param_validation():
         RwkParams(decay=1.0)
     with pytest.raises(ValueError):
         GkParams(k=5)
-    with pytest.raises(ValueError):
-        GkParams(mode="nope")
-    with pytest.raises(ValueError):
-        GkParams(mode="sampled")  # deleted: graphlet counts are exact
+    # exhaustive is the only mode, a constant: graphlet counts are exact
+    assert [f.name for f in fields(GkParams)] == ["k"]
+    assert GkParams.mode == GkParams(k=4).mode == "exhaustive"
+    with pytest.raises(TypeError):
+        GkParams(mode="exhaustive")
+    with pytest.raises(TypeError):
+        GkParams(mode="sampled")

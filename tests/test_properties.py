@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_cross_validate_report_embeds_configuration(sourced, corpus_graphs):
     report = cross_validate(gram, labels, folds,
                             SvmParams(), mr="PER",
                             featurization="rwk")
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(asdict(report)))
     assert payload["config"]["k"] == 4
     assert payload["config"]["fold_seed"] == 11
     assert payload["config"]["svm"] == {

@@ -26,7 +26,7 @@ from mrkit.evaluation import (
 )
 from mrkit.features import FeatureVector, build_design_matrix
 from mrkit.svm import SvmParams
-from test_evaluation import _synthetic_gram
+from test_evaluation import _synthetic_gram, report_json
 
 FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
@@ -64,7 +64,7 @@ def edge_case_report(case, dataset) -> EvalReport:
 @pytest.mark.parametrize("case", ["skipped fold", "max_passes stop", "leave-one-out"])
 def test_report_serializers_match_the_field_by_field_reference(dataset, case):
     report = edge_case_report(case, dataset)
-    assert report.to_json() == reference_json(report)
+    assert report_json(report) == reference_json(report)
     header = ("mr", "featurization", *EvalMetrics.FIELDS)
     assert csv_text([header, report.csv_row()]).splitlines() == [
         report_reference.RESULTS_CSV_HEADER, report_reference.csv_row(report)]
