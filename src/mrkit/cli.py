@@ -107,7 +107,7 @@ def cmd_extract(args) -> int:
         try:
             cfgs = _load_method_cfgs(path)
             for cfg in cfgs:
-                if Path(cfg.name).name != cfg.name:
+                if not cfg.name or Path(cfg.name).name != cfg.name:
                     raise ValueError(f"method name {cfg.name!r} is not a file name")
                 if cfg.name in written:
                     raise ValueError(f"method {cfg.name} already extracted "
@@ -188,7 +188,7 @@ def _corpus_features(ds, featurization: str, args):
     Fewer than two sourced entries, which no featurization can train on,
     and an unlabelled entry are each a ValueError before any is loaded."""
     _learning()  # also an entry point of its own, for callers outside a command
-    entries = [e for e in ds.entries if e.source_kind != "none"]
+    entries = ds.with_sources().entries
     if len(entries) < 2:
         raise ValueError("gram matrix needs at least two graphs")
     unlabelled = [e.name for e in entries if e.labels is None]

@@ -160,7 +160,7 @@ def labels_to_csv(rows: list[tuple[str, MrLabelSet]]) -> str:
 def load_manifest(path: str | Path) -> Dataset:
     """Load a dataset manifest and the ``labels.csv`` beside it, if any;
     relative source paths resolve against the manifest's directory, every
-    referenced file must exist, and method ids and names are unique."""
+    referenced source must be a file, and method ids and names are unique."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"manifest not found: {path}")
@@ -183,7 +183,7 @@ def load_manifest(path: str | Path) -> Dataset:
         source: Path | None = None
         if kind != "none":
             source = (base / raw_path).resolve()
-            if not source.exists():
+            if not source.is_file():
                 raise CorpusError(f"{path}:{line}: source file not found: {source}")
         entries.append(DatasetEntry(
             method_id=method_id, name=name, source_kind=kind,

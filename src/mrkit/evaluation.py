@@ -75,38 +75,27 @@ def metrics(cm: ConfusionMatrix) -> EvalMetrics:
     if cm.total == 0:
         raise EvaluationError("empty confusion matrix")
     causes: dict[str, str] = {}
-    accuracy = (cm.tp + cm.tn) / cm.total
 
-    if cm.tp + cm.fp > 0:
-        precision = cm.tp / (cm.tp + cm.fp)
-    else:
-        precision = None
-        causes["precision"] = "no positive predictions (tp+fp=0)"
-    if cm.tp + cm.fn > 0:
-        recall = cm.tp / (cm.tp + cm.fn)
-    else:
-        recall = None
-        causes["recall"] = "no positive samples (tp+fn=0)"
+    def ratio(name: str, num, den, cause: str) -> float | None:
+        """``num / den``, or absent with ``cause`` recorded under ``name``."""
+        if den > 0:
+            return num / den
+        causes[name] = cause
+        return None
+
+    accuracy = (cm.tp + cm.tn) / cm.total
+    precision = ratio("precision", cm.tp, cm.tp + cm.fp, "no positive predictions (tp+fp=0)")
+    recall = ratio("recall", cm.tp, cm.tp + cm.fn, "no positive samples (tp+fn=0)")
     if precision is None or recall is None:
         f_measure = None
         causes["f_measure"] = "precision or recall undefined"
-    elif precision + recall == 0:
-        f_measure = None
-        causes["f_measure"] = "precision and recall both zero"
     else:
-        f_measure = 2.0 * precision * recall / (precision + recall)
-    if cm.tn + cm.fp > 0:
-        recall_neg = cm.tn / (cm.tn + cm.fp)
-    else:
-        recall_neg = None
-        causes["bsr"] = "no negative samples (tn+fp=0)"
+        f_measure = ratio("f_measure", 2.0 * precision * recall, precision + recall,
+                          "precision and recall both zero")
+    recall_neg = ratio("bsr", cm.tn, cm.tn + cm.fp, "no negative samples (tn+fp=0)")
+    bsr = None if recall is None or recall_neg is None else (recall + recall_neg) / 2.0
     if recall is None:
-        bsr = None
         causes.setdefault("bsr", "no positive samples (tp+fn=0)")
-    elif recall_neg is None:
-        bsr = None
-    else:
-        bsr = (recall + recall_neg) / 2.0
 
     return EvalMetrics(accuracy=accuracy, precision=precision, recall=recall,
                        f_measure=f_measure, bsr=bsr, causes=causes)

@@ -1,29 +1,31 @@
 """Graph similarity for annotated CFGs: random-walk and graphlet kernels.
 
-Both are built from their explicit feature maps, integer count blocks on
-``CountKernel``, not from product graphs or per-pair loops (Kriege et al.,
-DMKD 2019).  The random-walk kernel counts pairs of walks with identical
-node-label sequences, one walk per graph, weighted decay^length and
-truncated at a maximum length: per length l, an integer count row per graph
-over the label sequences of l-edge walks, so the Gram is
-``sum_l decay^l Phi_l Phi_l^T``.  A sequence is keyed by its integer
-coding (``features.walk_features``); the keys never leave memory.  The map
-grows exponentially with the length (16,789 counts over the bundled corpus
-at length 10, 478,984 at 40), so ``walk_len`` is capped at MAX_WALK_LEN,
-and ``features.walk_features`` refuses a graph whose count outgrows
-``features.MAX_WALK_ENDS``.  The graphlet kernel is one cosine-normalised
-block of type counts (the cosine of relative frequencies, too): weakly
-connected induced k-node subgraphs (k = 3 or 4) typed by directed
-isomorphism, ignoring labels.  The count is exact: ESU enumeration yields
-exactly the connected node subsets, and each subset's type is the minimum
-adjacency bitmask over node permutations, memoised per bitmask.
+Both are built from their explicit feature maps, integer count blocks, not
+from product graphs or per-pair loops (Kriege et al., DMKD 2019):
+``gram_matrix`` sums the blocks' products and ``CountKernel`` scores a new
+graph against training ones.  A per-pair kernel is its pair's Gram entry.
+The random-walk kernel counts pairs of walks with identical node-label
+sequences, one walk per graph, weighted decay^length and truncated at a
+maximum length: per length l, an integer count row per graph over the label
+sequences of l-edge walks, so the Gram is ``sum_l decay^l Phi_l Phi_l^T``.
+A sequence is keyed by its integer coding (``features.walk_features``); the
+keys never leave memory.  The map grows exponentially with the length
+(16,789 counts over the bundled corpus at length 10, 478,984 at 40), so
+``walk_len`` is capped at MAX_WALK_LEN, and ``features.walk_features``
+refuses a graph whose count outgrows ``features.MAX_WALK_ENDS``.  The
+graphlet kernel is one cosine-normalised block of type counts (the cosine
+of relative frequencies, too): weakly connected induced k-node subgraphs
+(k = 3 or 4) typed by directed isomorphism, ignoring labels.  The count is
+exact: ESU enumeration yields exactly the connected node subsets, and each
+subset's type is the minimum adjacency bitmask over node permutations,
+memoised per bitmask.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -104,12 +106,6 @@ class CountKernel:
         return raw, sum(unseen for _, unseen in dots)
 
 
-def _walk_vectors(graphs: list[AnnotatedCfg], walk_len: int) -> Iterator[tuple]:
-    """The walk-count vectors of ``graphs`` for each length 1..walk_len in
-    turn, one tuple per length."""
-    return zip(*(walk_features(g, walk_len) for g in graphs))
-
-
 def _rwk_raw(g1: AnnotatedCfg, g2: AnnotatedCfg, p: RwkParams) -> float:
     """Unnormalised rwk: sum_l decay^l * #(l-edge walk pairs, equal labels)."""
     return random_walk_kernel(g1, g2, replace(p, normalize=False))
@@ -118,8 +114,7 @@ def _rwk_raw(g1: AnnotatedCfg, g2: AnnotatedCfg, p: RwkParams) -> float:
 def random_walk_kernel(g1: AnnotatedCfg, g2: AnnotatedCfg,
                        p: RwkParams = RwkParams()) -> float:
     """Truncated geometric count of label-matched common walks."""
-    kernel = CountKernel(_walk_vectors([g1], p.walk_len), p.decay, p.normalize)
-    return float(kernel.column(list(walk_features(g2, p.walk_len)))[0][0])
+    return float(gram_matrix([g1, g2], "rwk", rwk=p).values[0, 1])
 
 
 @functools.cache
@@ -178,8 +173,7 @@ def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> FeatureV
 def graphlet_kernel(g1: AnnotatedCfg, g2: AnnotatedCfg,
                     p: GkParams = GkParams()) -> float:
     """Cosine of the two graphs' graphlet type counts."""
-    kernel = CountKernel([(graphlet_distribution(g1, p),)], 1.0, True)
-    return float(kernel.column([graphlet_distribution(g2, p)])[0][0])
+    return float(gram_matrix([g1, g2], "gk", gk=p).values[0, 1])
 
 
 def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
@@ -191,7 +185,8 @@ def gram_matrix(graphs: list[AnnotatedCfg], kernel: str = "rwk",
     if len(graphs) < 2:
         raise ValueError("gram matrix needs at least two graphs")
     if kernel == "rwk":
-        blocks, decay, normalize = _walk_vectors(graphs, rwk.walk_len), rwk.decay, rwk.normalize
+        blocks = zip(*(walk_features(g, rwk.walk_len) for g in graphs))  # one per length
+        decay, normalize = rwk.decay, rwk.normalize
     elif kernel == "gk":
         blocks, decay, normalize = [tuple(graphlet_distribution(g, gk) for g in graphs)], 1.0, True
     else:

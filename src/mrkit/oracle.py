@@ -217,7 +217,6 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
     """Sample every MR ``trials`` times; the label is 1 iff the relation
     held on every trial.  Deterministic per (seed, method, MR)."""
     outcomes: dict[str, MrOutcome] = {}
-    labels: dict[str, bool] = {}
     budget, rel_tol = params.step_budget, params.rel_tol
     for mr in MR_IDS:
         rng = _substream(params.seed, fn.name, mr)
@@ -231,24 +230,21 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
                 out_src = interpret(fn, source, budget)
                 out_fu = interpret(fn, follow_up, budget)
             except Trap as trap:
-                witness = Witness(
-                    mr=mr, trial=trial, source=tuple(source),
-                    follow_up=tuple(follow_up), out_source=None,
-                    out_follow_up=None, cause=f"trap: {trap}")
-                break
-            ok, cause = check_relation(mr, out_src, out_fu, rel_tol)
-            if not ok:
-                witness = Witness(
-                    mr=mr, trial=trial, source=tuple(source),
-                    follow_up=tuple(follow_up), out_source=out_src,
-                    out_follow_up=out_fu, cause=cause or "violated")
-                break
-        labels[mr] = witness is None
+                out_src = out_fu = None
+                cause = f"trap: {trap}"
+            else:
+                ok, cause = check_relation(mr, out_src, out_fu, rel_tol)
+                if ok:
+                    continue
+            witness = Witness(mr=mr, trial=trial, source=tuple(source),
+                              follow_up=tuple(follow_up), out_source=out_src,
+                              out_follow_up=out_fu, cause=cause)
+            break
         trials_run = params.trials if witness is None else witness.trial + 1
         outcomes[mr] = MrOutcome(mr=mr, label=witness is None,
                                  trials_run=trials_run, witness=witness)
-    return LabelReport(method=fn.name, labels=MrLabelSet(labels),
-                       outcomes=outcomes)
+    labels = MrLabelSet({mr: outcome.label for mr, outcome in outcomes.items()})
+    return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)
 
 
 @dataclass(frozen=True)
@@ -285,14 +281,9 @@ def audit_labels(dynamic: dict[str, LabelReport],
         ref = reference[name]
         for mr in MR_IDS:
             dyn = report.labels[mr]
-            if dyn == ref[mr]:
-                continue
-            if dyn:
+            if dyn != ref[mr]:  # only a dynamic 0 has a witness
                 discrepancies.append(Discrepancy(
-                    name, mr, dyn, ref[mr], "unconfirmed-negative", None))
-            else:
-                discrepancies.append(Discrepancy(
-                    name, mr, dyn, ref[mr], "violation",
+                    name, mr, dyn, ref[mr], "unconfirmed-negative" if dyn else "violation",
                     report.outcomes[mr].witness))
     for name in sorted(reference):
         if name not in dynamic:

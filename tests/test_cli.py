@@ -796,6 +796,10 @@ def test_a_dot_entry_whose_digraph_name_needs_quoting_trains_predicts_and_extrac
     assert main(["predict", corpus_path("sum"), "--models", str(models),
                  "--out", str(tmp_path / "pred.csv")]) == 0
     out = tmp_path / "extracted"
+    if not name:  # no file name to extract to: refused, nothing written
+        assert main(["extract", str(dot), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+        return
     assert main(["extract", str(dot), "--out", str(out)]) == 0
     assert parse_dot((out / f"{name}.dot").read_text()) == parse_dot(dot.read_text())
 
@@ -898,6 +902,19 @@ def test_extract_refuses_a_method_name_that_is_not_a_file_name(tmp_path, capsys)
         f"error: {dot}: method name '../escaped' is not a file name\n")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["x"]
     assert sorted(p.name for p in out.iterdir()) == ["sum.dot", "sum_features.csv"]
+
+
+def test_extract_refuses_a_digraph_without_a_name(tmp_path, capsys):
+    """``digraph {`` names its method ``''``, which would write the hidden
+    files ``.dot`` and ``_features.csv``; nothing is written."""
+    text = (data_dir() / "cfg" / "average.dot").read_text()
+    dot = tmp_path / "anonymous.dot"
+    dot.write_text(text.replace("digraph average {", "digraph {", 1))
+    assert parse_dot(dot.read_text()).name == ""
+    out = tmp_path / "out"
+    assert main(["extract", str(dot), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {dot}: method name '' is not a file name\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("features", ["nf-pf", "rwk", "gk"])

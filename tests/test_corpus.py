@@ -104,6 +104,21 @@ def test_manifest_dangling_path(tmp_path):
         load_manifest(man)
 
 
+@pytest.mark.parametrize("kind", ["mir", "dot"])
+@pytest.mark.parametrize("raw_path", ["", "sub"])
+def test_manifest_refuses_a_source_that_is_not_a_file(tmp_path, kind, raw_path):
+    """An empty path resolves to the manifest's directory; neither it nor
+    another directory is a source file."""
+    (tmp_path / "sub").mkdir()
+    man = tmp_path / "manifest.csv"
+    man.write_text("method_id,name,source_kind,source_path\n"
+                   f"1,ok,none,\n2,x,{kind},{raw_path}\n")
+    with pytest.raises(CorpusError) as info:
+        load_manifest(man)
+    assert str(info.value) == \
+        f"{man}:3: source file not found: {(tmp_path / raw_path).resolve()}"
+
+
 def test_manifest_unknown_kind(tmp_path):
     man = tmp_path / "manifest.csv"
     man.write_text("method_id,name,source_kind,source_path\n"

@@ -134,6 +134,43 @@ def test_metrics_empty_matrix():
         metrics(ConfusionMatrix(0, 0, 0, 0))
 
 
+NO_PRED_POS = {"precision": "no positive predictions (tp+fp=0)"}
+NO_POS = {"recall": "no positive samples (tp+fn=0)"}
+NO_NEG_BSR = {"bsr": "no negative samples (tn+fp=0)"}
+NO_POS_BSR = {"bsr": "no positive samples (tp+fn=0)"}
+F_UNDEFINED = {"f_measure": "precision or recall undefined"}
+F_BOTH_ZERO = {"f_measure": "precision and recall both zero"}
+
+
+@pytest.mark.parametrize("counts,values,causes", [
+    # every pattern of zero cells in (tp, tn, fp, fn) = (1, 2, 3, 4) but the
+    # empty matrix: (accuracy, precision, recall, f_measure, bsr) and causes
+    ((1, 2, 3, 4), (0.3, 0.25, 0.2, 0.22222222222222224, 0.30000000000000004), {}),
+    ((1, 2, 3, 0), (0.5, 0.25, 1.0, 0.4, 0.7), {}),
+    ((1, 2, 0, 4), (0.42857142857142855, 1.0, 0.2, 0.33333333333333337, 0.6), {}),
+    ((1, 2, 0, 0), (1.0, 1.0, 1.0, 1.0, 1.0), {}),
+    ((1, 0, 3, 4), (0.125, 0.25, 0.2, 0.22222222222222224, 0.1), {}),
+    ((1, 0, 3, 0), (0.25, 0.25, 1.0, 0.4, 0.5), {}),
+    ((1, 0, 0, 4), (0.2, 1.0, 0.2, 0.33333333333333337, None), NO_NEG_BSR),
+    ((1, 0, 0, 0), (1.0, 1.0, 1.0, 1.0, None), NO_NEG_BSR),
+    ((0, 2, 3, 4), (0.2222222222222222, 0.0, 0.0, None, 0.2), F_BOTH_ZERO),
+    ((0, 2, 3, 0), (0.4, 0.0, None, None, None), {**NO_POS, **F_UNDEFINED, **NO_POS_BSR}),
+    ((0, 2, 0, 4), (0.3333333333333333, None, 0.0, None, 0.5), {**NO_PRED_POS, **F_UNDEFINED}),
+    ((0, 2, 0, 0), (1.0, None, None, None, None),
+     {**NO_PRED_POS, **NO_POS, **F_UNDEFINED, **NO_POS_BSR}),
+    ((0, 0, 3, 4), (0.0, 0.0, 0.0, None, 0.0), F_BOTH_ZERO),
+    ((0, 0, 3, 0), (0.0, 0.0, None, None, None), {**NO_POS, **F_UNDEFINED, **NO_POS_BSR}),
+    ((0, 0, 0, 4), (0.0, None, 0.0, None, None), {**NO_PRED_POS, **F_UNDEFINED, **NO_NEG_BSR}),
+    # tp = 0 with fp, fn > 0: precision and recall are both a defined 0
+    ((0, 5, 1, 1), (0.7142857142857143, 0.0, 0.0, None, 0.4166666666666667), F_BOTH_ZERO),
+])
+def test_metrics_pin_every_value_and_cause(counts, values, causes):
+    m = metrics(ConfusionMatrix(*counts))
+    assert (m.accuracy, m.precision, m.recall, m.f_measure, m.bsr) == values
+    assert m.auc is None
+    assert m.causes == causes
+
+
 def _metrics_per_sample_oracle(predicted, truth):
     """Direct per-sample recomputation, no ConfusionMatrix in sight."""
     n = len(truth)

@@ -472,8 +472,8 @@ def test_every_cli_gram_is_psd_on_the_corpus(dataset):
 
 def per_pair_gk(g1, g2, p: GkParams, normalize: bool = True) -> float:
     """The graphlet kernel of one pair in its own integer and float
-    expressions, apart from the CountKernel code that graphlet_kernel and
-    predict share."""
+    expressions, apart from the count-block code that graphlet_kernel (one
+    entry of the pair's Gram) and predict (a CountKernel column) run."""
     return count_cosine(graphlet_distribution(g1, p).entries,
                         graphlet_distribution(g2, p).entries, normalize)
 

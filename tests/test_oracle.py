@@ -138,6 +138,26 @@ def test_trapping_method_labels_all_false():
         assert "trap" in report.outcomes[mr].witness.cause
 
 
+def test_a_trap_on_the_follow_up_alone_leaves_both_outputs_absent():
+    # returns the length, and divides by zero only on 21 elements: INC's
+    # follow-up of a 20-element source is the only input that traps
+    src = ("fn f(a) {\n  n = len(a)\n  d = 21 - n\n  z = 0 / d\n"
+           "  return n + z\n}\n")
+    report = label_method(parse_program(src).functions[0], OracleParams())
+    outcome = report.outcomes["INC"]
+    witness = outcome.witness
+    assert not outcome.label and witness.trial == 9
+    assert len(witness.source) == 20 and len(witness.follow_up) == 21
+    assert witness.out_source is None and witness.out_follow_up is None
+    assert witness.cause.startswith("trap: division-by-zero")
+    assert outcome.trials_run == witness.trial + 1
+    assert report.labels.as_bits() == (1, 1, 1, 0, 1, 1)
+    for mr in MR_IDS:
+        if mr != "INC":
+            assert report.outcomes[mr].witness is None
+            assert report.outcomes[mr].trials_run == 200
+
+
 def test_audit_empty_on_matching_trio(corpus_functions, dataset):
     dynamic = {name: label_method(corpus_functions[name])
                for name in ("sum", "average", "find_max")}
