@@ -107,7 +107,9 @@ def cmd_extract(args) -> int:
         try:
             cfgs = _load_method_cfgs(path)
             for cfg in cfgs:
-                if not cfg.name or Path(cfg.name).name != cfg.name:
+                # a name starting with "." ("..", ".hidden") writes hidden files
+                if (not cfg.name or cfg.name.startswith(".")
+                        or Path(cfg.name).name != cfg.name):
                     raise ValueError(f"method name {cfg.name!r} is not a file name")
                 if cfg.name in written:
                     raise ValueError(f"method {cfg.name} already extracted "

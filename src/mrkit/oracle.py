@@ -12,6 +12,14 @@ A method is labelled 1 for an MR iff the relation holds on every sampled
 trial; any interpreter trap labels it 0.  Positive labels are therefore
 sampling-based claims; negative labels carry a concrete re-checkable
 witness.
+
+Each (method, MR) pair has its own random stream.  ``label_method`` builds
+that stream's two draw functions once, with the MR's spans and constants
+fixed: one draws the next source, one builds its follow-up (PER runs
+``Random.shuffle``'s loop inline on the same stream).  Every trial then
+takes the same words from the stream, in the same order, as per-trial
+``randint``, ``randrange`` and ``shuffle`` calls did, so every label CSV
+is unchanged.
 """
 
 from __future__ import annotations
@@ -73,6 +81,10 @@ class OracleParams:
             raise OracleError("INV needs a value >= 1, so max_value must be >= 1")
         if self.max_const < self.min_const or self.min_const < 1:
             raise OracleError("constant domain must be positive")
+        if not (isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise OracleError("rel_tol must be finite and >= 0")
+        if self.step_budget < 1:
+            raise OracleError("step_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,8 +145,9 @@ def _substream(seed: int, *scope: str) -> random.Random:
 # Every integer draw is CPython's ``Random._randbelow_with_getrandbits``
 # loop, so it takes the same numbers from the stream as ``rng.randint(lo, hi)``
 # (``lo + below(hi - lo + 1)``) and ``rng.randrange(n)`` (``below(n)``) do,
-# without their three Python calls per number.  ``span`` must be positive:
-# ``getrandbits(0)`` is 0, so a span of 0 would never leave the loop.
+# without their three Python calls per number; the per-element loops of the
+# source draw and of PER's shuffle run it inline.  ``span`` must be
+# positive: ``getrandbits(0)`` is 0, so a span of 0 would never leave the loop.
 
 
 def _below(getrandbits, span: int) -> int:
@@ -146,19 +159,86 @@ def _below(getrandbits, span: int) -> int:
     return r
 
 
-def _draw_source(rng: random.Random, params: OracleParams, mr: str) -> list[float]:
-    getrandbits = rng.getrandbits
-    length = params.min_len + _below(getrandbits, params.max_len - params.min_len + 1)
+def _source_draws(params: OracleParams, mr: str, getrandbits):
+    """The function that draws ``mr``'s next source from ``getrandbits``: a
+    length, then that many values, each as ``_below`` draws it."""
+    len_lo = params.min_len
+    len_span = params.max_len - len_lo + 1
+    len_bits = len_span.bit_length()
     lo = max(params.min_value, 1) if mr == "INV" else params.min_value
     span = params.max_value - lo + 1
     bits = span.bit_length()
-    source = []
-    for _ in range(length):  # _below inlined: no Python call per element
-        r = getrandbits(bits)
-        while r >= span:
+
+    def draw() -> list[float]:
+        r = getrandbits(len_bits)
+        while r >= len_span:
+            r = getrandbits(len_bits)
+        source = []
+        for _ in range(len_lo + r):
             r = getrandbits(bits)
-        source.append(float(lo + r))
-    return source
+            while r >= span:
+                r = getrandbits(bits)
+            source.append(float(lo + r))
+        return source
+
+    return draw
+
+
+def _follow_ups(params: OracleParams, mr: str, getrandbits):
+    """The function that builds ``mr``'s follow-up of a list of floats,
+    drawing what it needs from ``getrandbits``; it leaves the source alone."""
+    if mr == "ADD" or mr == "MUL":
+        c_lo = params.min_const
+        c_span = params.max_const - c_lo + 1
+        if mr == "ADD":
+            def add(src: list[float]) -> list[float]:
+                c = c_lo + _below(getrandbits, c_span)
+                return [v + c for v in src]
+            return add
+
+        def multiply(src: list[float]) -> list[float]:
+            c = c_lo + _below(getrandbits, c_span)
+            return [v * c for v in src]
+        return multiply
+    if mr == "PER":
+        def permute(src: list[float]) -> list[float]:
+            n = len(src)
+            if n < 2:
+                raise OracleError("PER needs at least two elements")
+            identity = list(range(n))
+            idx = identity[:]
+            while idx == identity:
+                # Random.shuffle(idx): j = _below(getrandbits, i + 1), inlined
+                for i in range(n - 1, 0, -1):
+                    bits = (i + 1).bit_length()
+                    j = getrandbits(bits)
+                    while j > i:
+                        j = getrandbits(bits)
+                    idx[i], idx[j] = idx[j], idx[i]
+            return [src[i] for i in idx]
+        return permute
+    if mr == "INC":
+        v_lo = params.min_value
+        v_span = params.max_value - v_lo + 1
+
+        def append(src: list[float]) -> list[float]:
+            return src + [float(v_lo + _below(getrandbits, v_span))]
+        return append
+    if mr == "EXC":
+        def exclude(src: list[float]) -> list[float]:
+            n = len(src)
+            if n < 2:
+                raise OracleError("EXC needs at least two elements")
+            drop = _below(getrandbits, n)
+            return src[:drop] + src[drop + 1:]
+        return exclude
+
+    def invert(src: list[float]) -> list[float]:  # INV
+        try:
+            return [1.0 / v for v in src]
+        except ZeroDivisionError:  # 1.0 / -0.0 raises too
+            raise OracleError("INV requires every element >= 1 (zero found)") from None
+    return invert
 
 
 def apply_mr(mr: str, source, rng: random.Random,
@@ -166,51 +246,34 @@ def apply_mr(mr: str, source, rng: random.Random,
     """Build the follow-up input for one relation; draws come from rng."""
     if mr not in MR_SPECS:
         raise OracleError(f"unknown MR {mr!r}")
-    src = list(map(float, source))
-    n = len(src)
-    if mr == "ADD" or mr == "MUL":
-        c = params.min_const + _below(rng.getrandbits,
-                                      params.max_const - params.min_const + 1)
-        return [v + c for v in src] if mr == "ADD" else [v * c for v in src]
-    if mr == "PER":
-        if n < 2:
-            raise OracleError("PER needs at least two elements")
-        idx = list(range(n))
-        while True:
-            rng.shuffle(idx)
-            if idx != list(range(n)):
-                break
-        return [src[i] for i in idx]
-    if mr == "INC":
-        span = params.max_value - params.min_value + 1
-        return src + [float(params.min_value + _below(rng.getrandbits, span))]
-    if mr == "EXC":
-        if n < 2:
-            raise OracleError("EXC needs at least two elements")
-        drop = _below(rng.getrandbits, n)
-        return src[:drop] + src[drop + 1:]
-    # INV
-    if any(v == 0 for v in src):
-        raise OracleError("INV requires every element >= 1 (zero found)")
-    return [1.0 / v for v in src]
+    return _follow_ups(params, mr, rng.getrandbits)(list(map(float, source)))
+
+
+# relation -> the cause a violation of it reports
+_CAUSES = {GEQ: "follow-up output decreased", LEQ: "follow-up output increased",
+           EQ: "outputs differ under permutation"}
+
+
+def _relation_test(mr: str, rel_tol: float):
+    """``mr``'s relation as a test of ``(out_source, out_follow_up)``: the
+    follow-up output may fall short of GEQ, pass LEQ or miss EQ by at most
+    ``rel_tol * max(1, |out_source|)``; non-finite outputs always violate."""
+    relation = MR_SPECS[mr].relation
+    if relation == GEQ:
+        return lambda s, f: isfinite(s) and isfinite(f) and f >= s - rel_tol * max(1.0, abs(s))
+    if relation == LEQ:
+        return lambda s, f: isfinite(s) and isfinite(f) and f <= s + rel_tol * max(1.0, abs(s))
+    return lambda s, f: isfinite(s) and isfinite(f) and abs(f - s) <= rel_tol * max(1.0, abs(s))
 
 
 def check_relation(mr: str, out_source: float, out_follow_up: float,
                    rel_tol: float = 1e-9) -> tuple[bool, str | None]:
     """Evaluate the output relation; non-finite outputs always violate."""
-    spec = MR_SPECS[mr]
+    if _relation_test(mr, rel_tol)(out_source, out_follow_up):
+        return True, None
     if not (isfinite(out_source) and isfinite(out_follow_up)):
         return False, "non-finite output"
-    scale = max(1.0, abs(out_source))
-    slack = rel_tol * scale
-    if spec.relation == GEQ:
-        ok = out_follow_up >= out_source - slack
-        return ok, None if ok else "follow-up output decreased"
-    if spec.relation == LEQ:
-        ok = out_follow_up <= out_source + slack
-        return ok, None if ok else "follow-up output increased"
-    ok = abs(out_follow_up - out_source) <= slack
-    return ok, None if ok else "outputs differ under permutation"
+    return False, _CAUSES[MR_SPECS[mr].relation]
 
 
 def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelReport:
@@ -219,11 +282,14 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
     outcomes: dict[str, MrOutcome] = {}
     budget, rel_tol = params.step_budget, params.rel_tol
     for mr in MR_IDS:
-        rng = _substream(params.seed, fn.name, mr)
+        getrandbits = _substream(params.seed, fn.name, mr).getrandbits
+        draw = _source_draws(params, mr, getrandbits)
+        follow = _follow_ups(params, mr, getrandbits)
+        holds = _relation_test(mr, rel_tol)
         witness: Witness | None = None
         for trial in range(params.trials):
-            source = _draw_source(rng, params, mr)
-            follow_up = apply_mr(mr, source, rng, params)
+            source = draw()
+            follow_up = follow(source)
             try:
                 # interpret is looked up here on every call, not bound once,
                 # so that a caller can wrap mrkit.oracle.interpret
@@ -233,9 +299,9 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
                 out_src = out_fu = None
                 cause = f"trap: {trap}"
             else:
-                ok, cause = check_relation(mr, out_src, out_fu, rel_tol)
-                if ok:
+                if holds(out_src, out_fu):
                     continue
+                cause = check_relation(mr, out_src, out_fu, rel_tol)[1]
             witness = Witness(mr=mr, trial=trial, source=tuple(source),
                               follow_up=tuple(follow_up), out_source=out_src,
                               out_follow_up=out_fu, cause=cause)

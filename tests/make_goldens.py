@@ -1,19 +1,21 @@
-"""Build mrkit's seed-42 artifacts and digest them.
+"""Build mrkit's seed-42 artifacts, and the label run at two more root seeds,
+and digest them.
 
     PYTHONPATH=src python tests/make_goldens.py            # rewrite goldens.json
     PYTHONPATH=src python tests/make_goldens.py --quick    # print a subset's digests
 
 ``goldens.json`` holds the sha256 digest of every artifact that
-``artifacts`` builds: the ``label --trials 200`` CSV and stderr,
-``evaluate --dump-gram``'s ``report.json``, ``results.csv`` and ``gram.csv``
-for nf-pf, rwk, gk3 and gk4, ``train``'s model directories for nf-pf, rwk
-and gk, the ``extract`` directory of every bundled method, ``stats``, each
-command's exit code, and the method and 0/1 columns of the predict CSVs (the
-decision columns depend on the BLAS kernel).  ``test_determinism.py`` rebuilds
-them and names each artifact whose digest moved; a change that means to
-move bytes reruns this script and lists those artifacts.  ``--quick``
-prints the digests of a cheaper subset as JSON, which
-``test_determinism.py`` compares across hash seeds.
+``artifacts`` builds: the ``label --trials 200`` CSV and stderr (at root
+seed 42 as ``label.*``, and at 7 and 101 as ``label-7.*`` and
+``label-101.*``), ``evaluate --dump-gram``'s ``report.json``,
+``results.csv`` and ``gram.csv`` for nf-pf, rwk, gk3 and gk4, ``train``'s
+model directories for nf-pf, rwk and gk, the ``extract`` directory of every
+bundled method, ``stats``, each command's exit code, and the method and 0/1
+columns of the predict CSVs (the decision columns depend on the BLAS kernel).
+``test_determinism.py`` rebuilds them and names each artifact whose digest
+moved; a change that means to move bytes reruns this script and lists those
+artifacts.  ``--quick`` prints the digests of a cheaper subset as JSON,
+which ``test_determinism.py`` compares across hash seeds.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from mrkit.corpus import csv_text, data_dir
 
 GOLDENS = Path(__file__).with_name("goldens.json")
 SEED = "42"
+LABEL_SEEDS = ("7", "101")  # label is also pinned at these root seeds
 FEATURES = {
     "nf-pf": ["--features", "nf-pf"],
     "rwk": ["--features", "rwk"],
@@ -63,17 +66,24 @@ def _files(directory: Path, work: Path, out: dict[str, bytes]) -> None:
 
 
 def artifacts(work: Path, quick: bool = False) -> dict[str, bytes]:
-    """Artifact name -> bytes, every command run at seed 42 under ``work``.
-    ``quick`` runs a cheaper subset: 20 label trials, evaluate at ``--k 2``
-    for nf-pf, rwk and gk3, and rwk alone for train and predict."""
+    """Artifact name -> bytes, every command run at seed 42 under ``work``,
+    and label at each of ``LABEL_SEEDS``.  ``quick`` runs a cheaper subset:
+    20 label trials at seed 42 alone, evaluate at ``--k 2`` for nf-pf, rwk
+    and gk3, and rwk alone for train and predict."""
     out: dict[str, bytes] = {}
     manifest = str(data_dir() / "manifest.csv")
     sources = sorted(map(str, (data_dir() / "corpus").glob("*.mir")))
     seed = ["--seed", SEED]
 
-    _run(["label", "--manifest", manifest, "--trials", "20" if quick else "200",
-          *seed, "--out", str(work / "label.csv")], "label", out)
+    trials = ["--trials", "20" if quick else "200"]
+    _run(["label", "--manifest", manifest, *trials, *seed,
+          "--out", str(work / "label.csv")], "label", out)
     out["label.csv"] = (work / "label.csv").read_bytes()
+    for root in () if quick else LABEL_SEEDS:
+        name = f"label-{root}"
+        _run(["label", "--manifest", manifest, *trials, "--seed", root,
+              "--out", str(work / f"{name}.csv")], name, out)
+        out[f"{name}.csv"] = (work / f"{name}.csv").read_bytes()
 
     _run(["stats"], "stats", out)
 

@@ -1,0 +1,105 @@
+"""The per-trial labelling loop of mrkit before each (method, MR) stream
+built its draw functions once: every trial recomputed the spans of its
+draws, ``apply_mr`` re-checked the MR and walked its branches, PER went
+through ``rng.shuffle``, and ``check_relation`` looked up the relation.
+``test_oracle.py`` requires ``mrkit.oracle.label_method`` to return the
+same ``LabelReport`` as ``label_method`` here.
+
+Only the loop, the draws and the relation live here; the report types,
+``_below`` (itself checked against ``rng.randrange``) and ``_substream``
+are shared with ``mrkit.oracle``.
+"""
+
+from __future__ import annotations
+
+import random
+from math import isfinite
+
+from mrkit.mir import Function, Trap, interpret
+from mrkit.oracle import (EQ, GEQ, LEQ, MR_IDS, MR_SPECS, LabelReport, MrLabelSet, MrOutcome,
+                          OracleError, OracleParams, Witness, _below, _substream)
+
+
+def draw_source(rng: random.Random, params: OracleParams, mr: str) -> list[float]:
+    getrandbits = rng.getrandbits
+    length = params.min_len + _below(getrandbits, params.max_len - params.min_len + 1)
+    lo = max(params.min_value, 1) if mr == "INV" else params.min_value
+    span = params.max_value - lo + 1
+    return [float(lo + _below(getrandbits, span)) for _ in range(length)]
+
+
+def apply_mr(mr: str, source, rng: random.Random, params: OracleParams) -> list[float]:
+    if mr not in MR_SPECS:
+        raise OracleError(f"unknown MR {mr!r}")
+    src = list(map(float, source))
+    n = len(src)
+    if mr == "ADD" or mr == "MUL":
+        c = params.min_const + _below(rng.getrandbits,
+                                      params.max_const - params.min_const + 1)
+        return [v + c for v in src] if mr == "ADD" else [v * c for v in src]
+    if mr == "PER":
+        if n < 2:
+            raise OracleError("PER needs at least two elements")
+        idx = list(range(n))
+        while True:
+            rng.shuffle(idx)
+            if idx != list(range(n)):
+                break
+        return [src[i] for i in idx]
+    if mr == "INC":
+        span = params.max_value - params.min_value + 1
+        return src + [float(params.min_value + _below(rng.getrandbits, span))]
+    if mr == "EXC":
+        if n < 2:
+            raise OracleError("EXC needs at least two elements")
+        drop = _below(rng.getrandbits, n)
+        return src[:drop] + src[drop + 1:]
+    if any(v == 0 for v in src):
+        raise OracleError("INV requires every element >= 1 (zero found)")
+    return [1.0 / v for v in src]
+
+
+def check_relation(mr: str, out_source: float, out_follow_up: float,
+                   rel_tol: float) -> tuple[bool, str | None]:
+    spec = MR_SPECS[mr]
+    if not (isfinite(out_source) and isfinite(out_follow_up)):
+        return False, "non-finite output"
+    slack = rel_tol * max(1.0, abs(out_source))
+    if spec.relation == GEQ:
+        ok = out_follow_up >= out_source - slack
+        return ok, None if ok else "follow-up output decreased"
+    if spec.relation == LEQ:
+        ok = out_follow_up <= out_source + slack
+        return ok, None if ok else "follow-up output increased"
+    assert spec.relation == EQ
+    ok = abs(out_follow_up - out_source) <= slack
+    return ok, None if ok else "outputs differ under permutation"
+
+
+def label_method(fn: Function, params: OracleParams) -> LabelReport:
+    outcomes: dict[str, MrOutcome] = {}
+    for mr in MR_IDS:
+        rng = _substream(params.seed, fn.name, mr)
+        witness: Witness | None = None
+        for trial in range(params.trials):
+            source = draw_source(rng, params, mr)
+            follow_up = apply_mr(mr, source, rng, params)
+            try:
+                out_src = interpret(fn, source, params.step_budget)
+                out_fu = interpret(fn, follow_up, params.step_budget)
+            except Trap as trap:
+                out_src = out_fu = None
+                cause = f"trap: {trap}"
+            else:
+                ok, cause = check_relation(mr, out_src, out_fu, params.rel_tol)
+                if ok:
+                    continue
+            witness = Witness(mr=mr, trial=trial, source=tuple(source),
+                              follow_up=tuple(follow_up), out_source=out_src,
+                              out_follow_up=out_fu, cause=cause)
+            break
+        trials_run = params.trials if witness is None else witness.trial + 1
+        outcomes[mr] = MrOutcome(mr=mr, label=witness is None,
+                                 trials_run=trials_run, witness=witness)
+    labels = MrLabelSet({mr: outcome.label for mr, outcome in outcomes.items()})
+    return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)

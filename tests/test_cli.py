@@ -917,6 +917,18 @@ def test_extract_refuses_a_digraph_without_a_name(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["..", ".hidden"])
+def test_extract_refuses_a_method_name_starting_with_a_dot(tmp_path, capsys, name):
+    """``..`` passes ``Path(name).name == name``; it and ``.hidden`` would
+    write the hidden files ``<name>.dot`` and ``<name>_features.csv``."""
+    dot = renamed_average(tmp_path, name)
+    out = tmp_path / "out"
+    assert main(["extract", str(dot), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {dot}: method name {name!r} is not a file name\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("features", ["nf-pf", "rwk", "gk"])
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_an_unlabelled_method_is_refused_before_any_source_is_read(

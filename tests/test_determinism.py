@@ -1,8 +1,9 @@
 """The determinism contract: one root seed gives the same bytes, whatever
 the hash seed, and ``train`` then ``predict`` answers as ``evaluate`` does.
 
-``goldens.json`` holds the seed-42 digests that ``make_goldens.py``
-writes; a change that means to move bytes regenerates it with that script.
+``goldens.json`` holds the seed-42 digests, and those of ``label`` at root
+seeds 7 and 101, that ``make_goldens.py`` writes; a change that means to
+move bytes regenerates it with that script.
 """
 
 import csv

@@ -1,7 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_reference
 from mrkit.mir import interpret, parse_program
 from mrkit.oracle import (
     MR_IDS,
@@ -10,7 +14,8 @@ from mrkit.oracle import (
     OracleError,
     OracleParams,
     _below,
-    _draw_source,
+    _follow_ups,
+    _source_draws,
     _substream,
     apply_mr,
     audit_labels,
@@ -90,6 +95,21 @@ def test_check_relation_cases():
     assert not ok
 
 
+def test_check_relation_equals_the_reference_at_its_boundaries():
+    # equal outputs at a zero tolerance, outputs exactly one slack apart,
+    # and every non-finite output on either side
+    inf = float("inf")
+    outputs = (0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.5, 2.0, -2.0, 3.0, -3.0,
+               1e12, 1e12 + 1e3, 1e12 - 1e3, -1e12, -1e12 + 1e3, -1e12 - 1e3,
+               inf, -inf, float("nan"))
+    for mr in MR_IDS:
+        for rel_tol in (0.0, 1e-9, 0.5):
+            for s in outputs:
+                for f in outputs:
+                    expected = oracle_reference.check_relation(mr, s, f, rel_tol)
+                    assert check_relation(mr, s, f, rel_tol) == expected, (mr, rel_tol, s, f)
+
+
 def test_label_known_rows(corpus_functions):
     assert label_method(corpus_functions["sum"]).labels.as_bits() == (1, 1, 1, 1, 1, 1)
     assert label_method(corpus_functions["average"]).labels.as_bits() == (1, 1, 1, 0, 0, 1)
@@ -138,12 +158,14 @@ def test_trapping_method_labels_all_false():
         assert "trap" in report.outcomes[mr].witness.cause
 
 
+# returns the length, and divides by zero only on 21 elements: INC's
+# follow-up of a 20-element source is the only input that traps
+FOLLOW_UP_TRAP = ("fn f(a) {\n  n = len(a)\n  d = 21 - n\n  z = 0 / d\n"
+                  "  return n + z\n}\n")
+
+
 def test_a_trap_on_the_follow_up_alone_leaves_both_outputs_absent():
-    # returns the length, and divides by zero only on 21 elements: INC's
-    # follow-up of a 20-element source is the only input that traps
-    src = ("fn f(a) {\n  n = len(a)\n  d = 21 - n\n  z = 0 / d\n"
-           "  return n + z\n}\n")
-    report = label_method(parse_program(src).functions[0], OracleParams())
+    report = label_method(parse_program(FOLLOW_UP_TRAP).functions[0], OracleParams())
     outcome = report.outcomes["INC"]
     witness = outcome.witness
     assert not outcome.label and witness.trial == 9
@@ -224,6 +246,22 @@ def test_params_reject_a_value_domain_without_a_positive_value():
     assert OracleParams(min_value=-5, max_value=1).max_value == 1
 
 
+@pytest.mark.parametrize("rel_tol", [-1e-9, float("nan"), float("inf"), float("-inf")])
+def test_params_reject_a_negative_or_non_finite_rel_tol(rel_tol):
+    # a NaN tolerance would make every comparison false, labelling sum 0 on all six
+    with pytest.raises(OracleError, match="rel_tol must be finite and >= 0"):
+        OracleParams(rel_tol=rel_tol)
+    assert OracleParams(rel_tol=0.0).rel_tol == 0.0
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_params_reject_a_step_budget_below_one(budget):
+    # a budget of 0 would trap every trial
+    with pytest.raises(OracleError, match="step_budget must be >= 1"):
+        OracleParams(step_budget=budget)
+    assert OracleParams(step_budget=1).step_budget == 1
+
+
 # The oracle's draws before they were inlined on getrandbits: the reference
 # that every label CSV written since the first release was drawn with.
 
@@ -275,13 +313,68 @@ def test_draws_equal_the_randint_stream(params):
     for seed in range(1000):
         for mr in MR_IDS:
             rng, ref = random.Random(seed), random.Random(seed)
+            draw = _source_draws(params, mr, rng.getrandbits)
+            follow = _follow_ups(params, mr, rng.getrandbits)
             for _ in range(2):
-                source = _draw_source(rng, params, mr)
+                source = draw()
                 expected = _draw_source_randint(ref, params, mr)
                 assert source == expected, (seed, mr)
-                assert (apply_mr(mr, source, rng, params)
-                        == _apply_mr_randint(mr, expected, ref, params)), (seed, mr)
+                assert follow(source) == _apply_mr_randint(mr, expected, ref, params), (seed, mr)
+                assert source == expected, (seed, mr)  # the follow-up left it alone
+            assert (apply_mr(mr, source, rng, params)
+                    == _apply_mr_randint(mr, expected, ref, params)), (seed, mr)
             assert rng.getstate() == ref.getstate(), (seed, mr)
+
+
+# corpus methods whose labels at DRAW_PARAMS take every path of the trial
+# loop but one: all six relations holding, each kind of violation, and
+# division-by-zero and math-domain traps
+DIFFERENTIAL_METHODS = ("sum", "average", "geometric_mean", "sumOfLogarithms", "entropy",
+                        "cal_DividedDiff", "ebeDivide", "bubble", "harmonicMean", "kurtosis")
+
+# the path no corpus method takes: a non-finite output
+BLOWUP = """
+fn blowup(a) {
+  x = a[0]
+  for i = 0; i < 12; i = i + 1 {
+    x = x * x
+  }
+  return x
+}
+"""
+
+
+@pytest.mark.parametrize("params", DRAW_PARAMS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 6))
+def test_label_method_equals_the_per_trial_reference(corpus_functions, params, seed, trials):
+    # repr, not ==: a witness may hold a NaN output, and repr tells -0.0 from 0.0
+    params = replace(params, seed=seed, trials=trials)
+    fns = [corpus_functions[name] for name in DIFFERENTIAL_METHODS]
+    fns += [parse_program(src).functions[0] for src in (BLOWUP, CLOBBER, FOLLOW_UP_TRAP)]
+    for fn in fns:
+        assert (repr(label_method(fn, params))
+                == repr(oracle_reference.label_method(fn, params))), fn.name
+
+
+def test_apply_mr_equals_the_reference_on_inputs_the_loop_never_draws():
+    # ints, negative values, -0.0 and single elements: the float conversion
+    # and each refusal of the public apply_mr
+    params = DRAW_PARAMS[2]
+    sources = ([3, -2, 7], [0.5, -0.0, 4.0], [-1.0, 2.0], [5], [0, 1], [], (9, 9, 9, 9))
+    for seed in range(50):
+        for mr in MR_IDS:
+            for source in sources:
+                rng, ref = random.Random(seed), random.Random(seed)
+                try:
+                    expected = oracle_reference.apply_mr(mr, source, ref, params)
+                except OracleError as error:
+                    with pytest.raises(OracleError) as raised:
+                        apply_mr(mr, source, rng, params)
+                    assert str(raised.value) == str(error)
+                else:
+                    assert apply_mr(mr, source, rng, params) == expected, (seed, mr, source)
+                assert rng.getstate() == ref.getstate(), (seed, mr, source)
 
 
 @pytest.mark.parametrize("span", [1, 2, 19, 64, 65, 101, 1025, 2 ** 40 + 1])
@@ -322,7 +415,8 @@ def test_witness_source_is_the_drawn_input():
     fn = parse_program(CLOBBER).functions[0]
     params = OracleParams(trials=5)
     witness = label_method(fn, params).outcomes["INC"].witness
-    drawn = _draw_source(_substream(params.seed, fn.name, "INC"), params, "INC")
+    drawn = _source_draws(params, "INC",
+                          _substream(params.seed, fn.name, "INC").getrandbits)()
     assert witness is not None and witness.trial == 0
     assert witness.source == tuple(drawn)
     assert -1.0 not in witness.source and witness.follow_up[:-1] == witness.source
