@@ -1,13 +1,13 @@
 """Generated Python for mini-IR bytecode, one function per mini-IR function.
 
 ``generate`` turns the bytecode that ``mir._Lowerer`` emits at parse time
-into the source of one Python function and compiles it; ``mir.interpret``
-runs that function.  The step budget is checked once per pass through a
-loop header or merge point and settled after the pass: a pass that ran
-past the budget ends in the ``step-budget`` trap, at the same op a charge
-per op would.  Every op does what it does in the reference dispatch loop,
-``tests/mir_reference.py``, with the same values, trap kinds, lines and
-messages.
+into the source of one Python function and compiles it;
+``mir.interpret_floats`` runs that function.  The step budget is checked
+once per pass through a loop header or merge point and settled after the
+pass: a pass that ran past the budget ends in the ``step-budget`` trap, at
+the same op a charge per op would.  Every op does what it does in the
+reference dispatch loop, ``tests/mir_reference.py``, with the same values,
+trap kinds, lines and messages.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ _ENDS_BLOCK = (_JMP, _JIF, _RET, _RETBIN)
 # Python's 100 levels of indentation.
 _MAX_INLINE_DEPTH = 32
 # Index tables are kept for array lengths below this; a kept table is
-# never changed, so every caller can share it.
+# never changed, so every caller can share it.  The generated code looks a
+# length up in _INDEX_TABLES and calls _index_table only when it is missing.
 _CACHED_LENGTHS = 256
 _INDEX_TABLES: dict[int, dict[float, int]] = {}
 
@@ -33,11 +34,9 @@ _INDEX_TABLES: dict[int, dict[float, int]] = {}
 def _index_table(n: int) -> dict[float, int]:
     """``{0.0: 0, …, float(n - 1): n - 1}``: every double that indexes an
     array of length ``n``, ``-0.0`` included, to its int."""
-    table = _INDEX_TABLES.get(n)
-    if table is None:
-        table = {float(i): i for i in range(n)}
-        if n < _CACHED_LENGTHS:
-            _INDEX_TABLES[n] = table
+    table = {float(i): i for i in range(n)}
+    if n < _CACHED_LENGTHS:
+        _INDEX_TABLES[n] = table
     return table
 
 
@@ -72,7 +71,8 @@ _CALL_SOURCE = {
 }
 _OVERRUN = 'raise Trap("step-budget", f"exceeded {budget} steps in {fn.name!r}")'
 _GENERATED_GLOBALS = {
-    "Trap": Trap, "_trap": _trap, "_index_table": _index_table,
+    "Trap": Trap, "_trap": _trap, "_INDEX_TABLES": _INDEX_TABLES,
+    "_index_table": _index_table,
     "inf": math.inf, "sqrt": math.sqrt, "log": math.log, "exp": math.exp,
     "floor": math.floor, "fmod": math.fmod, "fpow": math.pow,
 }
@@ -260,9 +260,11 @@ def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
     params = ", ".join(["fn", "arr", "budget"] + [f"s{i}=0.0" for i in range(n_slots)])
     emit(0, f"def run({params}):")
     emit(1, "n = len(arr)")
-    emit(1, "nf = float(n)")
-    if any(op[0] == _LOAD or op[0] == _STORE for op in code):
-        emit(1, "IDX = _index_table(n)")
+    kinds = {op[0] for op in code}
+    if _LEN in kinds:
+        emit(1, "nf = float(n)")
+    if _LOAD in kinds or _STORE in kinds:
+        emit(1, "IDX = _INDEX_TABLES.get(n) or _index_table(n)")
     emit(1, "left = budget")
     emit(1, "blk = 0")
     emit(1, "try:")

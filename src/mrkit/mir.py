@@ -490,11 +490,23 @@ def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> f
     point and settles an overrun after the pass: the budget trap, or a
     fault before it, comes from the same op as if every op had been
     charged on its own.
+
+    ``values`` may be any iterable of numbers: the call converts it to a
+    new list of floats, which the generated code may store into, so the
+    caller's values stay as given.  The oracle's entry,
+    ``interpret_floats``, does neither.
     """
-    if fn.run is None:
-        _compile(fn)
-    # the generated code stores into arr, so the caller's values stay as given
-    return fn.run(fn, list(map(float, values)), step_budget)
+    return interpret_floats(fn, list(map(float, values)), step_budget)
+
+
+def interpret_floats(fn: Function, arr: list[float],
+                     step_budget: int = DEFAULT_STEP_BUDGET) -> float:
+    """``interpret`` on ``arr``, a list of floats that the run may store
+    into: no conversion and no copy."""
+    run = fn.run
+    if run is None:
+        run = _compile(fn).run
+    return run(fn, arr, step_budget)
 
 
 def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:

@@ -19,7 +19,17 @@ fixed: one draws the next source, one builds its follow-up (PER runs
 ``Random.shuffle``'s loop inline on the same stream).  Every trial then
 takes the same words from the stream, in the same order, as per-trial
 ``randint``, ``randrange`` and ``shuffle`` calls did, so every label CSV
-is unchanged.
+is unchanged.  A drawn value is read from a table of the stream's value
+domain, ``[float(lo + r) for r in range(span)]``, built with the draw
+function when the span is at most ``_MAX_TABLED_SPAN`` and computed as
+``float(lo + r)`` above it: the same float either way.
+
+The oracle builds its sources and follow-ups from floats, so it calls the
+interpreter through ``mir.interpret_floats``, which neither converts nor
+copies, and hands it a copy of each list: the run may store into the
+list it gets, and a witness keeps the input as drawn.  The relation test
+tries one chained comparison that only a clean, exactly holding trial
+passes before it applies the tolerance rule.
 """
 
 from __future__ import annotations
@@ -27,9 +37,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 
-from .mir import Function, Trap, interpret
+from .mir import Function, Trap
+from .mir import interpret_floats as interpret
 
 MR_IDS = ("ADD", "MUL", "PER", "INC", "EXC", "INV")
 
@@ -149,6 +160,20 @@ def _substream(seed: int, *scope: str) -> random.Random:
 # source draw and of PER's shuffle run it inline.  ``span`` must be
 # positive: ``getrandbits(0)`` is 0, so a span of 0 would never leave the loop.
 
+# Value domains up to this span are drawn from a table of their floats; a
+# wider one (the span can be 2^40 and more) computes each float instead.
+_MAX_TABLED_SPAN = 4096
+
+
+class _Floats:
+    """``float(lo + r)`` as ``self[r]``: a table too wide to build."""
+
+    def __init__(self, lo: int):
+        self.lo = lo
+
+    def __getitem__(self, r: int) -> float:
+        return float(self.lo + r)
+
 
 def _below(getrandbits, span: int) -> int:
     """A uniform int in ``[0, span)`` drawn as ``rng.randrange(span)`` draws it."""
@@ -168,17 +193,20 @@ def _source_draws(params: OracleParams, mr: str, getrandbits):
     lo = max(params.min_value, 1) if mr == "INV" else params.min_value
     span = params.max_value - lo + 1
     bits = span.bit_length()
+    value = ([float(lo + r) for r in range(span)] if span <= _MAX_TABLED_SPAN
+             else _Floats(lo))
 
     def draw() -> list[float]:
         r = getrandbits(len_bits)
         while r >= len_span:
             r = getrandbits(len_bits)
-        source = []
-        for _ in range(len_lo + r):
+        n = len_lo + r
+        source = [0.0] * n
+        for i in range(n):
             r = getrandbits(bits)
             while r >= span:
                 r = getrandbits(bits)
-            source.append(float(lo + r))
+            source[i] = value[r]
         return source
 
     return draw
@@ -190,14 +218,16 @@ def _follow_ups(params: OracleParams, mr: str, getrandbits):
     if mr == "ADD" or mr == "MUL":
         c_lo = params.min_const
         c_span = params.max_const - c_lo + 1
+        # float(c) gives the sums and products that the int c gives, and
+        # a c beyond the doubles raises the OverflowError that they raise
         if mr == "ADD":
             def add(src: list[float]) -> list[float]:
-                c = c_lo + _below(getrandbits, c_span)
+                c = float(c_lo + _below(getrandbits, c_span))
                 return [v + c for v in src]
             return add
 
         def multiply(src: list[float]) -> list[float]:
-            c = c_lo + _below(getrandbits, c_span)
+            c = float(c_lo + _below(getrandbits, c_span))
             return [v * c for v in src]
         return multiply
     if mr == "PER":
@@ -257,13 +287,20 @@ _CAUSES = {GEQ: "follow-up output decreased", LEQ: "follow-up output increased",
 def _relation_test(mr: str, rel_tol: float):
     """``mr``'s relation as a test of ``(out_source, out_follow_up)``: the
     follow-up output may fall short of GEQ, pass LEQ or miss EQ by at most
-    ``rel_tol * max(1, |out_source|)``; non-finite outputs always violate."""
+    ``rel_tol * max(1, |out_source|)``; non-finite outputs always violate.
+
+    Each test first tries the relation without slack on finite outputs, one
+    chained comparison: a pair that passes it passes the full rule, since
+    the slack is never negative, and any other pair gets the full rule."""
     relation = MR_SPECS[mr].relation
     if relation == GEQ:
-        return lambda s, f: isfinite(s) and isfinite(f) and f >= s - rel_tol * max(1.0, abs(s))
+        return lambda s, f: -inf < s <= f < inf or (
+            isfinite(s) and isfinite(f) and f >= s - rel_tol * max(1.0, abs(s)))
     if relation == LEQ:
-        return lambda s, f: isfinite(s) and isfinite(f) and f <= s + rel_tol * max(1.0, abs(s))
-    return lambda s, f: isfinite(s) and isfinite(f) and abs(f - s) <= rel_tol * max(1.0, abs(s))
+        return lambda s, f: -inf < f <= s < inf or (
+            isfinite(s) and isfinite(f) and f <= s + rel_tol * max(1.0, abs(s)))
+    return lambda s, f: -inf < s == f < inf or (
+        isfinite(s) and isfinite(f) and abs(f - s) <= rel_tol * max(1.0, abs(s)))
 
 
 def check_relation(mr: str, out_source: float, out_follow_up: float,
@@ -292,9 +329,10 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
             follow_up = follow(source)
             try:
                 # interpret is looked up here on every call, not bound once,
-                # so that a caller can wrap mrkit.oracle.interpret
-                out_src = interpret(fn, source, budget)
-                out_fu = interpret(fn, follow_up, budget)
+                # so that a caller can wrap mrkit.oracle.interpret; it gets
+                # copies, since the run may store into its list
+                out_src = interpret(fn, source[:], budget)
+                out_fu = interpret(fn, follow_up[:], budget)
             except Trap as trap:
                 out_src = out_fu = None
                 cause = f"trap: {trap}"

@@ -6,9 +6,11 @@ at trace time, so a refactor that renames or drops one of them breaks
 ``bench/run.py --trace 1`` with an AttributeError that no other test sees.
 A probe's name and hooks also read the call's arguments (the gk Gram's
 ``gk=`` keyword, ``graphlet_distribution``'s positional parameters), so a
-change of call shape breaks the traced run too.  The file is read as text
-and executed into a fresh module, never imported, so nothing is written
-under ``bench/``.
+change of call shape breaks the traced run too.  A probe can also resolve
+and still see nothing: the label loop must call the interpreter through
+``mrkit.oracle.interpret``, or the traced run reads zero calls.  The file
+is read as text and executed into a fresh module, never imported, so
+nothing is written under ``bench/``.
 """
 
 import ast
@@ -19,7 +21,10 @@ from pathlib import Path
 import pytest
 
 import mrkit
-from mrkit.cli import main
+import oracle_reference
+from mrkit.cli import main, stage_seed
+from mrkit.mir import Trap, parse_program
+from mrkit.oracle import OracleParams
 from test_cli import HELD, MIXED, corpus_path, write_bundled_manifest
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -86,3 +91,44 @@ def test_a_gk_evaluate_train_and_predict_run_under_every_probe(tmp_path):
     # distribution per held-out method
     assert metrics["kernels.graphlet_distribution.calls"] == 3 * len(MIXED) + len(HELD)
     assert metrics["kernels.graphlet_distribution.distinct"] == len(MIXED) + len(HELD)
+
+
+# two methods that divide by zero within 20 trials at root seed 42
+TRAPPING = ["ebeDivide", "errorRate"]
+
+
+def _reference_interpreter_calls(monkeypatch, names, params) -> tuple[int, int]:
+    """Interpreter calls and traps of the per-trial reference loop."""
+    calls = traps = 0
+    interpret = oracle_reference.interpret
+
+    def counted(*args):
+        nonlocal calls, traps
+        calls += 1
+        try:
+            return interpret(*args)
+        except Trap:
+            traps += 1
+            raise
+
+    monkeypatch.setattr(oracle_reference, "interpret", counted)
+    for name in names:
+        fn = parse_program(Path(corpus_path(name)).read_text()).functions[0]
+        oracle_reference.label_method(fn, params)
+    return calls, traps
+
+
+def test_a_label_run_calls_the_interpreter_through_its_probe(tmp_path, monkeypatch):
+    names = MIXED + TRAPPING
+    man = write_bundled_manifest(tmp_path, names)
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["label", "--manifest", str(man), "--trials", "20", "--seed", "42",
+                     "--out", str(tmp_path / "labels.csv")]) == 0
+    metrics = tracing.layer_metrics(tracer)
+    params = OracleParams(trials=20, seed=stage_seed(42, "oracle"))
+    calls, traps = _reference_interpreter_calls(monkeypatch, names, params)
+    assert traps == 3
+    assert metrics["oracle.label_method.calls"] == len(names)
+    assert (metrics["mir.interpret.calls"], metrics["mir.traps.total"]) == (calls, traps)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from mrkit.oracle import (
     OracleParams,
     _below,
     _follow_ups,
+    _relation_test,
     _source_draws,
     _substream,
     apply_mr,
@@ -108,6 +110,22 @@ def test_check_relation_equals_the_reference_at_its_boundaries():
                 for f in outputs:
                     expected = oracle_reference.check_relation(mr, s, f, rel_tol)
                     assert check_relation(mr, s, f, rel_tol) == expected, (mr, rel_tol, s, f)
+
+
+# every kind of double: NaN, the infinities, both zeros, subnormals and the
+# largest finite values, beside arbitrary ones
+OUTPUTS = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                                     5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
+                    st.floats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(mr=st.sampled_from(MR_IDS), rel_tol=st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 1e308]),
+       s=OUTPUTS, f=OUTPUTS)
+def test_the_relation_fast_path_equals_the_reference(mr, rel_tol, s, f):
+    expected = oracle_reference.check_relation(mr, s, f, rel_tol)
+    assert check_relation(mr, s, f, rel_tol) == expected
+    assert _relation_test(mr, rel_tol)(s, f) is expected[0]
 
 
 def test_label_known_rows(corpus_functions):
@@ -324,6 +342,24 @@ def test_draws_equal_the_randint_stream(params):
             assert (apply_mr(mr, source, rng, params)
                     == _apply_mr_randint(mr, expected, ref, params)), (seed, mr)
             assert rng.getstate() == ref.getstate(), (seed, mr)
+
+
+def test_draws_over_a_wide_domain_build_no_table_of_it():
+    # DRAW_PARAMS' widest domains: values span 2^40 + 1, constants 2^20 + 1;
+    # a table of either's values would take terabytes or tens of megabytes
+    params = DRAW_PARAMS[-1]
+    tracemalloc.start()
+    try:
+        for mr in MR_IDS:
+            getrandbits = random.Random(mr).getrandbits
+            draw = _source_draws(params, mr, getrandbits)
+            follow = _follow_ups(params, mr, getrandbits)
+            for _ in range(5):
+                follow(draw())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # corpus methods whose labels at DRAW_PARAMS take every path of the trial
