@@ -238,7 +238,8 @@ class AnomalyEntry:
 
 def anomaly_register(path: str | Path | None = None) -> dict[str, AnomalyEntry]:
     """Bundled methods whose reference labels conflict with executable
-    semantics; keyed by method name, so a name given twice is refused."""
+    semantics; keyed by method name, so a name given twice is refused, and
+    each ``mrs`` cell must name known relations, each once."""
     path = Path(path) if path is not None else data_dir() / "anomalies.csv"
     out: dict[str, AnomalyEntry] = {}
     seen_ids: set[int] = set()
@@ -247,5 +248,11 @@ def anomaly_register(path: str | Path | None = None) -> dict[str, AnomalyEntry]:
         method_id = _method_id(cell, f"{path}:{line}", seen_ids)
         if name in out:
             raise CorpusError(f"{path}:{line}: duplicate method name {name!r}")
-        out[name] = AnomalyEntry(method_id, name, tuple(mrs.split(";")), reason)
+        relations = tuple(mrs.split(";"))
+        for k, mr in enumerate(relations):
+            if mr not in MR_IDS:
+                raise CorpusError(f"{path}:{line}: unknown relation {mr!r} in mrs")
+            if mr in relations[:k]:
+                raise CorpusError(f"{path}:{line}: repeated relation {mr!r} in mrs")
+        out[name] = AnomalyEntry(method_id, name, relations, reason)
     return out

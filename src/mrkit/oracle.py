@@ -13,16 +13,18 @@ trial; any interpreter trap labels it 0.  Positive labels are therefore
 sampling-based claims; negative labels carry a concrete re-checkable
 witness.
 
+The input domain is fixed, not a parameter: a source is a list of 2..20
+integer values in 0..100 (1..100 for INV, whose follow-up takes
+reciprocals), ADD and MUL draw their constant from 1..10, and outputs
+compare within a relative tolerance of 1e-9 (``REL_TOL``).
+
 Each (method, MR) pair has its own random stream.  ``label_method`` builds
-that stream's two draw functions once, with the MR's spans and constants
-fixed: one draws the next source, one builds its follow-up (PER runs
-``Random.shuffle``'s loop inline on the same stream).  Every trial then
-takes the same words from the stream, in the same order, as per-trial
-``randint``, ``randrange`` and ``shuffle`` calls did, so every label CSV
-is unchanged.  A drawn value is read from a table of the stream's value
-domain, ``[float(lo + r) for r in range(span)]``, built with the draw
-function when the span is at most ``_MAX_TABLED_SPAN`` and computed as
-``float(lo + r)`` above it: the same float either way.
+that stream's two draw functions once: one draws the next source, one
+builds its follow-up (PER runs ``Random.shuffle``'s loop inline on the
+same stream).  Every trial then takes the same words from the stream, in
+the same order, as per-trial ``randint``, ``randrange`` and ``shuffle``
+calls did, so every label CSV is unchanged.  A drawn value is read from
+one table of the domain's floats, built at import.
 
 The oracle builds its sources and follow-ups from floats, so it calls the
 interpreter through ``mir.interpret_floats``, which neither converts nor
@@ -39,12 +41,24 @@ import random
 from dataclasses import dataclass, field
 from math import inf, isfinite
 
-from .mir import Function, Trap
+from .mir import DEFAULT_STEP_BUDGET, Function, Trap
 from .mir import interpret_floats as interpret
 
 MR_IDS = ("ADD", "MUL", "PER", "INC", "EXC", "INV")
 
 GEQ, LEQ, EQ = "GEQ", "LEQ", "EQ"
+
+# The fixed input domain (inclusive bounds): source lengths, source and INC
+# values, INV's source values, ADD and MUL constants; and the relative
+# tolerance of every relation.
+MIN_LEN, MAX_LEN = 2, 20
+MIN_VALUE, MAX_VALUE = 0, 100
+MIN_INV_VALUE = 1
+MIN_CONST, MAX_CONST = 1, 10
+REL_TOL = 1e-9
+
+# float(v) for every v in MIN_VALUE..MAX_VALUE, read as _VALUES[v - MIN_VALUE]
+_VALUES = [float(v) for v in range(MIN_VALUE, MAX_VALUE + 1)]
 
 
 class OracleError(ValueError):
@@ -71,29 +85,12 @@ MR_SPECS: dict[str, MrSpec] = {
 @dataclass(frozen=True)
 class OracleParams:
     trials: int = 200
-    min_len: int = 2
-    max_len: int = 20
-    min_value: int = 0
-    max_value: int = 100
-    min_const: int = 1
-    max_const: int = 10
-    rel_tol: float = 1e-9
     seed: int = 42
-    step_budget: int = 1_000_000
+    step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise OracleError("trials must be >= 1")
-        if self.min_len < 2 or self.max_len < self.min_len:
-            raise OracleError("length range must satisfy 2 <= min <= max")
-        if self.max_value < self.min_value:
-            raise OracleError("empty value domain")
-        if self.max_value < 1:
-            raise OracleError("INV needs a value >= 1, so max_value must be >= 1")
-        if self.max_const < self.min_const or self.min_const < 1:
-            raise OracleError("constant domain must be positive")
-        if not (isfinite(self.rel_tol) and self.rel_tol >= 0):
-            raise OracleError("rel_tol must be finite and >= 0")
         if self.step_budget < 1:
             raise OracleError("step_budget must be >= 1")
 
@@ -160,21 +157,6 @@ def _substream(seed: int, *scope: str) -> random.Random:
 # source draw and of PER's shuffle run it inline.  ``span`` must be
 # positive: ``getrandbits(0)`` is 0, so a span of 0 would never leave the loop.
 
-# Value domains up to this span are drawn from a table of their floats; a
-# wider one (the span can be 2^40 and more) computes each float instead.
-_MAX_TABLED_SPAN = 4096
-
-
-class _Floats:
-    """``float(lo + r)`` as ``self[r]``: a table too wide to build."""
-
-    def __init__(self, lo: int):
-        self.lo = lo
-
-    def __getitem__(self, r: int) -> float:
-        return float(self.lo + r)
-
-
 def _below(getrandbits, span: int) -> int:
     """A uniform int in ``[0, span)`` drawn as ``rng.randrange(span)`` draws it."""
     bits = span.bit_length()
@@ -184,17 +166,16 @@ def _below(getrandbits, span: int) -> int:
     return r
 
 
-def _source_draws(params: OracleParams, mr: str, getrandbits):
+def _source_draws(mr: str, getrandbits):
     """The function that draws ``mr``'s next source from ``getrandbits``: a
     length, then that many values, each as ``_below`` draws it."""
-    len_lo = params.min_len
-    len_span = params.max_len - len_lo + 1
+    len_lo = MIN_LEN
+    len_span = MAX_LEN - len_lo + 1
     len_bits = len_span.bit_length()
-    lo = max(params.min_value, 1) if mr == "INV" else params.min_value
-    span = params.max_value - lo + 1
+    lo = MIN_INV_VALUE if mr == "INV" else MIN_VALUE
+    span = MAX_VALUE - lo + 1
     bits = span.bit_length()
-    value = ([float(lo + r) for r in range(span)] if span <= _MAX_TABLED_SPAN
-             else _Floats(lo))
+    value = _VALUES if lo == MIN_VALUE else _VALUES[lo - MIN_VALUE:]
 
     def draw() -> list[float]:
         r = getrandbits(len_bits)
@@ -212,22 +193,19 @@ def _source_draws(params: OracleParams, mr: str, getrandbits):
     return draw
 
 
-def _follow_ups(params: OracleParams, mr: str, getrandbits):
+def _follow_ups(mr: str, getrandbits):
     """The function that builds ``mr``'s follow-up of a list of floats,
     drawing what it needs from ``getrandbits``; it leaves the source alone."""
     if mr == "ADD" or mr == "MUL":
-        c_lo = params.min_const
-        c_span = params.max_const - c_lo + 1
-        # float(c) gives the sums and products that the int c gives, and
-        # a c beyond the doubles raises the OverflowError that they raise
+        c_span = MAX_CONST - MIN_CONST + 1
         if mr == "ADD":
             def add(src: list[float]) -> list[float]:
-                c = float(c_lo + _below(getrandbits, c_span))
+                c = float(MIN_CONST + _below(getrandbits, c_span))
                 return [v + c for v in src]
             return add
 
         def multiply(src: list[float]) -> list[float]:
-            c = float(c_lo + _below(getrandbits, c_span))
+            c = float(MIN_CONST + _below(getrandbits, c_span))
             return [v * c for v in src]
         return multiply
     if mr == "PER":
@@ -248,11 +226,8 @@ def _follow_ups(params: OracleParams, mr: str, getrandbits):
             return [src[i] for i in idx]
         return permute
     if mr == "INC":
-        v_lo = params.min_value
-        v_span = params.max_value - v_lo + 1
-
         def append(src: list[float]) -> list[float]:
-            return src + [float(v_lo + _below(getrandbits, v_span))]
+            return src + [_VALUES[_below(getrandbits, len(_VALUES))]]
         return append
     if mr == "EXC":
         def exclude(src: list[float]) -> list[float]:
@@ -271,12 +246,11 @@ def _follow_ups(params: OracleParams, mr: str, getrandbits):
     return invert
 
 
-def apply_mr(mr: str, source, rng: random.Random,
-             params: OracleParams = OracleParams()) -> list[float]:
+def apply_mr(mr: str, source, rng: random.Random) -> list[float]:
     """Build the follow-up input for one relation; draws come from rng."""
     if mr not in MR_SPECS:
         raise OracleError(f"unknown MR {mr!r}")
-    return _follow_ups(params, mr, rng.getrandbits)(list(map(float, source)))
+    return _follow_ups(mr, rng.getrandbits)(list(map(float, source)))
 
 
 # relation -> the cause a violation of it reports
@@ -284,7 +258,7 @@ _CAUSES = {GEQ: "follow-up output decreased", LEQ: "follow-up output increased",
            EQ: "outputs differ under permutation"}
 
 
-def _relation_test(mr: str, rel_tol: float):
+def _relation_test(mr: str, rel_tol: float = REL_TOL):
     """``mr``'s relation as a test of ``(out_source, out_follow_up)``: the
     follow-up output may fall short of GEQ, pass LEQ or miss EQ by at most
     ``rel_tol * max(1, |out_source|)``; non-finite outputs always violate.
@@ -304,7 +278,7 @@ def _relation_test(mr: str, rel_tol: float):
 
 
 def check_relation(mr: str, out_source: float, out_follow_up: float,
-                   rel_tol: float = 1e-9) -> tuple[bool, str | None]:
+                   rel_tol: float = REL_TOL) -> tuple[bool, str | None]:
     """Evaluate the output relation; non-finite outputs always violate."""
     if _relation_test(mr, rel_tol)(out_source, out_follow_up):
         return True, None
@@ -317,12 +291,12 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
     """Sample every MR ``trials`` times; the label is 1 iff the relation
     held on every trial.  Deterministic per (seed, method, MR)."""
     outcomes: dict[str, MrOutcome] = {}
-    budget, rel_tol = params.step_budget, params.rel_tol
+    budget = params.step_budget
     for mr in MR_IDS:
         getrandbits = _substream(params.seed, fn.name, mr).getrandbits
-        draw = _source_draws(params, mr, getrandbits)
-        follow = _follow_ups(params, mr, getrandbits)
-        holds = _relation_test(mr, rel_tol)
+        draw = _source_draws(mr, getrandbits)
+        follow = _follow_ups(mr, getrandbits)
+        holds = _relation_test(mr)
         witness: Witness | None = None
         for trial in range(params.trials):
             source = draw()
@@ -339,7 +313,7 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
             else:
                 if holds(out_src, out_fu):
                     continue
-                cause = check_relation(mr, out_src, out_fu, rel_tol)[1]
+                cause = check_relation(mr, out_src, out_fu)[1]
             witness = Witness(mr=mr, trial=trial, source=tuple(source),
                               follow_up=tuple(follow_up), out_source=out_src,
                               out_follow_up=out_fu, cause=cause)

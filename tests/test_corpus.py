@@ -183,6 +183,25 @@ def test_anomaly_register_duplicate_name(tmp_path):
     assert str(info.value) == f"{path}:3: duplicate method name 'a'"
 
 
+@pytest.mark.parametrize("mrs, error", [
+    ("", "unknown relation ''"),
+    ("ADD;", "unknown relation ''"),
+    ("ADD;;MUL", "unknown relation ''"),
+    ("add", "unknown relation 'add'"),
+    ("ADD;FOO", "unknown relation 'FOO'"),
+    (" ADD", "unknown relation ' ADD'"),
+    ("ADD;PRE;ADD", "unknown relation 'PRE'"),
+    ("ADD;PER;ADD", "repeated relation 'ADD'"),
+    ("INV;INV", "repeated relation 'INV'"),
+])
+def test_anomaly_register_refuses_a_bad_relation_list(tmp_path, mrs, error):
+    path = tmp_path / "anomalies.csv"
+    path.write_text(f"method_id,name,mrs,reason\n1,a,ADD,why\n2,b,{mrs},why\n")
+    with pytest.raises(CorpusError) as info:
+        anomaly_register(path)
+    assert str(info.value) == f"{path}:3: {error} in mrs"
+
+
 def test_bundled_labels_keyed_by_id():
     labels = bundled_labels()
     assert len(labels) == 100

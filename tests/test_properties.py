@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mrkit.corpus import data_dir
 from mrkit.features import node_features, path_features
 from mrkit.kernels import gram_matrix, random_walk_kernel
 from mrkit.mir import MirError, Trap, interpret, lower_to_cfg, parse_program
-from mrkit.oracle import MR_IDS
+from mrkit.oracle import _CAUSES, MR_IDS, OracleParams, label_method
 from mrkit.svm import SvmModel, SvmParams, decision_value, kkt_report, train_svm
 
 
@@ -279,6 +280,30 @@ def test_every_budget_until_a_call_fits_matches_the_reference(both_paths, source
         assert generated == reference, (source, values, budget)
         if generated[:2] != ("trap", "step-budget"):
             break
+
+
+# the kinds in docs/formats.md's trap table, and every other witness cause
+_FORMATS = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+_TRAP_KINDS = set(re.findall(r"^\| `([a-z-]+)` \|",
+                             _FORMATS[_FORMATS.index("| kind | raised by |"):].split("\n\n")[0],
+                             re.M))
+_CLEAN_CAUSES = set(_CAUSES.values()) | {"non-finite output"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mir_programs())
+def test_label_method_labels_every_generated_program(source):
+    # nothing escapes label_method: a fault of the method is a trap, and
+    # its witness names a kind from the table
+    fn = parse_program(source).functions[0]
+    report = label_method(fn, OracleParams(trials=3, step_budget=2000))
+    for outcome in report.outcomes.values():
+        if outcome.witness is None:
+            assert outcome.label
+            continue
+        cause = outcome.witness.cause
+        trap = re.match(r"trap: ([a-z-]+): ", cause)
+        assert (trap[1] in _TRAP_KINDS) if trap else (cause in _CLEAN_CAUSES), (source, cause)
 
 
 _BUNDLED_SOURCES = sorted((data_dir() / "corpus").glob("*.mir"))
