@@ -36,11 +36,11 @@ reference = {}
 for entry in ds.entries:
     dynamic[entry.name] = label_method(ds.load_function(entry), params)
     reference[entry.name] = entry.labels
-audit = audit_labels(dynamic, reference)
+discrepancies = audit_labels(dynamic, reference)
 register = anomaly_register()
-print(f"{len(ds.entries)} methods, {len(audit.discrepancies)} discrepant "
+print(f"{len(ds.entries)} methods, {len(discrepancies)} discrepant "
       f"(method, mr) pairs, all on registered methods:",
-      all(d.method in register for d in audit.discrepancies))
-for d in audit.discrepancies:
+      all(d.method in register for d in discrepancies))
+for d in discrepancies:
     print(f"  {d.method:20s} {d.mr}: dynamic={int(d.dynamic)} "
           f"reference={int(d.reference)} [{d.category}]")

@@ -26,9 +26,7 @@ from .oracle import (
     MR_IDS,
     LabelReport,
     MrLabelSet,
-    MrSpec,
     OracleParams,
-    apply_mr,
     audit_labels,
     check_relation,
     label_method,
@@ -50,8 +48,8 @@ _LAZY = {name: module for module, names in {
 __all__ = [
     "AnnotatedCfg", "Diagnostic", "NodeOp", "emit_dot", "parse_dot", "validate",
     "Function", "MirError", "Program", "Trap", "interpret", "lower_to_cfg", "parse_program",
-    "MR_IDS", "LabelReport", "MrLabelSet", "MrSpec", "OracleParams", "apply_mr",
-    "audit_labels", "check_relation", "label_method",
+    "MR_IDS", "LabelReport", "MrLabelSet", "OracleParams", "audit_labels",
+    "check_relation", "label_method",
     *_LAZY,
 ]
 

@@ -156,16 +156,13 @@ def cmd_label(args) -> int:
     else:
         sys.stdout.write(text)
 
-    reference = {e.name: e.labels for e in ds.entries
-                 if e.labels is not None and e.name in reports}
-    if reference:
-        audit = audit_labels(reports, reference)
-        for d in audit.discrepancies:
-            detail = d.category
-            if d.witness is not None:
-                detail += f"; witness source={list(d.witness.source)}"
-            print(f"discrepancy: {d.method} {d.mr}: dynamic={int(d.dynamic)} "
-                  f"reference={int(d.reference)} ({detail})", file=sys.stderr)
+    reference = {e.name: e.labels for e in ds.entries if e.labels is not None}
+    for d in audit_labels(reports, reference):
+        detail = d.category
+        if d.witness is not None:
+            detail += f"; witness source={list(d.witness.source)}"
+        print(f"discrepancy: {d.method} {d.mr}: dynamic={int(d.dynamic)} "
+              f"reference={int(d.reference)} ({detail})", file=sys.stderr)
     # per-method problems are diagnostics; only total failure is an error
     return 1 if attempted and failures == attempted else 0
 

@@ -224,10 +224,6 @@ def bundled_dataset() -> Dataset:
     return load_manifest(data_dir() / "manifest.csv")
 
 
-def bundled_labels() -> dict[int, MrLabelSet]:
-    return load_labels_csv(data_dir() / "labels.csv")
-
-
 @dataclass(frozen=True)
 class AnomalyEntry:
     method_id: int

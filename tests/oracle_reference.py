@@ -16,7 +16,7 @@ import random
 from math import isfinite
 
 from mrkit.mir import Function, Trap, interpret
-from mrkit.oracle import (EQ, GEQ, LEQ, MR_IDS, MR_SPECS, LabelReport, MrLabelSet, MrOutcome,
+from mrkit.oracle import (EQ, GEQ, LEQ, MR_IDS, RELATIONS, LabelReport, MrLabelSet, MrOutcome,
                           OracleError, OracleParams, Witness, _below, _substream)
 
 
@@ -31,7 +31,7 @@ def draw_source(rng: random.Random, mr: str) -> list[float]:
 
 
 def apply_mr(mr: str, source, rng: random.Random) -> list[float]:
-    if mr not in MR_SPECS:
+    if mr not in RELATIONS:
         raise OracleError(f"unknown MR {mr!r}")
     src = list(map(float, source))
     n = len(src)
@@ -61,17 +61,17 @@ def apply_mr(mr: str, source, rng: random.Random) -> list[float]:
 
 def check_relation(mr: str, out_source: float, out_follow_up: float,
                    rel_tol: float = 1e-9) -> tuple[bool, str | None]:
-    spec = MR_SPECS[mr]
+    relation = RELATIONS[mr]
     if not (isfinite(out_source) and isfinite(out_follow_up)):
         return False, "non-finite output"
     slack = rel_tol * max(1.0, abs(out_source))
-    if spec.relation == GEQ:
+    if relation == GEQ:
         ok = out_follow_up >= out_source - slack
         return ok, None if ok else "follow-up output decreased"
-    if spec.relation == LEQ:
+    if relation == LEQ:
         ok = out_follow_up <= out_source + slack
         return ok, None if ok else "follow-up output increased"
-    assert spec.relation == EQ
+    assert relation == EQ
     ok = abs(out_follow_up - out_source) <= slack
     return ok, None if ok else "outputs differ under permutation"
 
@@ -94,12 +94,11 @@ def label_method(fn: Function, params: OracleParams) -> LabelReport:
                 ok, cause = check_relation(mr, out_src, out_fu)
                 if ok:
                     continue
-            witness = Witness(mr=mr, trial=trial, source=tuple(source),
+            witness = Witness(trial=trial, source=tuple(source),
                               follow_up=tuple(follow_up), out_source=out_src,
                               out_follow_up=out_fu, cause=cause)
             break
         trials_run = params.trials if witness is None else witness.trial + 1
-        outcomes[mr] = MrOutcome(mr=mr, label=witness is None,
-                                 trials_run=trials_run, witness=witness)
-    labels = MrLabelSet({mr: outcome.label for mr, outcome in outcomes.items()})
+        outcomes[mr] = MrOutcome(trials_run=trials_run, witness=witness)
+    labels = MrLabelSet({mr: outcome.witness is None for mr, outcome in outcomes.items()})
     return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)

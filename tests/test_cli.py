@@ -141,6 +141,21 @@ def test_label_matches_published_rows(tmp_path, capsys):
     assert "discrepancy" not in capsys.readouterr().err
 
 
+def test_label_audits_only_the_methods_with_a_reference_row(tmp_path, capsys):
+    # average's row claims INC and EXC, which the oracle rejects; sum has no
+    # row, so it is labelled but not audited
+    man = write_mini_manifest(tmp_path, [(5, "average"), (90, "sum")], labels=False)
+    (tmp_path / "labels.csv").write_text("method_id,ADD,MUL,PER,INC,EXC,INV\n5,1,1,1,1,1,1\n")
+    out = tmp_path / "labels_out.csv"
+    assert main(["label", "--manifest", str(man), "--out", str(out), "--trials", "20"]) == 0
+    assert out.read_text().splitlines()[1:] == ["5,1,1,1,0,0,1", "90,1,1,1,1,1,1"]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" (")[0] for line in err] == [
+        "discrepancy: average INC: dynamic=0 reference=1",
+        "discrepancy: average EXC: dynamic=0 reference=1"]
+    assert all(line.endswith("])") and "(violation; witness source=[" in line for line in err)
+
+
 def test_label_stable_across_seeds(tmp_path):
     man = write_mini_manifest(tmp_path, TRIO)
     outputs = []

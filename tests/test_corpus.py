@@ -4,7 +4,6 @@ from mrkit.cfg import validate
 from mrkit.corpus import (
     CorpusError,
     anomaly_register,
-    bundled_labels,
     corpus_stats,
     data_dir,
     labels_to_csv,
@@ -203,7 +202,7 @@ def test_anomaly_register_refuses_a_bad_relation_list(tmp_path, mrs, error):
 
 
 def test_bundled_labels_keyed_by_id():
-    labels = bundled_labels()
+    labels = load_labels_csv(data_dir() / "labels.csv")
     assert len(labels) == 100
     assert labels[90].as_bits() == (1, 1, 1, 1, 1, 1)
     assert labels[5].as_bits() == (1, 1, 1, 0, 0, 1)

@@ -25,8 +25,8 @@ EXPORTS = (
     "GkParams", "KernelMatrix", "RwkParams", "gram_matrix", "graphlet_kernel",
     "random_walk_kernel",
     "Function", "MirError", "Program", "Trap", "interpret", "lower_to_cfg", "parse_program",
-    "MR_IDS", "LabelReport", "MrLabelSet", "MrSpec", "OracleParams", "apply_mr",
-    "audit_labels", "check_relation", "label_method",
+    "MR_IDS", "LabelReport", "MrLabelSet", "OracleParams", "audit_labels",
+    "check_relation", "label_method",
     "SvmModel", "SvmParams", "decision_value", "predict", "train_svm",
     "ConfusionMatrix", "EvalMetrics", "EvalReport", "FoldPlan", "auc", "confusion",
     "cross_validate", "metrics", "stratified_kfold",
