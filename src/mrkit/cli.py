@@ -372,12 +372,19 @@ def cmd_predict(args) -> int:
                 print(f"error: missing model file {path}", file=sys.stderr)
                 return 2
             bundle = json.loads(path.read_text())
+            if bundle["mr"] != mr:
+                print(f"error: {path}: holds the model of {bundle['mr']!r}, not "
+                      f"{mr}; refusing to predict", file=sys.stderr)
+                return 2
             if bundle["context_hash"] != context_hash:
                 print(f"error: {path}: trained on context "
                       f"{bundle['context_hash']}, not {context_hash} of "
                       f"{context_path}; refusing to predict", file=sys.stderr)
                 return 2
-            models[mr] = SvmModel.from_dict(bundle["model"])
+            model = models[mr] = SvmModel.from_dict(bundle["model"])
+            if model.n_train != len(context["training_graphs"]):
+                raise ValueError(f"{path.name}: n_train {model.n_train}, but "
+                                 f"{len(context['training_graphs'])} training graphs")
         column_of = _column_function(context)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {models_dir}: malformed model file ({exc!r}); refusing "

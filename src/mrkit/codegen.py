@@ -1,13 +1,11 @@
 """Generated Python for mini-IR bytecode, one function per mini-IR function.
 
 ``generate`` turns the bytecode that ``mir._Lowerer`` emits at parse time
-into the source of one Python function and compiles it;
-``mir.interpret_floats`` runs that function.  The step budget is checked
-once per pass through a loop header or merge point and settled after the
-pass: a pass that ran past the budget ends in the ``step-budget`` trap, at
-the same op a charge per op would.  Every op does what it does in the
-reference dispatch loop, ``tests/mir_reference.py``, with the same values,
-trap kinds, lines and messages.
+into the source of one Python function and compiles it; that function is
+``mir.Function.run``.  ``generate`` states how it charges the step budget,
+and ``mir.interpret_floats`` when it copies its array.  Every op does what
+it does in the reference dispatch loop, ``tests/mir_reference.py``, with
+the same values, trap kinds, lines and messages.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from collections import Counter
 from typing import Callable
 
 from .mir import (_BIN, _BIN_OPS, _CALL, _CMP, _CMP_OPS, _JIF, _JMP, _LEN, _LOAD, _MOV,
-                  _MOVC, _POW, _RET, _RETBIN, _STORE, Trap, _fault)
+                  _POW, _RET, _RETBIN, _STORE, Trap, _fault)
 
 _ENDS_BLOCK = (_JMP, _JIF, _RET, _RETBIN)
 # A block inlined this many blocks below its dispatch target becomes a
@@ -69,7 +67,7 @@ _CALL_SOURCE = {
     "abs": ("{d} = abs({a})",),
     "floor": ("{d} = float(floor({a}))",),
 }
-_OVERRUN = 'raise Trap("step-budget", f"exceeded {budget} steps in {fn.name!r}")'
+_OVERRUN = 'raise Trap("step-budget", f"exceeded {budget} steps in {NAME!r}")'
 _GENERATED_GLOBALS = {
     "Trap": Trap, "_trap": _trap, "_INDEX_TABLES": _INDEX_TABLES,
     "_index_table": _index_table,
@@ -92,10 +90,8 @@ def _op_source(op: tuple) -> list[str]:
     loop, ``tests/mir_reference.py``; for a conditional jump, the ``if``
     line whose body is the taken branch, and for a jump, none."""
     kind = op[0]
-    if kind == _MOVC:
-        return [f"s{op[1]} = {_literal(op[2])}"]
     if kind == _MOV:
-        return [f"s{op[1]} = s{op[2]}"]
+        return [f"s{op[1]} = {_operand(op[2], op[3])}"]
     if kind == _LEN:
         return [f"s{op[1]} = nf"]
     if kind == _LOAD:
@@ -137,7 +133,7 @@ def _op_source(op: tuple) -> list[str]:
 
 
 def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
-    """Compile bytecode to a Python function ``run(fn, arr, budget)``.
+    """Compile bytecode to a Python function ``run(arr, budget)``.
 
     Basic blocks start at pc 0, at every jump target and after every jump
     or return.  Block 0, every block with two or more predecessors, which
@@ -257,10 +253,12 @@ def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
         emit(depth + 1, f"if left < 0: {_OVERRUN}")  # at reach 0
         emit_block(t, depth + 1, 0, t)
 
-    params = ", ".join(["fn", "arr", "budget"] + [f"s{i}=0.0" for i in range(n_slots)])
+    params = ", ".join(["arr", "budget"] + [f"s{i}=0.0" for i in range(n_slots)])
     emit(0, f"def run({params}):")
-    emit(1, "n = len(arr)")
     kinds = {op[0] for op in code}
+    if _STORE in kinds:
+        emit(1, "arr = arr[:]")
+    emit(1, "n = len(arr)")
     if _LEN in kinds:
         emit(1, "nf = float(n)")
     if _LOAD in kinds or _STORE in kinds:
@@ -274,6 +272,6 @@ def generate(code: list[tuple], n_slots: int, name: str) -> Callable:
     emit(2, "line = exc.__traceback__.tb_lineno")
     emit(2, f"if reach[line] > left: {_OVERRUN} from None")
     emit(2, "raise _trap(exc, n, code[pc_at[line]]) from None")
-    namespace = dict(_GENERATED_GLOBALS, code=code, pc_at=pc_at, reach=reach)
+    namespace = dict(_GENERATED_GLOBALS, NAME=name, code=code, pc_at=pc_at, reach=reach)
     exec(compile("\n".join(lines) + "\n", f"<mir {name}>", "exec"), namespace)
     return namespace["run"]

@@ -33,14 +33,10 @@ on the spot; names, labels and structure are checked when the walk ends.
 There is no intermediate form: each operand is parsed as its op is
 emitted.  The bytecode has one op per statement plus the init, bound
 read, increment and back jump of each ``for``; one step of the budget is
-one op.  Only code generation waits for the first call: ``codegen.generate``
-then turns the bytecode into structured Python, with a dispatch only at
-loop headers and merge points and every other basic block emitted in
-place after its one predecessor, and every call runs that.  The budget is
-checked once per pass through a loop header or merge point and settled
-after the pass, which has no loop: a pass that ran past the budget ends
-in the ``step-budget`` trap, at the op where charging every op would
-stop.  The tests compare it against a bytecode dispatch loop,
+one op.  Only code generation waits for the first call: ``Function.run``
+is the structured Python that ``codegen.generate`` makes of the bytecode,
+which charges the budget as its docstring states, and every call runs
+that.  The tests compare it against a bytecode dispatch loop,
 ``tests/mir_reference.py``.
 """
 
@@ -48,6 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .cfg import AnnotatedCfg, NodeOp
@@ -93,10 +90,15 @@ class Function:
     cfg: AnnotatedCfg = field(repr=False, compare=False)
     code: list[tuple] = field(repr=False, compare=False)
     n_slots: int = field(repr=False, compare=False)
-    # codegen.generate's function, made on the first call and published
-    # by one assignment, so a thread that races its first use sees either
-    # None or a complete function
-    run: Callable | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def run(self) -> Callable[[list[float], int], float]:
+        """The generated ``run(arr, budget)``, made on first use."""
+        # imported here, so commands that never run a function do not load
+        # the generator
+        from .codegen import generate
+
+        return generate(self.code, self.n_slots, self.name)
 
 
 @dataclass
@@ -172,7 +174,7 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # Lowering: one walk over the source lines builds the CFG and the bytecode
 
-_MOVC, _MOV, _LOAD, _STORE, _LEN, _BIN, _CMP, _CALL, _POW, _JMP, _JIF, _RET, _RETBIN = range(13)
+_MOV, _LOAD, _STORE, _LEN, _BIN, _CMP, _CALL, _POW, _JMP, _JIF, _RET, _RETBIN = range(12)
 
 _BIN_INDEX = {op: i for i, op in enumerate(_BIN_OPS)}
 _CMP_INDEX = {op: i for i, op in enumerate(_CMP_OPS)}
@@ -253,11 +255,11 @@ class _Lowerer:
         text = text.strip()
         array = None
         if _ATOM_RE.fullmatch(text) and text not in _KEYWORDS:
-            kind, val = self.operand(text, line)
+            operand = self.operand(text, line)
             if dst is None:
-                self.code.append((_RET, kind, val))
+                self.code.append((_RET,) + operand)
                 return NodeOp.RETURN
-            op, label = (_MOV if kind else _MOVC, dst, val), NodeOp.ASSI
+            op, label = (_MOV, dst) + operand, NodeOp.ASSI
         elif "[" in text and (m := _LOAD_RE.match(text)):
             op = (_LOAD, dst) + self.operand(m.group(2), line) + (line,)
             array, label = m.group(1), NodeOp.ASSI
@@ -354,8 +356,7 @@ class _Lowerer:
                 self.array(lm.group(1), line)
             slot = self.write(var, line)
             init_node = self.node(NodeOp.ASSI, line)
-            kind, val = self.operand(init, line)
-            code.append((_MOV if kind else _MOVC, slot, val))
+            code.append((_MOV, slot) + self.operand(init, line))
             test = self.node(NodeOp.GOTO, line)
             self.edge(init_node, test)
             if lm:
@@ -467,46 +468,29 @@ def lower_to_cfg(fn: Function) -> AnnotatedCfg:
 # Interpreter
 
 
-def _compile(fn: Function) -> Function:
-    """The function, with its generated Python made on first use."""
-    if fn.run is None:
-        # imported on first use, so commands that never run a function do
-        # not load the generator
-        from .codegen import generate
-
-        fn.run = generate(fn.code, fn.n_slots, fn.name)
-    return fn
-
-
 def interpret(fn: Function, values, step_budget: int = DEFAULT_STEP_BUDGET) -> float:
     """Run a function on one input array; deterministic, side-effect free.
 
     Raises :class:`Trap` for division by zero, out-of-range, fractional or
     non-finite indices, math domain errors, overflow, and when
-    ``step_budget`` is exhausted; every runtime fault is a Trap.
-
-    The call runs the function's generated Python (``codegen.generate``),
-    which checks the budget once per pass through a loop header or merge
-    point and settles an overrun after the pass: the budget trap, or a
-    fault before it, comes from the same op as if every op had been
-    charged on its own.
-
-    ``values`` may be any iterable of numbers: the call converts it to a
-    new list of floats, which the generated code may store into, so the
-    caller's values stay as given.  The oracle's entry,
-    ``interpret_floats``, does neither.
+    ``step_budget`` is exhausted; every runtime fault is a Trap.  The call
+    runs the function's generated Python, which charges the budget as
+    ``codegen.generate`` states.  ``values`` may be any iterable of
+    numbers; the call converts it to a list of floats for
+    ``interpret_floats``.
     """
     return interpret_floats(fn, list(map(float, values)), step_budget)
 
 
 def interpret_floats(fn: Function, arr: list[float],
                      step_budget: int = DEFAULT_STEP_BUDGET) -> float:
-    """``interpret`` on ``arr``, a list of floats that the run may store
-    into: no conversion and no copy."""
-    run = fn.run
-    if run is None:
-        run = _compile(fn).run
-    return run(fn, arr, step_budget)
+    """``interpret`` on ``arr``, a list of floats, without converting it.
+
+    The run never changes ``arr``: the generated code of a function that
+    stores into its array first copies it, and that of any other function
+    reads ``arr`` as it is.
+    """
+    return fn.run(arr, step_budget)
 
 
 def _fault(exc: OverflowError | ValueError, op: tuple) -> Trap:

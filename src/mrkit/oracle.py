@@ -30,9 +30,8 @@ calls did, so every label CSV is unchanged.  A drawn value is read from
 one table of the domain's floats, built at import.
 
 The oracle builds its sources and follow-ups from floats, so it calls the
-interpreter through ``mir.interpret_floats``, which neither converts nor
-copies, and hands it a copy of each list: the run may store into the
-list it gets, and a witness keeps the input as drawn.  The relation test
+interpreter through ``mir.interpret_floats``, which does not convert them
+and leaves them as drawn for a witness.  The relation test
 tries one chained comparison that only a clean, exactly holding trial
 passes before it applies the tolerance rule.
 """
@@ -281,10 +280,9 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
             follow_up = follow(source)
             try:
                 # interpret is looked up here on every call, not bound once,
-                # so that a caller can wrap mrkit.oracle.interpret; it gets
-                # copies, since the run may store into its list
-                out_src = interpret(fn, source[:], budget)
-                out_fu = interpret(fn, follow_up[:], budget)
+                # so that a caller can wrap mrkit.oracle.interpret
+                out_src = interpret(fn, source, budget)
+                out_fu = interpret(fn, follow_up, budget)
             except Trap as trap:
                 out_src = out_fu = None
                 cause = f"trap: {trap}"

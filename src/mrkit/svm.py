@@ -78,6 +78,8 @@ class SvmModel:
             bias=float(payload["bias"]),
             n_train=int(payload["n_train"]),
         )
+        if not all(map(math.isfinite, model.coef + (model.bias,))):
+            raise SvmError("model has a non-finite coefficient or bias")
         if len(model.coef) != len(model.support):
             raise SvmError("model has different numbers of coefficients "
                            "and support indices")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mrkit.corpus import bundled_dataset
-from mrkit.mir import Trap, _compile, interpret
+from mrkit.mir import Trap, interpret
 
 from mir_reference import _run
 
@@ -61,8 +61,5 @@ def both_paths():
     pc 0."""
     def run(fn, values, budget):
         generated = _outcome(lambda: interpret(fn, values, budget))
-        compiled = _compile(fn)
-        return generated, _outcome(lambda: _run(
-            fn, compiled.code, [0.0] * compiled.n_slots, [float(v) for v in values],
-            0, 0, budget))
+        return generated, _outcome(lambda: _run(fn, [float(v) for v in values], budget))
     return run

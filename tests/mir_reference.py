@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from mrkit.mir import (_BIN, _CALL, _CMP, _JIF, _JMP, _LEN, _LOAD, _MOV, _MOVC, _POW, _RET,
-                       _STORE, Function, Trap, _fault)
+from mrkit.mir import (_BIN, _CALL, _CMP, _JIF, _JMP, _LEN, _LOAD, _MOV, _POW, _RET, _STORE,
+                       Function, Trap, _fault)
 
 
 def _ref_fault(exc: OverflowError | ValueError, op: tuple) -> Trap:
@@ -25,13 +25,14 @@ def _ref_fault(exc: OverflowError | ValueError, op: tuple) -> Trap:
     return _fault(exc, op)
 
 
-def _run(fn: Function, code: list[tuple], slots: list, arr: list[float],
-         pc: int, steps: int, budget: int) -> float:
-    """Reference dispatch loop: run ``code`` from ``pc`` with ``steps`` spent.
+def _run(fn: Function, arr: list[float], budget: int) -> float:
+    """Reference dispatch loop: run ``fn.code`` from pc 0 on ``arr``, with
+    ``fn.n_slots`` slots at 0.0.
 
-    One step is one bytecode op.  The tests compare the generated code
-    against this loop run from pc 0.
+    One step is one bytecode op.
     """
+    code, slots = fn.code, [0.0] * fn.n_slots
+    pc = steps = 0
     n = len(arr)
     try:
         while True:
@@ -86,10 +87,7 @@ def _run(fn: Function, code: list[tuple], slots: list, arr: list[float],
                     taken = a > b
                 pc = op[6] if taken else pc + 1
             elif kind == _MOV:
-                slots[op[1]] = slots[op[2]]
-                pc += 1
-            elif kind == _MOVC:
-                slots[op[1]] = op[2]
+                slots[op[1]] = op[3] if op[2] == 0 else slots[op[3]]
                 pc += 1
             elif kind == _CMP:
                 a = op[4] if op[3] == 0 else slots[op[4]]

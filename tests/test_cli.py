@@ -2,6 +2,8 @@ import csv
 import functools
 import hashlib
 import json
+import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -695,6 +697,44 @@ def test_predict_refuses_a_context_past_the_walk_len_cap(tmp_path, capsys):
     assert main(["predict", corpus_path("sum"), "--models", str(models)]) == 2
     err = capsys.readouterr().err
     assert "malformed" in err and "1..20" in err
+
+
+def _set_n_train(models: Path) -> None:
+    # one more than the seven training graphs: every support index stays valid
+    bundle = json.loads((models / "ADD.json").read_text())
+    bundle["model"]["n_train"] = len(MIXED) + 1
+    (models / "ADD.json").write_text(json.dumps(bundle))
+
+
+def _set_nan_bias(models: Path) -> None:
+    bundle = json.loads((models / "PER.json").read_text())
+    bundle["model"]["bias"] = math.nan
+    (models / "PER.json").write_text(json.dumps(bundle))  # written as NaN
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_set_n_train, "malformed model file (ValueError('ADD.json: n_train 8, but 7 "
+                   "training graphs'))"),
+    (lambda models: shutil.copy(models / "MUL.json", models / "ADD.json"),
+     "ADD.json: holds the model of 'MUL', not ADD; refusing to predict"),
+    (_set_nan_bias, "malformed model file (SvmError('model has a non-finite "
+                    "coefficient or bias'))"),
+])
+def test_predict_refuses_a_tampered_model_file(tmp_path, capsys, tamper, message):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    models = tmp_path / "models"
+    assert main(["train", "--manifest", str(man), "--features", "nf-pf",
+                 "--out", str(models)]) == 0
+    tamper(models)
+    capsys.readouterr()
+    out = tmp_path / "pred.csv"
+    assert main(["predict", corpus_path("sum"), "--models", str(models),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert not out.exists()
 
 
 def test_rwk_predict_does_not_warn_of_unseen_walks(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from mrkit.cfg import NodeOp, validate
 from mrkit.codegen import _op_source
-from mrkit.mir import MirError, Trap, _compile, interpret, lower_to_cfg, parse_program
+from mrkit.mir import (_STORE, MirError, Trap, interpret, interpret_floats, lower_to_cfg,
+                       parse_program)
 
 AVG_SOURCE = """
 fn avg(input) {
@@ -335,6 +336,16 @@ def test_interpret_pure_and_deterministic():
     assert data == [3, 5, 9]  # caller's list untouched
 
 
+@pytest.mark.parametrize("name,stores", [("bubble", True), ("sum", False)])
+def test_interpret_floats_leaves_its_list_as_given(corpus_functions, name, stores):
+    fn = corpus_functions[name]
+    assert any(op[0] == _STORE for op in fn.code) == stores
+    values = [5.0, 0.0, 4.0, 4.0, 9.0, 1.0]
+    arr = values[:]
+    assert interpret_floats(fn, arr) == interpret(fn, values)
+    assert arr == values
+
+
 def test_comparison_statement_value():
     src = "fn f(a) {\n  x = a[0]\n  c = x > 3\n  return c\n}\n"
     fn = parse_program(src).functions[0]
@@ -488,10 +499,9 @@ def test_every_budget_up_to_the_step_count_matches_the_reference(corpus_function
 
 def test_the_generated_code_emits_every_op_once(corpus_functions):
     for name, fn in corpus_functions.items():
-        lowered = _compile(fn)
-        emitted = collections.Counter(pc for pc in lowered.run.__globals__["pc_at"]
+        emitted = collections.Counter(pc for pc in fn.run.__globals__["pc_at"]
                                       if pc is not None)
-        expected = {pc: len(_op_source(op)) for pc, op in enumerate(lowered.code)
+        expected = {pc: len(_op_source(op)) for pc, op in enumerate(fn.code)
                     if _op_source(op)}
         assert emitted == expected, name
 
@@ -521,10 +531,9 @@ def test_sequential_diamonds_generate_code_linear_in_their_ops(both_paths):
                   f"T{k}:", f"  y = y - {k}", f"M{k}:", "  x = x - 1"]
     lines += ["  return y", "}"]
     fn = parse_program("\n".join(lines) + "\n").functions[0]
-    lowered = _compile(fn)
     # code that copied each merge block into both of its predecessors
     # would double with every diamond
-    assert len(lowered.run.__globals__["pc_at"]) - 1 <= 3 * len(lowered.code)
+    assert len(fn.run.__globals__["pc_at"]) - 1 <= 3 * len(fn.code)
     for x in (-3.0, 12.0, 40.0):
         generated, reference = both_paths(fn, [x], 1_000)
         assert generated == reference

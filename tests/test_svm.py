@@ -198,6 +198,12 @@ def test_model_decoder_rejects_bad_fields():
         SvmModel.from_dict({**good, "coef": good["coef"][:-1]})
     with pytest.raises(SvmError, match="support index"):
         SvmModel.from_dict({**good, "support": [4] * len(good["support"])})
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        # the spellings json.loads reads as floats
+        with pytest.raises(SvmError, match="non-finite"):
+            SvmModel.from_dict({**good, "bias": json.loads(bad)})
+        with pytest.raises(SvmError, match="non-finite"):
+            SvmModel.from_dict({**good, "coef": [json.loads(bad)] + good["coef"][1:]})
 
 
 def test_scaling_property_preserves_predictions():
