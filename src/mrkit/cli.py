@@ -318,6 +318,8 @@ def _count_map(context: dict):
     featurization = context["featurization"]
     if featurization == "nf-pf":
         omit_exit = context["omit_exit_nf"]
+        if type(omit_exit) is not bool:
+            raise ValueError(f"omit_exit_nf must be true or false, got {omit_exit!r}")
         return lambda cfg: _nf_pf_vectors([cfg], omit_exit), 1.0, False
     if featurization == "rwk":
         rwk = RwkParams(walk_len=context["walk_len"], decay=context["decay"])

@@ -44,7 +44,7 @@ class RwkParams:
     normalize: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.walk_len <= MAX_WALK_LEN:
+        if type(self.walk_len) is not int or not 1 <= self.walk_len <= MAX_WALK_LEN:
             raise ValueError(f"walk_len must lie in 1..{MAX_WALK_LEN}")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
@@ -56,7 +56,7 @@ class GkParams:
     mode: ClassVar[str] = "exhaustive"  # the only mode; recorded in the gk context
 
     def __post_init__(self) -> None:
-        if self.k not in (3, 4):
+        if type(self.k) is not int or self.k not in (3, 4):
             raise ValueError("graphlet size must be 3 or 4")
 
 

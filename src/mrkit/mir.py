@@ -85,7 +85,6 @@ class Trap(RuntimeError):
 class Function:
     name: str
     param: str
-    line: int
     # CFG and bytecode, built by parse_program
     cfg: AnnotatedCfg = field(repr=False, compare=False)
     code: list[tuple] = field(repr=False, compare=False)
@@ -166,7 +165,7 @@ def parse_program(text: str) -> Program:
         if any(fn.name == name for fn in functions):
             raise MirError(f"duplicate function name {name!r}", line_no)
         lowerer = _Lowerer(lines, pos + 1, name, param, line_no)
-        functions.append(Function(name, param, line_no, *lowerer.lower()))
+        functions.append(Function(name, param, *lowerer.lower()))
         pos = lowerer.pos
     return Program(functions)
 

@@ -69,15 +69,15 @@ class SvmModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SvmModel":
-        """Decode ``to_dict`` output (for instance, parsed from JSON);
-        missing fields raise KeyError, ill-typed or inconsistent ones
-        TypeError or ValueError."""
-        model = cls(
-            coef=tuple(float(c) for c in payload["coef"]),
-            support=tuple(int(i) for i in payload["support"]),
-            bias=float(payload["bias"]),
-            n_train=int(payload["n_train"]),
-        )
+        """Decode ``to_dict`` output (for instance, parsed from JSON) without
+        converting a field; missing fields raise KeyError, ill-typed (a bool
+        too) or inconsistent ones TypeError or SvmError."""
+        model = cls(coef=tuple(payload["coef"]), support=tuple(payload["support"]),
+                    bias=payload["bias"], n_train=payload["n_train"])
+        if not all(type(x) in (int, float) for x in model.coef + (model.bias,)):
+            raise SvmError("model has a coefficient or bias that is not a number")
+        if not all(type(i) is int for i in model.support + (model.n_train,)):
+            raise SvmError("model has a support index or n_train that is not an integer")
         if not all(map(math.isfinite, model.coef + (model.bias,))):
             raise SvmError("model has a non-finite coefficient or bias")
         if len(model.coef) != len(model.support):
@@ -85,6 +85,8 @@ class SvmModel:
                            "and support indices")
         if any(not 0 <= i < model.n_train for i in model.support):
             raise SvmError(f"support index outside 0..{model.n_train - 1}")
+        if len(set(model.support)) != len(model.support):
+            raise SvmError("model repeats a support index")
         return model
 
 
@@ -97,31 +99,23 @@ def _square(gram) -> np.ndarray:
     return gram
 
 
-def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
-                    tol: float) -> np.ndarray:
-    """Per-sample violation magnitude of the KKT case analysis; entries at
-    or below tol are zeroed.  A sample at both bounds (C <= 2e-12) counts
-    as at the upper one.  At the lower bound the violation is 1 - yf, which
-    IEEE subtraction makes exactly -(yf - 1); a side that does not violate
-    comes out negative and the tol filter zeroes it."""
-    d = yf - 1.0
-    viol = np.where(alpha >= C - 1e-12, d,
-                    np.where(alpha <= 1e-12, -d, np.abs(d)))
-    return np.where(viol > tol, viol, 0.0)
-
-
 def kkt_report(gram, labels, model: SvmModel, params: SvmParams) -> float:
     """Maximum raw KKT violation of a trained model on its training Gram,
     recomputed from the Gram apart from the solver's own stop test.  No
-    command calls it; it is the tests' independent check of a fit."""
+    command calls it; it is the tests' independent check of a fit.  With
+    d = y f - 1 a sample violates by d at the upper bound, which decides at
+    both (C <= 2e-12), by -d, IEEE-exactly 1 - y f, at the lower one and by
+    |d| when free; only positive entries count, so a fit without violations
+    reports 0.0, never -0.0."""
     gram = _square(gram)
     y = np.asarray(labels, dtype=float)
     alpha = np.zeros(len(y))
     for idx, c in zip(model.support, model.coef):
         alpha[idx] = c * y[idx]
-    f = gram @ (alpha * y) + model.bias
-    viol = _kkt_violations(alpha, y * f, params.C, 0.0)
-    return float(viol.max(initial=0.0))
+    d = y * (gram @ (alpha * y) + model.bias) - 1.0
+    C = params.C
+    viol = np.where(alpha >= C - 1e-12, d, np.where(alpha <= 1e-12, -d, np.abs(d)))
+    return float(viol[viol > 0.0].max(initial=0.0))
 
 
 _TAU = 1e-12  # LIBSVM's stand-in for a pair curvature a_it <= 0

@@ -530,7 +530,11 @@ def test_predict_refuses_malformed_context(tmp_path, capsys):
     for i, (features, edit, reason) in enumerate([
             ("nf-pf", lambda context: context.pop("omit_exit_nf"), "omit_exit_nf"),
             ("nf-pf", lambda context: context.pop("training_graphs"), "training_graphs"),
-            ("gk", lambda context: context.update(k=5), "graphlet size must be 3 or 4")]):
+            ("gk", lambda context: context.update(k=5), "graphlet size must be 3 or 4"),
+            ("nf-pf", lambda context: context.update(omit_exit_nf="no"),
+             "omit_exit_nf must be true or false, got 'no'"),
+            ("rwk", lambda context: context.update(walk_len=True),
+             "walk_len must lie in 1..20")]):
         models = tmp_path / str(i)
         assert main(["train", "--features", features, "--out", str(models),
                      "--seed", "42"]) == 0
@@ -712,6 +716,19 @@ def _set_nan_bias(models: Path) -> None:
     (models / "PER.json").write_text(json.dumps(bundle))  # written as NaN
 
 
+def _set_bool_support_index(models: Path) -> None:
+    bundle = json.loads((models / "ADD.json").read_text())
+    bundle["model"]["support"][0] = True  # int(True) would read index 1
+    (models / "ADD.json").write_text(json.dumps(bundle))
+
+
+def _repeat_support_index(models: Path) -> None:
+    bundle = json.loads((models / "ADD.json").read_text())
+    support = bundle["model"]["support"]
+    support[1] = support[0]
+    (models / "ADD.json").write_text(json.dumps(bundle))
+
+
 @pytest.mark.parametrize("tamper,message", [
     (_set_n_train, "malformed model file (ValueError('ADD.json: n_train 8, but 7 "
                    "training graphs'))"),
@@ -719,6 +736,10 @@ def _set_nan_bias(models: Path) -> None:
      "ADD.json: holds the model of 'MUL', not ADD; refusing to predict"),
     (_set_nan_bias, "malformed model file (SvmError('model has a non-finite "
                     "coefficient or bias'))"),
+    (_set_bool_support_index, "malformed model file (SvmError('model has a "
+                              "support index or n_train that is not an integer'))"),
+    (_repeat_support_index, "malformed model file (SvmError('model repeats a "
+                            "support index'))"),
 ])
 def test_predict_refuses_a_tampered_model_file(tmp_path, capsys, tamper, message):
     man = write_bundled_manifest(tmp_path, MIXED)

@@ -542,6 +542,11 @@ def test_param_validation():
         RwkParams(decay=1.0)
     with pytest.raises(ValueError):
         GkParams(k=5)
+    # a bool or a float is not a length or a size, even where it equals one
+    with pytest.raises(ValueError, match=r"1\.\.20"):
+        RwkParams(walk_len=True)
+    with pytest.raises(ValueError, match="3 or 4"):
+        GkParams(k=3.0)
     # exhaustive is the only mode, a constant: graphlet counts are exact
     assert [f.name for f in fields(GkParams)] == ["k"]
     assert GkParams.mode == GkParams(k=4).mode == "exhaustive"

@@ -204,6 +204,16 @@ def test_model_decoder_rejects_bad_fields():
             SvmModel.from_dict({**good, "bias": json.loads(bad)})
         with pytest.raises(SvmError, match="non-finite"):
             SvmModel.from_dict({**good, "coef": [json.loads(bad)] + good["coef"][1:]})
+    first, rest = good["support"][0], good["support"][1:]
+    for key, value, message in [
+            ("coef", ["0.5"] + good["coef"][1:], "not a number"),
+            ("bias", True, "not a number"),
+            ("support", [True] + rest, "not an integer"),
+            ("support", [2.7] + rest, "not an integer"),
+            ("n_train", str(good["n_train"]), "not an integer"),
+            ("support", [first, first] + rest[1:], "repeats a support index")]:
+        with pytest.raises(SvmError, match=message):
+            SvmModel.from_dict({**good, key: value})
 
 
 def test_scaling_property_preserves_predictions():

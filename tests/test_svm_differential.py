@@ -25,18 +25,24 @@ from mrkit.oracle import MR_IDS
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from([1.0, 0.5, 2e-12, 1e-12]), st.data())
-def test_kkt_violations_match_mask_reference(C, data):
+def test_kkt_report_matches_the_mask_reference(C, data):
     """Alphas on, near and between the bounds; at C <= 2e-12 a sample is
-    at both bounds and the upper one decides."""
+    at both bounds and the upper one decides.  A diagonal Gram and a bias
+    of +-1 give a lower-bound sample y f = 1 exactly, where the report must
+    still read 0.0, not -0.0."""
     n = data.draw(st.integers(1, 8))
     alpha = np.asarray(data.draw(st.lists(st.sampled_from(
         [0.0, 1e-12, 2e-12, C - 1e-12, C, C / 2, 5e-13]), min_size=n, max_size=n)))
-    yf = np.asarray(data.draw(st.lists(st.floats(-3.0, 3.0) | st.just(1.0),
-                                       min_size=n, max_size=n)))
-    tol = data.draw(st.sampled_from([0.0, 1e-3]))
-    ours = svm._kkt_violations(alpha, yf, C, tol)
-    theirs = ref._kkt_violations(alpha, yf, C, tol)
-    assert ours.tobytes() == theirs.tobytes()
+    y = np.asarray(data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                      min_size=n, max_size=n)))
+    gram = np.diag(data.draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+    bias = data.draw(st.sampled_from([1.0, -1.0, 0.0]) | st.floats(-3.0, 3.0))
+    support = np.flatnonzero(alpha)
+    model = svm.SvmModel(coef=tuple((alpha * y)[support].tolist()),
+                         support=tuple(support.tolist()), bias=bias, n_train=n)
+    yf = y * (gram @ (alpha * y) + bias)
+    expected = float(ref._kkt_violations(alpha, yf, C, 0.0).max(initial=0.0))
+    assert repr(svm.kkt_report(gram, y, model, svm.SvmParams(C=C))) == repr(expected)
 
 
 def _dual(model: svm.SvmModel, gram: np.ndarray) -> float:
