@@ -72,34 +72,44 @@ def node_features(cfg: AnnotatedCfg, omit_exit: bool = False) -> FeatureVector:
     return FeatureVector("NF", counts)
 
 
+def _tree_paths(parent: tuple[int, ...], root: int, labels: tuple[str, ...],
+                forward: bool) -> list[str]:
+    """Each node's label sequence along its BFS-tree chain to ``root``,
+    joined by "-": from ``root`` to the node if ``forward``, else from the
+    node to ``root``.  Each is built once, from its parent's."""
+    paths: list[str | None] = [None] * len(parent)
+    paths[root] = labels[root]
+    for v in range(len(parent)):
+        chain = []
+        while paths[v] is None:
+            chain.append(v)
+            v = parent[v]
+        for u in reversed(chain):  # v is u's parent
+            paths[u] = paths[v] + "-" + labels[u] if forward else labels[u] + "-" + paths[v]
+            v = u
+    return paths
+
+
 def path_features(cfg: AnnotatedCfg) -> FeatureVector:
     """One forward and one backward canonical shortest-path signature per
     node; identical signatures accumulate, so the total tally is 2*|nodes|.
+    Keys are inserted in node order, each node's forward signature first.
 
     Paths exist only on a valid CFG: this raises FeatureError with the
     first :func:`~mrkit.cfg.validate` diagnostic of any other graph.  The
     check and the two BFS trees are the graph's cached ones, which a graph
-    from ``parse_dot`` or the mini-IR lowering has already built.
+    from ``parse_dot`` or the mini-IR lowering has already built; each
+    node's signature extends its BFS parent's.
     """
     for diag in cfg.diagnostics:
         raise FeatureError(str(diag))
-    start, exit_node = cfg.ops.index(NodeOp.START), cfg.ops.index(NodeOp.EXIT)
-    fwd_parent, bwd_parent = cfg.start_parents, cfg.exit_parents
-
     labels = cfg.labels
+    forward = _tree_paths(cfg.start_parents, cfg.ops.index(NodeOp.START), labels, True)
+    backward = _tree_paths(cfg.exit_parents, cfg.ops.index(NodeOp.EXIT), labels, False)
     counts: dict[str, int] = {}
-    for v in range(cfg.node_count):
-        chain = [v]
-        while chain[-1] != start:
-            chain.append(fwd_parent[chain[-1]])
-        key = "-".join([labels[u] for u in reversed(chain)])
-        counts[key] = counts.get(key, 0) + 1
-
-        chain = [v]
-        while chain[-1] != exit_node:
-            chain.append(bwd_parent[chain[-1]])
-        key = "-".join([labels[u] for u in chain])
-        counts[key] = counts.get(key, 0) + 1
+    for pair in zip(forward, backward):
+        for key in pair:
+            counts[key] = counts.get(key, 0) + 1
     return FeatureVector("PF", counts)
 
 

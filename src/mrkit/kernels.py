@@ -16,9 +16,9 @@ refuses a graph whose count outgrows ``features.MAX_WALK_ENDS``.  The
 graphlet kernel is one cosine-normalised block of type counts (the cosine
 of relative frequencies, too): weakly connected induced k-node subgraphs
 (k = 3 or 4) typed by directed isomorphism, ignoring labels.  The count is
-exact: ESU enumeration yields exactly the connected node subsets, and each
-subset's type is the minimum adjacency bitmask over node permutations,
-memoised per bitmask.
+exact: the connected node subsets grow a node at a time as bitmasks, each
+kept once, and each subset's type is the minimum adjacency bitmask over
+node permutations, memoised per bitmask.
 """
 
 from __future__ import annotations
@@ -128,25 +128,27 @@ def _canonical_type(mask: int, k: int) -> int:
                for perm in itertools.permutations(range(k)))
 
 
-def _connected_subsets(neighbours: list[set[int]], k: int):
-    """Every connected k-node subset of an undirected graph, once each, by
-    ESU (Wernicke, "Efficient detection of network motifs", TCBB 2006).
-
-    A subset grown from its smallest node ``v`` is extended only by nodes
-    above ``v`` that neighbour the newest member and no earlier one, so no
-    subset is reached twice and none that is disconnected is built."""
-
-    def extend(subset, closed, extension, v):
-        if len(subset) == k:
-            yield subset
-            return
-        while extension:
-            w = extension.pop()
-            grown = extension | {u for u in neighbours[w] if u > v and u not in closed}
-            yield from extend(subset + (w,), closed | neighbours[w], grown, v)
-
-    for v, around in enumerate(neighbours):
-        yield from extend((v,), around | {v}, {u for u in around if u > v}, v)
+def _connected_subsets(neighbours: list[int], k: int) -> dict[int, int]:
+    """Every connected k-node subset of an undirected graph, given by its
+    neighbour bitmasks, as a dict from the subset's node bitmask to its
+    neighbourhood mask: the nodes outside it adjacent to a member.  Subsets
+    grow a level at a time from single nodes, each by one neighbourhood
+    node, so none is disconnected; every connected subset has a connected
+    one a node smaller (drop a spanning-tree leaf), so each is reached, and
+    the dict keeps it once."""
+    level = {1 << v: around & ~(1 << v) for v, around in enumerate(neighbours)}
+    for _ in range(k - 1):
+        grown: dict[int, int] = {}
+        for subset, around in level.items():
+            rest = around
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                mask = subset | bit
+                if mask not in grown:
+                    grown[mask] = (around | neighbours[bit.bit_length() - 1]) & ~mask
+        level = grown
+    return level
 
 
 def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> FeatureVector:
@@ -156,15 +158,28 @@ def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> FeatureV
     the order of their first occurrence among
     ``itertools.combinations(range(n), k)``."""
     k = p.k
-    edge_set = {(a, b) for a, b in g.edges if a != b}
-    neighbours: list[set[int]] = [set() for _ in g.ops]
-    for a, b in edge_set:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
+    out, neighbours = [0] * len(g.ops), [0] * len(g.ops)  # bitmasks, self-loops dropped
+    for a, b in g.edges:
+        if a != b:
+            out[a] |= 1 << b
+            neighbours[a] |= 1 << b
+            neighbours[b] |= 1 << a
+    typed = []
+    for subset in _connected_subsets(neighbours, k):
+        nodes, mask, rest = [], 0, subset
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            heads = out[low.bit_length() - 1] & subset
+            while heads:
+                head = heads & -heads
+                heads ^= head
+                # a head's position is the number of subset nodes below it
+                mask |= 1 << (len(nodes) * k + (subset & (head - 1)).bit_count())
+            nodes.append(low.bit_length() - 1)
+        typed.append((nodes, mask))
     counts: dict[int, int] = {}
-    for nodes in sorted(tuple(sorted(s)) for s in _connected_subsets(neighbours, k)):
-        mask = sum(1 << (a * k + b) for a, na in enumerate(nodes)
-                   for b, nb in enumerate(nodes) if (na, nb) in edge_set)
+    for _, mask in sorted(typed):
         t = _canonical_type(mask, k)
         counts[t] = counts.get(t, 0) + 1
     return FeatureVector("GK", counts)

@@ -26,6 +26,7 @@ call is the one-row case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,8 @@ class SvmModel:
             raise SvmError("model has a coefficient or bias that is not a number")
         if not all(type(i) is int for i in model.support + (model.n_train,)):
             raise SvmError("model has a support index or n_train that is not an integer")
-        if not all(map(math.isfinite, model.coef + (model.bias,))):
+        # NaN fails the test, and so does an int too large for any float
+        if not all(abs(x) <= sys.float_info.max for x in model.coef + (model.bias,)):
             raise SvmError("model has a non-finite coefficient or bias")
         if len(model.coef) != len(model.support):
             raise SvmError("model has different numbers of coefficients "

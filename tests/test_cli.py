@@ -716,6 +716,12 @@ def _set_nan_bias(models: Path) -> None:
     (models / "PER.json").write_text(json.dumps(bundle))  # written as NaN
 
 
+def _set_huge_bias(models: Path) -> None:
+    bundle = json.loads((models / "PER.json").read_text())
+    bundle["model"]["bias"] = 10 ** 400  # written as a 401-digit integer
+    (models / "PER.json").write_text(json.dumps(bundle))
+
+
 def _set_bool_support_index(models: Path) -> None:
     bundle = json.loads((models / "ADD.json").read_text())
     bundle["model"]["support"][0] = True  # int(True) would read index 1
@@ -736,6 +742,8 @@ def _repeat_support_index(models: Path) -> None:
      "ADD.json: holds the model of 'MUL', not ADD; refusing to predict"),
     (_set_nan_bias, "malformed model file (SvmError('model has a non-finite "
                     "coefficient or bias'))"),
+    (_set_huge_bias, "malformed model file (SvmError('model has a non-finite "
+                     "coefficient or bias'))"),
     (_set_bool_support_index, "malformed model file (SvmError('model has a "
                               "support index or n_train that is not an integer'))"),
     (_repeat_support_index, "malformed model file (SvmError('model repeats a "

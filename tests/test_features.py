@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mrkit.cfg
-from mrkit.cfg import AnnotatedCfg, NodeOp, bfs_parents, parse_dot
+import pf_reference
+from mrkit.cfg import AnnotatedCfg, NodeOp, bfs_parents, parse_dot, validate
 from mrkit.corpus import data_dir
 from mrkit.features import (
     MAX_WALK_ENDS,
@@ -112,6 +115,51 @@ def test_pf_refuses_an_invalid_cfg_with_its_first_diagnostic():
                             ((0, 1), (0, 2)))
     with pytest.raises(FeatureError, match=r"^exit unreachable from node \(node 1\)$"):
         path_features(dead_end)
+
+
+def test_pf_matches_the_chain_walk_reference_on_the_corpus(corpus_graphs):
+    # same keys, same counts, same insertion order
+    for cfg in corpus_graphs.values():
+        assert list(path_features(cfg).entries.items()) \
+            == list(pf_reference.path_features(cfg).entries.items())
+
+
+@st.composite
+def cfg_shapes(draw):
+    """A graph on 2..10 nodes, with a start and an exit at drawn positions
+    and a chain from the start through every node to the exit, plus up to
+    2n drawn edges; and whether it was drawn valid.  A valid draw keeps the
+    chain and adds no edge into the start, out of the exit or twice.  The
+    others may drop chain edges, add any edge and draw a further start or
+    exit, so most of them fail one of validate's checks."""
+    valid = draw(st.booleans())
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    start, exit_node = order[0], order[-1]
+    inner = [op for op in NodeOp if op not in (NodeOp.START, NodeOp.EXIT)]
+    ops = [draw(st.sampled_from(inner if valid else list(NodeOp))) for _ in range(n)]
+    ops[start], ops[exit_node] = NodeOp.START, NodeOp.EXIT
+    edges = [(a, b) for a, b in zip(order, order[1:]) if valid or draw(st.integers(0, 5))]
+    node = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        if not valid or (a != exit_node and b != start and (a, b) not in edges):
+            edges.append((a, b))
+    return AnnotatedCfg("h", tuple(ops), tuple(edges)), valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg_shapes())
+def test_pf_matches_the_chain_walk_reference_on_drawn_graphs(shape):
+    cfg, valid = shape
+    assert validate(cfg) == [] or not valid
+    try:
+        expected = pf_reference.path_features(cfg)
+    except FeatureError as refused:
+        with pytest.raises(FeatureError) as info:
+            path_features(cfg)
+        assert str(info.value) == str(refused)
+    else:
+        assert list(path_features(cfg).entries.items()) == list(expected.entries.items())
 
 
 def counted_bfs_runs(monkeypatch) -> list[int]:

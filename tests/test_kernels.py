@@ -1,4 +1,5 @@
 import argparse
+import functools
 import itertools
 from dataclasses import fields, replace
 
@@ -343,15 +344,20 @@ def digraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(digraphs(), st.sampled_from([3, 4]))
 def test_esu_yields_exactly_the_connected_subsets(g, k):
-    neighbours = [set() for _ in range(g.node_count)]
+    neighbours = [0] * g.node_count
     for a, b in g.edges:
         if a != b:
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-    found = sorted(tuple(sorted(s)) for s in _connected_subsets(neighbours, k))
+            neighbours[a] |= 1 << b
+            neighbours[b] |= 1 << a
+    subsets = _connected_subsets(neighbours, k)
+    # the dict's keys are distinct masks, so each decoded subset comes once
+    found = sorted(tuple(v for v in range(g.node_count) if mask >> v & 1) for mask in subsets)
     expected = [c for c in itertools.combinations(range(g.node_count), k)
                 if weakly_connected(c, g.edges)]
     assert found == expected
+    for mask, around in subsets.items():
+        members = [v for v in range(g.node_count) if mask >> v & 1]
+        assert around == functools.reduce(int.__or__, (neighbours[v] for v in members)) & ~mask
     assert list(graphlet_distribution(g, GkParams(k=k)).entries.items()) \
         == brute_force_graphlets(g, k)
 

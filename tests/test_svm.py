@@ -204,6 +204,12 @@ def test_model_decoder_rejects_bad_fields():
             SvmModel.from_dict({**good, "bias": json.loads(bad)})
         with pytest.raises(SvmError, match="non-finite"):
             SvmModel.from_dict({**good, "coef": [json.loads(bad)] + good["coef"][1:]})
+    # an integer that no float holds: math.isfinite raises OverflowError on it
+    huge = json.loads("9" * 400)
+    with pytest.raises(SvmError, match="non-finite"):
+        SvmModel.from_dict({**good, "bias": huge})
+    with pytest.raises(SvmError, match="non-finite"):
+        SvmModel.from_dict({**good, "coef": [huge] + good["coef"][1:]})
     first, rest = good["support"][0], good["support"][1:]
     for key, value, message in [
             ("coef", ["0.5"] + good["coef"][1:], "not a number"),
