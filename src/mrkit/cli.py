@@ -128,6 +128,8 @@ def cmd_extract(args) -> int:
 
 def cmd_label(args) -> int:
     ds = corpus_io.load_manifest(args.manifest)
+    register_path = Path(args.manifest).parent / "anomalies.csv"
+    register = corpus_io.anomaly_register(register_path) if register_path.exists() else {}
     params = OracleParams(trials=args.trials, seed=stage_seed(args.seed, "oracle"))
     rows = []
     reports = {}
@@ -161,8 +163,10 @@ def cmd_label(args) -> int:
         detail = d.category
         if d.witness is not None:
             detail += f"; witness source={list(d.witness.source)}"
+        registered = d.method in register and d.mr in register[d.method].mrs
         print(f"discrepancy: {d.method} {d.mr}: dynamic={int(d.dynamic)} "
-              f"reference={int(d.reference)} ({detail})", file=sys.stderr)
+              f"reference={int(d.reference)} ({detail})"
+              + (" [registered]" if registered else ""), file=sys.stderr)
     # per-method problems are diagnostics; only total failure is an error
     return 1 if attempted and failures == attempted else 0
 
@@ -339,7 +343,10 @@ def _column_function(context: dict):
     nf-pf warns of unseen keys: a cosine's self-value counts them."""
     _learning()  # also an entry point of its own, for callers outside a command
     vectors_of, decay, normalize = _count_map(context)
-    graphs = [parse_dot(text) for text in context["training_graphs"]]
+    texts = context["training_graphs"]
+    if type(texts) is not list or not all(type(text) is str for text in texts):
+        raise ValueError("training_graphs must be a list of DOT texts")
+    graphs = [parse_dot(text) for text in texts]
     kernel = CountKernel(zip(*map(vectors_of, graphs)), decay, normalize)
 
     def column(cfg: AnnotatedCfg) -> np.ndarray:

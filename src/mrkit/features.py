@@ -27,6 +27,10 @@ from .corpus import csv_text
 # the bundled corpus peaks at 746 (shell_sort, length 20)
 MAX_WALK_ENDS = 30_000
 
+# kernels.graphlet_distribution's bound on one size's connected node
+# subsets; the bundled corpus peaks at 84 (pooledVariance, 4 nodes)
+MAX_GRAPHLET_SUBSETS = 30_000
+
 # walk_features' 5-bit label codes, 1..20 in NodeOp declaration order; no
 # code is 0, so a key's leading label is its highest nonzero 5 bits
 _WALK_CODES = {op.value: code for code, op in enumerate(NodeOp, start=1)}

@@ -18,7 +18,9 @@ of relative frequencies, too): weakly connected induced k-node subgraphs
 (k = 3 or 4) typed by directed isomorphism, ignoring labels.  The count is
 exact: the connected node subsets grow a node at a time as bitmasks, each
 kept once, and each subset's type is the minimum adjacency bitmask over
-node permutations, memoised per bitmask.
+node permutations, memoised per bitmask.  A dense graph has about n^k
+such subsets, so a graph with more than ``features.MAX_GRAPHLET_SUBSETS``
+connected subsets of one size is refused.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from typing import ClassVar
 import numpy as np
 
 from .cfg import AnnotatedCfg
-from .features import CountBlock, FeatureVector, KernelMatrix, walk_features
+from .features import (MAX_GRAPHLET_SUBSETS, CountBlock, FeatureError, FeatureVector,
+                       KernelMatrix, walk_features)
 
 MAX_WALK_LEN = 20
 
@@ -128,16 +131,17 @@ def _canonical_type(mask: int, k: int) -> int:
                for perm in itertools.permutations(range(k)))
 
 
-def _connected_subsets(neighbours: list[int], k: int) -> dict[int, int]:
+def _connected_subsets(neighbours: list[int], k: int, name: str) -> dict[int, int]:
     """Every connected k-node subset of an undirected graph, given by its
     neighbour bitmasks, as a dict from the subset's node bitmask to its
     neighbourhood mask: the nodes outside it adjacent to a member.  Subsets
     grow a level at a time from single nodes, each by one neighbourhood
     node, so none is disconnected; every connected subset has a connected
     one a node smaller (drop a spanning-tree leaf), so each is reached, and
-    the dict keeps it once."""
+    the dict keeps it once.  A level of more than MAX_GRAPHLET_SUBSETS
+    subsets raises FeatureError naming the graph ``name``."""
     level = {1 << v: around & ~(1 << v) for v, around in enumerate(neighbours)}
-    for _ in range(k - 1):
+    for size in range(2, k + 1):
         grown: dict[int, int] = {}
         for subset, around in level.items():
             rest = around
@@ -147,6 +151,10 @@ def _connected_subsets(neighbours: list[int], k: int) -> dict[int, int]:
                 mask = subset | bit
                 if mask not in grown:
                     grown[mask] = (around | neighbours[bit.bit_length() - 1]) & ~mask
+            if len(grown) > MAX_GRAPHLET_SUBSETS:
+                raise FeatureError(
+                    f"{name}: more than {MAX_GRAPHLET_SUBSETS} connected "
+                    f"{size}-node subsets; the graphlet kernel refuses a graph this dense")
         level = grown
     return level
 
@@ -165,7 +173,7 @@ def graphlet_distribution(g: AnnotatedCfg, p: GkParams = GkParams()) -> FeatureV
             neighbours[a] |= 1 << b
             neighbours[b] |= 1 << a
     typed = []
-    for subset in _connected_subsets(neighbours, k):
+    for subset in _connected_subsets(neighbours, k, g.name):
         nodes, mask, rest = [], 0, subset
         while rest:
             low = rest & -rest

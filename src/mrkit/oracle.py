@@ -21,13 +21,21 @@ are the one place for the relations and the tolerance.  The follow-ups
 check nothing, since they only get what the draws make: on a source of
 one element PER would loop forever, and INV would divide by a zero value.
 
-Each (method, MR) pair has its own random stream.  ``label_method`` builds
-that stream's two draw functions once: one draws the next source, one
-builds its follow-up (PER runs ``Random.shuffle``'s loop inline on the
-same stream).  Every trial then takes the same words from the stream, in
-the same order, as per-trial ``randint``, ``randrange`` and ``shuffle``
-calls did, so every label CSV is unchanged.  A drawn value is read from
-one table of the domain's floats, built at import.
+A method's trials draw from sha256-seeded substreams of the oracle seed,
+each named by the method and one scope.  ADD, MUL, PER, INC and EXC share
+their sources: one trial draws one source from the method's ``"source"``
+substream, each of those MRs still sampling builds its follow-up from its
+own ``(method, MR)`` substream, the source runs once, and then each
+follow-up runs and is checked.  An MR stops sampling at its first
+violation or trap; a trap in the source run is the witness of every MR
+still sampling.  INV's sources start at 1, so it draws its sources from its
+own ``(method, "INV")`` substream (its follow-up draws nothing) and runs
+both inputs every trial.  ``label_method`` builds each stream's draw
+functions once: one draws the next source, one builds a follow-up (PER
+runs ``Random.shuffle``'s loop inline on its stream).  Every draw takes
+the same words from its stream, in the same order, as a ``randint``,
+``randrange`` or ``shuffle`` call would.  A drawn value is read from one
+table of the domain's floats, built at import.
 
 The oracle builds its sources and follow-ups from floats, so it calls the
 interpreter through ``mir.interpret_floats``, which does not convert them
@@ -156,16 +164,16 @@ def _below(getrandbits, span: int) -> int:
     return r
 
 
-def _source_draws(mr: str, getrandbits):
-    """The function that draws ``mr``'s next source from ``getrandbits``: a
-    length, then that many values, each as ``_below`` draws it."""
+def _source_draws(lo: int, getrandbits):
+    """The function that draws the next source, of values ``lo..MAX_VALUE``,
+    from ``getrandbits``: a length, then that many values, each as
+    ``_below`` draws it."""
     len_lo = MIN_LEN
     len_span = MAX_LEN - len_lo + 1
     len_bits = len_span.bit_length()
-    lo = MIN_INV_VALUE if mr == "INV" else MIN_VALUE
     span = MAX_VALUE - lo + 1
     bits = span.bit_length()
-    value = _VALUES if lo == MIN_VALUE else _VALUES[lo - MIN_VALUE:]
+    value = _VALUES[lo - MIN_VALUE:]
 
     def draw() -> list[float]:
         r = getrandbits(len_bits)
@@ -186,7 +194,7 @@ def _source_draws(mr: str, getrandbits):
 def _follow_ups(mr: str, getrandbits):
     """The function that builds ``mr``'s follow-up of a list of floats,
     drawing what it needs from ``getrandbits``; it leaves the source alone.
-    Its source is one that ``_source_draws(mr, ...)`` draws."""
+    Its source is one that ``_source_draws`` draws from ``mr``'s domain."""
     if mr == "ADD" or mr == "MUL":
         c_span = MAX_CONST - MIN_CONST + 1
         if mr == "ADD":
@@ -264,38 +272,62 @@ def check_relation(mr: str, out_source: float,
     return False, _CAUSES[RELATIONS[mr]]
 
 
-def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelReport:
-    """Sample every MR ``trials`` times; the label is 1 iff the relation
-    held on every trial.  Deterministic per (seed, method, MR)."""
-    outcomes: dict[str, MrOutcome] = {}
+def _sample(fn: Function, params: OracleParams, draw, follows) -> dict[str, MrOutcome]:
+    """Run up to ``params.trials`` trials of the MRs in ``follows`` (MR ->
+    the function that builds its follow-up) on sources from ``draw``: each
+    trial builds every sampling MR's follow-up, runs the source once, then
+    runs and checks each follow-up.  An MR leaves at its first violation or
+    trap; a trap in the source run is the witness of every MR left."""
     budget = params.step_budget
-    for mr in MR_IDS:
-        getrandbits = _substream(params.seed, fn.name, mr).getrandbits
-        draw = _source_draws(mr, getrandbits)
-        follow = _follow_ups(mr, getrandbits)
-        holds = _relation_test(mr)
-        witness: Witness | None = None
-        for trial in range(params.trials):
-            source = draw()
-            follow_up = follow(source)
+    active = [(mr, follow, _relation_test(mr)) for mr, follow in follows.items()]
+    outcomes: dict[str, MrOutcome] = {}
+    for trial in range(params.trials):
+        source = draw()
+        follow_ups = [follow(source) for _, follow, _ in active]
+        try:
+            # interpret is looked up here on every call, not bound once,
+            # so that a caller can wrap mrkit.oracle.interpret
+            out_src = interpret(fn, source, budget)
+        except Trap as trap:
+            for (mr, _, _), follow_up in zip(active, follow_ups):
+                outcomes[mr] = MrOutcome(trial + 1, Witness(
+                    trial, tuple(source), tuple(follow_up), None, None, f"trap: {trap}"))
+            return outcomes
+        sampling = []
+        for entry, follow_up in zip(active, follow_ups):
+            mr, _, holds = entry
             try:
-                # interpret is looked up here on every call, not bound once,
-                # so that a caller can wrap mrkit.oracle.interpret
-                out_src = interpret(fn, source, budget)
                 out_fu = interpret(fn, follow_up, budget)
             except Trap as trap:
-                out_src = out_fu = None
-                cause = f"trap: {trap}"
+                witness = Witness(trial, tuple(source), tuple(follow_up), None, None,
+                                  f"trap: {trap}")
             else:
                 if holds(out_src, out_fu):
+                    sampling.append(entry)
                     continue
-                cause = check_relation(mr, out_src, out_fu)[1]
-            witness = Witness(trial=trial, source=tuple(source),
-                              follow_up=tuple(follow_up), out_source=out_src,
-                              out_follow_up=out_fu, cause=cause)
-            break
-        trials_run = params.trials if witness is None else witness.trial + 1
-        outcomes[mr] = MrOutcome(trials_run, witness)
+                witness = Witness(trial, tuple(source), tuple(follow_up), out_src, out_fu,
+                                  check_relation(mr, out_src, out_fu)[1])
+            outcomes[mr] = MrOutcome(trial + 1, witness)
+        if not sampling:
+            return outcomes
+        active = sampling
+    for mr, _, _ in active:
+        outcomes[mr] = MrOutcome(params.trials)
+    return outcomes
+
+
+def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelReport:
+    """Sample every MR ``trials`` times; the label is 1 iff the relation
+    held on every trial.  Deterministic per (seed, method)."""
+    def stream(scope: str):
+        return _substream(params.seed, fn.name, scope).getrandbits
+
+    shared = {mr: _follow_ups(mr, stream(mr)) for mr in MR_IDS if mr != "INV"}
+    outcomes = _sample(fn, params, _source_draws(MIN_VALUE, stream("source")), shared)
+    inv = stream("INV")
+    outcomes.update(_sample(fn, params, _source_draws(MIN_INV_VALUE, inv),
+                            {"INV": _follow_ups("INV", inv)}))
+    outcomes = {mr: outcomes[mr] for mr in MR_IDS}
     labels = MrLabelSet({mr: outcome.label for mr, outcome in outcomes.items()})
     return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)
 

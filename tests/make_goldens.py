@@ -112,11 +112,15 @@ def artifacts(work: Path, quick: bool = False) -> dict[str, bytes]:
     return out
 
 
+def hexdigests(built: dict[str, bytes]) -> dict[str, str]:
+    """The sha256 hex digest of each artifact of ``built``."""
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(built.items())}
+
+
 def digests(quick: bool = False) -> dict[str, str]:
     """The sha256 hex digest of each artifact, built in a fresh directory."""
     with tempfile.TemporaryDirectory() as work:
-        built = artifacts(Path(work), quick)
-    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(built.items())}
+        return hexdigests(artifacts(Path(work), quick))
 
 
 def run(argv: list[str]) -> int:

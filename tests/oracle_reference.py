@@ -1,9 +1,13 @@
-"""The per-trial labelling loop of mrkit before each (method, MR) stream
-built its draw functions once: every trial recomputed the spans of its
-draws, ``apply_mr`` re-checked the MR and walked its branches, PER went
-through ``rng.shuffle``, and ``check_relation`` looked up the relation.
-``test_oracle.py`` requires ``mrkit.oracle.label_method`` to return the
-same ``LabelReport`` as ``label_method`` here.
+"""The per-trial labelling loop of mrkit, spelled without the oracle's
+prebuilt draw functions: every trial recomputes the spans of its draws,
+``apply_mr`` re-checks the MR and walks its branches, PER goes through
+``rng.shuffle``, and ``check_relation`` looks up the relation.  A trial
+draws one source for ADD, MUL, PER, INC and EXC from the method's
+``"source"`` substream, builds each sampling MR's follow-up from its own
+substream, runs the source once and then each follow-up; INV runs alone
+on its own substream.  ``test_oracle.py`` requires
+``mrkit.oracle.label_method`` to return the same ``LabelReport`` as
+``label_method`` here.
 
 Only the loop, the draws and the relation live here; the report types,
 ``_below`` (itself checked against ``rng.randrange``) and ``_substream``
@@ -76,29 +80,53 @@ def check_relation(mr: str, out_source: float, out_follow_up: float,
     return ok, None if ok else "outputs differ under permutation"
 
 
-def label_method(fn: Function, params: OracleParams) -> LabelReport:
+def _trial_loop(fn: Function, params: OracleParams, source_rng: random.Random,
+                source_mr: str, rngs: dict[str, random.Random]) -> dict[str, MrOutcome]:
+    """Trials of the MRs of ``rngs`` (MR -> its follow-up stream) on sources
+    that ``source_rng`` draws from ``source_mr``'s domain."""
     outcomes: dict[str, MrOutcome] = {}
-    for mr in MR_IDS:
-        rng = _substream(params.seed, fn.name, mr)
-        witness: Witness | None = None
-        for trial in range(params.trials):
-            source = draw_source(rng, mr)
-            follow_up = apply_mr(mr, source, rng)
-            try:
-                out_src = interpret(fn, source, params.step_budget)
-                out_fu = interpret(fn, follow_up, params.step_budget)
-            except Trap as trap:
-                out_src = out_fu = None
-                cause = f"trap: {trap}"
-            else:
-                ok, cause = check_relation(mr, out_src, out_fu)
-                if ok:
-                    continue
-            witness = Witness(trial=trial, source=tuple(source),
-                              follow_up=tuple(follow_up), out_source=out_src,
-                              out_follow_up=out_fu, cause=cause)
+    active = list(rngs)
+    for trial in range(params.trials):
+        if not active:
             break
-        trials_run = params.trials if witness is None else witness.trial + 1
-        outcomes[mr] = MrOutcome(trials_run=trials_run, witness=witness)
+        source = draw_source(source_rng, source_mr)
+        follow_ups = {mr: apply_mr(mr, source, rngs[mr]) for mr in active}
+        try:
+            out_src = interpret(fn, source, params.step_budget)
+        except Trap as trap:
+            out_src, source_trap = None, f"trap: {trap}"
+        else:
+            source_trap = None
+        for mr in list(active):
+            follow_up = follow_ups[mr]
+            if source_trap is not None:
+                out_fu, cause = None, source_trap
+            else:
+                try:
+                    out_fu = interpret(fn, follow_up, params.step_budget)
+                except Trap as trap:
+                    out_fu, cause = None, f"trap: {trap}"
+                else:
+                    ok, cause = check_relation(mr, out_src, out_fu)
+                    if ok:
+                        continue
+            trapped = cause.startswith("trap: ")
+            witness = Witness(trial=trial, source=tuple(source), follow_up=tuple(follow_up),
+                              out_source=None if trapped else out_src,
+                              out_follow_up=None if trapped else out_fu, cause=cause)
+            outcomes[mr] = MrOutcome(trials_run=trial + 1, witness=witness)
+            active.remove(mr)
+    for mr in active:
+        outcomes[mr] = MrOutcome(trials_run=params.trials)
+    return outcomes
+
+
+def label_method(fn: Function, params: OracleParams) -> LabelReport:
+    shared = [mr for mr in MR_IDS if mr != "INV"]
+    outcomes = _trial_loop(fn, params, _substream(params.seed, fn.name, "source"), "ADD",
+                           {mr: _substream(params.seed, fn.name, mr) for mr in shared})
+    inv = _substream(params.seed, fn.name, "INV")
+    outcomes.update(_trial_loop(fn, params, inv, "INV", {"INV": inv}))
+    outcomes = {mr: outcomes[mr] for mr in MR_IDS}
     labels = MrLabelSet({mr: outcome.witness is None for mr, outcome in outcomes.items()})
     return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)

@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
 from mrkit.mir import parse_program
-from mrkit.features import CountBlock, combine, node_features, path_features
+from mrkit.features import (MAX_GRAPHLET_SUBSETS, CountBlock, combine, node_features,
+                            path_features)
 import count_reference
 import rwk_reference
 from mrkit.kernels import GkParams, RwkParams
@@ -156,6 +158,27 @@ def test_label_audits_only_the_methods_with_a_reference_row(tmp_path, capsys):
         "discrepancy: average INC: dynamic=0 reference=1",
         "discrepancy: average EXC: dynamic=0 reference=1"]
     assert all(line.endswith("])") and "(violation; witness source=[" in line for line in err)
+
+
+def test_label_marks_the_discrepancies_the_register_beside_the_manifest_lists(
+        tmp_path, capsys):
+    # average's row claims INC and EXC, which the oracle rejects; the
+    # register lists EXC alone
+    man = write_mini_manifest(tmp_path, [(5, "average")], labels=False)
+    (tmp_path / "labels.csv").write_text("method_id,ADD,MUL,PER,INC,EXC,INV\n5,1,1,1,1,1,1\n")
+    (tmp_path / "anomalies.csv").write_text("method_id,name,mrs,reason\n5,average,EXC,why\n")
+    out = tmp_path / "labels_out.csv"
+    assert main(["label", "--manifest", str(man), "--out", str(out), "--trials", "20"]) == 0
+    inc, exc = capsys.readouterr().err.splitlines()
+    assert inc.startswith("discrepancy: average INC: ") and inc.endswith("])")
+    assert exc.startswith("discrepancy: average EXC: ") and exc.endswith("]) [registered]")
+    # a malformed register is refused before any method is labelled
+    (tmp_path / "anomalies.csv").write_text("method_id,name,mrs,reason\n5,average,XYZ,why\n")
+    out.unlink()
+    assert main(["label", "--manifest", str(man), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'anomalies.csv'}:2: unknown relation 'XYZ' in mrs\n")
+    assert not out.exists()
 
 
 def test_label_stable_across_seeds(tmp_path):
@@ -530,6 +553,10 @@ def test_predict_refuses_malformed_context(tmp_path, capsys):
     for i, (features, edit, reason) in enumerate([
             ("nf-pf", lambda context: context.pop("omit_exit_nf"), "omit_exit_nf"),
             ("nf-pf", lambda context: context.pop("training_graphs"), "training_graphs"),
+            ("nf-pf", lambda context: context["training_graphs"].__setitem__(0, 7),
+             "training_graphs must be a list of DOT texts"),
+            ("nf-pf", lambda context: context["training_graphs"].__setitem__(0, None),
+             "training_graphs must be a list of DOT texts"),
             ("gk", lambda context: context.update(k=5), "graphlet size must be 3 or 4"),
             ("nf-pf", lambda context: context.update(omit_exit_nf="no"),
              "omit_exit_nf must be true or false, got 'no'"),
@@ -544,6 +571,36 @@ def test_predict_refuses_malformed_context(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "malformed" in captured.err and reason in captured.err
+
+
+def dense_dot(n: int) -> str:
+    """A valid CFG of ``n`` nodes: start -> every inner node, the inner
+    nodes a complete digraph, every inner node -> exit."""
+    inner = range(1, n - 1)
+    edges = [(0, v) for v in inner] + [(a, b) for a in inner for b in inner if a != b]
+    edges += [(v, n - 1) for v in inner]
+    return emit_dot(AnnotatedCfg("dense", (NodeOp.START, *(NodeOp.ASSI,) * (n - 2), NodeOp.EXIT),
+                                 tuple(edges)))
+
+
+def test_predict_with_a_gk_model_refuses_a_dense_graph_quickly(tmp_path, capsys):
+    man = write_bundled_manifest(tmp_path, MIXED)
+    models = tmp_path / "models"
+    assert main(["train", "--manifest", str(man), "--features", "gk", "--graphlet-k", "4",
+                 "--out", str(models)]) == 0
+    dense = tmp_path / "dense.dot"
+    dense.write_text(dense_dot(50))
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["predict", str(dense), corpus_path("sum"), "--models", str(models)])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {dense}: dense: more than {MAX_GRAPHLET_SUBSETS} "
+                            "connected 4-node subsets; the graphlet kernel refuses a "
+                            "graph this dense\n")
+    assert [row.split(",")[0] for row in captured.out.splitlines()] == ["method", "sum"]
+    assert elapsed < 1.0
 
 
 def test_predict_refuses_a_directory_without_context_json(tmp_path, capsys):

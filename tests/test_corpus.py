@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from mrkit.cfg import validate
@@ -11,7 +14,8 @@ from mrkit.corpus import (
     load_manifest,
     parse_labels_csv,
 )
-from mrkit.oracle import MrLabelSet
+from mrkit.mir import interpret
+from mrkit.oracle import MrLabelSet, check_relation
 
 
 def test_bundled_manifest_has_100_entries(dataset):
@@ -171,7 +175,33 @@ def test_anomaly_register_contents():
     assert "cnt_zeroes" in register
     assert "MUL" in register["cnt_zeroes"].mrs
     names = set(register)
-    assert len(names) == 15
+    assert len(names) == 17
+
+
+# how a register reason states a witness: both inputs as lists, and both
+# outputs as format(value, ".4g") spells them
+WITNESS = re.compile(r"witness: source (\[[^]]*\]) gives (\S+) and its ([A-Z]+) "
+                     r"follow-up (\[[^]]*\]) gives ([^\s)]+)")
+
+
+def test_every_witness_the_register_states_refutes_its_relation(corpus_functions):
+    stated = 0
+    for entry in anomaly_register().values():
+        fn = corpus_functions[entry.name]
+        for source, out_source, mr, follow_up, out_follow_up in WITNESS.findall(entry.reason):
+            assert mr in entry.mrs, (entry.name, mr)
+            source, follow_up = json.loads(source), json.loads(follow_up)
+            # a follow-up the MR builds from the source
+            if mr == "INC":  # one value of the domain appended
+                assert follow_up[:-1] == source and 0 <= follow_up[-1] <= 100
+            else:  # one index removed
+                assert mr == "EXC"
+                assert follow_up in [source[:i] + source[i + 1:] for i in range(len(source))]
+            outputs = interpret(fn, source), interpret(fn, follow_up)
+            assert [format(v, ".4g") for v in outputs] == [out_source, out_follow_up]
+            assert not check_relation(mr, *outputs)[0], (entry.name, mr)
+            stated += 1
+    assert stated == 7
 
 
 def test_anomaly_register_duplicate_name(tmp_path):

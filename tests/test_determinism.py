@@ -3,7 +3,8 @@ the hash seed, and ``train`` then ``predict`` answers as ``evaluate`` does.
 
 ``goldens.json`` holds the seed-42 digests, and those of ``label`` at root
 seeds 7 and 101, that ``make_goldens.py`` writes; a change that means to
-move bytes regenerates it with that script.
+move bytes regenerates it with that script.  The same label runs show that
+the anomaly register accounts for every discrepancy they print.
 """
 
 import csv
@@ -22,7 +23,7 @@ from mrkit.svm import SvmParams, decision_value, train_svm
 
 import make_goldens
 from conftest import ROOT, src_env
-from make_goldens import FEATURES, SEED
+from make_goldens import FEATURES, LABEL_SEEDS, SEED
 
 
 def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
@@ -31,12 +32,30 @@ def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
                   if expected.get(name) != actual.get(name))
 
 
-def test_seed_42_artifacts_match_the_goldens():
+@pytest.fixture(scope="module")
+def built(tmp_path_factory) -> dict[str, bytes]:
+    """Every artifact that ``make_goldens.py`` digests, built once."""
+    return make_goldens.artifacts(tmp_path_factory.mktemp("artifacts"))
+
+
+def test_seed_42_artifacts_match_the_goldens(built):
     expected = json.loads(make_goldens.GOLDENS.read_text())
-    changed = moved(expected, make_goldens.digests())
+    changed = moved(expected, make_goldens.hexdigests(built))
     assert not changed, (
         f"{len(changed)} artifacts moved: {', '.join(changed)}; if that is "
         "meant, rerun tests/make_goldens.py and list them")
+
+
+@pytest.mark.parametrize("root", [SEED, *LABEL_SEEDS])
+def test_every_label_discrepancy_is_registered(built, root):
+    # the bundled manifest's label run at a pinned root seed: each stderr
+    # line is a discrepancy that the anomaly register beside it lists
+    name = "label" if root == SEED else f"label-{root}"
+    lines = built[f"{name}.stderr"].decode().splitlines()
+    assert lines and built[f"{name}.exit"] == b"0"
+    unexplained = [line for line in lines
+                   if not (line.startswith("discrepancy: ") and line.endswith(" [registered]"))]
+    assert not unexplained
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():

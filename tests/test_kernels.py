@@ -13,7 +13,8 @@ import gk_reference
 import rwk_reference
 from mrkit import cli
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot
-from mrkit.features import CountBlock, combine, node_features, path_features, walk_features
+from mrkit.features import (MAX_GRAPHLET_SUBSETS, CountBlock, FeatureError, combine,
+                            node_features, path_features, walk_features)
 from mrkit.kernels import (
     MAX_WALK_LEN,
     CountKernel,
@@ -341,6 +342,19 @@ def digraphs(draw):
     return AnnotatedCfg("g", (NodeOp.ASSI,) * n, tuple(sorted(edges)))
 
 
+def test_graphlets_refuse_a_graph_at_the_first_size_past_the_bound():
+    # 40 nodes, every pair joined: C(40, 3) = 9880 connected 3-subsets
+    # stay under the bound, and the 4-subsets pass it
+    n = 40
+    g = AnnotatedCfg("clique", (NodeOp.ASSI,) * n,
+                     tuple((a, b) for a in range(n) for b in range(a + 1, n)))
+    assert sum(graphlet_distribution(g, GkParams(k=3)).entries.values()) == 9880
+    with pytest.raises(FeatureError) as info:
+        graphlet_distribution(g, GkParams(k=4))
+    assert str(info.value) == (f"clique: more than {MAX_GRAPHLET_SUBSETS} connected "
+                               "4-node subsets; the graphlet kernel refuses a graph this dense")
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs(), st.sampled_from([3, 4]))
 def test_esu_yields_exactly_the_connected_subsets(g, k):
@@ -349,7 +363,7 @@ def test_esu_yields_exactly_the_connected_subsets(g, k):
         if a != b:
             neighbours[a] |= 1 << b
             neighbours[b] |= 1 << a
-    subsets = _connected_subsets(neighbours, k)
+    subsets = _connected_subsets(neighbours, k, g.name)
     # the dict's keys are distinct masks, so each decoded subset comes once
     found = sorted(tuple(v for v in range(g.node_count) if mask >> v & 1) for mask in subsets)
     expected = [c for c in itertools.combinations(range(g.node_count), k)

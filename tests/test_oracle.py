@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_reference
-from mrkit.mir import DEFAULT_STEP_BUDGET, interpret, parse_program
+from mrkit.mir import DEFAULT_STEP_BUDGET, Trap, interpret, parse_program
 from mrkit.oracle import (
     MR_IDS,
     RELATIONS,
     MrLabelSet,
+    MrOutcome,
     OracleError,
     OracleParams,
+    Witness,
     _below,
     _follow_ups,
     _relation_test,
@@ -179,10 +181,16 @@ FOLLOW_UP_TRAP = ("fn f(a) {\n  n = len(a)\n  d = 21 - n\n  z = 0 / d\n"
 
 
 def test_a_trap_on_the_follow_up_alone_leaves_both_outputs_absent():
-    report = label_method(parse_program(FOLLOW_UP_TRAP).functions[0], OracleParams())
+    params = OracleParams()
+    report = label_method(parse_program(FOLLOW_UP_TRAP).functions[0], params)
     outcome = report.outcomes["INC"]
     witness = outcome.witness
+    # the shared source stream's first 20-element source is its tenth
+    draw = _source_draws(0, _substream(params.seed, "f", "source").getrandbits)
+    sources = [draw() for _ in range(10)]
+    assert [len(source) for source in sources].index(20) == 9
     assert not outcome.label and witness.trial == 9
+    assert witness.source == tuple(sources[9])
     assert len(witness.source) == 20 and len(witness.follow_up) == 21
     assert witness.out_source is None and witness.out_follow_up is None
     assert witness.cause.startswith("trap: division-by-zero")
@@ -192,6 +200,70 @@ def test_a_trap_on_the_follow_up_alone_leaves_both_outputs_absent():
         if mr != "INC":
             assert report.outcomes[mr].witness is None
             assert report.outcomes[mr].trials_run == 200
+
+
+# returns 1, and divides by zero on an input that holds a 0: on a shared
+# source, where 0 is a drawn value, but never on INV's, which start at 1
+SOURCE_TRAP = ("fn g(a) {\n  n = len(a)\n  for i = 0; i < n; i = i + 1 {\n"
+               "    v = a[i]\n    w = 1 / v\n  }\n  return 1\n}\n")
+
+
+def test_a_source_run_trap_is_the_witness_of_every_sampling_mr():
+    fn = parse_program(SOURCE_TRAP).functions[0]
+    params = OracleParams()
+    report = label_method(fn, params)
+    shared = [mr for mr in MR_IDS if mr != "INV"]
+    witnesses = [report.outcomes[mr].witness for mr in shared]
+    first = witnesses[0]
+    assert first.cause.startswith("trap: division-by-zero")
+    assert 0.0 in first.source
+    for mr, witness in zip(shared, witnesses):
+        assert witness.trial == first.trial and witness.source == first.source
+        assert witness.cause == first.cause
+        assert witness.follow_up is not None
+        assert witness.out_source is None and witness.out_follow_up is None
+        assert report.outcomes[mr].trials_run == first.trial + 1
+    # each witness holds its own MR's follow-up of the one source
+    follow_up = {mr: w.follow_up for mr, w in zip(shared, witnesses)}
+    assert follow_up["INC"][:-1] == first.source
+    assert len(follow_up["EXC"]) == len(first.source) - 1
+    assert sorted(follow_up["PER"]) == sorted(first.source) != list(follow_up["PER"])
+    # every trial before it ran clean, so no MR had left before the trap
+    assert first.trial > 0
+    assert report.labels.as_bits() == (0, 0, 0, 0, 0, 1)
+    assert report.outcomes["INV"].trials_run == params.trials
+
+
+def _inv_outcome_per_mr_stream(fn, params):
+    """INV's outcome drawn as every MR's was before the five shared their
+    sources: source and follow-up from the (method, "INV") substream, both
+    run every trial."""
+    rng = _substream(params.seed, fn.name, "INV")
+    for trial in range(params.trials):
+        source = _draw_source_randint(rng, "INV")
+        follow_up = _apply_mr_randint("INV", source, rng)
+        try:
+            out_src = interpret(fn, source, params.step_budget)
+            out_fu = interpret(fn, follow_up, params.step_budget)
+        except Trap as trap:
+            out_src = out_fu = None
+            cause = f"trap: {trap}"
+        else:
+            ok, cause = check_relation("INV", out_src, out_fu)
+            if ok:
+                continue
+        return MrOutcome(trial + 1, Witness(trial, tuple(source), tuple(follow_up),
+                                            out_src, out_fu, cause))
+    return MrOutcome(params.trials)
+
+
+@pytest.mark.parametrize("seed", [42, 2054484367])
+def test_inv_outcomes_equal_the_per_mr_inv_stream(corpus_functions, seed):
+    # 2054484367 is the oracle seed of `mrkit label --seed 42`
+    params = OracleParams(seed=seed)
+    for fn in corpus_functions.values():
+        assert (repr(label_method(fn, params).outcomes["INV"])
+                == repr(_inv_outcome_per_mr_stream(fn, params))), fn.name
 
 
 def test_audit_empty_on_matching_trio(corpus_functions, dataset):
@@ -291,7 +363,7 @@ def test_draws_equal_the_randint_stream():
     for seed in range(1000):
         for mr in MR_IDS:
             rng, ref = random.Random(seed), random.Random(seed)
-            draw = _source_draws(mr, rng.getrandbits)
+            draw = _source_draws(1 if mr == "INV" else 0, rng.getrandbits)
             follow = _follow_ups(mr, rng.getrandbits)
             for _ in range(2):
                 source = draw()
@@ -381,7 +453,7 @@ def test_witness_source_is_the_drawn_input():
     fn = parse_program(CLOBBER).functions[0]
     params = OracleParams(trials=5)
     witness = label_method(fn, params).outcomes["INC"].witness
-    drawn = _source_draws("INC", _substream(params.seed, fn.name, "INC").getrandbits)()
+    drawn = _source_draws(0, _substream(params.seed, fn.name, "source").getrandbits)()
     assert witness is not None and witness.trial == 0
     assert witness.source == tuple(drawn)
     assert -1.0 not in witness.source and witness.follow_up[:-1] == witness.source
