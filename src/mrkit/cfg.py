@@ -18,7 +18,6 @@ and :func:`parse_dot`):
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -110,19 +109,24 @@ class AnnotatedCfg:
         succ: list[list[int]] = [[] for _ in self.ops]
         for a, b in self.edges:
             succ[a].append(b)
-        return tuple(tuple(sorted(s)) for s in succ)
+        for s in succ:
+            s.sort()
+        return tuple(map(tuple, succ))
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         pred: list[list[int]] = [[] for _ in self.ops]
         for a, b in self.edges:
             pred[b].append(a)
-        return tuple(tuple(sorted(p)) for p in pred)
+        for p in pred:
+            p.sort()
+        return tuple(map(tuple, pred))
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """``ops[i].value`` per node, read once per graph."""
-        return tuple(op.value for op in self.ops)
+        """``ops[i].value`` per node, read once per graph (``_value_`` is
+        the attribute behind the ``value`` property)."""
+        return tuple([op._value_ for op in self.ops])
 
     @cached_property
     def start_parents(self) -> tuple[int, ...]:
@@ -153,22 +157,11 @@ class AnnotatedCfg:
         return counts
 
 
-_NODE_RE = re.compile(
-    r'^\s*(?P<id>"[^"]*"|[A-Za-z0-9_.]+)\s*\[\s*label\s*=\s*'
-    r'(?P<label>"[^"]*"|[A-Za-z0-9_.]+)\s*\]\s*;?\s*$'
-)
-_EDGE_RE = re.compile(
-    r'^\s*(?P<src>"[^"]*"|[A-Za-z0-9_.]+)\s*->\s*'
-    r'(?P<dst>"[^"]*"|[A-Za-z0-9_.]+)\s*;?\s*$'
-)
+_ID = r'(?:"([^"]*)"|([A-Za-z0-9_.]+))'  # groups: a quoted id's inside, a bare id
+_STATEMENT_RE = re.compile(  # a node ``ID [label=ID]`` or an edge ``ID -> ID``
+    rf"\s*{_ID}\s*(?:\[\s*label\s*=\s*{_ID}\s*\]|->\s*{_ID})\s*;?\s*$")
 _BARE_RE = re.compile(r"[A-Za-z0-9_.]+")
-_HEADER_RE = re.compile(r'^\s*digraph\s*(?P<name>"[^"]*"|[A-Za-z0-9_.]+)?\s*\{\s*$')
-
-
-def _unquote(token: str) -> str:
-    if token.startswith('"') and token.endswith('"'):
-        return token[1:-1]
-    return token
+_HEADER_RE = re.compile(rf"\s*digraph\s*{_ID}?\s*\{{\s*$")
 
 
 def parse_dot(text: str) -> AnnotatedCfg:
@@ -183,53 +176,53 @@ def parse_dot(text: str) -> AnnotatedCfg:
     (a start or exit count has no line).
     """
     lines = text.splitlines()
+    # one pass over the numbered lines: the header, the statements up to
+    # ``}``, then the blank lines that may follow it
+    numbered = enumerate(lines, start=1)
+    for lineno, raw in numbered:
+        if raw.strip():
+            m = _HEADER_RE.match(raw)
+            if not m:
+                raise DotParseError("expected 'digraph <name> {'", lineno)
+            quoted, bare = m.groups()
+            name = quoted or bare or ""
+            break
+    else:
+        raise DotParseError("empty input, expected 'digraph <name> {'", len(lines) or 1)
+
     ids: dict[str, int] = {}
     ops: list[NodeOp] = []
     node_lines: list[int] = []
     raw_edges: list[tuple[str, str, int]] = []
-    name = ""
-    seen_header = False
-    seen_footer = False
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+    for lineno, raw in numbered:
+        m = _STATEMENT_RE.match(raw)
+        if m is None:
+            line = raw.strip()
+            if line == "}":
+                break
+            if line:
+                raise DotParseError(f"unrecognized statement {line!r}", lineno)
             continue
-        if not seen_header:
-            m = _HEADER_RE.match(raw)
-            if not m:
-                raise DotParseError("expected 'digraph <name> {'", lineno)
-            name = _unquote(m.group("name") or "")
-            seen_header = True
+        quoted, bare, quoted_label, label, quoted_dst, dst = m.groups()
+        src = bare if quoted is None else quoted
+        if dst is not None or quoted_dst is not None:
+            raw_edges.append((src, dst if quoted_dst is None else quoted_dst, lineno))
             continue
-        if seen_footer:
-            raise DotParseError("content after closing '}'", lineno)
-        if line == "}":
-            seen_footer = True
-            continue
-        m = _NODE_RE.match(raw)
-        if m:
-            node_id = _unquote(m.group("id"))
-            if node_id in ids:
-                raise DotParseError(f"duplicate node id {node_id!r}", lineno)
-            label = _unquote(m.group("label"))
-            op = _LABELS_BY_VALUE.get(label)
-            if op is None:
-                raise DotParseError(f"unknown node label {label!r}", lineno)
-            ids[node_id] = len(ops)
-            ops.append(op)
-            node_lines.append(lineno)
-            continue
-        m = _EDGE_RE.match(raw)
-        if m:
-            raw_edges.append((_unquote(m.group("src")), _unquote(m.group("dst")), lineno))
-            continue
-        raise DotParseError(f"unrecognized statement {line!r}", lineno)
-
-    if not seen_header:
-        raise DotParseError("empty input, expected 'digraph <name> {'", len(lines) or 1)
-    if not seen_footer:
+        if src in ids:
+            raise DotParseError(f"duplicate node id {src!r}", lineno)
+        if quoted_label is not None:
+            label = quoted_label
+        op = _LABELS_BY_VALUE.get(label)
+        if op is None:
+            raise DotParseError(f"unknown node label {label!r}", lineno)
+        ids[src] = len(ops)
+        ops.append(op)
+        node_lines.append(lineno)
+    else:
         raise DotParseError("missing closing '}'", len(lines))
+    for lineno, raw in numbered:
+        if raw.strip():
+            raise DotParseError("content after closing '}'", lineno)
 
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -262,13 +255,11 @@ def emit_dot(cfg: AnnotatedCfg) -> str:
         if '"' in name or len(f"{name}.".splitlines()) > 1:
             raise ValueError(f"graph name {name!r} cannot be written to DOT")
         name = f'"{name}"'
-    out = [f"digraph {name} {{"]
-    for i, op in enumerate(cfg.ops):
-        out.append(f'  n{i} [label="{op.value}"];')
-    for a, b in cfg.edges:
-        out.append(f"  n{a} -> n{b};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return "\n".join([
+        f"digraph {name} {{",
+        *[f'  n{i} [label="{label}"];' for i, label in enumerate(cfg.labels)],
+        *[f"  n{a} -> n{b};" for a, b in cfg.edges],
+        "}\n"])
 
 
 def bfs_parents(adjacency, root: int) -> list[int]:
@@ -279,27 +270,28 @@ def bfs_parents(adjacency, root: int) -> list[int]:
     """
     parent = [-1] * len(adjacency)
     parent[root] = root
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    order = [root]  # the BFS queue: visited in place while it grows
+    for u in order:
         for v in adjacency[u]:
             if parent[v] == -1:
                 parent[v] = u
-                queue.append(v)
+                order.append(v)
     return parent
 
 
 def validate(cfg: AnnotatedCfg) -> list[Diagnostic]:
     """Check every AnnotatedCfg invariant; empty result means valid."""
     diags: list[Diagnostic] = []
-    seen_edges: set[tuple[int, int]] = set()
-    for edge in cfg.edges:
-        if edge in seen_edges:
-            diags.append(Diagnostic(f"duplicate edge {edge[0]} -> {edge[1]}"))
-        seen_edges.add(edge)
+    if len(set(cfg.edges)) < len(cfg.edges):
+        seen_edges: set[tuple[int, int]] = set()
+        for edge in cfg.edges:
+            if edge in seen_edges:
+                diags.append(Diagnostic(f"duplicate edge {edge[0]} -> {edge[1]}"))
+            seen_edges.add(edge)
 
-    starts = [i for i, op in enumerate(cfg.ops) if op is NodeOp.START]
-    exits = [i for i, op in enumerate(cfg.ops) if op is NodeOp.EXIT]
+    start, exit_ = NodeOp.START, NodeOp.EXIT
+    starts = [i for i, op in enumerate(cfg.ops) if op is start]
+    exits = [i for i, op in enumerate(cfg.ops) if op is exit_]
     if len(starts) != 1:
         diags.append(Diagnostic(f"expected exactly one start node, found {len(starts)}"))
     if len(exits) != 1:
@@ -311,10 +303,10 @@ def validate(cfg: AnnotatedCfg) -> list[Diagnostic]:
         if cfg.out_degree(i) != 0:
             diags.append(Diagnostic(f"exit node has out-degree {cfg.out_degree(i)}", i))
 
-    if len(starts) == 1:
+    if len(starts) == 1 and -1 in cfg.start_parents:
         diags += [Diagnostic("node unreachable from start", i)
                   for i, p in enumerate(cfg.start_parents) if p == -1]
-    if len(exits) == 1:
+    if len(exits) == 1 and -1 in cfg.exit_parents:
         diags += [Diagnostic("exit unreachable from node", i)
                   for i, p in enumerate(cfg.exit_parents) if p == -1]
 

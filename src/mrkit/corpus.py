@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
@@ -46,10 +48,11 @@ class DatasetEntry:
 
 
 def _parse_source(entry: DatasetEntry, parse):
-    """``parse`` of the entry's source; a fault in it names the file."""
+    """``parse`` of the entry's source; a fault in it, or text that is not
+    UTF-8, names the file."""
     try:
         return parse(entry.source_path.read_text())
-    except (MirError, DotParseError) as exc:
+    except (MirError, DotParseError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{entry.source_path}: {exc}") from None
 
 
@@ -157,6 +160,28 @@ def labels_to_csv(rows: list[tuple[str, MrLabelSet]]) -> str:
                                       for method_id, labels in rows)])
 
 
+def _resolve_source(base: Path, raw_path: str,
+                    resolved_dirs: dict[str, Path]) -> tuple[Path, bool]:
+    """``Path(base, raw_path).resolve()`` and whether it is a file.  The
+    directory part of ``raw_path`` is resolved once per key of
+    ``resolved_dirs``; when one ``lstat`` finds a regular file at that
+    directory joined with the last part (empty for ``c/x.mir/``), that is
+    the resolved path.  Anything else there (a symlink, a directory, as
+    ``..`` is, nothing) takes ``resolve()`` and ``is_file()``."""
+    head, name = os.path.split(raw_path)
+    resolved = resolved_dirs.get(head)
+    if resolved is None:
+        resolved = resolved_dirs[head] = Path(base, head).resolve()
+    source = resolved / name
+    try:
+        if stat.S_ISREG(os.lstat(source).st_mode):
+            return source, True
+    except OSError:
+        pass
+    source = Path(base, raw_path).resolve()
+    return source, source.is_file()
+
+
 def load_manifest(path: str | Path) -> Dataset:
     """Load a dataset manifest and the ``labels.csv`` beside it, if any;
     relative source paths resolve against the manifest's directory, every
@@ -171,6 +196,7 @@ def load_manifest(path: str | Path) -> Dataset:
     entries: list[DatasetEntry] = []
     seen_ids: set[int] = set()
     seen_names: set[str] = set()
+    resolved_dirs: dict[str, Path] = {}
     rows = _table(path.read_text(), path,
                   ("method_id", "name", "source_kind", "source_path"))
     for line, (cell, name, kind, raw_path) in rows:
@@ -182,8 +208,8 @@ def load_manifest(path: str | Path) -> Dataset:
             raise CorpusError(f"{path}:{line}: unknown source_kind {kind!r}")
         source: Path | None = None
         if kind != "none":
-            source = (base / raw_path).resolve()
-            if not source.is_file():
+            source, is_file = _resolve_source(base, raw_path, resolved_dirs)
+            if not is_file:
                 raise CorpusError(f"{path}:{line}: source file not found: {source}")
         entries.append(DatasetEntry(
             method_id=method_id, name=name, source_kind=kind,

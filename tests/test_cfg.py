@@ -3,7 +3,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dot_reference
 from mrkit.cfg import (
     AnnotatedCfg,
     DotParseError,
@@ -252,3 +255,68 @@ def test_parse_dot_and_path_features_refuse_exactly_the_graphs_validate_flags():
             assert parse_dot(emit_dot(cfg)) == cfg
             assert path_features(cfg).total() == 2 * cfg.node_count
     assert valid >= 100
+
+
+# quoted ids may be empty or hold spaces, "->" or "[" ("a" and a are one id)
+_DOT_IDS = ["a", "b", "n0", "x.1", "_", '""', '"a"', '"my node"', '"p -> q"',
+            '"[label=add]"', '"n0"']
+_DOT_LABELS = [op.value for op in NodeOp] + ["foo", "START", "label", "", " add"]
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _dot_texts(draw):
+    """A DOT text of a few nodes in a chain, with drawn spacing, quoting,
+    duplicates, undeclared ids, garbled lines and header and footer forms."""
+    def sp():
+        return draw(_SPACE)
+
+    def semi():
+        return draw(st.sampled_from(["", ";", "", ";", ";;"]))
+
+    n = draw(st.integers(2, 5))
+    names = draw(st.lists(st.sampled_from(_DOT_IDS), min_size=n, max_size=n, unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        names[-1] = names[0]
+    labels = ["start", *draw(st.lists(st.sampled_from(_DOT_LABELS),
+                                      min_size=n - 2, max_size=n - 2)), "exit"]
+    lines = []
+    for name, label in zip(names, labels):
+        if label == "" or draw(st.booleans()):
+            label = f'"{label}"'
+        lines.append(f"{sp()}{name}{sp()}[{sp()}label{sp()}={sp()}{label}{sp()}]"
+                     f"{sp()}{semi()}{sp()}")
+    pairs = list(zip(names, names[1:]))
+    pairs += draw(st.lists(st.one_of(
+        st.sampled_from(pairs),
+        st.tuples(st.sampled_from(names + ['"zz"']), st.sampled_from(names))), max_size=2))
+    lines += [f"{sp()}{a}{sp()}->{sp()}{b}{sp()}{semi()}{sp()}" for a, b in pairs]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.one_of(
+            st.text(alphabet='ab "[]=->;{}\t', max_size=12),
+            st.sampled_from(lines).map(lambda line: line.replace("[", "", 1)),
+            st.sampled_from(lines).map(lambda line: line.replace("-", "=", 1)))))
+    header = draw(st.sampled_from(["digraph g {", 'digraph "my g" {', "digraph {",
+                                   'digraph "" {', " digraph\tg{ "] * 3
+                                  + ["graph g {", "digraph g", ""]))
+    footer = draw(st.sampled_from(["}", " } ", "}\n\n"] * 3
+                                  + ["", "}\n}", "}\nx", "};", "} }"]))
+    lines = draw(st.permutations(lines))
+    return "\n".join([header, *lines, footer]) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        cfg = parse(text)
+    except DotParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("graph", cfg.name, cfg.ops, cfg.edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dot_texts())
+@example('digraph g {\n a [label=start]\n b [label=" add"]\n c [label=exit]\n'
+         ' a -> b\n b -> c\n}\n')
+@example('digraph "" {\n"" [label="start"];\n"p -> q" [label=exit];\n"" -> "p -> q";\n}')
+def test_parse_dot_matches_the_two_regex_reference(text):
+    assert _parse_outcome(parse_dot, text) == _parse_outcome(dot_reference.parse_dot, text)

@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrkit import cli, corpus
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
@@ -269,6 +274,21 @@ def test_manifest_name_its_file_does_not_define_is_an_error(tmp_path, capsys, co
                  "--out", str(tmp_path / "out")]) == 2
     source = (tmp_path / "m.mir").resolve()
     assert capsys.readouterr().err == f"error: {source} defines no function 'g'\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_source_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys, command):
+    man = write_mini_manifest(tmp_path, TRIO)
+    (tmp_path / "latin.mir").write_bytes(b"\xff\n")
+    with man.open("a") as fh:
+        fh.write("1,latin,mir,latin.mir\n")
+    label_all(tmp_path, 1)
+    assert main([command, "--manifest", str(man), "--features", "nf-pf", "--mr", "add",
+                 "--out", str(tmp_path / "out")]) == 2
+    source = (tmp_path / "latin.mir").resolve()
+    assert capsys.readouterr().err == (
+        f"error: {source}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -821,6 +841,64 @@ def test_predict_refuses_a_tampered_model_file(tmp_path, capsys, tamper, message
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained_model_dirs(tmp_path_factory):
+    """features -> a model directory trained on ``MIXED``, one per featurization."""
+    root = tmp_path_factory.mktemp("sweep")
+    man = write_bundled_manifest(root, MIXED)
+    dirs = {}
+    for features in ("nf-pf", "rwk", "gk"):
+        dirs[features] = root / features
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["train", "--manifest", str(man), "--features", features,
+                         "--out", str(dirs[features])]) == 0
+    return dirs
+
+
+_SWEEP_VALUES = [None, True, 0, -1, 1.5, "x", [], {}, 10 ** 400, [1], math.nan]
+
+
+def _json_paths(value, path=()):
+    """Every path into a parsed JSON ``value``, its root ``()`` first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, (*path, key))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_predict_exits_cleanly_whatever_one_model_value_holds(trained_model_dirs, data):
+    """One JSON value of ``context.json`` or an MR file, at a drawn path,
+    becomes null, a bool, a number, a string, a list, an object, a 401-digit
+    integer or NaN; an edit of the context is re-hashed into every file, so
+    that only the value is wrong.  ``predict`` answers or refuses, exiting
+    0, 1 or 2, and raises nothing."""
+    source = trained_model_dirs[data.draw(st.sampled_from(sorted(trained_model_dirs)))]
+    files = {name: json.loads((source / name).read_text())
+             for name in ["context.json", *(f"{mr}.json" for mr in MR_IDS)]}
+    name = data.draw(st.sampled_from(sorted(files)))
+    path = data.draw(st.sampled_from(list(_json_paths(files[name]))))
+    value = data.draw(st.sampled_from(_SWEEP_VALUES))
+    if path:
+        parent = files[name]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        files[name] = value
+    if name == "context.json" and path[:1] == ("context",):
+        context_hash = cli._context_hash(files[name]["context"])
+        for saved in files.values():
+            saved["context_hash"] = context_hash
+    with tempfile.TemporaryDirectory() as models, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for file_name, saved in files.items():
+            Path(models, file_name).write_text(json.dumps(saved))
+        assert main(["predict", corpus_path("square"), "--models", models]) in (0, 1, 2)
 
 
 def test_rwk_predict_does_not_warn_of_unseen_walks(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,57 @@ def test_manifest_refuses_a_source_that_is_not_a_file(tmp_path, kind, raw_path):
         load_manifest(man)
     assert str(info.value) == \
         f"{man}:3: source file not found: {(tmp_path / raw_path).resolve()}"
+
+
+_SOURCE_PATHS = ["c/x.mir", "./c/x.mir", "c//x.mir", "c/x.mir/", "c/../c/x.mir",
+                 "{abs}", "link.mir", "linkdir/x.mir", "dangling.mir", "c", "", "missing.mir"]
+
+
+def _source_tree(root):
+    """``root`` with ``c/x.mir``, a symlink to it, a symlink to ``c`` and a
+    dangling symlink, so that every form of ``_SOURCE_PATHS`` names something."""
+    (root / "c").mkdir(parents=True)
+    (root / "c" / "x.mir").write_text("fn x(a) {\n  return 1\n}\n")
+    (root / "link.mir").symlink_to(root / "c" / "x.mir")
+    (root / "linkdir").symlink_to(root / "c", target_is_directory=True)
+    (root / "dangling.mir").symlink_to(root / "nowhere.mir")
+
+
+@pytest.mark.parametrize("base", ["real", "symlinked", "relative"])
+@pytest.mark.parametrize("raw_path", _SOURCE_PATHS)
+def test_manifest_source_paths_resolve_as_resolve_and_is_file_do(
+        tmp_path, monkeypatch, base, raw_path):
+    """Each source path is accepted as ``(base / raw).resolve()`` exactly when
+    that is a file, and refused naming it otherwise, whether the manifest's
+    directory is real, reached through a symlink or relative to the cwd."""
+    _source_tree(tmp_path / "real")
+    (tmp_path / "symlinked").symlink_to(tmp_path / "real", target_is_directory=True)
+    raw_path = raw_path.format(abs=tmp_path / "real" / "c" / "x.mir")
+    man = tmp_path / base / "manifest.csv"
+    if base == "relative":
+        monkeypatch.chdir(tmp_path / "real")
+        man = Path("manifest.csv")
+    man.write_text("method_id,name,source_kind,source_path\n"
+                   f"1,x,mir,{raw_path}\n")
+    expected = (man.parent / raw_path).resolve()
+    if expected.is_file():
+        assert load_manifest(man).entries[0].source_path == expected
+    else:
+        with pytest.raises(CorpusError) as info:
+            load_manifest(man)
+        assert str(info.value) == f"{man}:2: source file not found: {expected}"
+
+
+def test_manifest_rows_sharing_a_directory_resolve_alike(tmp_path):
+    _source_tree(tmp_path)
+    accepted = ["c/x.mir", "./c/x.mir", "c//x.mir", "c/x.mir/", "c/../c/x.mir",
+                "link.mir", "linkdir/x.mir", str(tmp_path / "linkdir" / "x.mir")]
+    man = tmp_path / "manifest.csv"
+    man.write_text("method_id,name,source_kind,source_path\n" + "".join(
+        f"{i},m{i},mir,{raw}\n" for i, raw in enumerate(accepted)))
+    sources = [e.source_path for e in load_manifest(man).entries]
+    assert sources == [(tmp_path / raw).resolve() for raw in accepted]
+    assert set(sources) == {(tmp_path / "c" / "x.mir").resolve()}
 
 
 def test_manifest_unknown_kind(tmp_path):
