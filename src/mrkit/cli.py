@@ -12,14 +12,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from importlib import import_module
 from itertools import islice
 from pathlib import Path
 
 from . import corpus as corpus_io
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
-from .corpus import csv_text
+from .corpus import csv_text, json_text
 from .mir import lower_to_cfg, parse_program
 from .oracle import MR_IDS, OracleParams, audit_labels, label_method
 
@@ -267,9 +267,9 @@ def cmd_evaluate(args) -> int:
         "featurization": context,
         "k": args.k,
         "skipped": skipped,
-        "reports": [asdict(r) for r in reports],
+        "reports": reports,
     }
-    report_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    report_json = json_text(payload) + "\n"
     results_csv = csv_text([("mr", "featurization", *EvalMetrics.FIELDS),
                             *(r.csv_row() for r in reports)])
     if args.out:

@@ -15,8 +15,9 @@ import io
 import os
 import stat
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cfg import AnnotatedCfg, DotParseError, parse_dot
@@ -36,6 +37,60 @@ def csv_text(rows: Iterable[Iterable]) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def json_text(obj) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it
+    after ``dataclasses.asdict`` of every dataclass in it: a two-space
+    indent, ``","`` and ``": "`` separators, non-ASCII escaped, and floats
+    (numpy's too) as ``float.__repr__`` or ``NaN``/``Infinity``/
+    ``-Infinity``.  A dataclass is read as its fields, a tuple as a list.
+    A dict key that is not a str, or a value that is not a str, int, float,
+    bool, None, list, tuple, dict or dataclass (a numpy int, say), is a
+    TypeError.  report.json goes through it."""
+    out: list[str] = []
+    _json_into(obj, out, "\n")
+    return "".join(out)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _json_into(obj, out: list[str], newline: str) -> None:
+    """Append ``obj``'s JSON to ``out``; ``newline`` ends the line before
+    ``obj``'s and holds its indent."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append("NaN" if obj != obj else _JSON_INFINITIES.get(obj) or float.__repr__(obj))
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        _json_into({f.name: getattr(obj, f.name) for f in fields(obj)}, out, newline)
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            if not all(isinstance(key, str) for key in obj):
+                raise TypeError("keys must be str")
+            out.append("{")
+            for n, key in enumerate(sorted(obj)):
+                out.append(("," if n else "") + inner + encode_basestring_ascii(key) + ": ")
+                _json_into(obj[key], out, inner)
+            out.append(newline + "}")
+        else:
+            out.append("[")
+            for n, item in enumerate(obj):
+                out.append(("," if n else "") + inner)
+                _json_into(item, out, inner)
+            out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,7 @@ def confusion(predicted, truth) -> ConfusionMatrix:
     if len(predicted) != len(truth):
         raise EvaluationError(
             f"length mismatch: {len(predicted)} predictions, {len(truth)} truths")
-    for v in predicted + truth:
-        if v not in (0, 1):
-            raise EvaluationError(f"labels must be 0/1, got {v!r}")
+    _check01(predicted + truth)
     tp = sum(1 for p, t in zip(predicted, truth) if p == 1 and t == 1)
     tn = sum(1 for p, t in zip(predicted, truth) if p == 0 and t == 0)
     fp = sum(1 for p, t in zip(predicted, truth) if p == 1 and t == 0)
@@ -101,22 +99,28 @@ def metrics(cm: ConfusionMatrix) -> EvalMetrics:
                        f_measure=f_measure, bsr=bsr, causes=causes)
 
 
+def _check01(labels: list) -> None:
+    for v in labels:
+        if v not in (0, 1):
+            raise EvaluationError(f"labels must be 0/1, got {v!r}")
+
+
 def auc(decision_values, truth) -> float:
     """Mann-Whitney AUC of decision values against 0/1 truth: the share of
     positive-negative pairs the positive wins, a tie counting one half.  U
     is a half-integer, exact in float64."""
-    values = np.asarray(list(decision_values), dtype=float)
-    labels = np.asarray(list(truth))
-    if values.shape != labels.shape:
+    values = [float(v) for v in decision_values]
+    labels = list(truth)
+    if len(values) != len(labels):
         raise EvaluationError("decision values and truth differ in length")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    _check01(labels)
+    pos = [v for v, t in zip(values, labels) if t == 1]
+    neg = [v for v, t in zip(values, labels) if t == 0]
+    if not pos or not neg:
         raise EvaluationError("AUC needs both classes present")
-    pos = values[labels == 1][:, None]
-    neg = values[labels == 0]
-    u = float((pos > neg).sum()) + 0.5 * float((pos == neg).sum())
-    return u / (n_pos * n_neg)
+    wins = sum(p > q for p in pos for q in neg)
+    ties = sum(p == q for p in pos for q in neg)
+    return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     """Deal each class round-robin (one continuous cursor) after a seeded
     shuffle: fold sizes differ by at most one overall and per class."""
     labels = list(labels)
+    _check01(labels)
     n = len(labels)
     if k < 2:
         raise EvaluationError("k must be >= 2")
@@ -189,15 +194,15 @@ def training_rows(labels01, folds: FoldPlan) -> list:
     if len(folds.assignments) != len(labels01):
         raise EvaluationError("fold plan does not match label count")
     y = np.where(np.asarray(labels01) == 1, 1.0, -1.0)
-    rows: list = []
-    for fold in range(folds.k):
-        row = np.where(np.asarray(folds.assignments) == fold, 0.0, y)
-        if fold not in folds.assignments:
-            row = "empty test fold"
-        elif not (1.0 in row and -1.0 in row):
-            row = "single-class training data; fold aborted"
-        rows.append(row)
-    return rows
+    tested = np.asarray(folds.assignments) == np.arange(folds.k)[:, None]
+    rows = np.where(tested, 0.0, y)
+    filled = tested.any(axis=1)
+    both = (rows > 0.0).any(axis=1) & (rows < 0.0).any(axis=1)
+    out: list = list(rows)
+    for fold in np.flatnonzero(~(filled & both)).tolist():
+        out[fold] = ("single-class training data; fold aborted" if filled[fold]
+                     else "empty test fold")
+    return out
 
 
 def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
@@ -231,13 +236,12 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
         if isinstance(row, str):
             fold_results.append(FoldResult(fold, None, None, (row,)))
             continue
-        test_idx = folds.fold_indices(fold)
-        train_idx = np.flatnonzero(row)
         model = next(models)
-        decisions = [decision_value(model, gram.values[train_idx, t])
-                     for t in test_idx]
+        train_idx, test_idx = np.flatnonzero(row), np.flatnonzero(row == 0.0)
+        # row r: test sample r's kernel column over the training split
+        decisions = decision_value(model, gram.values[np.ix_(train_idx, test_idx)].T)
         predicted01 = [1 if d >= 0 else 0 for d in decisions]
-        truth01 = [labels01[t] for t in test_idx]
+        truth01 = [labels01[t] for t in test_idx.tolist()]
         cm = confusion(predicted01, truth01)
         fold_metrics = metrics(cm)
         causes = fold_metrics.causes

@@ -45,10 +45,12 @@ class SvmParams:
     def __post_init__(self) -> None:
         if not 0 < self.C < math.inf:  # NaN fails too
             raise SvmError(f"C must be positive and finite, got {self.C!r}")
-        if self.kkt_tol <= 0:
-            raise SvmError("kkt_tol must be positive")
-        if self.max_passes < 1:
-            raise SvmError(f"max_passes must be at least 1, got {self.max_passes!r}")
+        if not 0 < self.kkt_tol < math.inf:
+            raise SvmError(f"kkt_tol must be positive and finite, got {self.kkt_tol!r}")
+        if (not isinstance(self.max_passes, int) or isinstance(self.max_passes, bool)
+                or self.max_passes < 1):
+            raise SvmError(f"max_passes must be an integer of at least 1, "
+                           f"got {self.max_passes!r}")
 
 
 @dataclass(frozen=True)
@@ -226,16 +228,25 @@ def train_svm(gram, labels,
     return models if y.ndim == 2 else models[0]
 
 
-def decision_value(model: SvmModel, column) -> float:
-    """f(x) = sum_i alpha_i y_i k(x_i, x) + b, where ``column`` is the
-    kernel column k(x_i, x) over the full training set."""
-    column = np.asarray(column, dtype=float)
-    if column.shape != (model.n_train,):
-        raise SvmError(
-            f"kernel column has length {column.shape}, expected ({model.n_train},)")
-    if not model.coef:
-        return float(model.bias)
-    return float(np.asarray(model.coef) @ column[list(model.support)] + model.bias)
+def decision_value(model: SvmModel, columns) -> float | list[float]:
+    """f(x) = sum_i alpha_i y_i k(x_i, x) + b, where a 1-D ``columns`` is
+    the kernel column k(x_i, x) over the full training set; a 2-D block of
+    such columns, one per row, gives a list with one value per row.  Each
+    row's support entries are gathered into a fresh contiguous array, so a
+    row's value is the same bits whatever the block's layout, and the same
+    as its 1-D call: BLAS's dot product can sum a strided or misaligned row
+    in another order."""
+    columns = np.asarray(columns, dtype=float)
+    if columns.ndim not in (1, 2) or columns.shape[-1] != model.n_train:
+        raise SvmError(f"kernel column has length {columns.shape}, expected "
+                       f"({model.n_train},) or (m, {model.n_train})")
+    rows = columns.reshape(-1, model.n_train)
+    if model.coef:
+        coef, support = np.asarray(model.coef), np.asarray(model.support, dtype=np.intp)
+        values = [float(coef @ row[support] + model.bias) for row in rows]
+    else:
+        values = [float(model.bias)] * len(rows)
+    return values if columns.ndim == 2 else values[0]
 
 
 def predict(model: SvmModel, column) -> int:

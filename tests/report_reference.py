@@ -1,5 +1,5 @@
 """Hand-written serializers of ``EvalReport``, field by field: the
-reference that ``report.json`` (``dataclasses.asdict`` of the report
+reference that ``report.json`` (``corpus.json_text`` of the report
 types) and ``results.csv`` (rows through ``corpus.csv_text``) are
 checked against byte for byte."""
 

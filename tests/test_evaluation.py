@@ -1,7 +1,6 @@
 import argparse
 import json
 import random
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrkit.cli import _corpus_features
+from mrkit.corpus import json_text
 from mrkit.evaluation import (
     ConfusionMatrix,
     EvaluationError,
@@ -238,6 +238,18 @@ def test_auc_single_class_rejected():
         auc([1.0, 2.0], [1, 1])
 
 
+def test_auc_refuses_truth_that_is_not_0_or_1():
+    # the numpy count kept the one pair of a 1 and a 0 and read 0.0
+    with pytest.raises(EvaluationError, match="labels must be 0/1, got 2"):
+        auc([.1, .2, .3, .4], [1, 0, 2, 5])
+
+
+def test_stratified_kfold_refuses_labels_that_are_not_0_or_1():
+    # the class-by-class deal left both 2s in fold 0, never dealt
+    with pytest.raises(EvaluationError, match="labels must be 0/1, got 2"):
+        stratified_kfold([1, 0, 2, 2, 1, 0], 2, seed=1)
+
+
 def test_auc_matches_brute_force_with_ties():
     rng = random.Random(11)
     for _ in range(300):
@@ -320,8 +332,8 @@ def test_cross_validate_single_class_training_fold_aborts():
 
 
 def report_json(report) -> str:
-    """One report as ``report.json`` spells it: ``dataclasses.asdict``."""
-    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    """One report as ``report.json`` spells it: ``corpus.json_text``."""
+    return json_text(report) + "\n"
 
 
 def test_cross_validate_reports_a_max_passes_stop(dataset):

@@ -241,3 +241,17 @@ def test_params_validation():
     with pytest.raises(SvmError, match="max_passes"):
         SvmParams(max_passes=0)
     SvmParams(C=1e300, max_passes=1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-3])
+def test_a_nan_or_infinite_kkt_tol_is_refused(bad):
+    """A NaN tolerance fails every gap test, so the solver would stop at
+    once with no support and no stop text, reading as converged."""
+    with pytest.raises(SvmError, match="kkt_tol must be positive and finite"):
+        SvmParams(kkt_tol=bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3", None])
+def test_a_max_passes_that_is_not_an_integer_is_refused(bad):
+    with pytest.raises(SvmError, match="max_passes must be an integer"):
+        SvmParams(max_passes=bad)
