@@ -12,12 +12,12 @@ they were.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .features import KernelMatrix
-from .svm import SvmParams, decision_value, train_svm
+from .svm import KKT_TOL, MAX_PASSES, SvmParams, decision_value, train_svm
 
 
 class EvaluationError(ValueError):
@@ -68,8 +68,10 @@ def confusion(predicted, truth) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
-def metrics(cm: ConfusionMatrix) -> EvalMetrics:
-    """Accuracy, precision, recall, f-measure and BSR from one matrix."""
+def metrics(cm: ConfusionMatrix, auc: float | None = None,
+            auc_cause: str | None = None) -> EvalMetrics:
+    """Accuracy, precision, recall, f-measure and BSR from one matrix, with
+    ``auc`` as given, or absent with ``auc_cause``."""
     if cm.total == 0:
         raise EvaluationError("empty confusion matrix")
     causes: dict[str, str] = {}
@@ -94,9 +96,11 @@ def metrics(cm: ConfusionMatrix) -> EvalMetrics:
     bsr = None if recall is None or recall_neg is None else (recall + recall_neg) / 2.0
     if recall is None:
         causes.setdefault("bsr", "no positive samples (tp+fn=0)")
+    if auc_cause is not None:
+        causes["auc"] = auc_cause
 
     return EvalMetrics(accuracy=accuracy, precision=precision, recall=recall,
-                       f_measure=f_measure, bsr=bsr, causes=causes)
+                       f_measure=f_measure, auc=auc, bsr=bsr, causes=causes)
 
 
 def _check01(labels: list) -> None:
@@ -214,8 +218,8 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
     Each fold trains on the training block of ``gram`` and scores a test
     sample from its column against the training split; ``labels01`` uses 1
     for "MR applies".  Folds whose training split is single-class are
-    skipped with a diagnostic; a fit that stops at ``max_passes`` short of
-    ``kkt_tol`` is kept and its fold carries the model's ``stop`` text.
+    skipped with a diagnostic; a fit that stops at ``MAX_PASSES`` short of
+    ``KKT_TOL`` is kept and its fold carries the model's ``stop`` text.
     Aggregates are means over folds where each metric is defined.
     ``models`` holds the fits of the folds that ``training_rows`` does not
     skip, in fold order; None trains them here, in one ``train_svm`` call.
@@ -243,13 +247,10 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
         predicted01 = [1 if d >= 0 else 0 for d in decisions]
         truth01 = [labels01[t] for t in test_idx.tolist()]
         cm = confusion(predicted01, truth01)
-        fold_metrics = metrics(cm)
-        causes = fold_metrics.causes
         if len(set(truth01)) == 2:
-            fold_auc = auc(decisions, truth01)
+            fold_metrics = metrics(cm, auc(decisions, truth01))
         else:
-            fold_auc, causes = None, {**causes, "auc": "single-class test fold"}
-        fold_metrics = replace(fold_metrics, auc=fold_auc, causes=causes)
+            fold_metrics = metrics(cm, auc_cause="single-class test fold")
         diags = () if model.stop is None else (model.stop,)
         fold_results.append(FoldResult(fold, cm, fold_metrics, diags))
 
@@ -269,7 +270,7 @@ def cross_validate(gram: KernelMatrix, labels01, folds: FoldPlan,
     config = {
         "k": folds.k,
         "fold_seed": folds.seed,
-        "svm": asdict(svm_params),
+        "svm": {"C": svm_params.C, "kkt_tol": KKT_TOL, "max_passes": MAX_PASSES},
     }
     return EvalReport(
         mr=mr, featurization=featurization, config=config,

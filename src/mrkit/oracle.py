@@ -83,13 +83,10 @@ RELATIONS = {"ADD": GEQ, "MUL": GEQ, "PER": EQ, "INC": GEQ, "EXC": LEQ, "INV": L
 class OracleParams:
     trials: int = 200
     seed: int = 42
-    step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise OracleError("trials must be >= 1")
-        if self.step_budget < 1:
-            raise OracleError("step_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -277,8 +274,9 @@ def _sample(fn: Function, params: OracleParams, draw, follows) -> dict[str, MrOu
     the function that builds its follow-up) on sources from ``draw``: each
     trial builds every sampling MR's follow-up, runs the source once, then
     runs and checks each follow-up.  An MR leaves at its first violation or
-    trap; a trap in the source run is the witness of every MR left."""
-    budget = params.step_budget
+    trap; a trap in the source run is the witness of every MR left.  Each
+    run may take ``DEFAULT_STEP_BUDGET`` steps, read here at call time."""
+    budget = DEFAULT_STEP_BUDGET
     active = [(mr, follow, _relation_test(mr)) for mr, follow in follows.items()]
     outcomes: dict[str, MrOutcome] = {}
     for trial in range(params.trials):

@@ -9,7 +9,7 @@ The solver is LIBSVM's (Chang & Lin, ACM TIST 2011): second-order
 working-set selection (WSS2; Fan, Chen & Lin, JMLR 2005) on a cached
 gradient that each pair update refreshes in O(n), and a bias averaged over
 the free support vectors (Keerthi et al., Neural Computation 2001).  It
-stops KKT-converged or at ``max_passes``, and says which on the model:
+stops KKT-converged or at ``MAX_PASSES``, and says which on the model:
 ``SvmModel.stop`` carries the maximal violating-pair gap of a fit that ran
 out of updates and is None for a converged one.  The gap comes from
 elementwise operations only, so the text is the same on any CPU.  It
@@ -32,6 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# LIBSVM's stop tolerance on the maximal violating-pair gap, and the pair
+# updates a fit may take, per training sample, before it stops short of it;
+# train_svm reads both at call time
+KKT_TOL = 1e-3
+MAX_PASSES = 100
+
+
 class SvmError(ValueError):
     pass
 
@@ -39,18 +46,10 @@ class SvmError(ValueError):
 @dataclass(frozen=True)
 class SvmParams:
     C: float = 1.0
-    kkt_tol: float = 1e-3
-    max_passes: int = 100
 
     def __post_init__(self) -> None:
         if not 0 < self.C < math.inf:  # NaN fails too
             raise SvmError(f"C must be positive and finite, got {self.C!r}")
-        if not 0 < self.kkt_tol < math.inf:
-            raise SvmError(f"kkt_tol must be positive and finite, got {self.kkt_tol!r}")
-        if (not isinstance(self.max_passes, int) or isinstance(self.max_passes, bool)
-                or self.max_passes < 1):
-            raise SvmError(f"max_passes must be an integer of at least 1, "
-                           f"got {self.max_passes!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class SvmModel:
     support: tuple[int, ...]           # training-set indices
     bias: float
     n_train: int
-    # why the solver stopped short of kkt_tol, or None; never saved or compared
+    # why the solver stopped short of KKT_TOL, or None; never saved or compared
     stop: str | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
@@ -168,8 +167,8 @@ def train_svm(gram, labels,
     a row's split has the box [0, 0], so it never enters I_up or I_low, and
     its score for j is -1, below any in-split score, so ties still go to
     the lowest index of the split.  A row leaves the batch at one of two
-    exits: KKT converged, when the gap max v(I_up) - min v(I_low) <= kkt_tol,
-    or ``max_passes * n_train`` pair updates with the gap still above it,
+    exits: KKT converged, when the gap max v(I_up) - min v(I_low) <= KKT_TOL,
+    or ``MAX_PASSES * n_train`` pair updates with the gap still above it,
     which the model's ``stop`` reports with that gap.  The bias is the mean
     of v over the free support vectors, or with none the midpoint of
     max v(I_up) and min v(I_low).  No random numbers are drawn, so one Gram and one
@@ -194,7 +193,7 @@ def train_svm(gram, labels,
     hi = np.where(rows > 0.0, C, 0.0)  # c_t ranges over [lo_t, hi_t]
     lo = np.where(rows < 0.0, -C, 0.0)
     split = rows != 0.0
-    budget = params.max_passes * split.sum(axis=1)
+    budget = MAX_PASSES * split.sum(axis=1)
     diag = np.diag(gram)
     curvature = diag[:, None] + diag[None, :] - 2.0 * gram
     curvature[curvature <= 0.0] = _TAU
@@ -207,11 +206,11 @@ def train_svm(gram, labels,
         i = np.where(coef < hi, v, -np.inf).argmax(axis=1)
         gap = v[at, i][:, None] - np.where(coef > lo, v, np.inf)  # -inf outside I_low
         top = gap.max(axis=1)
-        going = (top > params.kkt_tol) & (step < budget)
+        going = (top > KKT_TOL) & (step < budget)
         if not going.all():  # KKT converged or out of updates
             for k in np.flatnonzero(~going):
                 stop = (f"SMO stopped at max_passes: KKT gap {float(top[k])!r}"
-                        if top[k] > params.kkt_tol else None)
+                        if top[k] > KKT_TOL else None)
                 models[live[k]] = _finish(coef[k], v[k], hi[k], lo[k], split[k], stop)
             live, coef, v, hi, lo, split, budget, i, gap = (
                 a[going] for a in (live, coef, v, hi, lo, split, budget, i, gap))

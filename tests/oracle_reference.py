@@ -80,10 +80,12 @@ def check_relation(mr: str, out_source: float, out_follow_up: float,
     return ok, None if ok else "outputs differ under permutation"
 
 
-def _trial_loop(fn: Function, params: OracleParams, source_rng: random.Random,
-                source_mr: str, rngs: dict[str, random.Random]) -> dict[str, MrOutcome]:
+def _trial_loop(fn: Function, params: OracleParams, step_budget: int,
+                source_rng: random.Random, source_mr: str,
+                rngs: dict[str, random.Random]) -> dict[str, MrOutcome]:
     """Trials of the MRs of ``rngs`` (MR -> its follow-up stream) on sources
-    that ``source_rng`` draws from ``source_mr``'s domain."""
+    that ``source_rng`` draws from ``source_mr``'s domain, each run allowed
+    ``step_budget`` steps."""
     outcomes: dict[str, MrOutcome] = {}
     active = list(rngs)
     for trial in range(params.trials):
@@ -92,7 +94,7 @@ def _trial_loop(fn: Function, params: OracleParams, source_rng: random.Random,
         source = draw_source(source_rng, source_mr)
         follow_ups = {mr: apply_mr(mr, source, rngs[mr]) for mr in active}
         try:
-            out_src = interpret(fn, source, params.step_budget)
+            out_src = interpret(fn, source, step_budget)
         except Trap as trap:
             out_src, source_trap = None, f"trap: {trap}"
         else:
@@ -103,7 +105,7 @@ def _trial_loop(fn: Function, params: OracleParams, source_rng: random.Random,
                 out_fu, cause = None, source_trap
             else:
                 try:
-                    out_fu = interpret(fn, follow_up, params.step_budget)
+                    out_fu = interpret(fn, follow_up, step_budget)
                 except Trap as trap:
                     out_fu, cause = None, f"trap: {trap}"
                 else:
@@ -121,12 +123,13 @@ def _trial_loop(fn: Function, params: OracleParams, source_rng: random.Random,
     return outcomes
 
 
-def label_method(fn: Function, params: OracleParams) -> LabelReport:
+def label_method(fn: Function, params: OracleParams, step_budget: int) -> LabelReport:
     shared = [mr for mr in MR_IDS if mr != "INV"]
-    outcomes = _trial_loop(fn, params, _substream(params.seed, fn.name, "source"), "ADD",
+    outcomes = _trial_loop(fn, params, step_budget,
+                           _substream(params.seed, fn.name, "source"), "ADD",
                            {mr: _substream(params.seed, fn.name, mr) for mr in shared})
     inv = _substream(params.seed, fn.name, "INV")
-    outcomes.update(_trial_loop(fn, params, inv, "INV", {"INV": inv}))
+    outcomes.update(_trial_loop(fn, params, step_budget, inv, "INV", {"INV": inv}))
     outcomes = {mr: outcomes[mr] for mr in MR_IDS}
     labels = MrLabelSet({mr: outcome.witness is None for mr, outcome in outcomes.items()})
     return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)

@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 
-from mrkit.svm import _TAU, SvmError, SvmModel, SvmParams, _square
+from mrkit.svm import _TAU, KKT_TOL, MAX_PASSES, SvmError, SvmModel, SvmParams, _square
 
 
 def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float,
@@ -85,12 +85,12 @@ def _update_pair(gram, y, alpha, i: int, j: int, C: float, e, b: float) -> float
 
 
 def train_svm(gram, labels, params: SvmParams = SvmParams(),
-              seed: int = 0) -> SvmModel:
+              seed: int = 0, max_passes: int = MAX_PASSES) -> SvmModel:
     """Train a binary SVM on a square Gram matrix; labels are +1/-1 and both
     classes must appear; ``seed`` seeds the tie shuffles.
 
     Terminates when no sample violates the KKT conditions beyond
-    ``kkt_tol`` or after ``max_passes`` sweeps of pair updates.
+    ``KKT_TOL`` or after ``max_passes`` sweeps of pair updates.
     """
     gram = _square(gram)
     y = np.asarray(labels, dtype=float)
@@ -105,12 +105,12 @@ def train_svm(gram, labels, params: SvmParams = SvmParams(),
 
     rng = random.Random(seed)
     C = float(params.C)
-    tol = params.kkt_tol
+    tol = KKT_TOL
     alpha = np.zeros(n)
     b = 0.0
 
     done = False
-    for _ in range(params.max_passes):
+    for _ in range(max_passes):
         progressed = False
         for _ in range(n):
             e = gram @ (alpha * y) + b - y
@@ -152,9 +152,10 @@ def train_svm(gram, labels, params: SvmParams = SvmParams(),
     )
 
 
-def train_svm_wss2(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
+def train_svm_wss2(gram, labels, params: SvmParams = SvmParams(),
+                   max_passes: int = MAX_PASSES) -> SvmModel:
     """One WSS2 fit on a square Gram with +1/-1 labels, as described in
-    ``mrkit.svm.train_svm``."""
+    ``mrkit.svm.train_svm``, stopping after ``max_passes * n`` updates."""
     gram = _square(gram)
     y = np.asarray(labels, dtype=float)
     n = len(y)
@@ -174,10 +175,10 @@ def train_svm_wss2(gram, labels, params: SvmParams = SvmParams()) -> SvmModel:
     curvature[curvature <= 0.0] = _TAU
     coef = np.zeros(n)
     v = y.copy()
-    for _ in range(params.max_passes * n):
+    for _ in range(max_passes * n):
         i = int(np.where(coef < hi, v, -np.inf).argmax())
         gap = v[i] - np.where(coef > lo, v, np.inf)  # -inf outside I_low
-        if gap.max() <= params.kkt_tol:
+        if gap.max() <= KKT_TOL:
             break  # KKT converged
         j = int((np.maximum(gap, 0.0) ** 2 / curvature[i]).argmax())
         room_i, room_j = hi[i] - coef[i], coef[j] - lo[j]

@@ -23,7 +23,7 @@ import pytest
 import mrkit
 import oracle_reference
 from mrkit.cli import main, stage_seed
-from mrkit.mir import Trap, parse_program
+from mrkit.mir import DEFAULT_STEP_BUDGET, Trap, parse_program
 from mrkit.oracle import OracleParams
 from test_cli import HELD, MIXED, corpus_path, write_bundled_manifest
 
@@ -114,7 +114,7 @@ def _reference_interpreter_calls(monkeypatch, names, params) -> tuple[int, int]:
     monkeypatch.setattr(oracle_reference, "interpret", counted)
     for name in names:
         fn = parse_program(Path(corpus_path(name)).read_text()).functions[0]
-        oracle_reference.label_method(fn, params)
+        oracle_reference.label_method(fn, params, DEFAULT_STEP_BUDGET)
     return calls, traps
 
 

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrkit import cli, corpus
+from mrkit import cli, corpus, svm
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
 from mrkit.corpus import data_dir
@@ -32,7 +31,7 @@ from test_kernels import per_pair_gk
 from test_mir import nested_fors
 from conftest import src_env
 from mrkit.oracle import MR_IDS
-from mrkit.svm import SvmModel, SvmParams, decision_value
+from mrkit.svm import SvmModel, decision_value
 
 
 def corpus_path(name: str) -> str:
@@ -79,17 +78,23 @@ def test_extract_empty_inputs_warns(tmp_path, capsys):
     assert "no inputs" in capsys.readouterr().err
 
 
+def file_command(tmp_path, command: str, inputs) -> list[str]:
+    """The ``extract`` or ``predict`` arguments over ``inputs``, writing
+    under ``tmp_path``; predict's models are trained here, nf-pf on the
+    bundled corpus."""
+    if command == "extract":
+        return ["extract", *map(str, inputs), "--out", str(tmp_path / "out")]
+    models = tmp_path / "models"
+    assert main(["train", "--features", "nf-pf", "--out", str(models)]) == 0
+    return ["predict", *map(str, inputs), "--models", str(models)]
+
+
 @pytest.mark.parametrize("command", ["extract", "predict"])
 @pytest.mark.parametrize("text", ["", "# only a comment\n"])
 def test_mir_file_without_a_function_is_an_error(tmp_path, capsys, command, text):
     empty = tmp_path / "empty.mir"
     empty.write_text(text)
-    if command == "extract":
-        args = ["extract", str(empty), "--out", str(tmp_path / "out")]
-    else:
-        models = tmp_path / "models"
-        assert main(["train", "--features", "nf-pf", "--out", str(models)]) == 0
-        args = ["predict", str(empty), "--models", str(models)]
+    args = file_command(tmp_path, command, [empty])
     capsys.readouterr()
     assert main(args) == 1
     out, err = capsys.readouterr()
@@ -276,19 +281,45 @@ def test_manifest_name_its_file_does_not_define_is_an_error(tmp_path, capsys, co
     assert capsys.readouterr().err == f"error: {source} defines no function 'g'\n"
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "extract", "predict"])
 def test_a_source_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys, command):
-    man = write_mini_manifest(tmp_path, TRIO)
-    (tmp_path / "latin.mir").write_bytes(b"\xff\n")
-    with man.open("a") as fh:
-        fh.write("1,latin,mir,latin.mir\n")
-    label_all(tmp_path, 1)
-    assert main([command, "--manifest", str(man), "--features", "nf-pf", "--mr", "add",
-                 "--out", str(tmp_path / "out")]) == 2
-    source = (tmp_path / "latin.mir").resolve()
+    """A manifest row's source stops train and evaluate (exit 2, the path
+    resolved); an input file is one failed input of extract or predict
+    (exit 1, the path as given)."""
+    latin = tmp_path / "latin.mir"
+    latin.write_bytes(b"\xff\n")
+    if command in ("extract", "predict"):
+        args, code, source = file_command(tmp_path, command, [latin]), 1, latin
+    else:
+        man = write_mini_manifest(tmp_path, TRIO)
+        with man.open("a") as fh:
+            fh.write("1,latin,mir,latin.mir\n")
+        label_all(tmp_path, 1)
+        args = [command, "--manifest", str(man), "--features", "nf-pf", "--mr", "add",
+                "--out", str(tmp_path / "out")]
+        code, source = 2, latin.resolve()
+    capsys.readouterr()
+    assert main(args) == code
     assert capsys.readouterr().err == (
         f"error: {source}: 'utf-8' codec can't decode byte 0xff in position 0: "
         "invalid start byte\n")
+
+
+@pytest.mark.parametrize("command", ["extract", "predict"])
+def test_an_input_that_is_neither_mir_nor_dot_is_named_in_the_error(tmp_path, capsys,
+                                                                     command):
+    odd = tmp_path / "sum.txt"
+    odd.write_text(Path(corpus_path("sum")).read_text())
+    args = file_command(tmp_path, command, [odd, corpus_path("sum")])
+    capsys.readouterr()
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {odd}: expected a .mir or .dot file\n"
+    if command == "extract":
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "sum.dot", "sum_features.csv"]
+    else:
+        assert [row.split(",")[0] for row in out.splitlines()] == ["method", "sum"]
 
 
 @pytest.mark.parametrize("args", [
@@ -396,7 +427,7 @@ def test_train_reports_a_max_passes_stop(tmp_path, capsys, monkeypatch):
     args = ["train", "--features", "nf-pf", "--mr", "per", "--out", str(tmp_path)]
     assert main(args) == 0
     assert "SMO stopped" not in capsys.readouterr().err
-    monkeypatch.setattr(cli, "SvmParams", functools.partial(SvmParams, max_passes=1))
+    monkeypatch.setattr(svm, "MAX_PASSES", 1)
     assert main(args) == 0
     assert "diagnostic: PER: SMO stopped at max_passes: KKT gap " \
         in capsys.readouterr().err
@@ -1178,9 +1209,9 @@ def test_a_short_stop_reads_the_same_on_every_openblas_kernel(tmp_path):
     if "openblas" not in blas["name"]:
         pytest.skip(f"numpy is linked to {blas['name']}, not OpenBLAS, so "
                     "OPENBLAS_CORETYPE selects nothing")
-    script = ("import functools, sys\n"
+    script = ("import sys\n"
               "from mrkit import cli, svm\n"
-              "cli.SvmParams = functools.partial(svm.SvmParams, max_passes=1)\n"
+              "svm.MAX_PASSES = 1\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     errs = []
     for core in ("Haswell", "Prescott"):

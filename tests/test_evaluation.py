@@ -20,6 +20,7 @@ from mrkit.evaluation import (
     stratified_kfold,
     training_rows,
 )
+from mrkit import svm
 from mrkit.features import FeatureVector, build_design_matrix
 from mrkit.svm import SvmParams, train_svm
 
@@ -336,19 +337,21 @@ def report_json(report) -> str:
     return json_text(report) + "\n"
 
 
-def test_cross_validate_reports_a_max_passes_stop(dataset):
+def test_cross_validate_reports_a_max_passes_stop(dataset, monkeypatch):
     # an nf-pf fit takes about 150 pair updates, more than one pass of n
     args = argparse.Namespace(omit_exit_nf=False)
     entries, _, gram, _ = _corpus_features(dataset, "nf-pf", args)
     labels = [1 if e.labels["PER"] else 0 for e in entries]
     folds = stratified_kfold(labels, 10, seed=42)
-    short = cross_validate(gram, labels, folds, SvmParams(max_passes=1))
+    with monkeypatch.context() as m:
+        m.setattr(svm, "MAX_PASSES", 1)
+        short = cross_validate(gram, labels, folds, SvmParams())
     stops = [d for fr in short.folds for d in fr.diagnostics]
     assert stops
     for d in stops:
         head, violation = d.rsplit(" ", 1)
         assert head == "SMO stopped at max_passes: KKT gap"
-        assert float(violation) > SvmParams().kkt_tol
+        assert float(violation) > svm.KKT_TOL
     written = json.loads(report_json(short))
     assert [d for fold in written["folds"] for d in fold["diagnostics"]] == stops
     full = cross_validate(gram, labels, folds, SvmParams())

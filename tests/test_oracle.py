@@ -1,11 +1,12 @@
 import random
-from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_reference
+from mrkit import oracle
 from mrkit.mir import DEFAULT_STEP_BUDGET, Trap, interpret, parse_program
 from mrkit.oracle import (
     MR_IDS,
@@ -243,8 +244,8 @@ def _inv_outcome_per_mr_stream(fn, params):
         source = _draw_source_randint(rng, "INV")
         follow_up = _apply_mr_randint("INV", source, rng)
         try:
-            out_src = interpret(fn, source, params.step_budget)
-            out_fu = interpret(fn, follow_up, params.step_budget)
+            out_src = interpret(fn, source)
+            out_fu = interpret(fn, follow_up)
         except Trap as trap:
             out_src = out_fu = None
             cause = f"trap: {trap}"
@@ -319,14 +320,6 @@ def test_label_set_round_trip():
         MrLabelSet({"ADD": True})
 
 
-@pytest.mark.parametrize("budget", [0, -1])
-def test_params_reject_a_step_budget_below_one(budget):
-    # a budget of 0 would trap every trial
-    with pytest.raises(OracleError, match="step_budget must be >= 1"):
-        OracleParams(step_budget=budget)
-    assert OracleParams(step_budget=1).step_budget == 1
-
-
 # The oracle's draws before they were inlined on getrandbits: the reference
 # that every label CSV written since the first release was drawn with.  The
 # domain is spelled as literals, so a changed bound in mrkit.oracle fails.
@@ -380,8 +373,7 @@ def test_draws_equal_the_randint_stream():
 # step budgets from the default down to one that traps every call at its
 # first operation: between them, the long inputs of some methods run out
 # of steps while the short ones finish
-LABEL_PARAMS = [OracleParams(step_budget=budget)
-                for budget in (DEFAULT_STEP_BUDGET, 3000, 300, 30, 1)]
+LABEL_BUDGETS = (DEFAULT_STEP_BUDGET, 3000, 300, 30, 1)
 
 
 # corpus methods whose labels at the default budget take every path of the
@@ -402,17 +394,19 @@ fn blowup(a) {
 """
 
 
-@pytest.mark.parametrize("params", LABEL_PARAMS)
+@pytest.mark.parametrize("budget", LABEL_BUDGETS,
+                         ids=[f"params{i}" for i in range(len(LABEL_BUDGETS))])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(1, 6))
-def test_label_method_equals_the_per_trial_reference(corpus_functions, params, seed, trials):
+def test_label_method_equals_the_per_trial_reference(corpus_functions, budget, seed, trials):
     # repr, not ==: a witness may hold a NaN output, and repr tells -0.0 from 0.0
-    params = replace(params, seed=seed, trials=trials)
+    params = OracleParams(trials=trials, seed=seed)
     fns = [corpus_functions[name] for name in DIFFERENTIAL_METHODS]
     fns += [parse_program(src).functions[0] for src in (BLOWUP, CLOBBER, FOLLOW_UP_TRAP)]
     for fn in fns:
-        assert (repr(label_method(fn, params))
-                == repr(oracle_reference.label_method(fn, params))), fn.name
+        with patch.object(oracle, "DEFAULT_STEP_BUDGET", budget):
+            ours = repr(label_method(fn, params))
+        assert ours == repr(oracle_reference.label_method(fn, params, budget)), fn.name
 
 
 @pytest.mark.parametrize("span", [1, 2, 19, 64, 65, 101, 1025, 2 ** 40 + 1])

@@ -6,12 +6,14 @@ import sys
 import threading
 from dataclasses import asdict
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrkit import oracle, svm
 from mrkit.cfg import emit_dot, parse_dot, validate
 from mrkit.corpus import data_dir
 from mrkit.features import node_features, path_features
@@ -53,7 +55,7 @@ def test_kkt_audit_on_corpus_models(sourced, corpus_graphs):
     for mr in MR_IDS:
         y = [1 if e.labels[mr] else -1 for e in sourced.entries]
         model = train_svm(gram.values, y, params)
-        assert kkt_report(gram.values, y, model, params) <= params.kkt_tol
+        assert kkt_report(gram.values, y, model, params) <= svm.KKT_TOL
         # box constraint and dual balance
         assert abs(sum(model.coef)) <= 1e-6
         assert all(0.0 < abs(c) <= params.C + 1e-9 for c in model.coef)
@@ -132,14 +134,14 @@ def test_cross_validate_report_embeds_configuration(sourced, corpus_graphs):
     gram = gram_matrix(graphs, "rwk")
     labels = [1 if e.labels["PER"] else 0 for e in entries]
     folds = stratified_kfold(labels, 4, seed=11)
-    report = cross_validate(gram, labels, folds,
-                            SvmParams(), mr="PER",
-                            featurization="rwk")
-    payload = json.loads(json.dumps(asdict(report)))
-    assert payload["config"]["k"] == 4
-    assert payload["config"]["fold_seed"] == 11
-    assert payload["config"]["svm"] == {
-        "C": 1.0, "kkt_tol": 1e-3, "max_passes": 100}
+    for C in (1.0, 0.5):
+        report = cross_validate(gram, labels, folds, SvmParams(C=C), mr="PER",
+                                featurization="rwk")
+        payload = json.loads(json.dumps(asdict(report)))
+        assert payload["config"]["k"] == 4
+        assert payload["config"]["fold_seed"] == 11
+        assert payload["config"]["svm"] == {
+            "C": C, "kkt_tol": svm.KKT_TOL, "max_passes": svm.MAX_PASSES}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,8 @@ def test_label_method_labels_every_generated_program(source):
     # nothing escapes label_method: a fault of the method is a trap, and
     # its witness names a kind from the table
     fn = parse_program(source).functions[0]
-    report = label_method(fn, OracleParams(trials=3, step_budget=2000))
+    with patch.object(oracle, "DEFAULT_STEP_BUDGET", 2000):
+        report = label_method(fn, OracleParams(trials=3))
     for outcome in report.outcomes.values():
         if outcome.witness is None:
             assert outcome.label

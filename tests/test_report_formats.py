@@ -8,11 +8,12 @@ import random
 import re
 from dataclasses import fields
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import report_reference
-from mrkit import cli
+from mrkit import cli, svm
 from mrkit.cli import _corpus_features, main
 from mrkit.corpus import csv_text
 from mrkit.evaluation import (
@@ -25,7 +26,6 @@ from mrkit.evaluation import (
     stratified_kfold,
 )
 from mrkit.features import FeatureVector, build_design_matrix
-from mrkit.svm import SvmParams
 from test_evaluation import _synthetic_gram, report_json
 
 FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
@@ -49,8 +49,9 @@ def edge_case_report(case, dataset) -> EvalReport:
         entries, _, gram, _ = _corpus_features(
             dataset, "nf-pf", argparse.Namespace(omit_exit_nf=False))
         labels = [1 if e.labels["PER"] else 0 for e in entries]
-        report = cross_validate(gram, labels, stratified_kfold(labels, 10, seed=42),
-                                SvmParams(max_passes=1), mr="PER", featurization="nf-pf")
+        with patch.object(svm, "MAX_PASSES", 1):
+            report = cross_validate(gram, labels, stratified_kfold(labels, 10, seed=42),
+                                    mr="PER", featurization="nf-pf")
         assert any(fr.diagnostics for fr in report.folds)
     else:  # leave-one-out: every test fold is single-class
         gram, labels = _synthetic_gram(12, random.Random(2))

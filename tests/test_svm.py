@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mrkit.svm import (
+    KKT_TOL,
     SvmError,
     SvmModel,
     SvmParams,
@@ -87,7 +88,7 @@ def test_identical_rows_with_opposite_labels_converge():
     K = X @ X.T
     params = SvmParams()
     model = train_svm(K, y, params)
-    assert kkt_report(K, y, model, params) <= params.kkt_tol
+    assert kkt_report(K, y, model, params) <= KKT_TOL
     ours = [decision_value(model, K[:, j]) for j in range(3)]
     assert np.max(np.abs(np.asarray(ours) - brute_force_dual(K, y, C=1.0))) <= 1e-4
 
@@ -233,25 +234,7 @@ def test_scaling_property_preserves_predictions():
 def test_params_validation():
     with pytest.raises(SvmError):
         SvmParams(C=0.0)
-    with pytest.raises(SvmError):
-        SvmParams(kkt_tol=0.0)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(SvmError, match="finite"):
             SvmParams(C=bad)
-    with pytest.raises(SvmError, match="max_passes"):
-        SvmParams(max_passes=0)
-    SvmParams(C=1e300, max_passes=1)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-3])
-def test_a_nan_or_infinite_kkt_tol_is_refused(bad):
-    """A NaN tolerance fails every gap test, so the solver would stop at
-    once with no support and no stop text, reading as converged."""
-    with pytest.raises(SvmError, match="kkt_tol must be positive and finite"):
-        SvmParams(kkt_tol=bad)
-
-
-@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3", None])
-def test_a_max_passes_that_is_not_an_integer_is_refused(bad):
-    with pytest.raises(SvmError, match="max_passes must be an integer"):
-        SvmParams(max_passes=bad)
+    SvmParams(C=1e300)

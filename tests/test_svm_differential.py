@@ -3,14 +3,16 @@
 The WSS2 solver takes other working pairs than the reference, so its
 alphas differ in the last digits; a converged fit must instead reach at
 least the reference's dual objective, up to a relative 1e-4, and stop
-within ``kkt_tol`` of the KKT conditions.  A fit that ``max_passes`` cut
+within ``KKT_TOL`` of the KKT conditions.  A fit that ``MAX_PASSES`` cut
 short must say so in its model's ``stop`` text and keep its coefficients
 in the box.  ``kkt_report`` recomputes the KKT violations from the Gram,
 apart from the solver's own gap, so a fit whose ``stop`` is None must
-stay within ``kkt_tol`` there too.
+stay within ``KKT_TOL`` there too.  A test that draws the pass limit patches
+``svm.MAX_PASSES`` and hands the same limit to the reference.
 """
 
 import argparse
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -51,30 +53,31 @@ def _dual(model: svm.SvmModel, gram: np.ndarray) -> float:
     return float(np.abs(coef).sum() - coef @ gram[np.ix_(support, support)] @ coef / 2)
 
 
-def _same_fit(gram, y, params: svm.SvmParams, seed: int) -> None:
+def _same_fit(gram, y, params: svm.SvmParams, max_passes: int, seed: int) -> None:
     """``seed`` seeds the reference solver's tie shuffles."""
     gram = np.asarray(gram, dtype=float)
-    ours = svm.train_svm(gram, y, params)
+    with patch.object(svm, "MAX_PASSES", max_passes):
+        ours = svm.train_svm(gram, y, params)
     assert all(0.0 < abs(c) <= params.C for c in ours.coef)
     _stop_agrees_with_kkt(gram, y, ours, params)
     if ours.stop is not None:
         # only a small budget may run out on these problems of <= 12 samples
-        assert params.max_passes < 100
+        assert max_passes < 100
         return
-    theirs = _dual(ref.train_svm(gram, y, params, seed), gram)
+    theirs = _dual(ref.train_svm(gram, y, params, seed, max_passes), gram)
     assert _dual(ours, gram) >= theirs - 1e-4 * max(1.0, abs(theirs))
 
 
 def _stop_agrees_with_kkt(gram, y, model: svm.SvmModel, params: svm.SvmParams) -> None:
-    """A converged fit (``stop`` None) is within ``kkt_tol`` by the Gram's
+    """A converged fit (``stop`` None) is within ``KKT_TOL`` by the Gram's
     own recomputation; a short one names the gap it stopped at, above
-    ``kkt_tol``."""
+    ``KKT_TOL``."""
     if model.stop is None:
-        assert svm.kkt_report(gram, y, model, params) <= params.kkt_tol
+        assert svm.kkt_report(gram, y, model, params) <= svm.KKT_TOL
     else:
         head, gap = model.stop.rsplit(" ", 1)
         assert head == "SMO stopped at max_passes: KKT gap"
-        assert float(gap) > params.kkt_tol
+        assert float(gap) > svm.KKT_TOL
 
 
 @st.composite
@@ -92,22 +95,22 @@ def duplicate_row_problems(draw):
     y = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     if len(set(y)) < 2:
         y[draw(st.integers(0, n - 1))] *= -1
-    params = svm.SvmParams(C=draw(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0])),
-                           max_passes=draw(st.sampled_from([1, 2, 100])))
-    return X @ X.T, y, params, draw(st.integers(0, 2**32 - 1))
+    params = svm.SvmParams(C=draw(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0])))
+    return (X @ X.T, y, params, draw(st.sampled_from([1, 2, 100])),
+            draw(st.integers(0, 2**32 - 1)))
 
 
-# One pass of pair updates leaves both pinned fits short of kkt_tol, with
-# KKT violations 0.33 and 1.5; at max_passes=2 both converge.
-_ONE_PASS = svm.SvmParams(C=10.0, max_passes=1)
+# One pass of pair updates leaves both pinned fits short of KKT_TOL, with
+# KKT violations 0.33 and 1.5; at two passes both converge.
+_C10 = svm.SvmParams(C=10.0)
 _CROSSED = np.array([[0.25, 0, 0, -0.25], [0, 0, 0, 0], [0, 0, 0, 0],
                      [-0.25, 0, 0, 0.25]])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(duplicate_row_problems())
-@example((np.diag([0.25, 0, 0, 0.25]), [-1, 1, 1, -1], _ONE_PASS, 0))
-@example((_CROSSED, [-1, 1, 1, -1], _ONE_PASS, 0))
+@example((np.diag([0.25, 0, 0, 0.25]), [-1, 1, 1, -1], _C10, 1, 0))
+@example((_CROSSED, [-1, 1, 1, -1], _C10, 1, 0))
 def test_train_svm_matches_reference_on_duplicate_rows(problem):
     _same_fit(*problem)
 
@@ -116,7 +119,7 @@ def test_train_svm_matches_reference_on_corpus_folds(dataset):
     """Every fold's training Gram of every MR, for nf-pf, rwk and gk k=3
     and k=4, at the seed-42 fold plan that ``mrkit evaluate`` uses, with
     the reference's ties shuffled at the seed-42 ``svm`` stage seed; the
-    reference stops short of ``kkt_tol`` on 16 of the gk folds."""
+    reference stops short of ``KKT_TOL`` on 16 of the gk folds."""
     params = svm.SvmParams()
     for featurization, k in (("nf-pf", 3), ("rwk", 3), ("gk", 3), ("gk", 4)):
         args = argparse.Namespace(omit_exit_nf=False, graphlet_k=k, walk_len=10,
@@ -129,7 +132,7 @@ def test_train_svm_matches_reference_on_corpus_folds(dataset):
                 train = [i for i, f in enumerate(folds.assignments) if f != fold]
                 _same_fit(gram.values[np.ix_(train, train)],
                           [1 if labels[i] else -1 for i in train], params,
-                          stage_seed(42, "svm"))
+                          svm.MAX_PASSES, stage_seed(42, "svm"))
 
 
 def _bits(model: svm.SvmModel) -> tuple:
@@ -139,20 +142,21 @@ def _bits(model: svm.SvmModel) -> tuple:
             model.n_train)
 
 
-def _batch_matches_rows(gram, rows, params: svm.SvmParams) -> None:
+def _batch_matches_rows(gram, rows, params: svm.SvmParams, max_passes: int) -> None:
     """Each batched model is the one-fit WSS2 loop's model on its row's
     training split, bit for bit, and so is the 1-D call on that split."""
     gram = np.asarray(gram, dtype=float)
-    models = svm.train_svm(gram, rows, params)
-    assert len(models) == len(rows)
-    for row, model in zip(np.asarray(rows, dtype=float), models):
-        split = np.flatnonzero(row)
-        sub, y = gram[np.ix_(split, split)], row[split]
-        expected = ref.train_svm_wss2(sub, y, params)
-        assert model == expected and _bits(model) == _bits(expected)
-        alone = svm.train_svm(sub, y, params)
-        assert _bits(alone) == _bits(expected) and alone.stop == model.stop
-        _stop_agrees_with_kkt(sub, y, model, params)
+    with patch.object(svm, "MAX_PASSES", max_passes):
+        models = svm.train_svm(gram, rows, params)
+        assert len(models) == len(rows)
+        for row, model in zip(np.asarray(rows, dtype=float), models):
+            split = np.flatnonzero(row)
+            sub, y = gram[np.ix_(split, split)], row[split]
+            expected = ref.train_svm_wss2(sub, y, params, max_passes)
+            assert model == expected and _bits(model) == _bits(expected)
+            alone = svm.train_svm(sub, y, params)
+            assert _bits(alone) == _bits(expected) and alone.stop == model.stop
+            _stop_agrees_with_kkt(sub, y, model, params)
 
 
 def _draw_splits(data, n: int) -> list[list[int]]:
@@ -174,25 +178,25 @@ def _draw_splits(data, n: int) -> list[list[int]]:
 def test_batch_matches_one_fit_loop_on_random_psd_grams(n, d, C, max_passes, data):
     X = np.array(data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
                                     min_size=n, max_size=n)))
-    _batch_matches_rows(X @ X.T, _draw_splits(data, n),
-                        svm.SvmParams(C=C, max_passes=max_passes))
+    _batch_matches_rows(X @ X.T, _draw_splits(data, n), svm.SvmParams(C=C), max_passes)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(duplicate_row_problems(), st.data())
 def test_batch_matches_one_fit_loop_on_duplicate_rows(problem, data):
-    gram, y, params, _ = problem
-    _batch_matches_rows(gram, [y] + _draw_splits(data, len(y)), params)
+    gram, y, params, max_passes, _ = problem
+    _batch_matches_rows(gram, [y] + _draw_splits(data, len(y)), params, max_passes)
 
 
-def test_batch_rows_stop_at_their_own_limit():
-    """At max_passes=1 the full row runs out of its 4 updates short of
-    kkt_tol while the two-sample row converges; both match the one-fit
+def test_batch_rows_stop_at_their_own_limit(monkeypatch):
+    """At one pass the full row runs out of its 4 updates short of
+    KKT_TOL while the two-sample row converges; both match the one-fit
     loop."""
     rows = [[-1, 1, 1, -1], [-1, 1, 0, 0], [0, 1, 0, -1]]
     gram = np.diag([0.25, 0, 0, 0.25])
-    _batch_matches_rows(gram, rows, _ONE_PASS)
-    models = svm.train_svm(gram, rows, _ONE_PASS)
+    _batch_matches_rows(gram, rows, _C10, 1)
+    monkeypatch.setattr(svm, "MAX_PASSES", 1)
+    models = svm.train_svm(gram, rows, _C10)
     assert [m.stop is None for m in models] == [False, True, True]
     full = np.asarray(rows[0])
-    assert svm.kkt_report(gram, full, models[0], _ONE_PASS) > _ONE_PASS.kkt_tol
+    assert svm.kkt_report(gram, full, models[0], _C10) > svm.KKT_TOL
