@@ -5,10 +5,11 @@ files) are turned into node/path features or graph-kernel Gram matrices,
 six binary SVMs are trained against per-relation labels, and a dynamic
 oracle produces those labels by executing methods on sampled inputs.
 
-The ``cfg``, ``mir`` and ``oracle`` names are imported with the package.
-The learning stack's names (``features``, ``kernels``, ``svm`` and
-``evaluation``) are re-exported lazily: the first read of one imports its
-module, and numpy with it, so labelling never loads numpy.
+The ``cfg`` and ``mir`` names are imported with the package.  The
+others are re-exported lazily: the first read of one imports its module.
+So the oracle loads on the first read of one of its names
+(``label_method``, say), and numpy on the first read of a ``kernels``,
+``svm`` or ``evaluation`` name; ``corpus`` and ``features`` need neither.
 """
 
 from importlib import import_module
@@ -22,24 +23,17 @@ from .cfg import (
     validate,
 )
 from .mir import Function, MirError, Program, Trap, interpret, lower_to_cfg, parse_program
-from .oracle import (
-    MR_IDS,
-    LabelReport,
-    MrLabelSet,
-    OracleParams,
-    audit_labels,
-    check_relation,
-    label_method,
-)
 
 __version__ = "0.1.0"
 
 # lazily re-exported name -> the submodule that defines it
 _LAZY = {name: module for module, names in {
-    "features": ("FeatureVector", "build_design_matrix", "combine", "node_features",
-                 "path_features"),
-    "kernels": ("GkParams", "KernelMatrix", "RwkParams", "gram_matrix", "graphlet_kernel",
-                "random_walk_kernel"),
+    "corpus": ("MR_IDS", "MrLabelSet"),
+    "oracle": ("LabelReport", "OracleParams", "audit_labels", "check_relation",
+               "label_method"),
+    "features": ("FeatureVector", "combine", "node_features", "path_features"),
+    "kernels": ("GkParams", "KernelMatrix", "RwkParams", "build_design_matrix",
+                "gram_matrix", "graphlet_kernel", "random_walk_kernel"),
     "svm": ("SvmModel", "SvmParams", "decision_value", "predict", "train_svm"),
     "evaluation": ("ConfusionMatrix", "EvalMetrics", "EvalReport", "FoldPlan", "auc",
                    "confusion", "cross_validate", "metrics", "stratified_kfold"),
@@ -48,8 +42,6 @@ _LAZY = {name: module for module, names in {
 __all__ = [
     "AnnotatedCfg", "Diagnostic", "NodeOp", "emit_dot", "parse_dot", "validate",
     "Function", "MirError", "Program", "Trap", "interpret", "lower_to_cfg", "parse_program",
-    "MR_IDS", "LabelReport", "MrLabelSet", "OracleParams", "audit_labels",
-    "check_relation", "label_method",
     *_LAZY,
 ]
 

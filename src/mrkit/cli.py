@@ -19,46 +19,56 @@ from pathlib import Path
 
 from . import corpus as corpus_io
 from .cfg import AnnotatedCfg, emit_dot, parse_dot
-from .corpus import csv_text, json_text
+from .corpus import MR_IDS, csv_text, json_text
 from .mir import lower_to_cfg, parse_program
-from .oracle import MR_IDS, OracleParams, audit_labels, label_method
 
-# the learning stack's names this module uses, by the submodule that
-# defines them; ``_learning`` binds them, so ``label`` and ``stats``, which
-# never call it, start without numpy
-_LEARNING = {
-    "features": ("FeatureVector", "build_design_matrix", "combine", "features_to_csv",
-                 "node_features", "path_features", "walk_features"),
-    "kernels": ("CountKernel", "GkParams", "RwkParams", "gram_matrix"),
+# the names this module binds on first use, by the submodule that defines
+# them, so that each command loads only what it runs: ``label`` the oracle,
+# ``extract`` the feature counts, and only the learning commands numpy;
+# ``stats`` needs none of them
+_DEFERRED = {
+    "oracle": ("OracleParams", "audit_labels", "label_method"),
+    "features": ("FeatureVector", "combine", "features_to_csv", "node_features",
+                 "path_features", "walk_features"),
+    "kernels": ("CountKernel", "GkParams", "RwkParams", "build_design_matrix",
+                "gram_matrix"),
     "svm": ("SvmModel", "SvmParams", "decision_value", "train_svm"),
     "evaluation": ("EvalMetrics", "cross_validate", "stratified_kfold", "training_rows"),
 }
-_LEARNING_NAMES = frozenset({"np", "kernels"}.union(*_LEARNING.values()))
 
 
-def _learning() -> None:
-    """Import numpy, ``features``, ``kernels``, ``svm`` and ``evaluation``
-    and bind the names of ``_LEARNING`` (with ``np`` and ``kernels``) as
+def _bind(*module_names: str) -> None:
+    """Import each named submodule and bind its names of ``_DEFERRED`` as
     globals of this module, where callers look them up and the benchmark's
     probes patch them.  A name that is already bound, such as a wrapper
     assigned before the first command, is kept."""
-    from . import kernels
-
     scope = globals()
-    scope.setdefault("np", import_module("numpy"))
-    scope.setdefault("kernels", kernels)
-    for module_name, names in _LEARNING.items():
+    for module_name in module_names:
         module = import_module(f".{module_name}", __package__)
-        for name in names:
+        for name in _DEFERRED[module_name]:
             scope.setdefault(name, getattr(module, name))
 
 
+def _learning() -> None:
+    """Bind the learning stack: numpy as ``np``, the ``kernels`` module, and
+    the names of ``features``, ``kernels``, ``svm`` and ``evaluation``."""
+    scope = globals()
+    scope.setdefault("np", import_module("numpy"))
+    scope.setdefault("kernels", import_module(".kernels", __package__))
+    _bind("features", "kernels", "svm", "evaluation")
+
+
 def __getattr__(name: str):
-    # a read of ``mrkit.cli.<name>`` before any command has loaded the stack
-    if name in _LEARNING_NAMES:
+    # a read of ``mrkit.cli.<name>`` before any command has bound it: an
+    # oracle or feature name binds its own module, any other the stack
+    home = next((module for module, names in _DEFERRED.items() if name in names), None)
+    if home in ("oracle", "features"):
+        _bind(home)
+    elif home is not None or name in ("np", "kernels"):
         _learning()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
 
 
 _MR_CHOICES = [mr.lower() for mr in MR_IDS] + ["all"]
@@ -94,7 +104,7 @@ def _featurize(cfg: AnnotatedCfg, omit_exit: bool) -> tuple[FeatureVector, Featu
 
 
 def cmd_extract(args) -> int:
-    _learning()
+    _bind("features")
     inputs = [Path(p) for p in args.inputs]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -127,6 +137,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_label(args) -> int:
+    _bind("oracle")
     ds = corpus_io.load_manifest(args.manifest)
     register_path = Path(args.manifest).parent / "anomalies.csv"
     register = corpus_io.anomaly_register(register_path) if register_path.exists() else {}

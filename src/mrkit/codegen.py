@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable
+from collections.abc import Callable
 
 from .mir import (_BIN, _BIN_OPS, _CALL, _CMP, _CMP_OPS, _JIF, _JMP, _LEN, _LOAD, _MOV,
                   _POW, _RET, _RETBIN, _STORE, Trap, _fault)

@@ -1,4 +1,5 @@
-"""Dataset manifests, the bundled labelled corpus, and corpus statistics.
+"""Dataset manifests, the bundled labelled corpus, label sets, and corpus
+statistics.
 
 The package ships a 100-method reference label set, mini-IR sources for 68
 of the methods (the bundled manifest has no ``dot`` rows), one
@@ -16,17 +17,45 @@ import os
 import stat
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, is_dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cfg import AnnotatedCfg, DotParseError, parse_dot
 from .mir import Function, MirError, parse_program
-from .oracle import MR_IDS, MrLabelSet
+
+# the six metamorphic relations, in the column order of every labels file;
+# ``oracle`` defines what each one means
+MR_IDS = ("ADD", "MUL", "PER", "INC", "EXC", "INV")
 
 
 class CorpusError(ValueError):
     pass
+
+
+class OracleError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class MrLabelSet:
+    labels: dict[str, bool]
+
+    def __post_init__(self) -> None:
+        if set(self.labels) != set(MR_IDS):
+            raise OracleError(f"label set must cover exactly {MR_IDS}")
+
+    def __getitem__(self, mr: str) -> bool:
+        return self.labels[mr]
+
+    def as_bits(self) -> tuple[int, ...]:
+        return tuple(1 if self.labels[mr] else 0 for mr in MR_IDS)
+
+    @classmethod
+    def from_bits(cls, bits) -> "MrLabelSet":
+        bits = list(bits)
+        if len(bits) != 6 or any(b not in (0, 1) for b in bits):
+            raise OracleError(f"need six 0/1 cells, got {bits!r}")
+        return cls({mr: bool(b) for mr, b in zip(MR_IDS, bits)})
 
 
 def csv_text(rows: Iterable[Iterable]) -> str:
@@ -298,6 +327,8 @@ def corpus_stats(ds: Dataset) -> CorpusStats:
 
 
 def data_dir() -> Path:
+    from importlib import resources
+
     return Path(resources.files("mrkit") / "data")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import KernelMatrix
+from .kernels import KernelMatrix
 from .svm import KKT_TOL, MAX_PASSES, SvmParams, decision_value, train_svm
 
 

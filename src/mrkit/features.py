@@ -1,4 +1,4 @@
-"""Node and path features over annotated CFGs, plus count-block assembly.
+"""Node, path and walk features over annotated CFGs, as count vectors.
 
 Node features (NF) count nodes sharing an ``<op>-<din>-<dout>`` signature.
 Path features (PF) take, for every node, one canonical shortest path from
@@ -9,15 +9,18 @@ deterministic and id-renaming that preserves declaration order cannot
 change the result.  Walk features (RW), the random-walk kernel's explicit
 feature map, count every walk of a given length by its label sequence,
 keyed by an integer coding of that sequence.
+
+The module imports no numpy: ``extract`` runs on it alone.  The count
+blocks and kernel matrices that the learning commands build from these
+vectors are ``kernels``'s; ``CountBlock``, ``KernelMatrix`` and
+``build_design_matrix`` are still read from here, importing ``kernels``
+on first read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from dataclasses import dataclass
 
 from .cfg import AnnotatedCfg, NodeOp
 from .corpus import csv_text
@@ -162,92 +165,18 @@ def combine(nf: FeatureVector, pf: FeatureVector) -> FeatureVector:
     return FeatureVector("NF-PF", merged)
 
 
-class CountBlock(NamedTuple):
-    """The count vectors of ``size`` methods as one count matrix, kept
-    sparse, as most of a walk block is zeros: its key index and the row,
-    column and count of each nonzero cell.  Counts are integers, so every
-    sum below 2^53 is exact in any order, and the key order (first seen)
-    cannot change a value."""
-
-    index: dict  # key -> column
-    rows: np.ndarray
-    cols: np.ndarray
-    counts: np.ndarray
-    size: int
-
-    @classmethod
-    def of(cls, vectors: tuple[FeatureVector, ...]) -> "CountBlock":
-        """The block with one row per vector, straight from its counts."""
-        index: dict = {}
-        cols: list[int] = []
-        counts: list[int] = []
-        for v in vectors:
-            cols += [index.setdefault(key, len(index)) for key in v.entries]
-            counts += v.entries.values()
-        rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
-        return cls(index, rows, np.array(cols, dtype=np.intp),
-                   np.array(counts, dtype=float), len(vectors))
-
-    def dot(self, vector: FeatureVector) -> tuple[np.ndarray, int]:
-        """Each row's dot product with ``vector`` and the number of its keys
-        that no row has, which the products drop (all-zero columns)."""
-        x = np.zeros(len(self.index))
-        unseen = 0
-        for key, count in vector.entries.items():
-            col = self.index.get(key)
-            if col is None:
-                unseen += 1
-            else:
-                x[col] = count
-        return np.bincount(self.rows, self.counts * x[self.cols], minlength=self.size), unseen
-
-    def self_values(self) -> np.ndarray:
-        """Each row's dot product with itself, the diagonal of ``gram``."""
-        return np.bincount(self.rows, self.counts * self.counts, minlength=self.size)
-
-    def gram(self) -> np.ndarray:
-        """Every pair of rows' dot product, through the dense block."""
-        dense = np.zeros((self.size, len(self.index)))
-        dense[self.rows, self.cols] = self.counts
-        return np.matmul(dense, dense.T)
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    method_ids: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-    def min_eigenvalue(self) -> float:
-        sym = (self.values + self.values.T) / 2.0
-        return float(np.linalg.eigvalsh(sym).min())
-
-    def to_csv(self) -> str:
-        return csv_text([("method_id", *self.method_ids),
-                         *((mid, *map(repr, row)) for mid, row in
-                           zip(self.method_ids, self.values.tolist()))])
-
-
-def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> KernelMatrix:
-    """nf-pf's linear-kernel Gram ``X X^T``, where X is the count block of
-    the named vectors, the block predict builds its columns from.  The
-    counts are integers, so every entry is exact in float64 and a fold's
-    block equals its own ``X X^T``."""
-    if not features:
-        raise FeatureError("no feature vectors given")
-    kinds = {vec.kind for _, vec in features}
-    if len(kinds) != 1:
-        raise FeatureError(f"mixed feature kinds: {sorted(kinds)}")
-    ids = [mid for mid, _ in features]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({m for m in ids if ids.count(m) > 1})
-        raise FeatureError(f"duplicate method ids: {dupes}")
-    block = CountBlock.of(tuple(vec for _, vec in features))
-    return KernelMatrix(method_ids=tuple(ids), values=block.gram())
-
-
 def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:
     """Flat dump: one ``method_id,kind,feature_key,count`` row per entry,
     keys sorted within each vector."""
     return csv_text([("method_id", "kind", "feature_key", "count"),
                      *((method_id, vec.kind, key, vec.entries[key])
                        for vec in vectors for key in sorted(vec.entries))])
+
+
+def __getattr__(name: str):
+    # the names that moved to kernels, so that this module imports no numpy
+    if name in ("CountBlock", "KernelMatrix", "build_design_matrix"):
+        from . import kernels
+
+        return getattr(kernels, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

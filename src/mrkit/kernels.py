@@ -4,6 +4,8 @@ Both are built from their explicit feature maps, integer count blocks, not
 from product graphs or per-pair loops (Kriege et al., DMKD 2019):
 ``gram_matrix`` sums the blocks' products and ``CountKernel`` scores a new
 graph against training ones.  A per-pair kernel is its pair's Gram entry.
+nf-pf's linear kernel, ``build_design_matrix``, is the product of one
+block of node and path feature counts.
 The random-walk kernel counts pairs of walks with identical node-label
 sequences, one walk per graph, weighted decay^length and truncated at a
 maximum length: per length l, an integer count row per graph over the label
@@ -28,16 +30,99 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
-from typing import ClassVar
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .cfg import AnnotatedCfg
-from .features import (MAX_GRAPHLET_SUBSETS, CountBlock, FeatureError, FeatureVector,
-                       KernelMatrix, walk_features)
+from .corpus import csv_text
+from .features import MAX_GRAPHLET_SUBSETS, FeatureError, FeatureVector, walk_features
 
 MAX_WALK_LEN = 20
+
+
+class CountBlock(NamedTuple):
+    """The count vectors of ``size`` methods as one count matrix, kept
+    sparse, as most of a walk block is zeros: its key index and the row,
+    column and count of each nonzero cell.  Counts are integers, so every
+    sum below 2^53 is exact in any order, and the key order (first seen)
+    cannot change a value."""
+
+    index: dict  # key -> column
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, vectors: tuple[FeatureVector, ...]) -> "CountBlock":
+        """The block with one row per vector, straight from its counts."""
+        index: dict = {}
+        cols: list[int] = []
+        counts: list[int] = []
+        for v in vectors:
+            cols += [index.setdefault(key, len(index)) for key in v.entries]
+            counts += v.entries.values()
+        rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+        return cls(index, rows, np.array(cols, dtype=np.intp),
+                   np.array(counts, dtype=float), len(vectors))
+
+    def dot(self, vector: FeatureVector) -> tuple[np.ndarray, int]:
+        """Each row's dot product with ``vector`` and the number of its keys
+        that no row has, which the products drop (all-zero columns)."""
+        x = np.zeros(len(self.index))
+        unseen = 0
+        for key, count in vector.entries.items():
+            col = self.index.get(key)
+            if col is None:
+                unseen += 1
+            else:
+                x[col] = count
+        return np.bincount(self.rows, self.counts * x[self.cols], minlength=self.size), unseen
+
+    def self_values(self) -> np.ndarray:
+        """Each row's dot product with itself, the diagonal of ``gram``."""
+        return np.bincount(self.rows, self.counts * self.counts, minlength=self.size)
+
+    def gram(self) -> np.ndarray:
+        """Every pair of rows' dot product, through the dense block."""
+        dense = np.zeros((self.size, len(self.index)))
+        dense[self.rows, self.cols] = self.counts
+        return np.matmul(dense, dense.T)
+
+
+@dataclass(frozen=True)
+class KernelMatrix:
+    method_ids: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+
+    def min_eigenvalue(self) -> float:
+        sym = (self.values + self.values.T) / 2.0
+        return float(np.linalg.eigvalsh(sym).min())
+
+    def to_csv(self) -> str:
+        return csv_text([("method_id", *self.method_ids),
+                         *((mid, *map(repr, row)) for mid, row in
+                           zip(self.method_ids, self.values.tolist()))])
+
+
+def build_design_matrix(features: list[tuple[str, FeatureVector]]) -> KernelMatrix:
+    """nf-pf's linear-kernel Gram ``X X^T``, where X is the count block of
+    the named vectors, the block predict builds its columns from.  The
+    counts are integers, so every entry is exact in float64 and a fold's
+    block equals its own ``X X^T``."""
+    if not features:
+        raise FeatureError("no feature vectors given")
+    kinds = {vec.kind for _, vec in features}
+    if len(kinds) != 1:
+        raise FeatureError(f"mixed feature kinds: {sorted(kinds)}")
+    ids = [mid for mid, _ in features]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({m for m in ids if ids.count(m) > 1})
+        raise FeatureError(f"duplicate method ids: {dupes}")
+    block = CountBlock.of(tuple(vec for _, vec in features))
+    return KernelMatrix(method_ids=tuple(ids), values=block.gram())
 
 
 @dataclass(frozen=True)

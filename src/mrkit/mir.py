@@ -43,9 +43,9 @@ that.  The tests compare it against a bytecode dispatch loop,
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from .cfg import AnnotatedCfg, NodeOp
 

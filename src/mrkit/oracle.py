@@ -51,10 +51,11 @@ import random
 from dataclasses import dataclass, field
 from math import inf, isfinite
 
+# the relation ids and label sets are the labels files' own, so that a
+# command that only reads labels never imports this module; re-exported here
+from .corpus import MR_IDS, MrLabelSet, OracleError
 from .mir import DEFAULT_STEP_BUDGET, Function, Trap
 from .mir import interpret_floats as interpret
-
-MR_IDS = ("ADD", "MUL", "PER", "INC", "EXC", "INV")
 
 GEQ, LEQ, EQ = "GEQ", "LEQ", "EQ"
 
@@ -71,10 +72,6 @@ REL_TOL = 1e-9
 _VALUES = [float(v) for v in range(MIN_VALUE, MAX_VALUE + 1)]
 
 
-class OracleError(ValueError):
-    pass
-
-
 # MR -> the relation its follow-up output must bear to the source output
 RELATIONS = {"ADD": GEQ, "MUL": GEQ, "PER": EQ, "INC": GEQ, "EXC": LEQ, "INV": LEQ}
 
@@ -87,28 +84,6 @@ class OracleParams:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise OracleError("trials must be >= 1")
-
-
-@dataclass(frozen=True)
-class MrLabelSet:
-    labels: dict[str, bool]
-
-    def __post_init__(self) -> None:
-        if set(self.labels) != set(MR_IDS):
-            raise OracleError(f"label set must cover exactly {MR_IDS}")
-
-    def __getitem__(self, mr: str) -> bool:
-        return self.labels[mr]
-
-    def as_bits(self) -> tuple[int, ...]:
-        return tuple(1 if self.labels[mr] else 0 for mr in MR_IDS)
-
-    @classmethod
-    def from_bits(cls, bits) -> "MrLabelSet":
-        bits = list(bits)
-        if len(bits) != 6 or any(b not in (0, 1) for b in bits):
-            raise OracleError(f"need six 0/1 cells, got {bits!r}")
-        return cls({mr: bool(b) for mr, b in zip(MR_IDS, bits)})
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,10 @@ def kkt_report(gram, labels, model: SvmModel, params: SvmParams) -> float:
     return float(viol[viol > 0.0].max(initial=0.0))
 
 
-_TAU = 1e-12  # LIBSVM's stand-in for a pair curvature a_it <= 0
+# LIBSVM's stand-in for a pair curvature a_it <= 0, taken here also for a
+# subnormal one, below _TINY, whose quotients could overflow to inf
+_TAU = 1e-12
+_TINY = float(np.finfo(float).tiny)
 
 
 def _finish(coef: np.ndarray, v: np.ndarray, hi: np.ndarray, lo: np.ndarray,
@@ -159,7 +162,8 @@ def train_svm(gram, labels,
     refreshes it from two Gram rows, v -= K_i dc_i + K_j dc_j.  A step takes
     i = argmax v over I_up, the t whose c_t may still rise, and j = argmax
     (v_i - v_t)^2 / a_it over the t in I_low, whose c_t may still fall,
-    with v_t < v_i; a_it = K_ii + K_tt - 2 K_it, or tau where that is <= 0.
+    with v_t < v_i; a_it = K_ii + K_tt - 2 K_it, or tau where that is <= 0
+    or subnormal.
     c_i then rises and c_j falls by the same amount, to the best point of
     that segment inside the box, as LIBSVM clips it.
 
@@ -196,7 +200,7 @@ def train_svm(gram, labels,
     budget = MAX_PASSES * split.sum(axis=1)
     diag = np.diag(gram)
     curvature = diag[:, None] + diag[None, :] - 2.0 * gram
-    curvature[curvature <= 0.0] = _TAU
+    curvature[curvature < _TINY] = _TAU
     coef = np.zeros(rows.shape)
     v = rows.copy()
     models: list = [None] * len(rows)

@@ -1,7 +1,7 @@
 """The dense reference for mrkit's count blocks: the count matrix of a
 tuple of count vectors over the lexicographically sorted key union, one
 row per vector, as mrkit 0.1's design matrix laid it out.  Its Gram is
-``X @ X.T``, a kernel column ``X @ x``.  ``mrkit.features.CountBlock``
+``X @ X.T``, a kernel column ``X @ x``.  ``mrkit.kernels.CountBlock``
 keeps the same counts sparse, in first-seen key order; the tests require
 both to give the same floats, bit for bit.
 """

@@ -19,18 +19,16 @@ from hypothesis import strategies as st
 from mrkit import cli, corpus, svm
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot, parse_dot
 from mrkit.cli import _load_method_cfgs, main
-from mrkit.corpus import data_dir
+from mrkit.corpus import MR_IDS, data_dir
 from mrkit.mir import parse_program
-from mrkit.features import (MAX_GRAPHLET_SUBSETS, CountBlock, combine, node_features,
-                            path_features)
+from mrkit.features import MAX_GRAPHLET_SUBSETS, combine, node_features, path_features
 import count_reference
 import rwk_reference
-from mrkit.kernels import GkParams, RwkParams
+from mrkit.kernels import CountBlock, GkParams, RwkParams
 from test_features import branching_ring
 from test_kernels import per_pair_gk
 from test_mir import nested_fors
 from conftest import src_env
-from mrkit.oracle import MR_IDS
 from mrkit.svm import SvmModel, decision_value
 
 
@@ -930,6 +928,50 @@ def test_predict_exits_cleanly_whatever_one_model_value_holds(trained_model_dirs
         for file_name, saved in files.items():
             Path(models, file_name).write_text(json.dumps(saved))
         assert main(["predict", corpus_path("square"), "--models", models]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def csv_sweep_dir(tmp_path_factory):
+    """``MIXED``'s manifest, with the rows of ``labels.csv`` and
+    ``anomalies.csv`` that name its methods, so that most edits reach a
+    row a command reads."""
+    root = tmp_path_factory.mktemp("csv-sweep")
+    write_bundled_manifest(root, MIXED)
+    ids = {row[0] for row in csv.reader(io.StringIO((root / "manifest.csv").read_text()))}
+    for name in ("labels.csv", "anomalies.csv"):
+        rows = list(csv.reader(io.StringIO((data_dir() / name).read_text())))
+        (root / name).write_text(corpus.csv_text(row for row in rows if row[0] in ids))
+    return root
+
+
+# ids, names, source kinds and paths, label bits and relation lists, good and bad
+_CSV_SWEEP_VALUES = ["", "0", "1", "2", "-1", "07", "1_0", "9", "99", "x", "cal_Diff",
+                     "mir", "dot", "none", "corpus/find_min.mir", "corpus",
+                     "corpus/cal_Diff.mir/", "../manifest.csv", "ADD", "ADD;ADD",
+                     "ADD;XYZ", "a,b", '"', "\n"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_csv_commands_exit_cleanly_whatever_one_cell_holds(csv_sweep_dir, data):
+    """One cell of the manifest, ``labels.csv`` or ``anomalies.csv``, its
+    header included, takes a drawn value.  ``stats``, ``label --trials 1``
+    and ``evaluate`` each answer or refuse, exiting 0, 1 or 2, and raise
+    nothing."""
+    name = data.draw(st.sampled_from(["manifest.csv", "labels.csv", "anomalies.csv"]))
+    rows = list(csv.reader(io.StringIO((csv_sweep_dir / name).read_text())))
+    row = data.draw(st.sampled_from(rows))
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(_CSV_SWEEP_VALUES))
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        root = Path(tmp, "copy")
+        shutil.copytree(csv_sweep_dir, root)
+        (root / name).write_text(corpus.csv_text(rows))
+        man = str(root / "manifest.csv")
+        for argv in (["stats", "--manifest", man],
+                     ["label", "--manifest", man, "--trials", "1"],
+                     ["evaluate", "--manifest", man, "--features", "nf-pf", "--k", "2"]):
+            assert main(argv) in (0, 1, 2), argv
 
 
 def test_rwk_predict_does_not_warn_of_unseen_walks(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from mrkit.cfg import validate
 from mrkit.corpus import (
     CorpusError,
+    MrLabelSet,
     anomaly_register,
     corpus_stats,
     data_dir,
@@ -16,7 +17,7 @@ from mrkit.corpus import (
     parse_labels_csv,
 )
 from mrkit.mir import interpret
-from mrkit.oracle import MrLabelSet, check_relation
+from mrkit.oracle import check_relation
 
 
 def test_bundled_manifest_has_100_entries(dataset):

@@ -176,9 +176,8 @@ import numpy as np
 import eval_reference
 from mrkit import evaluation
 from mrkit.cli import _corpus_features
-from mrkit.corpus import bundled_dataset
+from mrkit.corpus import MR_IDS, bundled_dataset
 from mrkit.evaluation import cross_validate, stratified_kfold, training_rows
-from mrkit.oracle import MR_IDS
 
 calls = []
 real = evaluation.decision_value

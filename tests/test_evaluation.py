@@ -21,7 +21,8 @@ from mrkit.evaluation import (
     training_rows,
 )
 from mrkit import svm
-from mrkit.features import FeatureVector, build_design_matrix
+from mrkit.features import FeatureVector
+from mrkit.kernels import build_design_matrix
 from mrkit.svm import SvmParams, train_svm
 
 HAND_CM = ConfusionMatrix(tp=3, fn=2, fp=1, tn=4)

@@ -8,16 +8,15 @@ from mrkit.cfg import AnnotatedCfg, NodeOp, bfs_parents, parse_dot, validate
 from mrkit.corpus import data_dir
 from mrkit.features import (
     MAX_WALK_ENDS,
-    CountBlock,
     FeatureError,
     FeatureVector,
-    build_design_matrix,
     combine,
     features_to_csv,
     node_features,
     path_features,
     walk_features,
 )
+from mrkit.kernels import CountBlock, build_design_matrix
 from mrkit.mir import parse_program
 
 TABLE_NF = {

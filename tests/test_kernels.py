@@ -13,10 +13,11 @@ import gk_reference
 import rwk_reference
 from mrkit import cli
 from mrkit.cfg import AnnotatedCfg, NodeOp, emit_dot
-from mrkit.features import (MAX_GRAPHLET_SUBSETS, CountBlock, FeatureError, combine,
-                            node_features, path_features, walk_features)
+from mrkit.features import (MAX_GRAPHLET_SUBSETS, FeatureError, combine, node_features,
+                            path_features, walk_features)
 from mrkit.kernels import (
     MAX_WALK_LEN,
+    CountBlock,
     CountKernel,
     GkParams,
     RwkParams,

@@ -25,7 +25,8 @@ from mrkit.evaluation import (
     cross_validate,
     stratified_kfold,
 )
-from mrkit.features import FeatureVector, build_design_matrix
+from mrkit.features import FeatureVector
+from mrkit.kernels import build_design_matrix
 from test_evaluation import _synthetic_gram, report_json
 
 FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"

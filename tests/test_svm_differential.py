@@ -12,6 +12,7 @@ stay within ``KKT_TOL`` there too.  A test that draws the pass limit patches
 """
 
 import argparse
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 import svm_reference as ref
 from mrkit import svm
 from mrkit.cli import _corpus_features, stage_seed
+from mrkit.corpus import MR_IDS
 from mrkit.evaluation import stratified_kfold
-from mrkit.oracle import MR_IDS
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -179,6 +180,18 @@ def test_batch_matches_one_fit_loop_on_random_psd_grams(n, d, C, max_passes, dat
     X = np.array(data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
                                     min_size=n, max_size=n)))
     _batch_matches_rows(X @ X.T, _draw_splits(data, n), svm.SvmParams(C=C), max_passes)
+
+
+def test_a_subnormal_pair_curvature_takes_tau_without_overflow():
+    """The Gram of ``X = [[0], [2.18e-158]]`` has the subnormal entry
+    4.74e-316, so the pair's curvature is positive but subnormal: both
+    solvers take tau for it, and neither divides into an overflow."""
+    X = np.array([[0.0], [2.1776975267860967e-158]])
+    gram = X @ X.T
+    assert 0.0 < gram[1, 1] < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _batch_matches_rows(gram, [[1, -1], [-1, 1]], svm.SvmParams(C=0.01), 100)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
