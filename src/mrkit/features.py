@@ -12,9 +12,8 @@ keyed by an integer coding of that sequence.
 
 The module imports no numpy: ``extract`` runs on it alone.  The count
 blocks and kernel matrices that the learning commands build from these
-vectors are ``kernels``'s; ``CountBlock``, ``KernelMatrix`` and
-``build_design_matrix`` are still read from here, importing ``kernels``
-on first read.
+vectors are ``kernels``'s; ``build_design_matrix`` is still read from
+here, importing ``kernels`` on first read.
 """
 
 from __future__ import annotations
@@ -174,9 +173,9 @@ def features_to_csv(method_id: str, vectors: list[FeatureVector]) -> str:
 
 
 def __getattr__(name: str):
-    # the names that moved to kernels, so that this module imports no numpy
-    if name in ("CountBlock", "KernelMatrix", "build_design_matrix"):
-        from . import kernels
+    # moved to kernels, so that this module imports no numpy
+    if name == "build_design_matrix":
+        from .kernels import build_design_matrix
 
-        return getattr(kernels, name)
+        return build_design_matrix
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -121,8 +121,8 @@ def kkt_report(gram, labels, model: SvmModel, params: SvmParams) -> float:
     return float(viol[viol > 0.0].max(initial=0.0))
 
 
-# LIBSVM's stand-in for a pair curvature a_it <= 0, taken here also for a
-# subnormal one, below _TINY, whose quotients could overflow to inf
+# LIBSVM's stand-in for a pair curvature a_it <= 0, taken here also for one
+# at or below _TINY, whose quotients could overflow to inf
 _TAU = 1e-12
 _TINY = float(np.finfo(float).tiny)
 
@@ -200,7 +200,7 @@ def train_svm(gram, labels,
     budget = MAX_PASSES * split.sum(axis=1)
     diag = np.diag(gram)
     curvature = diag[:, None] + diag[None, :] - 2.0 * gram
-    curvature[curvature < _TINY] = _TAU
+    curvature[curvature <= _TINY] = _TAU
     coef = np.zeros(rows.shape)
     v = rows.copy()
     models: list = [None] * len(rows)

@@ -172,7 +172,7 @@ def train_svm_wss2(gram, labels, params: SvmParams = SvmParams(),
     lo = hi - C
     diag = np.diag(gram)
     curvature = diag[:, None] + diag[None, :] - 2.0 * gram
-    curvature[curvature < np.finfo(float).tiny] = _TAU  # <= 0 or subnormal
+    curvature[curvature <= np.finfo(float).tiny] = _TAU  # <= 0 or at most tiny
     coef = np.zeros(n)
     v = y.copy()
     for _ in range(max_passes * n):

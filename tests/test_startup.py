@@ -59,7 +59,7 @@ def loaded_after(statements: str, modules=LEARNING_STACK, *flags: str) -> list[s
 
 
 def command(*argv: str) -> str:
-    return f"import mrkit.cli\nassert mrkit.cli.main({list(argv)!r}) in (0, 1)"
+    return f"import mrkit.cli\nassert mrkit.cli.main({list(argv)!r}) == 0"
 
 
 IMPORT_CLI = "import mrkit.cli\nfrom mrkit.corpus import bundled_dataset\nbundled_dataset()"
@@ -142,7 +142,7 @@ def test_every_export_resolves_and_is_listed():
 ])
 def test_a_moved_name_still_imports_from_its_old_module(old, new):
     names = {"mrkit.oracle": ("MR_IDS", "MrLabelSet", "OracleError"),
-             "mrkit.features": ("CountBlock", "KernelMatrix", "build_design_matrix")}[old]
+             "mrkit.features": ("build_design_matrix",)}[old]
     for name in names:
         assert getattr(importlib.import_module(old), name) \
             is getattr(importlib.import_module(new), name)

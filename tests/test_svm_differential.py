@@ -184,14 +184,17 @@ def test_batch_matches_one_fit_loop_on_random_psd_grams(n, d, C, max_passes, dat
 
 def test_a_subnormal_pair_curvature_takes_tau_without_overflow():
     """The Gram of ``X = [[0], [2.18e-158]]`` has the subnormal entry
-    4.74e-316, so the pair's curvature is positive but subnormal: both
-    solvers take tau for it, and neither divides into an overflow."""
-    X = np.array([[0.0], [2.1776975267860967e-158]])
-    gram = X @ X.T
-    assert 0.0 < gram[1, 1] < np.finfo(float).tiny
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _batch_matches_rows(gram, [[1, -1], [-1, 1]], svm.SvmParams(C=0.01), 100)
+    4.74e-316, so the pair's curvature is positive but subnormal; that of
+    ``X = [[0], [2**-511]]`` has exactly the smallest normal float, whose
+    first step's score 4 / 2**-1022 is already inf.  Both solvers take
+    tau for either curvature, and neither divides into an overflow."""
+    for x in (2.1776975267860967e-158, 2.0 ** -511):
+        X = np.array([[0.0], [x]])
+        gram = X @ X.T
+        assert 0.0 < gram[1, 1] <= np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _batch_matches_rows(gram, [[1, -1], [-1, 1]], svm.SvmParams(C=0.01), 100)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
