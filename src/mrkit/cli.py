@@ -147,6 +147,9 @@ def cmd_label(args) -> int:
     attempted = 0
     failures = 0
     for entry in ds.entries:
+        if entry.source_kind == "dot":
+            print(f"diagnostic: {entry.name}: a DOT source cannot be run; not labelled",
+                  file=sys.stderr)
         if entry.source_kind != "mir":
             continue
         attempted += 1

@@ -22,16 +22,18 @@ check nothing, since they only get what the draws make: on a source of
 one element PER would loop forever, and INV would divide by a zero value.
 
 A method's trials draw from sha256-seeded substreams of the oracle seed,
-each named by the method and one scope.  ADD, MUL, PER, INC and EXC share
-their sources: one trial draws one source from the method's ``"source"``
-substream, each of those MRs still sampling builds its follow-up from its
-own ``(method, MR)`` substream, the source runs once, and then each
-follow-up runs and is checked.  An MR stops sampling at its first
-violation or trap; a trap in the source run is the witness of every MR
-still sampling.  INV's sources start at 1, so it draws its sources from its
-own ``(method, "INV")`` substream (its follow-up draws nothing) and runs
-both inputs every trial.  ``label_method`` builds each stream's draw
-functions once: one draws the next source, one builds a follow-up (PER
+each named by the method and one scope, and there are three kinds of
+scope.  One trial draws one source from the method's ``"source"``
+substream; each MR still sampling builds its follow-up from its own
+``(method, MR)`` substream; and INV's source is the trial's source with
+every 0 redrawn from 1..100 on the ``(method, "INV")`` substream, which
+is the trial's source itself when it holds no 0 (about 9 trials in 10).
+So each INV value is uniform on 1..100 (1/101 + 1/101 * 1/100 = 1/100),
+as a direct draw's would be.  A trial runs each distinct source once, then
+runs and checks each follow-up.  An MR stops sampling at its first
+violation or trap; a trap in a source run is the witness of every MR
+still sampling on that source.  ``label_method`` builds each stream's draw
+function once: the source draw, each MR's follow-up, INV's redraw (PER
 runs ``Random.shuffle``'s loop inline on its stream).  Every draw takes
 the same words from its stream, in the same order, as a ``randint``,
 ``randrange`` or ``shuffle`` call would.  A drawn value is read from one
@@ -82,6 +84,9 @@ class OracleParams:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        # a bool is an int to isinstance, and would label with trials_run True
+        if type(self.trials) is not int or type(self.seed) is not int:
+            raise OracleError("trials and seed must be ints")
         if self.trials < 1:
             raise OracleError("trials must be >= 1")
 
@@ -136,16 +141,15 @@ def _below(getrandbits, span: int) -> int:
     return r
 
 
-def _source_draws(lo: int, getrandbits):
-    """The function that draws the next source, of values ``lo..MAX_VALUE``,
-    from ``getrandbits``: a length, then that many values, each as
-    ``_below`` draws it."""
+def _source_draws(getrandbits):
+    """The function that draws the next source from ``getrandbits``: a
+    length, then that many values, each as ``_below`` draws it."""
     len_lo = MIN_LEN
     len_span = MAX_LEN - len_lo + 1
     len_bits = len_span.bit_length()
-    span = MAX_VALUE - lo + 1
+    span = MAX_VALUE - MIN_VALUE + 1
     bits = span.bit_length()
-    value = _VALUES[lo - MIN_VALUE:]
+    value = _VALUES
 
     def draw() -> list[float]:
         r = getrandbits(len_bits)
@@ -163,10 +167,35 @@ def _source_draws(lo: int, getrandbits):
     return draw
 
 
+def _inv_sources(getrandbits):
+    """The function that gives INV's source of a trial's source: the source
+    itself if it holds no 0, else a copy with each 0 redrawn from
+    ``MIN_INV_VALUE..MAX_VALUE`` as ``_below`` draws it from
+    ``getrandbits``."""
+    span = MAX_VALUE - MIN_INV_VALUE + 1
+    bits = span.bit_length()
+    value = _VALUES[MIN_INV_VALUE - MIN_VALUE:]
+
+    def inv_source(source: list[float]) -> list[float]:
+        if 0.0 not in source:
+            return source
+        redrawn = source[:]
+        for i, v in enumerate(redrawn):
+            if v == 0.0:
+                r = getrandbits(bits)
+                while r >= span:
+                    r = getrandbits(bits)
+                redrawn[i] = value[r]
+        return redrawn
+
+    return inv_source
+
+
 def _follow_ups(mr: str, getrandbits):
     """The function that builds ``mr``'s follow-up of a list of floats,
     drawing what it needs from ``getrandbits``; it leaves the source alone.
-    Its source is one that ``_source_draws`` draws from ``mr``'s domain."""
+    Its source is one from ``mr``'s domain: for INV, one that
+    ``_inv_sources`` gives."""
     if mr == "ADD" or mr == "MUL":
         c_span = MAX_CONST - MIN_CONST + 1
         if mr == "ADD":
@@ -244,46 +273,63 @@ def check_relation(mr: str, out_source: float,
     return False, _CAUSES[RELATIONS[mr]]
 
 
-def _sample(fn: Function, params: OracleParams, draw, follows) -> dict[str, MrOutcome]:
-    """Run up to ``params.trials`` trials of the MRs in ``follows`` (MR ->
-    the function that builds its follow-up) on sources from ``draw``: each
-    trial builds every sampling MR's follow-up, runs the source once, then
-    runs and checks each follow-up.  An MR leaves at its first violation or
-    trap; a trap in the source run is the witness of every MR left.  Each
-    run may take ``DEFAULT_STEP_BUDGET`` steps, read here at call time."""
+def _trial(fn: Function, budget: int, trial: int, source: list[float], active: list,
+           outcomes: dict[str, MrOutcome]) -> list:
+    """Trial ``trial`` of the MRs of ``active`` ((MR, follow-up builder,
+    relation test) entries) on ``source``: build each follow-up, run the
+    source once, then run and check each follow-up, each run allowed
+    ``budget`` steps.  An MR that fails gets its outcome in ``outcomes``; a
+    trap in the source run is the witness of them all.  Returns the
+    entries still sampling."""
+    follow_ups = [follow(source) for _, follow, _ in active]
+    try:
+        # interpret is looked up here on every call, not bound once,
+        # so that a caller can wrap mrkit.oracle.interpret
+        out_src = interpret(fn, source, budget)
+    except Trap as trap:
+        for (mr, _, _), follow_up in zip(active, follow_ups):
+            outcomes[mr] = MrOutcome(trial + 1, Witness(
+                trial, tuple(source), tuple(follow_up), None, None, f"trap: {trap}"))
+        return []
+    sampling = []
+    for entry, follow_up in zip(active, follow_ups):
+        mr, _, holds = entry
+        try:
+            out_fu = interpret(fn, follow_up, budget)
+        except Trap as trap:
+            witness = Witness(trial, tuple(source), tuple(follow_up), None, None,
+                              f"trap: {trap}")
+        else:
+            if holds(out_src, out_fu):
+                sampling.append(entry)
+                continue
+            witness = Witness(trial, tuple(source), tuple(follow_up), out_src, out_fu,
+                              check_relation(mr, out_src, out_fu)[1])
+        outcomes[mr] = MrOutcome(trial + 1, witness)
+    return sampling
+
+
+def _sample(fn: Function, params: OracleParams, draw, follows,
+            inv_source) -> dict[str, MrOutcome]:
+    """Run up to ``params.trials`` trials of the six MRs (``follows``: MR ->
+    the function that builds its follow-up, in ``MR_IDS`` order) on sources
+    from ``draw``.  INV, last while it samples, shares the trial's source
+    run unless ``inv_source`` gives it a source of its own.  Each run may
+    take ``DEFAULT_STEP_BUDGET`` steps, read here at call time."""
     budget = DEFAULT_STEP_BUDGET
     active = [(mr, follow, _relation_test(mr)) for mr, follow in follows.items()]
     outcomes: dict[str, MrOutcome] = {}
     for trial in range(params.trials):
         source = draw()
-        follow_ups = [follow(source) for _, follow, _ in active]
-        try:
-            # interpret is looked up here on every call, not bound once,
-            # so that a caller can wrap mrkit.oracle.interpret
-            out_src = interpret(fn, source, budget)
-        except Trap as trap:
-            for (mr, _, _), follow_up in zip(active, follow_ups):
-                outcomes[mr] = MrOutcome(trial + 1, Witness(
-                    trial, tuple(source), tuple(follow_up), None, None, f"trap: {trap}"))
+        own = inv_source(source) if active[-1][0] == "INV" else source
+        if own is source:
+            active = _trial(fn, budget, trial, source, active, outcomes)
+        else:
+            inv = active.pop()
+            active = _trial(fn, budget, trial, source, active, outcomes) if active else []
+            active += _trial(fn, budget, trial, own, [inv], outcomes)
+        if not active:
             return outcomes
-        sampling = []
-        for entry, follow_up in zip(active, follow_ups):
-            mr, _, holds = entry
-            try:
-                out_fu = interpret(fn, follow_up, budget)
-            except Trap as trap:
-                witness = Witness(trial, tuple(source), tuple(follow_up), None, None,
-                                  f"trap: {trap}")
-            else:
-                if holds(out_src, out_fu):
-                    sampling.append(entry)
-                    continue
-                witness = Witness(trial, tuple(source), tuple(follow_up), out_src, out_fu,
-                                  check_relation(mr, out_src, out_fu)[1])
-            outcomes[mr] = MrOutcome(trial + 1, witness)
-        if not sampling:
-            return outcomes
-        active = sampling
     for mr, _, _ in active:
         outcomes[mr] = MrOutcome(params.trials)
     return outcomes
@@ -295,11 +341,10 @@ def label_method(fn: Function, params: OracleParams = OracleParams()) -> LabelRe
     def stream(scope: str):
         return _substream(params.seed, fn.name, scope).getrandbits
 
-    shared = {mr: _follow_ups(mr, stream(mr)) for mr in MR_IDS if mr != "INV"}
-    outcomes = _sample(fn, params, _source_draws(MIN_VALUE, stream("source")), shared)
     inv = stream("INV")
-    outcomes.update(_sample(fn, params, _source_draws(MIN_INV_VALUE, inv),
-                            {"INV": _follow_ups("INV", inv)}))
+    follows = {mr: _follow_ups(mr, inv if mr == "INV" else stream(mr)) for mr in MR_IDS}
+    outcomes = _sample(fn, params, _source_draws(stream("source")), follows,
+                       _inv_sources(inv))
     outcomes = {mr: outcomes[mr] for mr in MR_IDS}
     labels = MrLabelSet({mr: outcome.label for mr, outcome in outcomes.items()})
     return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)

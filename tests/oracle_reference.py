@@ -2,10 +2,12 @@
 prebuilt draw functions: every trial recomputes the spans of its draws,
 ``apply_mr`` re-checks the MR and walks its branches, PER goes through
 ``rng.shuffle``, and ``check_relation`` looks up the relation.  A trial
-draws one source for ADD, MUL, PER, INC and EXC from the method's
-``"source"`` substream, builds each sampling MR's follow-up from its own
-substream, runs the source once and then each follow-up; INV runs alone
-on its own substream.  ``test_oracle.py`` requires
+draws one source from the method's ``"source"`` substream with
+``randint``; INV's source is that source with each 0 redrawn by
+``randint(1, 100)`` on the ``(method, "INV")`` substream, and each
+sampling MR builds its follow-up from its own ``(method, MR)`` substream.
+The trial runs each distinct source once, INV's only when it differs from
+the trial's, and then each follow-up.  ``test_oracle.py`` requires
 ``mrkit.oracle.label_method`` to return the same ``LabelReport`` as
 ``label_method`` here.
 
@@ -27,11 +29,16 @@ from mrkit.oracle import (EQ, GEQ, LEQ, MR_IDS, RELATIONS, LabelReport, MrLabelS
 # The domain is spelled here as literals, not read from mrkit.oracle, so a
 # changed bound there fails the differential tests.
 
-def draw_source(rng: random.Random, mr: str) -> list[float]:
-    getrandbits = rng.getrandbits
-    length = 2 + _below(getrandbits, 19)  # 2..20
-    lo = 1 if mr == "INV" else 0
-    return [float(lo + _below(getrandbits, 101 - lo)) for _ in range(length)]  # lo..100
+def draw_source(rng: random.Random) -> list[float]:
+    length = rng.randint(2, 20)
+    return [float(rng.randint(0, 100)) for _ in range(length)]
+
+
+def inv_source(source: list[float], rng: random.Random) -> list[float]:
+    """INV's source of a trial's source: each 0 redrawn from 1..100."""
+    if 0.0 not in source:
+        return source
+    return [v if v != 0.0 else float(rng.randint(1, 100)) for v in source]
 
 
 def apply_mr(mr: str, source, rng: random.Random) -> list[float]:
@@ -80,56 +87,47 @@ def check_relation(mr: str, out_source: float, out_follow_up: float,
     return ok, None if ok else "outputs differ under permutation"
 
 
-def _trial_loop(fn: Function, params: OracleParams, step_budget: int,
-                source_rng: random.Random, source_mr: str,
-                rngs: dict[str, random.Random]) -> dict[str, MrOutcome]:
-    """Trials of the MRs of ``rngs`` (MR -> its follow-up stream) on sources
-    that ``source_rng`` draws from ``source_mr``'s domain, each run allowed
-    ``step_budget`` steps."""
+def label_method(fn: Function, params: OracleParams, step_budget: int) -> LabelReport:
+    source_rng = _substream(params.seed, fn.name, "source")
+    rngs = {mr: _substream(params.seed, fn.name, mr) for mr in MR_IDS}
     outcomes: dict[str, MrOutcome] = {}
-    active = list(rngs)
+    active = list(MR_IDS)
     for trial in range(params.trials):
         if not active:
             break
-        source = draw_source(source_rng, source_mr)
-        follow_ups = {mr: apply_mr(mr, source, rngs[mr]) for mr in active}
-        try:
-            out_src = interpret(fn, source, step_budget)
-        except Trap as trap:
-            out_src, source_trap = None, f"trap: {trap}"
-        else:
-            source_trap = None
+        source = draw_source(source_rng)
+        sources = {mr: inv_source(source, rngs[mr]) if mr == "INV" else source
+                   for mr in active}
+        follow_ups = {mr: apply_mr(mr, sources[mr], rngs[mr]) for mr in active}
+        runs = {}  # id of a source -> (its output, its trap cause)
+        for mr in active:
+            src = sources[mr]
+            if id(src) not in runs:
+                try:
+                    runs[id(src)] = interpret(fn, src, step_budget), None
+                except Trap as trap:
+                    runs[id(src)] = None, f"trap: {trap}"
         for mr in list(active):
+            out_src, cause = runs[id(sources[mr])]
             follow_up = follow_ups[mr]
-            if source_trap is not None:
-                out_fu, cause = None, source_trap
-            else:
+            if cause is None:
                 try:
                     out_fu = interpret(fn, follow_up, step_budget)
                 except Trap as trap:
-                    out_fu, cause = None, f"trap: {trap}"
+                    cause = f"trap: {trap}"
                 else:
                     ok, cause = check_relation(mr, out_src, out_fu)
                     if ok:
                         continue
             trapped = cause.startswith("trap: ")
-            witness = Witness(trial=trial, source=tuple(source), follow_up=tuple(follow_up),
+            witness = Witness(trial=trial, source=tuple(sources[mr]),
+                              follow_up=tuple(follow_up),
                               out_source=None if trapped else out_src,
                               out_follow_up=None if trapped else out_fu, cause=cause)
             outcomes[mr] = MrOutcome(trials_run=trial + 1, witness=witness)
             active.remove(mr)
     for mr in active:
         outcomes[mr] = MrOutcome(trials_run=params.trials)
-    return outcomes
-
-
-def label_method(fn: Function, params: OracleParams, step_budget: int) -> LabelReport:
-    shared = [mr for mr in MR_IDS if mr != "INV"]
-    outcomes = _trial_loop(fn, params, step_budget,
-                           _substream(params.seed, fn.name, "source"), "ADD",
-                           {mr: _substream(params.seed, fn.name, mr) for mr in shared})
-    inv = _substream(params.seed, fn.name, "INV")
-    outcomes.update(_trial_loop(fn, params, step_budget, inv, "INV", {"INV": inv}))
     outcomes = {mr: outcomes[mr] for mr in MR_IDS}
     labels = MrLabelSet({mr: outcome.witness is None for mr, outcome in outcomes.items()})
     return LabelReport(method=fn.name, labels=labels, outcomes=outcomes)

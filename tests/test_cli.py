@@ -243,6 +243,25 @@ def test_label_overflowing_method_does_not_abort_the_run(tmp_path, capsys):
     assert "trap: overflow" in capsys.readouterr().err
 
 
+def test_label_names_each_dot_row_it_skips_and_passes_labels_only_rows_in_silence(
+        tmp_path, capsys):
+    (tmp_path / "average.dot").write_text((data_dir() / "cfg" / "average.dot").read_text())
+    man = tmp_path / "manifest.csv"
+    man.write_text("method_id,name,source_kind,source_path\n5,average,dot,average.dot\n")
+    out = tmp_path / "labels.csv"
+    assert main(["label", "--manifest", str(man), "--out", str(out), "--trials", "5"]) == 0
+    assert out.read_text() == "method_id,ADD,MUL,PER,INC,EXC,INV\n"
+    skipped = "diagnostic: average: a DOT source cannot be run; not labelled\n"
+    assert capsys.readouterr() == ("", skipped)
+    # beside a labelled row and a labels-only row, in manifest order
+    (tmp_path / "sum.mir").write_text(Path(corpus_path("sum")).read_text())
+    man.write_text("method_id,name,source_kind,source_path\n49,find_max,none,\n"
+                   "5,average,dot,average.dot\n90,sum,mir,sum.mir\n")
+    assert main(["label", "--manifest", str(man), "--out", str(out), "--trials", "5"]) == 0
+    assert out.read_text().splitlines()[1:] == ["90,1,1,1,1,1,1"]
+    assert capsys.readouterr() == ("", skipped)
+
+
 def test_label_total_failure_is_error(tmp_path, capsys):
     bad = tmp_path / "bad.mir"
     bad.write_text("fn bad(a) {\n  goto NOWHERE\n  return 0\n}\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracle_reference
 from mrkit import oracle
+from mrkit.cli import stage_seed
 from mrkit.mir import DEFAULT_STEP_BUDGET, Trap, interpret, parse_program
 from mrkit.oracle import (
     MR_IDS,
@@ -18,6 +19,7 @@ from mrkit.oracle import (
     Witness,
     _below,
     _follow_ups,
+    _inv_sources,
     _relation_test,
     _source_draws,
     _substream,
@@ -134,17 +136,37 @@ def test_label_known_rows(corpus_functions):
 
 
 def test_negative_labels_carry_replayable_witness(corpus_functions):
-    report = label_method(corpus_functions["average"])
-    for mr in ("INC", "EXC"):
-        outcome = report.outcomes[mr]
-        assert not outcome.label
-        w = outcome.witness
-        assert w is not None and w.cause
-        out_src = interpret(corpus_functions["average"], list(w.source))
-        out_fu = interpret(corpus_functions["average"], list(w.follow_up))
-        assert out_src == w.out_source and out_fu == w.out_follow_up
-        ok, _ = check_relation(mr, out_src, out_fu)
-        assert not ok
+    """At ``mrkit label --seed 42``'s oracle seed, each witness of the
+    bundled corpus re-runs to its recorded outputs and verdict, or to the
+    trap its cause names."""
+    params = OracleParams(seed=stage_seed(42, "oracle"))
+    negatives = dict.fromkeys(MR_IDS, 0)
+    reports = {name: label_method(fn, params) for name, fn in corpus_functions.items()}
+    assert reports["average"].labels.as_bits() == (1, 1, 1, 0, 0, 1)
+    for name, report in reports.items():
+        fn = corpus_functions[name]
+        for mr, outcome in report.outcomes.items():
+            w = outcome.witness
+            if w is None:
+                continue
+            negatives[mr] += 1
+            assert outcome.trials_run == w.trial + 1
+            if mr == "INV":  # INV's own source: any 0 of the trial's was redrawn
+                assert all(v in range(1, 101) for v in w.source), name
+                assert list(w.follow_up) == [1.0 / v for v in w.source], name
+            runs = []
+            try:
+                for inputs in (w.source, w.follow_up):
+                    runs.append(interpret(fn, list(inputs)))
+            except Trap as trap:
+                assert w.cause == f"trap: {trap}", (name, mr)
+                assert w.out_source is None and w.out_follow_up is None, (name, mr)
+                continue
+            assert not w.cause.startswith("trap"), (name, mr)
+            # repr, not ==: an output may be NaN
+            assert repr(runs) == repr([w.out_source, w.out_follow_up]), (name, mr)
+            assert check_relation(mr, *runs) == (False, w.cause), (name, mr)
+    assert all(negatives.values()), negatives
 
 
 def test_positive_labels_report_full_trial_count(corpus_functions):
@@ -175,6 +197,22 @@ def test_trapping_method_labels_all_false():
         assert "trap" in report.outcomes[mr].witness.cause
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 0}, {"trials": -3}, {"trials": 2.5}, {"trials": float("nan")},
+    {"trials": 200.0}, {"trials": True}, {"trials": "20"}, {"trials": None},
+    {"seed": 4.2}, {"seed": float("nan")}, {"seed": True}, {"seed": "42"}, {"seed": None},
+])
+def test_oracle_params_refuse_a_trials_or_seed_that_is_not_an_int(kwargs):
+    with pytest.raises(OracleError):
+        OracleParams(**kwargs)
+
+
+def test_oracle_params_take_any_positive_trials_and_any_int_seed():
+    for trials, seed in ((1, 0), (200, -1), (5, 2 ** 64 - 1)):
+        params = OracleParams(trials=trials, seed=seed)
+        assert (params.trials, params.seed) == (trials, seed)
+
+
 # returns the length, and divides by zero only on 21 elements: INC's
 # follow-up of a 20-element source is the only input that traps
 FOLLOW_UP_TRAP = ("fn f(a) {\n  n = len(a)\n  d = 21 - n\n  z = 0 / d\n"
@@ -187,7 +225,7 @@ def test_a_trap_on_the_follow_up_alone_leaves_both_outputs_absent():
     outcome = report.outcomes["INC"]
     witness = outcome.witness
     # the shared source stream's first 20-element source is its tenth
-    draw = _source_draws(0, _substream(params.seed, "f", "source").getrandbits)
+    draw = _source_draws(_substream(params.seed, "f", "source").getrandbits)
     sources = [draw() for _ in range(10)]
     assert [len(source) for source in sources].index(20) == 9
     assert not outcome.label and witness.trial == 9
@@ -235,14 +273,16 @@ def test_a_source_run_trap_is_the_witness_of_every_sampling_mr():
     assert report.outcomes["INV"].trials_run == params.trials
 
 
-def _inv_outcome_per_mr_stream(fn, params):
-    """INV's outcome drawn as every MR's was before the five shared their
-    sources: source and follow-up from the (method, "INV") substream, both
-    run every trial."""
-    rng = _substream(params.seed, fn.name, "INV")
+def _inv_outcome_on_the_shared_stream(fn, params):
+    """INV's outcome on its own, drawn with randint: the trial's source
+    from the (method, "source") substream, each 0 of it redrawn from
+    1..100 on the (method, "INV") substream, both inputs run every trial."""
+    source_rng = _substream(params.seed, fn.name, "source")
+    inv_rng = _substream(params.seed, fn.name, "INV")
     for trial in range(params.trials):
-        source = _draw_source_randint(rng, "INV")
-        follow_up = _apply_mr_randint("INV", source, rng)
+        source = [v or float(inv_rng.randint(1, 100))
+                  for v in _draw_source_randint(source_rng)]
+        follow_up = [1.0 / v for v in source]
         try:
             out_src = interpret(fn, source)
             out_fu = interpret(fn, follow_up)
@@ -259,12 +299,13 @@ def _inv_outcome_per_mr_stream(fn, params):
 
 
 @pytest.mark.parametrize("seed", [42, 2054484367])
-def test_inv_outcomes_equal_the_per_mr_inv_stream(corpus_functions, seed):
-    # 2054484367 is the oracle seed of `mrkit label --seed 42`
+def test_inv_outcomes_equal_inv_sampled_alone_on_the_shared_stream(corpus_functions, seed):
+    # 2054484367 is the oracle seed of `mrkit label --seed 42`; sharing the
+    # trial loop with the other five MRs changes none of INV's outcomes
     params = OracleParams(seed=seed)
     for fn in corpus_functions.values():
         assert (repr(label_method(fn, params).outcomes["INV"])
-                == repr(_inv_outcome_per_mr_stream(fn, params))), fn.name
+                == repr(_inv_outcome_on_the_shared_stream(fn, params))), fn.name
 
 
 def test_audit_empty_on_matching_trio(corpus_functions, dataset):
@@ -320,14 +361,13 @@ def test_label_set_round_trip():
         MrLabelSet({"ADD": True})
 
 
-# The oracle's draws before they were inlined on getrandbits: the reference
-# that every label CSV written since the first release was drawn with.  The
-# domain is spelled as literals, so a changed bound in mrkit.oracle fails.
+# The oracle's draws spelled as randint, randrange and shuffle calls, which
+# take the same words from a stream as its getrandbits loops.  The domain
+# is spelled as literals, so a changed bound in mrkit.oracle fails.
 
-def _draw_source_randint(rng, mr):
+def _draw_source_randint(rng):
     length = rng.randint(2, 20)
-    lo = 1 if mr == "INV" else 0
-    return [float(rng.randint(lo, 100)) for _ in range(length)]
+    return [float(rng.randint(0, 100)) for _ in range(length)]
 
 
 def _apply_mr_randint(mr, src, rng):
@@ -356,18 +396,60 @@ def test_draws_equal_the_randint_stream():
     for seed in range(1000):
         for mr in MR_IDS:
             rng, ref = random.Random(seed), random.Random(seed)
-            draw = _source_draws(1 if mr == "INV" else 0, rng.getrandbits)
+            draw = _source_draws(rng.getrandbits)
             follow = _follow_ups(mr, rng.getrandbits)
             for _ in range(2):
                 source = draw()
-                expected = _draw_source_randint(ref, mr)
+                expected = _draw_source_randint(ref)
                 assert source == expected, (seed, mr)
+                if mr == "INV":  # INV's source, each 0 redrawn on the stream
+                    source = _inv_sources(rng.getrandbits)(source)
+                    expected = [v or float(ref.randint(1, 100)) for v in expected]
+                    assert source == expected, (seed, mr)
                 assert follow(source) == _apply_mr_randint(mr, expected, ref), (seed, mr)
                 assert source == expected, (seed, mr)  # the follow-up left it alone
             # a second follow-up function takes its draws from the same stream
             assert (_follow_ups(mr, rng.getrandbits)(source)
                     == _apply_mr_randint(mr, expected, ref)), (seed, mr)
             assert rng.getstate() == ref.getstate(), (seed, mr)
+
+
+def test_an_inv_source_redraws_each_zero_as_randint_does():
+    # a source without a 0 comes back as itself, and draws nothing
+    for seed in range(1000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        inv_source = _inv_sources(rng.getrandbits)
+        draw = _source_draws(random.Random(~seed).getrandbits)
+        for source in ([1.0, 2.0], [0.0, 0.0], [0.0] * 20, [100.0] * 20,
+                       [5.0, 0.0, 100.0, 0.0], draw(), draw()):
+            kept = list(source)
+            own = inv_source(source)
+            assert source == kept, seed  # the trial's source is left alone
+            assert own == [v or float(ref.randint(1, 100)) for v in source], seed
+            assert (own is source) is (0.0 not in source), seed
+        assert rng.getstate() == ref.getstate(), seed
+
+
+def test_every_inv_source_of_a_label_run_lies_in_the_inv_domain(corpus_functions):
+    seen = []
+
+    def record(draw):
+        def inv_source(source):
+            own = draw(source)
+            seen.append((source, own))
+            return own
+        return inv_source
+
+    params = OracleParams(seed=stage_seed(42, "oracle"))
+    with patch.object(oracle, "_inv_sources", lambda bits: record(_inv_sources(bits))):
+        for fn in corpus_functions.values():
+            label_method(fn, params)
+    # about one trial source in ten holds a 0, and INV runs a copy of it
+    redrawn = sum(own is not source for source, own in seen)
+    assert len(seen) > 10_000 and len(seen) // 20 < redrawn < len(seen) // 5
+    for source, own in seen:
+        assert 2 <= len(own) <= 20 and len(own) == len(source)
+        assert all(v in range(1, 101) for v in own), own
 
 
 # step budgets from the default down to one that traps every call at its
@@ -447,7 +529,7 @@ def test_witness_source_is_the_drawn_input():
     fn = parse_program(CLOBBER).functions[0]
     params = OracleParams(trials=5)
     witness = label_method(fn, params).outcomes["INC"].witness
-    drawn = _source_draws(0, _substream(params.seed, fn.name, "source").getrandbits)()
+    drawn = _source_draws(_substream(params.seed, fn.name, "source").getrandbits)()
     assert witness is not None and witness.trial == 0
     assert witness.source == tuple(drawn)
     assert -1.0 not in witness.source and witness.follow_up[:-1] == witness.source
